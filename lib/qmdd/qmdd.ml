@@ -12,6 +12,9 @@ type manager = {
   values : (int * int, Cx.t list) Hashtbl.t;
   mul_cache : (int * int, edge) Hashtbl.t;
   add_cache : (int * int * (float * float), edge) Hashtbl.t;
+  gates : (Gate.t, edge) Hashtbl.t;
+      (* every gate diagram built so far: a circuit applies few distinct
+         gates many times, and each build is n [make_node] calls *)
   mutable next_id : int;
   mutable identity_from : edge array;
       (* identity_from.(v) = identity over variables v .. n-1 *)
@@ -123,6 +126,7 @@ let create ~n =
     values = Hashtbl.create 1024;
     mul_cache = Hashtbl.create 4096;
     add_cache = Hashtbl.create 4096;
+    gates = Hashtbl.create 64;
     next_id = 1;
     identity_from = [||];
     budget = None;
@@ -262,12 +266,24 @@ let rec add m a b =
     scale_edge m a.w unit_result
   end
 
+(* Whether [node] is the identity over its variable and those below.
+   Only the table's nodes are recognized, and only once something has
+   built the table: testing must not allocate it, or node counts would
+   depend on whether the identity was ever asked for. *)
+let is_identity_node m node =
+  Array.length m.identity_from > 0 && node == m.identity_from.(node.var).node
+
 let rec multiply m a b =
   trim_cache m.mul_cache;
   if Cx.is_zero ~eps:weight_eps a.w || Cx.is_zero ~eps:weight_eps b.w then
     zero_edge m
   else if a.node == m.terminal then scale_edge m a.w b
   else if b.node == m.terminal then scale_edge m b.w a
+  (* A gate's diagram is a scaled identity below its lowest qubit, so
+     without this every application would recurse through all the
+     levels underneath, probing the cache at each. *)
+  else if is_identity_node m a.node then scale_edge m a.w b
+  else if is_identity_node m b.node then scale_edge m b.w a
   else begin
     let key = (a.node.id, b.node.id) in
     let unit_result =
@@ -340,6 +356,14 @@ let controlled_gate m ~controls ~target ~u =
 let one_qubit_u g = Gate.base_matrix g
 
 let rec gate m g =
+  match Hashtbl.find_opt m.gates g with
+  | Some e -> e
+  | None ->
+    let e = build_gate m g in
+    Hashtbl.add m.gates g e;
+    e
+
+and build_gate m g =
   if Gate.max_qubit g >= m.n then
     invalid_arg
       (Printf.sprintf "Qmdd.gate: %s outside %d-qubit register"
@@ -513,7 +537,10 @@ let adjoint m e =
   in
   scale_edge m (Cx.conj e.w) (walk e.node)
 
-let trace m e =
+(* The diagonal sum, multiplied by [per_level] once per variable:
+   [per_level = 0.5] gives tr / 2^n without ever forming 2^n, which
+   overflows an int from 63 qubits on. *)
+let diagonal_sum m e ~per_level =
   let cache = Hashtbl.create 256 in
   let rec walk node =
     if node == m.terminal then Cx.one
@@ -526,11 +553,13 @@ let trace m e =
           if Cx.is_zero ~eps:weight_eps c.w then Cx.zero
           else Cx.mul c.w (walk c.node)
         in
-        let t = Cx.add (part 0) (part 3) in
+        let t = Cx.scale per_level (Cx.add (part 0) (part 3)) in
         Hashtbl.replace cache node.id t;
         t
   in
   Cx.mul e.w (walk e.node)
+
+let trace m e = diagonal_sum m e ~per_level:1.0
 
 let process_fidelity c1 c2 =
   if Circuit.n_qubits c1 <> Circuit.n_qubits c2 then
@@ -539,8 +568,7 @@ let process_fidelity c1 c2 =
   let m = create ~n in
   let u1 = Circuit.fold (fun acc g -> apply m g acc) (identity m) c1 in
   let u2 = Circuit.fold (fun acc g -> apply m g acc) (identity m) c2 in
-  let overlap = trace m (multiply m (adjoint m u1) u2) in
-  Cx.norm overlap /. float_of_int (1 lsl n)
+  Cx.norm (diagonal_sum m (multiply m (adjoint m u1) u2) ~per_level:0.5)
 
 let check_bits m bits name =
   if Array.length bits <> m.n then
@@ -604,25 +632,27 @@ let node_count e =
   visit e.node;
   Hashtbl.length seen
 
-let entry m e ~row ~col =
+(* One matrix entry, reading the row and column bit of each variable
+   from [row_bit] and [col_bit]. *)
+let entry_at m e ~row_bit ~col_bit =
   let rec walk e v =
     if Cx.is_zero ~eps:weight_eps e.w then Cx.zero
     else if v = m.n then e.w
     else
-      let rbit = (row lsr (m.n - 1 - v)) land 1 in
-      let cbit = (col lsr (m.n - 1 - v)) land 1 in
-      let child = e.node.edges.((2 * rbit) + cbit) in
+      let child = e.node.edges.((2 * row_bit v) + col_bit v) in
       Cx.mul e.w (walk child (v + 1))
   in
   walk e 0
 
-let index_of_bits bits =
-  Array.fold_left (fun acc b -> (acc * 2) + if b then 1 else 0) 0 bits
+let entry m e ~row ~col =
+  let bit index v = (index lsr (m.n - 1 - v)) land 1 in
+  entry_at m e ~row_bit:(bit row) ~col_bit:(bit col)
 
 let amplitude m state ~from bits =
   check_bits m from "amplitude";
   check_bits m bits "amplitude";
-  entry m state ~row:(index_of_bits bits) ~col:(index_of_bits from)
+  entry_at m state ~row_bit:(fun v -> Bool.to_int bits.(v))
+    ~col_bit:(fun v -> Bool.to_int from.(v))
 
 let to_matrix m e =
   let dim = 1 lsl m.n in

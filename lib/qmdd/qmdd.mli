@@ -35,7 +35,9 @@ val allocated_nodes : manager -> int
 (** Observability counters kept by every manager.  The counters are
     plain integer bumps on paths that already pay for a hashtable
     probe, so they are always on — reading them costs one O(1) record
-    build. *)
+    build.  The multiply-cache counters count probes only: products
+    with a terminal or identity operand are answered without one (see
+    {!multiply}). *)
 type stats = {
   unique_nodes : int;  (** live unique-table size right now *)
   peak_unique_nodes : int;  (** high-water mark of the unique table *)
@@ -65,12 +67,28 @@ val zero : manager -> edge
 (** [gate m g] builds the diagram of gate [g] embedded in the manager's
     n-qubit register.  Linear in n for every gate in the set (SWAP is
     built as three CNOTs).
+
+    Each manager builds a gate once: the diagram is memoized per
+    manager, keyed by the structurally-equal gate, so later calls
+    return it without allocating or multiplying anything.  A check
+    applies few distinct gates many times (the unoptimized = optimized
+    check of T6_b's first gate on the 96-qubit machine applies 4,868
+    gates, 40 of them distinct), and each build costs one node per
+    register level.
     @raise Invalid_argument if the gate does not fit the register, or
     if a rotation/phase gate carries a non-finite (NaN or infinite)
     angle — such a weight would poison the canonical value table. *)
 val gate : manager -> Gate.t -> edge
 
-(** [multiply m a b] is the matrix product [a * b]. *)
+(** [multiply m a b] is the matrix product [a * b].
+
+    When either operand is the manager's identity diagram over its
+    variables, scaled by any weight (a gate's diagram is exactly that
+    below its lowest qubit), the product is the other operand scaled
+    by that weight, returned without recursing through the levels
+    below.  Identity operands therefore bypass the multiply cache and
+    are counted in neither [mul_cache_hits] nor [mul_cache_misses].
+    The result is the same diagram the full recursion builds. *)
 val multiply : manager -> edge -> edge -> edge
 
 (** [add m a b] is the matrix sum. *)
@@ -146,7 +164,8 @@ val trace : manager -> edge -> Mathkit.Cx.t
 (** [process_fidelity c1 c2] is |tr(U1-dagger U2)| / 2^n: 1.0 exactly
     when the circuits agree up to global phase, smaller the further
     apart they are.  A quantitative companion to {!equivalent} for
-    diagnosing mismatches.
+    diagnosing mismatches.  The trace walk halves its sum once per
+    level instead of dividing by 2^n, so any register width works.
     @raise Invalid_argument when widths differ. *)
 val process_fidelity : Circuit.t -> Circuit.t -> float
 
@@ -175,7 +194,8 @@ val basis_projector : manager -> bool array -> edge
 val run_basis : manager -> Circuit.t -> from:bool array -> edge
 
 (** [amplitude m state ~from bits] reads <bits|psi> from a state built
-    by {!run_basis} with the same [from]. *)
+    by {!run_basis} with the same [from].  The bit arrays pick the
+    branch at each level directly, so any register width works. *)
 val amplitude : manager -> edge -> from:bool array -> bool array -> Mathkit.Cx.t
 
 (** [classical_outcome m state ~from] is [Some bits] when the state is,
@@ -185,7 +205,9 @@ val amplitude : manager -> edge -> from:bool array -> bool array -> Mathkit.Cx.t
 val classical_outcome : manager -> edge -> from:bool array -> bool array option
 
 (** [entry m e ~row ~col] reads one matrix entry by walking the
-    diagram. *)
+    diagram.  Bit [n - 1 - q] of [row] and [col] selects qubit [q]'s
+    branch, so the indices only address registers narrower than an
+    OCaml int; {!amplitude} takes bit arrays for wider ones. *)
 val entry : manager -> edge -> row:int -> col:int -> Mathkit.Cx.t
 
 (** [to_matrix m e] expands the diagram into a dense matrix; exponential,

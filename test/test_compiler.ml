@@ -655,18 +655,20 @@ let test_deadline_degrades_not_aborts () =
     Alcotest.failf "deadline compile aborted: %s"
       (String.concat "; " (List.map Diagnostic.to_string ds))
 
-(* A circuit whose QMDD equivalence check takes ~100ms: 25 layers of
-   T/H/CNOT-chain over 16 qubits keeps the diagram dense enough that
-   the check cannot finish inside the sliver of budget the test leaves
-   it. *)
+(* A circuit whose QMDD equivalence check takes a few hundred
+   milliseconds: three layers of H, an irrational Rz and a CNOT five
+   qubits away over 16 qubits.  Routing those CNOTs on ibmqx5 inserts
+   SWAP chains, and the distinct angles keep the diagram's weights from
+   collapsing, so the check cannot finish inside the sliver of budget
+   the test leaves it. *)
 let verification_heavy =
   let n = 16 in
   let gates = ref [] in
-  for _layer = 1 to 25 do
+  for layer = 1 to 3 do
     for q = 0 to n - 1 do
-      gates := Gate.H q :: Gate.T q :: !gates;
-      if q < n - 1 then
-        gates := Gate.Cnot { control = q; target = q + 1 } :: !gates
+      let angle = (sqrt 2.0 *. float_of_int (q + 1)) +. float_of_int layer in
+      gates := Gate.Rz (angle, q) :: Gate.H q :: !gates;
+      gates := Gate.Cnot { control = q; target = (q + 5) mod n } :: !gates
     done
   done;
   Circuit.make ~n (List.rev !gates)
@@ -676,12 +678,32 @@ let test_deadline_enforced_inside_verification () =
      between stages, so a compile that reached verification with a
      moment to spare ran the QMDD check to completion however long it
      took.  The inject hook below burns the budget down to ~30ms after
-     routing; the check needs ~100ms, so the deadline must now expire
-     mid-check and degrade to [Unverified] with the during-verification
-     reason.  Pre-fix this test fails with [Verified]. *)
+     routing; the check needs far longer, so the deadline must now
+     expire mid-check and degrade to [Unverified] with the
+     during-verification reason.  Pre-fix this test fails with
+     [Verified]. *)
   let device = Device.Ibm.ibmqx5 in
   let deadline = 1.0 in
   let margin = 0.03 in
+  let base =
+    { (Compiler.default_options ~device) with
+      Compiler.pre_optimize = false;
+      Compiler.post_optimize = false;
+      Compiler.verification =
+        Compiler.Fallback { node_budget = Some 8_000_000; max_sim_qubits = 10 }
+    }
+  in
+  (* The premise: without a deadline the check runs well past the
+     margin.  A faster kernel can make it finish inside the margin, and
+     then the assertions below would fail for the wrong reason. *)
+  let unbudgeted =
+    Compiler.compile base (Compiler.Quantum verification_heavy)
+  in
+  if unbudgeted.Compiler.verification_seconds < 3.0 *. margin then
+    Alcotest.failf
+      "premise broken: the unbudgeted check took %.3fs, under 3x the \
+       %.3fs margin; verification_heavy needs a heavier circuit"
+      unbudgeted.Compiler.verification_seconds margin;
   let t0 = Trace.now_ns () in
   let inject stage c =
     (* Last hook before verification: spin until only [margin] of the
@@ -698,11 +720,7 @@ let test_deadline_enforced_inside_verification () =
     c
   in
   let opts =
-    { (Compiler.default_options ~device) with
-      Compiler.pre_optimize = false;
-      Compiler.post_optimize = false;
-      Compiler.verification =
-        Compiler.Fallback { node_budget = Some 8_000_000; max_sim_qubits = 10 };
+    { base with
       Compiler.budgets =
         { Compiler.no_budgets with Compiler.deadline_seconds = Some deadline };
       Compiler.inject = Some inject
