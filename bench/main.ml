@@ -563,7 +563,7 @@ let ablations () =
         success (fun o ->
             {
               o with
-              Compiler.router = Compiler.Weighted_ctr (Calibration.swap_hop_weight cal);
+              Compiler.router = Compiler.Weighted_ctr cal;
             })
       in
       let tracking =
@@ -898,7 +898,7 @@ let foldstates () =
   let run name circuit =
     let before_gates = Circuit.gate_count circuit in
     let before_cost = Cost.evaluate Cost.eqn2 circuit in
-    let f = Optimize.fold_known_states ~check:true circuit in
+    let f = Optimize.fold_known_states circuit in
     let after_gates = Circuit.gate_count f.Optimize.circuit in
     let after_cost = Cost.evaluate Cost.eqn2 f.Optimize.circuit in
     Printf.printf
@@ -906,10 +906,11 @@ let foldstates () =
        %s\n"
       name before_gates after_gates (fmt_cost before_cost)
       (fmt_cost after_cost) f.Optimize.deleted f.Optimize.demoted
-      (if not f.Optimize.ok then "ORACLE-REJECTED"
+      (if f.Optimize.reverted <> None then "ORACLE-REJECTED"
        else if f.Optimize.checked then "oracle ok"
        else "no facts");
-    (f.Optimize.ok, after_gates < before_gates || after_cost < before_cost -. 1e-9)
+    ( f.Optimize.reverted = None,
+      after_gates < before_gates || after_cost < before_cost -. 1e-9 )
   in
   let outcomes =
     List.map

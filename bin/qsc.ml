@@ -129,7 +129,10 @@ let compile_cmd =
             "Audit every inter-stage handoff with the static pass contracts \
              (native library after decomposition, device legality after \
              routing, no gate-volume growth after optimization); abort on \
-             the first violation.")
+             the first violation.  Also checks every optimizer sweep with \
+             the equivalence oracle; a sweep it rejects or cannot settle \
+             within the compile's budget is dropped, and the stage is \
+             reported DEGRADED.")
   in
   let place =
     Arg.(
@@ -267,10 +270,10 @@ let compile_cmd =
       value & opt string ""
       & info [ "opt-rules" ] ~docv:"LIST"
           ~doc:
-            "Rewrite-template tier rule selection: comma-separated names \
-             processed left to right — $(b,all)/$(b,none)/$(b,default) \
-             reset the set, a bare name adds, $(b,-name) removes.  See \
-             $(b,qsc optimize --list-rules) for the registry.")
+            "Rewrite rules for the optimizer's sweeps, as for $(b,qsc \
+             optimize --opt-rules): $(b,all)/$(b,none)/$(b,default) reset \
+             the set, a name adds, $(b,-name) removes.  $(b,none) leaves \
+             inverse-pair cancellation and identity-window removal only.")
   in
   let run inputs_opt inputs_pos device custom_map qubits output no_optimize
       fold_states no_verify strict weights place router trace_mode keep_going
@@ -339,8 +342,7 @@ let compile_cmd =
           | `Ctr -> Compiler.Ctr
           | `Tracking -> Compiler.Tracking
           | `Fidelity ->
-            Compiler.Weighted_ctr
-              (Calibration.swap_hop_weight (Calibration.synthetic dev))
+            Compiler.Weighted_ctr (Calibration.synthetic dev)
         in
         let node_budget =
           match node_budget with
@@ -583,10 +585,11 @@ let optimize_cmd =
       value & opt string ""
       & info [ "opt-rules" ] ~docv:"LIST"
           ~doc:
-            "Rule selection for the rewrite-template tier (see \
-             $(b,--list-rules)): comma-separated names processed left to \
-             right — $(b,all)/$(b,none)/$(b,default) reset the set, a bare \
-             name adds, $(b,-name) removes.")
+            "Rewrite rules for the optimizer's sweeps (see \
+             $(b,--list-rules)), comma-separated, left to right: \
+             $(b,all)/$(b,none)/$(b,default) reset the set, a name adds, \
+             $(b,-name) removes.  $(b,none) leaves inverse-pair \
+             cancellation and identity-window removal only.")
   in
   let objective =
     Arg.(
@@ -617,9 +620,9 @@ let optimize_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Certify the rewrite tier with the exact equivalence oracle \
-             (dense simulation or QMDD, never up to phase); a rejected \
-             result is reverted.")
+            "Certify every kept sweep with the exact equivalence oracle; \
+             a rejected sweep is reverted and ends the run, and the \
+             summary counts reverted sweeps.")
   in
   let list_rules =
     Arg.(
@@ -666,10 +669,12 @@ let optimize_cmd =
                   function first (qsc compile)")
           | Ok (Compiler.Quantum circuit) ->
             let trace = Trace.create () in
-            let optimized =
-              Optimize.optimize ?device ~cost ~trace ~rules
-                ~rewrite_check:check circuit
+            let check = if check then Some Oracle.default_budget else None in
+            let outcome =
+              Optimize.optimize_budgeted ?device ~cost ~trace ~rules ?check
+                circuit
             in
+            let optimized = outcome.Optimize.circuit in
             let before = Circuit.stats circuit
             and after = Circuit.stats optimized in
             Format.printf "%-14s %10s %10s@." "" "before" "after";
@@ -683,14 +688,18 @@ let optimize_cmd =
               (Cost.evaluate cost circuit)
               (Cost.evaluate cost optimized)
               (Cost.name cost);
+            if check <> None then
+              Format.printf "sweeps reverted by the oracle: %s@."
+                (match outcome.Optimize.reverted with
+                | None -> "0"
+                | Some why -> "1 (" ^ why ^ ")");
             if explain then begin
               let fired =
                 List.filter_map
                   (fun (k, v) ->
-                    let p = "rewrite/" in
-                    let pl = String.length p in
-                    if String.length k > pl && String.sub k 0 pl = p then
-                      Some (String.sub k pl (String.length k - pl), v)
+                    let p = String.length "rewrite/" in
+                    if String.starts_with ~prefix:"rewrite/" k then
+                      Some (String.sub k p (String.length k - p), v)
                     else None)
                   (Trace.counter_totals trace)
               in
@@ -716,9 +725,12 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize"
        ~doc:
-         "Run the device-independent optimizer (cancellation, identity \
-          windows, and the rewrite-template tier) on a circuit without \
-          mapping it, under a selectable cost objective.")
+         "Run the optimizer on a circuit without mapping it, under a \
+          selectable cost objective.  Each sweep runs inverse-pair \
+          cancellation, the rewrite templates, rotation-merge, \
+          phase-merge, clifford-normalize and identity-window removal; \
+          a pass is kept only if it does not raise the objective, and \
+          sweeps repeat while the cost strictly falls.")
     term
 
 (* --- devices --- *)

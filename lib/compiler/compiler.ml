@@ -7,7 +7,7 @@ type verification_mode =
   | Qmdd_check of { node_budget : int option }
   | Fallback of { node_budget : int option; max_sim_qubits : int }
 
-type router = Ctr | Weighted_ctr of (int -> int -> float) | Tracking
+type router = Ctr | Weighted_ctr of Calibration.t | Tracking
 
 type budgets = {
   deadline_seconds : float option;
@@ -99,13 +99,8 @@ let front_end = function
    blocks is literally the unoptimized circuit), (3) unoptimized =
    optimized.  The three diagrams stay small where the single-shot
    miter explodes; chaining the equivalences gives
-   reference = optimized. *)
-let verify_staged ~node_budget ~deadline_ns ~qmdd_stats ~route device native
-    unoptimized optimized reference =
-  let eq a b =
-    Qmdd.equivalent ~up_to_phase:false ?node_budget ?deadline_ns
-      ?stats:qmdd_stats a b
-  in
+   reference = optimized.  [check] is the QMDD oracle. *)
+let verify_staged ~check ~route device native unoptimized optimized reference =
   let n = Device.n_qubits device in
   let blocks =
     List.map
@@ -116,159 +111,98 @@ let verify_staged ~node_budget ~deadline_ns ~qmdd_stats ~route device native
   let reassembled =
     Circuit.make ~n (List.concat_map (fun (_, b) -> Circuit.gates b) blocks)
   in
-  if not (Circuit.equal reassembled unoptimized) then Budget_exceeded
-  else if not (eq reference native) then Mismatch
-  else if
-    not
-      (List.for_all
-         (fun (g, block) ->
-           match g with
-           | Gate.Cnot _ -> eq (Circuit.make ~n [ g ]) block
-           | _ -> true)
-         blocks)
-  then Mismatch
-  else if eq unoptimized optimized then Verified_staged
-  else Mismatch
+  (* Blocks that do not reassemble leave the proof with nothing to
+     chain: report it as running out of budget, so the caller moves on
+     to its next strategy. *)
+  if not (Circuit.equal reassembled unoptimized) then
+    Oracle.Gave_up Oracle.Node_budget
+  else
+    let cnot_blocks =
+      List.filter_map
+        (fun (g, block) ->
+          match g with
+          | Gate.Cnot _ -> Some (Circuit.make ~n [ g ], block)
+          | _ -> None)
+        blocks
+    in
+    (* The first link that is not [Equal] settles the chain. *)
+    List.fold_left
+      (fun v (a, b) -> if v = Oracle.Equal then check a b else v)
+      Oracle.Equal
+      (((reference, native) :: cnot_blocks) @ [ (unoptimized, optimized) ])
 
-let verify mode options ~trace ~deadline_ns ~route ~native ~unoptimized
-    ~optimized reference =
-  (* [fallback = Some k]: chase an inconclusive QMDD outcome down the
-     resilience chain — staged proof, then the dense simulator oracle
-     for registers of at most [k] qubits, then [Unverified] with the
-     reason — never an exception. *)
-  let past_deadline () =
-    match deadline_ns with
-    | None -> false
-    | Some d -> Int64.compare (Trace.now_ns ()) d >= 0
+let verify mode options ~trace ~budget ~route ~native ~unoptimized ~optimized
+    reference =
+  let sp = Trace.start trace "verify" in
+  let t0 = Trace.now_ns () in
+  (* Every QMDD check the strategy runs (the staged proof runs many)
+     reports its manager's counters here. *)
+  let seen = ref [] in
+  let stats =
+    if Trace.enabled trace then Some (fun s -> seen := s :: !seen) else None
   in
-  let run ~node_budget ~fallback =
-    let sp = Trace.start trace "verify" in
-    let t0 = Trace.now_ns () in
-    (* Aggregate QMDD manager counters over every equivalence check the
-       strategy ends up running (the staged proof runs many). *)
-    let checks = ref 0
-    and peak_nodes = ref 0
-    and allocated = ref 0
-    and mul_hits = ref 0
-    and mul_misses = ref 0
-    and add_hits = ref 0
-    and add_misses = ref 0 in
-    let qmdd_stats =
-      if Trace.enabled trace then
-        Some
-          (fun (s : Qmdd.stats) ->
-            incr checks;
-            peak_nodes := max !peak_nodes s.Qmdd.peak_unique_nodes;
-            allocated := !allocated + s.Qmdd.allocated;
-            mul_hits := !mul_hits + s.Qmdd.mul_cache_hits;
-            mul_misses := !mul_misses + s.Qmdd.mul_cache_misses;
-            add_hits := !add_hits + s.Qmdd.add_cache_hits;
-            add_misses := !add_misses + s.Qmdd.add_cache_misses)
-      else None
-    in
-    let direct () =
-      match
-        Qmdd.equivalent ~up_to_phase:false ?node_budget ?deadline_ns
-          ?stats:qmdd_stats reference optimized
-      with
-      | true -> Verified
-      | false -> Mismatch
-      | exception Qmdd.Node_budget_exceeded -> Budget_exceeded
-    in
-    let stateless_router =
-      (* Blockwise routing only reassembles when gates route
-         independently of each other. *)
-      match options.router with
-      | Ctr | Weighted_ctr _ -> true
-      | Tracking -> false
-    in
-    let staged () =
-      if not stateless_router then Budget_exceeded
-      else
-        match
-          verify_staged ~node_budget ~deadline_ns ~qmdd_stats ~route
-            options.device native unoptimized optimized reference
-        with
-        | outcome -> outcome
-        | exception Qmdd.Node_budget_exceeded -> Budget_exceeded
-    in
-    let qmdd_outcome () =
-      (* Wide registers go straight to the staged proof; small ones to
-         the cheaper single-shot check, with the staged chain as the
-         fallback when the diagram outgrows the budget. *)
-      if Device.n_qubits options.device > 32 then
-        match staged () with
-        | Budget_exceeded -> direct ()
-        | outcome -> outcome
-      else
-        match direct () with
-        | Budget_exceeded -> staged ()
-        | outcome -> outcome
-    in
-    let sim_used = ref false in
-    let outcome =
-      match fallback with
-      | None -> (
-        match qmdd_outcome () with
-        | outcome -> outcome
-        | exception Qmdd.Deadline_exceeded -> Budget_exceeded)
-      | Some max_sim_qubits -> (
-        let oracle reason =
-          (* The oracle is a last resort, not a license to overrun: a
-             compile whose wall-clock budget expired mid-check degrades
-             to [Unverified] instead of starting a dense simulation. *)
-          if past_deadline () then
-            Unverified (reason ^ "; wall-clock deadline exceeded")
-          else
-          let n = Circuit.n_qubits reference in
-          let cap = min max_sim_qubits Sim.max_unitary_qubits in
-          if n > cap then
-            Unverified
-              (Printf.sprintf
-                 "%s; %d qubits exceeds the %d-qubit dense-matrix oracle"
-                 reason n cap)
-          else begin
-            sim_used := true;
-            match Sim.equivalent ~up_to_phase:false reference optimized with
-            | true -> Verified_sim
-            | false -> Mismatch
-            | exception exn ->
-              Unverified
-                (Printf.sprintf "%s; dense-matrix oracle raised %s" reason
-                   (Printexc.to_string exn))
-          end
-        in
-        match qmdd_outcome () with
-        | Budget_exceeded -> oracle "QMDD node budget exhausted"
-        | outcome -> outcome
-        | exception Qmdd.Deadline_exceeded ->
-          Unverified "wall-clock deadline exceeded during verification"
-        | exception exn ->
-          oracle
-            (Printf.sprintf "QMDD equivalence raised %s"
-               (Printexc.to_string exn)))
-    in
-    let elapsed = wall_seconds_since t0 in
-    Trace.stop_with trace sp ~cost:options.cost
-      ~counters:
-        [
-          ("qmdd_checks", float_of_int !checks);
-          ("qmdd_peak_unique_nodes", float_of_int !peak_nodes);
-          ("qmdd_allocated_nodes", float_of_int !allocated);
-          ("qmdd_mul_cache_hits", float_of_int !mul_hits);
-          ("qmdd_mul_cache_misses", float_of_int !mul_misses);
-          ("qmdd_add_cache_hits", float_of_int !add_hits);
-          ("qmdd_add_cache_misses", float_of_int !add_misses);
-          ("fallback_sim", if !sim_used then 1.0 else 0.0);
-        ]
-      optimized;
-    (outcome, elapsed)
+  let check a b = Oracle.unitary ~engine:Oracle.Qmdd ?stats budget a b in
+  let settle ~equal = function
+    | Oracle.Equal -> Ok equal
+    | Oracle.Different -> Ok Mismatch
+    | Oracle.Gave_up reason -> Error reason
   in
-  match mode with
-  | Skip -> (Skipped, 0.0)
-  | Qmdd_check { node_budget } -> run ~node_budget ~fallback:None
-  | Fallback { node_budget; max_sim_qubits } ->
-    run ~node_budget ~fallback:(Some max_sim_qubits)
+  let direct () = settle ~equal:Verified (check reference optimized) in
+  let staged () =
+    (* Blockwise routing only reassembles when gates route
+       independently of each other. *)
+    match options.router with
+    | Tracking -> Error Oracle.Node_budget
+    | Ctr | Weighted_ctr _ ->
+      settle ~equal:Verified_staged
+        (verify_staged ~check ~route options.device native unoptimized
+           optimized reference)
+  in
+  (* Wide registers go straight to the staged proof; small ones to the
+     cheaper single-shot check.  Either falls back on the other when
+     the diagram outgrows the node budget. *)
+  let first, second =
+    if Device.n_qubits options.device > 32 then (staged, direct)
+    else (direct, staged)
+  in
+  let outcome, sim_used =
+    match
+      (mode, match first () with Error Oracle.Node_budget -> second () | r -> r)
+    with
+    | _, Ok verdict -> (verdict, false)
+    | (Skip | Qmdd_check _), Error _ -> (Budget_exceeded, false)
+    | Fallback _, Error Oracle.Deadline ->
+      (Unverified "wall-clock deadline exceeded during verification", false)
+    | Fallback _, Error reason -> (
+      (* The dense simulator is the last resort, not a license to
+         overrun: past the deadline, or over its width cap, it gives up
+         and the verdict says why. *)
+      match Oracle.unitary ~engine:Oracle.Dense budget reference optimized with
+      | Oracle.Equal -> (Verified_sim, true)
+      | Oracle.Different -> (Mismatch, true)
+      | Oracle.Gave_up r ->
+        ( Unverified
+            (Oracle.give_up_to_string reason ^ "; " ^ Oracle.give_up_to_string r),
+          false ))
+  in
+  let elapsed = wall_seconds_since t0 in
+  let fold op field =
+    float_of_int (List.fold_left (fun acc s -> op acc (field s)) 0 !seen)
+  in
+  Trace.stop_with trace sp ~cost:options.cost
+    ~counters:
+      [
+        ("qmdd_checks", float_of_int (List.length !seen));
+        ("qmdd_peak_unique_nodes", fold max (fun s -> s.Qmdd.peak_unique_nodes));
+        ("qmdd_allocated_nodes", fold ( + ) (fun s -> s.Qmdd.allocated));
+        ("qmdd_mul_cache_hits", fold ( + ) (fun s -> s.Qmdd.mul_cache_hits));
+        ("qmdd_mul_cache_misses", fold ( + ) (fun s -> s.Qmdd.mul_cache_misses));
+        ("qmdd_add_cache_hits", fold ( + ) (fun s -> s.Qmdd.add_cache_hits));
+        ("qmdd_add_cache_misses", fold ( + ) (fun s -> s.Qmdd.add_cache_misses));
+        ("fallback_sim", if sim_used then 1.0 else 0.0);
+      ]
+    optimized;
+  (outcome, elapsed)
 
 let compile_checked ?(trace = Trace.disabled) options input =
   let device = options.device in
@@ -335,11 +269,17 @@ let compile_checked ?(trace = Trace.disabled) options input =
       (fun s -> Int64.add (Trace.now_ns ()) (Int64.of_float (s *. 1e9)))
       options.budgets.deadline_seconds
   in
-  let past_deadline () =
-    match deadline_ns with
-    | None -> false
-    | Some d -> Int64.compare (Trace.now_ns ()) d >= 0
+  (* One budget for every equivalence check the compile runs: the
+     strict-mode sweep checks, the fold-states check and verification. *)
+  let oracle_budget =
+    let b = { Oracle.default_budget with deadline_ns } in
+    match options.verification with
+    | Skip -> b
+    | Qmdd_check { node_budget } -> { b with node_budget }
+    | Fallback { node_budget; max_sim_qubits } ->
+      { b with node_budget; dense_qubits = max_sim_qubits }
   in
+  let check = if options.check_contracts then Some oracle_budget else None in
   (* Contract audit points (--strict / check_contracts): each stage's
      postcondition is checked where it fired, not at the final QMDD
      equivalence, so a broken pass names itself.  Every finding becomes
@@ -357,17 +297,30 @@ let compile_checked ?(trace = Trace.disabled) options input =
         List.iter (fun f -> warnings := conv f :: !warnings) rest;
         raise (Abort (conv first))
   in
-  let max_iterations = options.budgets.max_optimize_iterations in
-  let optimize_outcome stage outcome =
-    if outcome.Optimize.hit_iteration_cap then
-      degrade stage
-        (Printf.sprintf "stopped after %d sweeps: iteration cap reached"
-           outcome.Optimize.iterations);
-    if outcome.Optimize.hit_deadline then
-      degrade stage
-        (Printf.sprintf "stopped after %d sweeps: wall-clock deadline exceeded"
-           outcome.Optimize.iterations);
-    outcome.Optimize.hit_iteration_cap || outcome.Optimize.hit_deadline
+  (* One optimizer run under the compile's rules, budgets and oracle.
+     A run that stopped early marks [stage] degraded, once per reason. *)
+  let optimize stage ~name ?device ~cost c =
+    let (o : Optimize.outcome) =
+      guard stage (fun () ->
+          Optimize.optimize_budgeted ?device ~cost ~trace ~stage:name
+            ~rules:options.rewrite_rules ?check
+            ?max_iterations:options.budgets.max_optimize_iterations
+            ?deadline_ns c)
+    in
+    let stopped hit why =
+      if not hit then []
+      else [ Printf.sprintf "stopped after %d sweeps: %s" o.iterations why ]
+    in
+    let reasons =
+      stopped o.hit_iteration_cap "iteration cap reached"
+      @ stopped o.hit_deadline "wall-clock deadline exceeded"
+      @ Option.to_list
+          (Option.map
+             (Printf.sprintf "sweep %d reverted: %s" (o.iterations + 1))
+             o.reverted)
+    in
+    List.iter (degrade stage) reasons;
+    (o.circuit, reasons <> [])
   in
   let run () =
     let sp = Trace.start trace "front-end" in
@@ -392,24 +345,20 @@ let compile_checked ?(trace = Trace.disabled) options input =
          (Eqn. 2): hardware-aware costs like per-coupling fidelity are
          only meaningful once gates sit on physical qubits. *)
       if not options.pre_optimize then reference
-      else if past_deadline () then begin
+      else if Trace.past deadline_ns then begin
         degrade Diagnostic.Pre_optimize "skipped: wall-clock deadline exceeded";
         reference
       end
       else begin
         let sp = Trace.start_with trace "pre-optimize" ~cost reference in
-        let outcome =
-          guard Diagnostic.Pre_optimize (fun () ->
-              Optimize.optimize_budgeted ~cost:Cost.eqn2 ~trace
-                ~stage:"pre-optimize" ~rules:options.rewrite_rules
-                ~rewrite_check:options.check_contracts ?max_iterations
-                ?deadline_ns reference)
+        let staged, was_degraded =
+          optimize Diagnostic.Pre_optimize ~name:"pre-optimize" ~cost:Cost.eqn2
+            reference
         in
-        let was_degraded = optimize_outcome Diagnostic.Pre_optimize outcome in
         Trace.stop_with trace sp ~cost
           ~counters:(if was_degraded then [ ("degraded", 1.0) ] else [])
-          outcome.Optimize.circuit;
-        outcome.Optimize.circuit
+          staged;
+        staged
       end
     in
     let staged = inject Diagnostic.Pre_optimize staged in
@@ -426,7 +375,7 @@ let compile_checked ?(trace = Trace.disabled) options input =
        against the identically-relabelled reference. *)
     let placement =
       if options.use_placement && not (Device.is_simulator device) then
-        if past_deadline () then begin
+        if Trace.past deadline_ns then begin
           degrade Diagnostic.Place "skipped: wall-clock deadline exceeded";
           None
         end
@@ -454,8 +403,9 @@ let compile_checked ?(trace = Trace.disabled) options input =
     let route ?stats ?swap_budget d c =
       match options.router with
       | Ctr -> Route.route_circuit_swaps ?stats ?swap_budget d c
-      | Weighted_ctr weight ->
-        Route.route_circuit_swaps_weighted ?stats ?swap_budget d ~weight c
+      | Weighted_ctr cal ->
+        Route.route_circuit_swaps_weighted ?stats ?swap_budget d
+          ~weight:(Calibration.swap_hop_weight cal) c
       | Tracking -> Route.route_circuit_tracking ?stats ?swap_budget d c
     in
     (* The verifier reroutes gates blockwise for the staged proof; those
@@ -510,7 +460,7 @@ let compile_checked ?(trace = Trace.disabled) options input =
       contract Diagnostic.Route (Lint.Contract.after_route device unoptimized);
     let optimized =
       if not options.post_optimize then unoptimized
-      else if past_deadline () then begin
+      else if Trace.past deadline_ns then begin
         degrade Diagnostic.Post_optimize
           "skipped: wall-clock deadline exceeded";
         unoptimized
@@ -520,31 +470,25 @@ let compile_checked ?(trace = Trace.disabled) options input =
            swap-back annihilates the next gate's swap-forward), then
            expand the survivors to CNOTs and optimize at gate level. *)
         let sp = Trace.start_with trace "post-optimize" ~cost routed_swaps in
-        let swap_outcome =
-          guard Diagnostic.Post_optimize (fun () ->
-              Optimize.optimize_budgeted ~device ~cost ~trace
-                ~stage:"post-optimize/swap-level" ~rules:options.rewrite_rules
-                ~rewrite_check:options.check_contracts ?max_iterations
-                ?deadline_ns routed_swaps)
+        let level name c =
+          optimize Diagnostic.Post_optimize ~name ~device ~cost c
         in
-        let gate_outcome =
-          guard Diagnostic.Post_optimize (fun () ->
-              Optimize.optimize_budgeted ~device ~cost ~trace
-                ~stage:"post-optimize/gate-level" ~rules:options.rewrite_rules
-                ~rewrite_check:options.check_contracts ?max_iterations
-                ?deadline_ns
-                (Route.expand_swaps device swap_outcome.Optimize.circuit))
+        let swap_level, swap_degraded =
+          level "post-optimize/swap-level" routed_swaps
         in
-        let was_degraded =
-          (* Evaluate both: each stopped level reports itself. *)
-          let a = optimize_outcome Diagnostic.Post_optimize swap_outcome in
-          let b = optimize_outcome Diagnostic.Post_optimize gate_outcome in
-          a || b
+        let expanded =
+          guard Diagnostic.Post_optimize (fun () ->
+              Route.expand_swaps device swap_level)
+        in
+        let gate_level, gate_degraded =
+          level "post-optimize/gate-level" expanded
         in
         Trace.stop_with trace sp ~cost
-          ~counters:(if was_degraded then [ ("degraded", 1.0) ] else [])
-          gate_outcome.Optimize.circuit;
-        gate_outcome.Optimize.circuit
+          ~counters:
+            (if swap_degraded || gate_degraded then [ ("degraded", 1.0) ]
+             else [])
+          gate_level;
+        gate_level
       end
     in
     let optimized = inject Diagnostic.Post_optimize optimized in
@@ -563,12 +507,13 @@ let compile_checked ?(trace = Trace.disabled) options input =
       else begin
         let fold =
           guard Diagnostic.Post_optimize (fun () ->
-              Optimize.fold_known_states ~check:true ~trace optimized)
+              Optimize.fold_known_states ~budget:oracle_budget ~trace optimized)
         in
-        if not fold.Optimize.ok then
-          degrade Diagnostic.Post_optimize
-            "fold-states rewrite rejected by the zero-state oracle; pass \
-             skipped";
+        Option.iter
+          (fun why ->
+            degrade Diagnostic.Post_optimize
+              ("fold-states rewrite reverted: " ^ why))
+          fold.Optimize.reverted;
         fold.Optimize.circuit
       end
     in
@@ -579,7 +524,7 @@ let compile_checked ?(trace = Trace.disabled) options input =
       match options.verification with
       | Skip -> (Skipped, 0.0)
       | (Qmdd_check _ | Fallback _) as mode ->
-        if past_deadline () then
+        if Trace.past deadline_ns then
           ( (match mode with
             | Fallback _ ->
               Unverified "wall-clock deadline exceeded before verification"
@@ -587,8 +532,9 @@ let compile_checked ?(trace = Trace.disabled) options input =
             0.0 )
         else
           guard Diagnostic.Verify (fun () ->
-              verify mode options ~trace ~deadline_ns ~route:route_for_verify
-                ~native ~unoptimized ~optimized:prefold reference)
+              verify mode options ~trace ~budget:oracle_budget
+                ~route:route_for_verify ~native ~unoptimized ~optimized:prefold
+                reference)
     in
     (match verification with
     | Budget_exceeded -> degrade Diagnostic.Verify "QMDD node budget exhausted"
@@ -765,10 +711,7 @@ let canonical_options options =
   field "router"
     (match options.router with
     | Ctr -> "ctr"
-    (* A custom weight function has no canonical form; all weighted
-       routers share a tag, so callers that vary the function must not
-       share a cache (the serve daemon only ever builds [Ctr]). *)
-    | Weighted_ctr _ -> "weighted-ctr"
+    | Weighted_ctr cal -> "weighted-ctr:" ^ Calibration.digest cal
     | Tracking -> "tracking");
   flag "pre_optimize" options.pre_optimize;
   flag "post_optimize" options.post_optimize;

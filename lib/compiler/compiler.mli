@@ -26,7 +26,12 @@
     pipeline continues.  The {!Fallback} verification mode never aborts
     either: it walks QMDD → staged QMDD → dense-simulator oracle →
     {!Unverified} with the reason.  The raising {!compile} is a thin
-    compatibility wrapper. *)
+    compatibility wrapper.
+
+    Verification, strict-mode sweep checks and the fold-states check all
+    go through {!Oracle} under one budget: the verification mode's node
+    budget, the compile deadline, and {!Fallback}'s [max_sim_qubits]
+    (else {!Oracle.default_budget}'s) as the dense-simulator cap. *)
 
 (** What the user handed the tool. *)
 type input =
@@ -54,11 +59,10 @@ type verification_mode =
 type router =
   | Ctr  (** the paper's connectivity-tree reroute with per-gate
              swap-back (Section 4) *)
-  | Weighted_ctr of (int -> int -> float)
-      (** CTR with Dijkstra path selection: the function prices a SWAP
-          hop between two coupled qubits (e.g.
-          {!Calibration.swap_hop_weight}); routes minimize total weight
-          instead of hop count *)
+  | Weighted_ctr of Calibration.t
+      (** CTR with Dijkstra path selection: each SWAP hop between two
+          coupled qubits is priced by {!Calibration.swap_hop_weight}, so
+          routes minimize total error instead of hop count *)
   | Tracking
       (** baseline for comparison: accumulate SWAPs, track the layout,
           restore once at the end *)
@@ -81,7 +85,8 @@ type budgets = {
           allocations, so a check that explodes after the stage starts
           degrades down the fallback chain ([Unverified] under
           {!Fallback}, [Budget_exceeded] under {!Qmdd_check}) instead
-          of overrunning the budget. *)
+          of overrunning the budget.  Strict-mode sweep checks stop at
+          the deadline the same way. *)
   max_optimize_iterations : int option;
       (** cap on fixpoint sweeps for each optimization stage
           (pre-optimize, post-optimize swap-level and gate-level
@@ -114,9 +119,9 @@ type options = {
           unitary — so it is off by default and the pipeline's
           unitary-equivalence verification always compares against the
           pre-fold circuit (the fold's own zero-state oracle covers the
-          rest; a rejected rewrite degrades the report and keeps the
-          pre-fold circuit).  [qsc compile --fold-states] turns it
-          on. *)
+          rest; a fold the oracle rejects or cannot settle degrades the
+          report and keeps the pre-fold circuit).
+          [qsc compile --fold-states] turns it on. *)
   use_placement : bool;
       (** choose an initial logical-to-physical qubit placement that
           shortens CTR SWAP paths (the paper's future-work
@@ -133,14 +138,15 @@ type options = {
           degraded under a [swap_budget], the device-legality contract
           is skipped — the unrouted CNOTs are expected.  Off by
           default; [qsc compile --strict] turns it on.  Strict mode
-          also makes every {!Rewrite} tier application oracle-checked
-          with revert-on-reject. *)
+          also checks every optimizer sweep with {!Oracle.unitary}: a
+          sweep it rejects or cannot settle is dropped, and the stage
+          stops and is marked in {!report.degraded}. *)
   rewrite_rules : Rewrite.selection;
       (** which {!Rewrite} templates and engine passes the optimizer's
-          rewrite tier may apply (default
-          {!Rewrite.default_selection}; {!Rewrite.empty_selection}
-          disables the tier).  [qsc compile --opt-rules LIST] sets
-          it. *)
+          sweeps may apply (default {!Rewrite.default_selection};
+          with {!Rewrite.empty_selection} a sweep is inverse-pair
+          cancellation plus identity-window removal only).
+          [qsc compile --opt-rules LIST] sets it. *)
   budgets : budgets;
   inject : (Diagnostic.stage -> Circuit.t -> Circuit.t) option;
       (** fault-injection hook for robustness testing (see
@@ -307,10 +313,8 @@ val source_digest : string -> string
 val device_digest : Device.t -> string
 
 (** [canonical_options o] is a stable [key=value;...] rendering of
-    every semantically relevant option field.  Caveat: a
-    [Weighted_ctr] router's weight {e function} cannot be serialized —
-    all weighted routers share one tag, so callers varying the
-    function must not share a cache keyed on this. *)
+    every semantically relevant option field; a [Weighted_ctr] router
+    renders as its calibration's {!Calibration.digest}. *)
 val canonical_options : options -> string
 
 (** [options_digest o] is the hex MD5 of {!canonical_options}. *)

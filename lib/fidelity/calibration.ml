@@ -123,6 +123,19 @@ let log_fidelity_cost cal =
 
 let swap_hop_weight cal a b = -.log (1.0 -. gate_error cal (Gate.Swap (a, b)))
 
+(* Sorted and printed in hex, so equal calibrations render, and hash,
+   identically whatever order their tables were filled in. *)
+let digest cal =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (Device.to_dict_string cal.device);
+  Array.iteri
+    (fun q e -> Printf.bprintf b ";q%d %h %h" q e cal.readout.(q))
+    cal.single;
+  Hashtbl.fold (fun key e acc -> (key, e) :: acc) cal.cnot []
+  |> List.sort compare
+  |> List.iter (fun ((c, t), e) -> Printf.bprintf b ";cx%d-%d %h" c t e);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let pp fmt cal =
   Format.fprintf fmt "calibration of %s:@\n" (Device.name cal.device);
   Array.iteri

@@ -65,4 +65,9 @@ val log_fidelity_cost : t -> Cost.t
     make CTR prefer reliable couplings over merely short paths. *)
 val swap_hop_weight : t -> int -> int -> float
 
+(** [digest cal] is a hex MD5 of a canonical, sorted rendering of the
+    device and every error rate: equal calibrations always share a
+    digest, so it can key a compile cache. *)
+val digest : t -> string
+
 val pp : Format.formatter -> t -> unit

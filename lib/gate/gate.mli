@@ -74,6 +74,16 @@ val adjoint : t -> t
 (** [is_self_inverse g] holds when [adjoint g = g]. *)
 val is_self_inverse : t -> bool
 
+(** [commutes g h] is a sound (not complete) commutation test: [true]
+    means the gates provably commute.  Covers disjoint supports, equal
+    gates, diagonal pairs, diagonal or Rx gates against NOT-family
+    gates, NOT-family pairs, and same-wire X/Rx and Y/Ry pairs. *)
+val commutes : t -> t -> bool
+
+(** [commutes_with_support sg g sh h] is [commutes g h] for callers that
+    already hold [sg = support g] and [sh = support h]. *)
+val commutes_with_support : int list -> t -> int list -> t -> bool
+
 (** [rename f g] renames every qubit through [f].
     @raise Invalid_argument if renaming merges two qubits of the gate. *)
 val rename : (int -> int) -> t -> t

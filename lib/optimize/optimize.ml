@@ -1,228 +1,58 @@
-(* Gate-class views used by the commutation and merge rules. *)
-
-let diagonal_one_qubit = function
-  | Gate.Z q | Gate.S q | Gate.Sdg q | Gate.T q | Gate.Tdg q
-  | Gate.Rz (_, q) | Gate.Phase (_, q) ->
-    Some q
-  | Gate.X _ | Gate.Y _ | Gate.H _ | Gate.Rx _ | Gate.Ry _ | Gate.Cnot _
-  | Gate.Cz _ | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
-    None
-
-(* NOT-family gates: a bit flip on [target] controlled by [controls]. *)
-let not_family = function
-  | Gate.X q -> Some ([], q)
-  | Gate.Cnot { control; target } -> Some ([ control ], target)
-  | Gate.Toffoli { c1; c2; target } -> Some ([ c1; c2 ], target)
-  | Gate.Mct { controls; target } -> Some (controls, target)
-  | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _ | Gate.T _
-  | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ | Gate.Cz _
-  | Gate.Swap _ ->
-    None
-
-let disjoint a b = List.for_all (fun q -> not (List.mem q b)) a
-
-(* [commutes] with both supports already in hand: the cancellation
-   sweep calls this up to 2x lookback times per incoming gate, and
-   [Gate.support] allocates a [sort_uniq] per call — so supports are
-   computed once per gate and threaded through (see [cancel_pass]). *)
-let commutes_with_support sg g sh h =
-  if disjoint sg sh then true
-  else if Gate.equal g h then true
-  else
-    let diag gate =
-      match gate with
-      | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Rz _
-      | Gate.Phase _ | Gate.Cz _ ->
-        true
-      | Gate.X _ | Gate.Y _ | Gate.H _ | Gate.Rx _ | Gate.Ry _ | Gate.Cnot _
-      | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
-        false
-    in
-    if diag g && diag h then true
-    else
-      (* A diagonal gate commutes with a NOT-family gate whose target it
-         avoids (the controls only read the bits the diagonal phase
-         depends on); an X on the target commutes with the bit flip;
-         two NOT-family gates commute when neither target is the
-         other's control. *)
-      let diag_vs_not d nf =
-        match (d, not_family nf) with
-        | _, None -> false
-        | gate, Some (_, target) -> (
-          match gate with
-          | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _
-          | Gate.Rz _ | Gate.Phase _ -> (
-            match diagonal_one_qubit gate with
-            | Some q -> q <> target
-            | None -> false)
-          | Gate.Cz (a, b) -> target <> a && target <> b
-          | Gate.X _ | Gate.Y _ | Gate.H _ | Gate.Rx _ | Gate.Ry _
-          | Gate.Cnot _ | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
-            false)
-      in
-      (* Same-wire same-axis pairs: X and Rx are both functions of the
-         Pauli X (likewise Y/Ry), so they commute on a shared wire.
-         The old table missed these — Rx is neither diagonal nor
-         NOT-family — silently blocking rotation merges through an
-         interposed X. *)
-      let x_axis = function
-        | Gate.X a | Gate.Rx (_, a) -> Some a
-        | _ -> None
-      and y_axis = function
-        | Gate.Y a | Gate.Ry (_, a) -> Some a
-        | _ -> None
-      in
-      let same_axis_pair =
-        (match (x_axis g, x_axis h) with
-        | Some a, Some b -> a = b
-        | _ -> false)
-        ||
-        match (y_axis g, y_axis h) with
-        | Some a, Some b -> a = b
-        | _ -> false
-      in
-      (* An Rx on the target of a NOT-family gate commutes with it: the
-         controlled bit flip acts as X (or I) on the target, and Rx is
-         a function of X.  (Plain X-on-target was already covered by
-         the NOT-family pair rule below; Rx was not.) *)
-      let rx_vs_not r nf =
-        match (r, not_family nf) with
-        | Gate.Rx (_, q), Some (_, target) -> q = target
-        | _ -> false
-      in
-      if diag g && diag_vs_not g h then true
-      else if diag h && diag_vs_not h g then true
-      else if same_axis_pair then true
-      else if rx_vs_not g h || rx_vs_not h g then true
-      else
-        match (not_family g, not_family h) with
-        | Some (cg, tg), Some (ch, th) ->
-          (not (List.mem tg ch)) && not (List.mem th cg)
-        | (Some _ | None), (Some _ | None) -> false
-
-let commutes g h =
-  commutes_with_support (Gate.support g) g (Gate.support h) h
-
 let same_pair (a, b) (c, d) = (a = c && b = d) || (a = d && b = c)
 
-(* [merge_gates g h]: [g] happens first, [h] second.  All fusion rules
-   used here are between diagonal or same-axis gates, so order does not
-   matter. *)
-let merge_gates g h =
-  let cancel = Some [] in
-  let near_zero theta = abs_float theta < 1e-12 in
-  (* Phase-family fusion: Z, S, Sdg, T, Tdg and Phase all read as
-     diag(1, e^(i theta)), and e^(i a) e^(i b) folds mod 2 pi with no
-     global-phase residue — so T.T = S, S.Z = Sdg, T.Phase(x) =
-     Phase(pi/4 + x), and inverse pairs cancel, all in one rule. *)
-  let phase_fusion () =
-    match (Gate.phase_angle g, Gate.phase_angle h) with
-    | Some (a, qa), Some (b, qb) when qa = qb ->
-      Some
-        (match Gate.phase_gate (a +. b) qa with
-        | None -> []
-        | Some fused -> [ fused ])
-    | (Some _ | None), (Some _ | None) -> None
-  in
-  match phase_fusion () with
-  | Some replacement -> Some replacement
-  | None -> (
+let cancels g h =
+  match (Gate.phase_angle g, Gate.phase_angle h) with
+  | Some (a, qa), Some (b, qb) ->
+    (* Z, S, Sdg, T, Tdg and Phase all read as diag(1, e^(i theta)), so
+       any two whose angles sum to 0 mod 2 pi cancel exactly. *)
+    qa = qb && Gate.phase_gate (a +. b) qa = None
+  | (Some _ | None), (Some _ | None) -> (
     match (g, h) with
-    | Gate.X a, Gate.X b | Gate.Y a, Gate.Y b | Gate.H a, Gate.H b when a = b
+    | Gate.X a, Gate.X b | Gate.Y a, Gate.Y b | Gate.H a, Gate.H b -> a = b
+    (* Same-axis rotations cancel only when the angles sum to zero: two
+       that sum to 2 pi multiply to -I, and the optimizer promises
+       exactness. *)
+    | Gate.Rx (ta, a), Gate.Rx (tb, b)
+    | Gate.Ry (ta, a), Gate.Ry (tb, b)
+    | Gate.Rz (ta, a), Gate.Rz (tb, b) ->
+      a = b && abs_float (ta +. tb) < 1e-12
+    | Gate.Cnot x, Gate.Cnot y -> x.control = y.control && x.target = y.target
+    | Gate.Cz (a1, b1), Gate.Cz (a2, b2) | Gate.Swap (a1, b1), Gate.Swap (a2, b2)
       ->
-      cancel
-    (* Same-axis rotations add their angles.  The sum is kept unfolded:
-       folding by 2 pi would silently change the global phase
-       (Rz(2 pi) = -I), and the optimizer promises exactness. *)
-    | Gate.Rx (ta, a), Gate.Rx (tb, b) when a = b ->
-      let sum = ta +. tb in
-      if near_zero sum then cancel else Some [ Gate.Rx (sum, a) ]
-    | Gate.Ry (ta, a), Gate.Ry (tb, b) when a = b ->
-      let sum = ta +. tb in
-      if near_zero sum then cancel else Some [ Gate.Ry (sum, a) ]
-    | Gate.Rz (ta, a), Gate.Rz (tb, b) when a = b ->
-      let sum = ta +. tb in
-      if near_zero sum then cancel else Some [ Gate.Rz (sum, a) ]
-    | ( Gate.Cnot { control = c1; target = t1 },
-        Gate.Cnot { control = c2; target = t2 } )
-      when c1 = c2 && t1 = t2 ->
-      cancel
-    | Gate.Cz (a1, b1), Gate.Cz (a2, b2) when same_pair (a1, b1) (a2, b2) ->
-      cancel
-    | Gate.Swap (a1, b1), Gate.Swap (a2, b2) when same_pair (a1, b1) (a2, b2)
-      ->
-      cancel
-    | Gate.Toffoli a, Gate.Toffoli b
-      when a.target = b.target && same_pair (a.c1, a.c2) (b.c1, b.c2) ->
-      cancel
-    | Gate.Mct a, Gate.Mct b
-      when a.target = b.target
-           && List.sort Int.compare a.controls
-              = List.sort Int.compare b.controls ->
-      cancel
-    | _, _ -> None)
+      same_pair (a1, b1) (a2, b2)
+    | Gate.Toffoli a, Gate.Toffoli b ->
+      a.target = b.target && same_pair (a.c1, a.c2) (b.c1, b.c2)
+    | Gate.Mct a, Gate.Mct b ->
+      a.target = b.target
+      && List.sort Int.compare a.controls = List.sort Int.compare b.controls
+    | _, _ -> false)
 
 let cancel_pass ?(lookback = 50) c =
   (* [acc] holds processed gates in reverse order (head = most recent),
-     each paired with its precomputed support so the backward scan never
-     recomputes [Gate.support].  For each incoming gate, scan back
-     through gates it commutes with, looking for a merge partner; the
-     replacement lands at the partner's position, which is sound because
-     the current gate commutes with everything in between. *)
-  let with_support g = (g, Gate.support g) in
-  let rec try_merge acc (g, sg) depth =
+     each paired with its support, computed once per gate: the backward
+     scan tests commutation up to [lookback] times per incoming gate.
+     The incoming gate deletes the first earlier gate it cancels with,
+     provided it commutes with everything in between. *)
+  let rec try_cancel acc (g, sg) depth =
     match acc with
     | [] -> None
     | ((h, sh) as entry) :: earlier ->
       if depth <= 0 then None
-      else begin
-        match merge_gates h g with
-        | Some replacement ->
-          Some (List.rev_append (List.map with_support replacement) earlier)
-        | None ->
-          if commutes_with_support sg g sh h then
-            match try_merge earlier (g, sg) (depth - 1) with
-            | Some earlier' -> Some (entry :: earlier')
-            | None -> None
-          else None
-      end
+      else if cancels h g then Some earlier
+      else if Gate.commutes_with_support sg g sh h then
+        Option.map
+          (fun earlier' -> entry :: earlier')
+          (try_cancel earlier (g, sg) (depth - 1))
+      else None
   in
   let step acc g =
-    let entry = with_support g in
-    match try_merge acc entry lookback with
+    let entry = (g, Gate.support g) in
+    match try_cancel acc entry lookback with
     | Some acc' -> acc'
     | None -> entry :: acc
   in
   Circuit.make ~n:(Circuit.n_qubits c)
     (List.rev_map fst (Circuit.fold step [] c))
-
-let rewrite_pass ?device c =
-  let direction_ok ~control ~target =
-    match device with
-    | None -> true
-    | Some d -> Device.allows_cnot d ~control ~target
-  in
-  let rec go gates =
-    match gates with
-    (* Fig. 6 pattern collapse: 4 H around a CNOT are the opposite
-       CNOT.  Only rewrite when the new direction is legal. *)
-    | Gate.H a :: Gate.H b
-      :: Gate.Cnot { control; target }
-      :: Gate.H a' :: Gate.H b' :: rest
-      when a <> b
-           && same_pair (a, b) (control, target)
-           && same_pair (a', b') (control, target)
-           && direction_ok ~control:target ~target:control ->
-      go (Gate.Cnot { control = target; target = control } :: rest)
-    (* H-conjugation: H X H = Z and H Z H = X, exactly. *)
-    | Gate.H a :: Gate.X b :: Gate.H a' :: rest when a = b && a = a' ->
-      go (Gate.Z a :: rest)
-    | Gate.H a :: Gate.Z b :: Gate.H a' :: rest when a = b && a = a' ->
-      go (Gate.X a :: rest)
-    | g :: rest -> g :: go rest
-    | [] -> []
-  in
-  Circuit.make ~n:(Circuit.n_qubits c) (go (Circuit.gates c))
 
 (* Window-signature memo for the identity test.  Support-compacted
    windows are position independent — [H 7; X 9; H 7] and [H 0; X 2;
@@ -336,70 +166,111 @@ type outcome = {
   iterations : int;
   hit_iteration_cap : bool;
   hit_deadline : bool;
+  reverted : string option;
 }
 
+(* The passes of one sweep, in order.  Each returns [None] when it left
+   the circuit alone, or the rewritten circuit with the rule counters to
+   bump if the pass is kept. *)
+let sweep_passes ~device ~rules =
+  let shrinking f c =
+    let c' = f c in
+    if Circuit.gate_count c' < Circuit.gate_count c then Some (c', []) else None
+  in
+  let counted name f c =
+    if not (Rewrite.enabled rules name) then None
+    else match f c with _, 0 -> None | c', k -> Some (c', [ (name, k) ])
+  in
+  let templates c =
+    match Rewrite.apply_templates ?device ~selection:rules c with
+    | _, [] -> None
+    | c', fired -> Some (c', fired)
+  in
+  [
+    shrinking (fun c -> cancel_pass c);
+    templates;
+    counted "rotation-merge" Rewrite.merge_rotations;
+    counted "phase-merge" Rewrite.merge_phase_polynomial;
+    counted "clifford-normalize" Rewrite.normalize_cliffords;
+    shrinking (fun c -> remove_identity_windows c);
+  ]
+
+(* Run the passes over [c], whose cost is [k].  A pass is kept only when
+   it does not raise the cost; the running cost is carried along, so
+   each rewritten circuit is evaluated once. *)
+let sweep ~cost ~trace passes (c, k) =
+  List.fold_left
+    (fun (c0, k0) pass ->
+      match pass c0 with
+      | None -> (c0, k0)
+      | Some (c1, fired) ->
+        let k1 = Cost.evaluate cost c1 in
+        if k1 <= k0 +. 1e-9 then begin
+          List.iter
+            (fun (name, n) ->
+              Trace.bump trace ("rewrite/" ^ name) (float_of_int n))
+            fired;
+          (c1, k1)
+        end
+        else begin
+          Trace.bump trace "rewrite/reverted" 1.0;
+          (c0, k0)
+        end)
+    (c, k) passes
+
 let optimize_budgeted ?device ?(cost = Cost.eqn2) ?(trace = Trace.disabled)
-    ?(stage = "optimize") ?(rules = Rewrite.default_selection)
-    ?(rewrite_check = false) ?max_iterations ?deadline_ns c =
-  (* The template/rotation/phase/Clifford tier sits between the
-     peephole passes and identity-window removal: it is internally
-     cost-guarded (a pass that does not improve [cost] is dropped) and,
-     with [rewrite_check], oracle-checked with revert-on-reject. *)
-  let rewrite_tier circuit =
-    if Rewrite.selection_is_empty rules then circuit
-    else
-      (Rewrite.apply ?device ~selection:rules ~cost ~check:rewrite_check
-         ~trace circuit)
-        .Rewrite.circuit
-  in
-  let pass circuit =
-    circuit |> cancel_pass |> rewrite_pass ?device |> rewrite_tier
-    |> remove_identity_windows
-  in
-  let past_deadline () =
-    match deadline_ns with
-    | None -> false
-    | Some d -> Int64.compare (Trace.now_ns ()) d > 0
-  in
+    ?(stage = "optimize") ?(rules = Rewrite.default_selection) ?check
+    ?max_iterations ?deadline_ns c =
+  let passes = sweep_passes ~device ~rules in
   let capped i =
     match max_iterations with None -> false | Some cap -> i > cap
   in
-  (* One span per fixpoint iteration, the rejected final sweep included:
-     its wall time is paid whether or not the result is kept.  Budgets
-     are checked before starting a sweep, so a capped run returns the
-     best circuit found so far rather than aborting. *)
+  (* [iterations] counts accepted sweeps on every exit path. *)
+  let stop ?(cap = false) ?(deadline = false) ?reverted i best =
+    { circuit = best; iterations = i - 1; hit_iteration_cap = cap;
+      hit_deadline = deadline; reverted }
+  in
+  (* One span per sweep, the rejected final sweep included: its wall
+     time is paid whether or not the result is kept.  Budgets are
+     checked before starting a sweep, so a capped run returns the best
+     circuit found so far rather than aborting. *)
   let rec loop i best best_cost =
-    if capped i then
-      { circuit = best; iterations = i - 1;
-        hit_iteration_cap = true; hit_deadline = false }
-    else if past_deadline () then
-      { circuit = best; iterations = i - 1;
-        hit_iteration_cap = false; hit_deadline = true }
+    if capped i then stop ~cap:true i best
+    else if Trace.past deadline_ns then stop ~deadline:true i best
     else begin
       let sp =
         Trace.start_with trace (Printf.sprintf "%s/iteration-%d" stage i) ~cost
           best
       in
-      let candidate = pass best in
-      let candidate_cost = Cost.evaluate cost candidate in
+      let candidate, candidate_cost =
+        sweep ~cost ~trace passes (best, best_cost)
+      in
       let improved = candidate_cost < best_cost in
+      (* Strict mode: the oracle certifies every sweep that would be
+         kept, so one check covers all of its passes. *)
+      let verdict =
+        match check with
+        | Some budget when improved -> Oracle.unitary budget best candidate
+        | Some _ | None -> Oracle.Equal
+      in
+      if verdict = Oracle.Different then
+        Trace.bump trace "rewrite/oracle-rejected" 1.0;
+      let refusal = Oracle.refusal verdict in
       Trace.stop_with trace sp ~cost
-        ~counters:[ ("improved", if improved then 1.0 else 0.0) ]
+        ~counters:[ ("improved", if improved && refusal = None then 1.0 else 0.0) ]
         candidate;
-      (* [iterations] counts accepted sweeps on every exit path: the
-         final sweep of a converged run was rejected, so it reports
-         [i - 1] exactly like the cap and deadline branches do. *)
-      if improved then loop (i + 1) candidate candidate_cost
-      else
-        { circuit = best; iterations = i - 1;
-          hit_iteration_cap = false; hit_deadline = false }
+      (* A refused sweep is dropped and the run ends: the passes are
+         deterministic, so the next sweep would repeat it. *)
+      match refusal with
+      | Some why -> stop ~reverted:why i best
+      | None ->
+        if improved then loop (i + 1) candidate candidate_cost else stop i best
     end
   in
   loop 1 c (Cost.evaluate cost c)
 
-let optimize ?device ?cost ?trace ?stage ?rules ?rewrite_check c =
-  (optimize_budgeted ?device ?cost ?trace ?stage ?rules ?rewrite_check c)
-    .circuit
+let optimize ?device ?cost ?trace ?stage ?rules c =
+  (optimize_budgeted ?device ?cost ?trace ?stage ?rules c).circuit
 
 (* ---- abstract-state folding ------------------------------------------ *)
 
@@ -408,74 +279,50 @@ type fold_outcome = {
   deleted : int;
   demoted : int;
   checked : bool;
-  ok : bool;
+  reverted : string option;
 }
 
-(* Do [a] and [b] prepare the same state from |0...0>?  Exact comparison
-   (no up-to-phase allowance): every fold rewrite claims amplitude +1.
-   Dense simulation while the state vector fits in memory; the QMDD
-   engine above that — basis-state evolution keeps rank-1 diagrams
-   compact even on the 96-qubit cascades. *)
-let same_zero_state a b =
-  let n = Circuit.n_qubits a in
-  if n <= Sim.max_unitary_qubits then begin
-    let sa = Sim.run a (Sim.basis_state ~n 0) in
-    let sb = Sim.run b (Sim.basis_state ~n 0) in
-    let ok = ref true in
-    Array.iteri
-      (fun i va ->
-        if Mathkit.Cx.norm (Mathkit.Cx.sub va sb.(i)) > 1e-9 then ok := false)
-      sa;
-    !ok
-  end
-  else begin
-    let m = Qmdd.create ~n in
-    let from = Array.make n false in
-    Qmdd.equal (Qmdd.run_basis m a ~from) (Qmdd.run_basis m b ~from)
-  end
-
-let fold_known_states ?(check = true) ?(trace = Trace.disabled) c =
+let fold_known_states ?(budget = Oracle.default_budget)
+    ?(trace = Trace.disabled) c =
   let span = Trace.start trace "fold-states" in
-  let finish outcome =
-    Trace.stop trace span
-      ~counters:
-        [
-          ("deleted", float_of_int outcome.deleted);
-          ("demoted", float_of_int outcome.demoted);
-          ("checked", if outcome.checked then 1.0 else 0.0);
-          ("ok", if outcome.ok then 1.0 else 0.0);
-        ]
-      ();
-    outcome
-  in
   let r = Absint.analyze c in
-  if r.Absint.dead = [] && r.Absint.demoted = [] then
-    finish { circuit = c; deleted = 0; demoted = 0; checked = false; ok = true }
-  else begin
-    let dead = Hashtbl.create 16 and demote = Hashtbl.create 16 in
-    List.iter (fun (i, _, _) -> Hashtbl.replace dead i ()) r.Absint.dead;
-    List.iter
-      (fun (i, _, body, _) -> Hashtbl.replace demote i body)
-      r.Absint.demoted;
-    let gates =
-      List.concat
-        (List.mapi
-           (fun i g ->
-             if Hashtbl.mem dead i then []
-             else
-               match Hashtbl.find_opt demote i with
-               | Some body -> body
-               | None -> [ g ])
-           (Circuit.gates c))
-    in
-    let folded = Circuit.make ~n:(Circuit.n_qubits c) gates in
-    let deleted = Hashtbl.length dead and demoted = Hashtbl.length demote in
-    if not check then
-      finish { circuit = folded; deleted; demoted; checked = false; ok = true }
-    else if same_zero_state c folded then
-      finish { circuit = folded; deleted; demoted; checked = true; ok = true }
-    else
-      (* The oracle rejected a rewrite: an interpreter bug.  Keep the
-         input — the pass must never be the place correctness dies. *)
-      finish { circuit = c; deleted = 0; demoted = 0; checked = true; ok = false }
-  end
+  let unchanged =
+    { circuit = c; deleted = 0; demoted = 0; checked = false; reverted = None }
+  in
+  let outcome =
+    if r.Absint.dead = [] && r.Absint.demoted = [] then unchanged
+    else begin
+      let dead = Hashtbl.create 16 and demote = Hashtbl.create 16 in
+      List.iter (fun (i, _, _) -> Hashtbl.replace dead i ()) r.Absint.dead;
+      List.iter
+        (fun (i, _, body, _) -> Hashtbl.replace demote i body)
+        r.Absint.demoted;
+      let gates =
+        List.concat
+          (List.mapi
+             (fun i g ->
+               if Hashtbl.mem dead i then []
+               else Option.value ~default:[ g ] (Hashtbl.find_opt demote i))
+             (Circuit.gates c))
+      in
+      let folded = Circuit.make ~n:(Circuit.n_qubits c) gates in
+      match Oracle.refusal (Oracle.zero_state budget c folded) with
+      | None ->
+        { circuit = folded; deleted = Hashtbl.length dead;
+          demoted = Hashtbl.length demote; checked = true; reverted = None }
+      | Some why ->
+        (* Keep the input: the pass must never be the place correctness
+           dies. *)
+        { unchanged with checked = true; reverted = Some why }
+    end
+  in
+  Trace.stop trace span
+    ~counters:
+      [
+        ("deleted", float_of_int outcome.deleted);
+        ("demoted", float_of_int outcome.demoted);
+        ("checked", if outcome.checked then 1.0 else 0.0);
+        ("ok", if outcome.reverted = None then 1.0 else 0.0);
+      ]
+    ();
+  outcome

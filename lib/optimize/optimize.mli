@@ -1,21 +1,30 @@
 (** Local circuit optimization driven by the quantum cost function
-    (Section 4, items 5 and 6 of the paper's procedure list).
+    (Section 4, items 5 and 6 of the paper's procedure list): remove
+    gate partitions that equal the identity and apply cheaper
+    equivalent templates until the cost stops falling.
 
-    Two families of transformations, both applied recursively until the
-    cost stops decreasing:
+    {!optimize_budgeted} is the one loop.  Each sweep runs these passes
+    in order:
 
-    - removing gate partitions that equal the identity — adjacent
-      inverse pairs (modulo commutation through intervening gates) and
-      short windows whose product is the identity matrix;
-    - rewriting gate partitions with cheaper logically-identical
-      templates — diagonal-gate fusion (T.T = S, S.S = Z, ...),
-      H-conjugation identities (H X H = Z), and collapsing Fig. 6
-      reversal patterns back into bare CNOTs.
+    + inverse-pair cancellation ({!cancel_pass});
+    + the enabled {!Rewrite} templates, one sweep
+      ({!Rewrite.apply_templates});
+    + [rotation-merge] ({!Rewrite.merge_rotations});
+    + [phase-merge] ({!Rewrite.merge_phase_polynomial});
+    + [clifford-normalize] ({!Rewrite.normalize_cliffords});
+    + identity-window removal ({!remove_identity_windows}).
 
-    Every pass preserves the circuit's unitary exactly (not merely up to
-    global phase) and never increases the cost.  When a [device] is
-    supplied, rewrites never introduce a CNOT the coupling map forbids,
-    so optimizing a mapped circuit keeps it mapped.
+    Each pass is kept only if it does not raise the objective (the
+    guard matters: phase merging can trade gates for T gates), and the
+    sweep is kept only if the cost strictly falls.  The rule selection
+    switches passes 2 to 5 on or off; with {!Rewrite.empty_selection}
+    ([--opt-rules none]) a sweep is inverse-pair cancellation plus
+    identity-window removal and nothing else.
+
+    Every pass preserves the circuit's unitary exactly (not merely up
+    to global phase).  When a [device] is supplied, rewrites never
+    introduce a CNOT the coupling map forbids, so optimizing a mapped
+    circuit keeps it mapped.
 
     {b Ownership rule.}  The module's only mutable state is the
     identity-window memo table, which lives in domain-local storage
@@ -26,28 +35,17 @@
     callers that mix threads and optimization (the serve daemon)
     serialize compiles per domain. *)
 
-(** [commutes g h] is a sound (not complete) commutation test: [true]
-    means the gates provably commute.  Covers disjoint supports,
-    diagonal gates, control sharing, target sharing of NOT-family
-    gates, same-wire same-axis pairs (X/Rx and Y/Ry), and Rx on a
-    NOT-family gate's target. *)
-val commutes : Gate.t -> Gate.t -> bool
+(** [cancels g h] holds when the later gate [h] undoes [g] exactly:
+    self-inverse pairs (operand order ignored where the gate is
+    symmetric), phase-family gates whose angles sum to 0 mod 2 pi, and
+    same-axis rotations whose angles sum to 0. *)
+val cancels : Gate.t -> Gate.t -> bool
 
-(** [merge_gates g h] combines the earlier gate [g] with the later gate
-    [h] when they act on the same qubits: [Some []] when they cancel,
-    [Some [f]] when they fuse into one cheaper gate, [None] otherwise. *)
-val merge_gates : Gate.t -> Gate.t -> Gate.t list option
-
-(** [cancel_pass ?lookback c] sweeps once, cancelling or fusing each
-    gate with an earlier gate when everything between commutes with it.
-    [lookback] bounds the scan depth (default 50). *)
+(** [cancel_pass ?lookback c] sweeps once, deleting each gate together
+    with an earlier gate it {!cancels} when everything between commutes
+    with it ({!Gate.commutes}).  [lookback] bounds the scan depth
+    (default 50). *)
 val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
-
-(** [rewrite_pass ?device c] applies peephole templates: Fig. 6
-    reversal collapse (only when the resulting CNOT direction is legal
-    on [device], or unconditionally without one) and H-conjugation
-    rewrites. *)
-val rewrite_pass : ?device:Device.t -> Circuit.t -> Circuit.t
 
 (** [remove_identity_windows ?max_window c] deletes contiguous gate
     windows (up to [max_window] gates, default 6, spanning at most 3
@@ -60,63 +58,61 @@ val remove_identity_windows : ?max_window:int -> Circuit.t -> Circuit.t
 
 (** What a budgeted optimization run produced and why it stopped. *)
 type outcome = {
-  circuit : Circuit.t;  (** the cheapest circuit seen *)
+  circuit : Circuit.t;  (** the cheapest circuit kept *)
   iterations : int;
-      (** accepted fixpoint sweeps — sweeps whose result was kept.  A
-          converged run's final sweep is rejected (it found no
-          improvement) and is {e not} counted, matching the cap and
-          deadline paths; with a recording trace, the span count is
-          [iterations + 1] when the run converged. *)
+      (** sweeps whose result was kept; the final, dropped sweep of a
+          converged or reverted run is not counted *)
   hit_iteration_cap : bool;
       (** stopped by [max_iterations] before reaching a fixed point *)
   hit_deadline : bool;  (** stopped by [deadline_ns] *)
+  reverted : string option;
+      (** why the [check] oracle refused the last sweep (rejected it,
+          or could not settle it within its budget), which ended the run *)
 }
 
-(** [optimize_budgeted ?device ?cost ?trace ?stage ?rules
-    ?rewrite_check ?max_iterations ?deadline_ns c] runs all passes
+(** [optimize_budgeted ?device ?cost ?trace ?stage ?rules ?check
+    ?max_iterations ?deadline_ns c] runs sweeps of the pass list above
     toward a fixed point of the cost function (default {!Cost.eqn2}),
-    stopping early — with the best circuit found so far, never an
-    exception — when the sweep count would exceed [max_iterations] or
-    the monotonic clock passes [deadline_ns] (a {!Trace.now_ns}
-    instant).  Budgets are checked between sweeps, so a single sweep is
-    the granularity of the deadline.  The result never costs more than
-    the input.
+    with the passes the rule selection [rules] enables (default
+    {!Rewrite.default_selection}).  It stops early, with the best
+    circuit kept so far, when the sweep count would exceed
+    [max_iterations] or the clock passes [deadline_ns] (a
+    {!Trace.now_ns} instant); both are checked between sweeps.  The
+    result never costs more than the input.
 
-    Each sweep also runs the {!Rewrite} tier — templates, rotation
-    merging, phase-polynomial merging, Clifford normalization — under
-    the rule selection [rules] (default {!Rewrite.default_selection};
-    pass {!Rewrite.empty_selection} to disable the tier).  With
-    [rewrite_check], every tier application is validated by the exact
-    equivalence oracle and reverted on rejection (strict mode).
+    With [check] (strict mode), every sweep that would be kept is first
+    compared with its input by {!Oracle.unitary} under that budget (give
+    it the same deadline).  A sweep the oracle refuses is dropped and
+    ends the run.
 
-    When [trace] is a recording sink, every fixpoint iteration records
-    one span named ["<stage>/iteration-<i>"] (default stage
-    ["optimize"]) with before/after snapshots under [cost] and an
-    [improved] counter — the final, rejected sweep included, since its
-    time is spent either way — and the tier bumps one
-    ["rewrite/<rule>"] counter per applied rule. *)
+    A recording [trace] gets one span per sweep,
+    ["<stage>/iteration-<i>"] (default stage ["optimize"]), with
+    before/after snapshots under [cost] and an [improved] counter, the
+    final dropped sweep included.  Kept rule passes bump
+    ["rewrite/<rule>"], a pass the cost guard drops bumps
+    ["rewrite/reverted"], and an oracle rejection bumps
+    ["rewrite/oracle-rejected"]. *)
 val optimize_budgeted :
   ?device:Device.t ->
   ?cost:Cost.t ->
   ?trace:Trace.t ->
   ?stage:string ->
   ?rules:Rewrite.selection ->
-  ?rewrite_check:bool ->
+  ?check:Oracle.budget ->
   ?max_iterations:int ->
   ?deadline_ns:int64 ->
   Circuit.t ->
   outcome
 
-(** [optimize ?device ?cost ?trace ?stage ?rules ?rewrite_check c] is
-    [(optimize_budgeted ... c).circuit] with no budgets: runs to the
-    fixed point. *)
+(** [optimize ?device ?cost ?trace ?stage ?rules c] is
+    [(optimize_budgeted ... c).circuit] with no budgets and no oracle:
+    runs to the fixed point. *)
 val optimize :
   ?device:Device.t ->
   ?cost:Cost.t ->
   ?trace:Trace.t ->
   ?stage:string ->
   ?rules:Rewrite.selection ->
-  ?rewrite_check:bool ->
   Circuit.t ->
   Circuit.t
 
@@ -125,16 +121,18 @@ type fold_outcome = {
   circuit : Circuit.t;
   deleted : int;  (** gates removed as provably dead *)
   demoted : int;  (** gates replaced by a cheaper proved-equivalent body *)
-  checked : bool;  (** the oracle ran (facts found and [check] was on) *)
-  ok : bool;  (** the oracle accepted; [false] reverts to the input *)
+  checked : bool;  (** the oracle ran (the interpreter found facts) *)
+  reverted : string option;
+      (** [Some reason] when the oracle rejected the fold or could not
+          settle it within its budget; the input came back unchanged *)
 }
 
-(** [fold_known_states ?check ?trace c] rewrites [c] using the facts the
-    {!Absint} interpreter proves about the state prepared from |0...0>:
-    gates reported dead are deleted, gates with constant controls are
-    demoted to their uncontrolled bodies (CNOT with a proved-|1> control
-    becomes X; by phase kickback, a CNOT onto a proved |-> target
-    becomes Z on its control).
+(** [fold_known_states ?budget ?trace c] rewrites [c] using the facts
+    the {!Absint} interpreter proves about the state prepared from
+    |0...0>: gates reported dead are deleted, gates with constant
+    controls are demoted to their uncontrolled bodies (CNOT with a
+    proved-|1> control becomes X; by phase kickback, a CNOT onto a
+    proved |-> target becomes Z on its control).
 
     Unlike every other pass in this module, the result preserves the
     {e prepared state}, not the full unitary — running the folded
@@ -143,13 +141,12 @@ type fold_outcome = {
     flag turns it on) and why the pipeline's unitary-equivalence
     verification compares against the pre-fold circuit.
 
-    With [check] (the default), the folded circuit is re-validated
-    against the input by an exact zero-input-state oracle — dense
-    simulation up to {!Sim.max_unitary_qubits} wires, QMDD basis-state
-    evolution beyond — and on rejection the input comes back unchanged
-    with [ok = false].  Demotions only introduce gates from the NOT/Z
+    The folded circuit is checked against the input by
+    {!Oracle.zero_state} under [budget] (default {!Oracle.default_budget});
+    unless the oracle accepts, the input comes back unchanged with
+    [reverted] set.  Demotions only introduce gates from the NOT/Z
     families on wires the original gate touched, so a device-legal
     native circuit stays device-legal.  Records a ["fold-states"] span
     with deleted/demoted counters on [trace]. *)
 val fold_known_states :
-  ?check:bool -> ?trace:Trace.t -> Circuit.t -> fold_outcome
+  ?budget:Oracle.budget -> ?trace:Trace.t -> Circuit.t -> fold_outcome

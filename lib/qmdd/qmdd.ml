@@ -586,10 +586,12 @@ let basis_projector m bits =
   in
   build 0
 
-let run_basis m c ~from =
+let run_basis ?node_budget ?deadline_ns m c ~from =
   if Circuit.n_qubits c <> m.n then
     invalid_arg "Qmdd.run_basis: width mismatch";
-  Circuit.fold (fun acc g -> apply m g acc) (basis_projector m from) c
+  with_budget m node_budget (fun () ->
+  with_deadline m deadline_ns (fun () ->
+      Circuit.fold (fun acc g -> apply m g acc) (basis_projector m from) c))
 
 let classical_outcome m state ~from =
   check_bits m from "classical_outcome";

@@ -189,9 +189,12 @@ val node_count : edge -> int
     @raise Invalid_argument when the array width is not [n]. *)
 val basis_projector : manager -> bool array -> edge
 
-(** [run_basis m c ~from] is [U |from><from|]: column [from] of the
-    circuit unitary, everything else zero. *)
-val run_basis : manager -> Circuit.t -> from:bool array -> edge
+(** [run_basis ?node_budget ?deadline_ns m c ~from] is
+    [U |from><from|]: column [from] of the circuit unitary, everything
+    else zero.  The budgets raise as in {!equivalent}. *)
+val run_basis :
+  ?node_budget:int -> ?deadline_ns:int64 -> manager -> Circuit.t ->
+  from:bool array -> edge
 
 (** [amplitude m state ~from bits] reads <bits|psi> from a state built
     by {!run_basis} with the same [from].  The bit arrays pick the

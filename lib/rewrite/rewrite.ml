@@ -272,7 +272,6 @@ let default_selection =
     @ engine_pass_names)
 
 let empty_selection = StringSet.empty
-let selection_is_empty = StringSet.is_empty
 let enabled sel name = StringSet.mem name sel
 
 let parse_selection s =
@@ -343,44 +342,34 @@ let apply_templates ?device ?(selection = default_selection) c =
       Hashtbl.replace counts name
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
     in
-    (* One sweep; every replacement is strictly shorter than its
-       pattern, so sweeping to a fixpoint terminates.  Matches enabled
-       to the left of a rewrite are caught by the next sweep. *)
-    let sweep gates =
-      let changed = ref false in
-      let rec go acc todo =
-        match todo with
-        | [] -> List.rev acc
-        | g :: rest ->
-          let rec first = function
-            | [] -> None
-            | r :: more -> (
-              match match_rule ~device r todo with
-              | Some (replacement, tail) ->
-                bump r.name;
-                Some (replacement @ tail)
-              | None -> first more)
-          in
-          (match first enabled_rules with
-          | Some todo' ->
-            changed := true;
-            go acc todo'
-          | None -> go (g :: acc) rest)
-      in
-      let out = go [] gates in
-      (out, !changed)
+    (* One left-to-right sweep.  A replacement is matched again where it
+       lands; matches it enables further left wait for the optimizer's
+       next sweep. *)
+    let rec go acc todo =
+      match todo with
+      | [] -> List.rev acc
+      | g :: rest ->
+        let rec first = function
+          | [] -> None
+          | r :: more -> (
+            match match_rule ~device r todo with
+            | Some (replacement, tail) ->
+              bump r.name;
+              Some (replacement @ tail)
+            | None -> first more)
+        in
+        (match first enabled_rules with
+        | Some todo' -> go acc todo'
+        | None -> go (g :: acc) rest)
     in
-    let rec fix gates =
-      let out, changed = sweep gates in
-      if changed then fix out else out
-    in
-    let gates = fix (Circuit.gates c) in
+    let gates = go [] (Circuit.gates c) in
     let applied =
       List.sort
         (fun (a, _) (b, _) -> String.compare a b)
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
     in
-    (Circuit.make ~n:(Circuit.n_qubits c) gates, applied)
+    if applied = [] then (c, [])
+    else (Circuit.make ~n:(Circuit.n_qubits c) gates, applied)
   end
 
 (* ---- rotation merging ------------------------------------------------ *)
@@ -409,37 +398,6 @@ let rotation_deletable theta =
   let period = 4.0 *. Float.pi in
   let r = Float.rem theta period in
   abs_float r < 1e-12 || period -. abs_float r < 1e-12
-
-(* May a pending [ax]-axis rotation on [q] slide right past [g]?  Only
-   consulted when [g] touches [q].  Rz is diagonal, so it passes other
-   diagonals and the read-only control side of NOT-family gates; Rx
-   commutes with the bit flip itself, so it passes X and NOT targets;
-   Ry only passes Y. *)
-let rotation_commutes ax q g =
-  match ax with
-  | Az -> (
-    match g with
-    | Gate.Z a | Gate.S a | Gate.Sdg a | Gate.T a | Gate.Tdg a
-    | Gate.Phase (_, a) ->
-      a = q
-    | Gate.Cz (_, _) -> true
-    | Gate.Cnot { target; _ } | Gate.Toffoli { target; _ }
-    | Gate.Mct { target; _ } ->
-      target <> q
-    | Gate.X _ | Gate.Y _ | Gate.H _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _
-    | Gate.Swap _ ->
-      false)
-  | Ax -> (
-    match g with
-    | Gate.X a -> a = q
-    | Gate.Cnot { target; _ } | Gate.Toffoli { target; _ }
-    | Gate.Mct { target; _ } ->
-      target = q
-    | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _ | Gate.T _
-    | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _
-    | Gate.Cz _ | Gate.Swap _ ->
-      false)
-  | Ay -> ( match g with Gate.Y a -> a = q | _ -> false)
 
 let merge_rotations c =
   let n = Circuit.n_qubits c in
@@ -473,7 +431,8 @@ let merge_rotations c =
             (fun q ->
               match pending.(q) with
               | None -> ()
-              | Some (ax, _) -> if not (rotation_commutes ax q g) then flush q)
+              | Some (ax, theta) ->
+                if not (Gate.commutes (rotation_gate ax theta q) g) then flush q)
             (Gate.support g);
           Circuit.Builder.add out g)
       c;
@@ -719,73 +678,5 @@ let normalize_cliffords c =
           | `Emit gs -> Circuit.Builder.add_list out gs)
         gates;
       (Circuit.Builder.to_circuit out, !eliminated)
-    end
-  end
-
-(* ---- the tier -------------------------------------------------------- *)
-
-type outcome = {
-  circuit : Circuit.t;
-  applied : (string * int) list;
-  checked : bool;
-  ok : bool;
-}
-
-let oracle_equivalent a b =
-  if Circuit.n_qubits a <= Sim.max_unitary_qubits then
-    Sim.equivalent ~up_to_phase:false a b
-  else Qmdd.equivalent ~up_to_phase:false a b
-
-let apply ?device ?(selection = default_selection) ?(cost = Cost.eqn2)
-    ?(check = false) ?(trace = Trace.disabled) c =
-  if selection_is_empty selection then
-    { circuit = c; applied = []; checked = false; ok = true }
-  else begin
-    let applied = ref [] in
-    let record name count =
-      applied := (name, count) :: !applied;
-      Trace.bump trace ("rewrite/" ^ name) (float_of_int count)
-    in
-    (* Every pass is kept only when it does not increase the selected
-       objective: rewrites are count-reducing, but a custom cost may
-       weigh the replacement gates higher. *)
-    let guard c0 c1 counts =
-      if counts = [] then c0
-      else if Cost.evaluate cost c1 <= Cost.evaluate cost c0 +. 1e-9 then begin
-        List.iter (fun (nm, k) -> record nm k) counts;
-        c1
-      end
-      else begin
-        Trace.bump trace "rewrite/reverted" 1.0;
-        c0
-      end
-    in
-    let step_templates c0 =
-      let c1, counts = apply_templates ?device ~selection c0 in
-      guard c0 c1 counts
-    in
-    let step_pass name f c0 =
-      if not (enabled selection name) then c0
-      else begin
-        let c1, k = f c0 in
-        guard c0 c1 (if k = 0 then [] else [ (name, k) ])
-      end
-    in
-    let result =
-      c |> step_templates
-      |> step_pass "rotation-merge" merge_rotations
-      |> step_pass "phase-merge" merge_phase_polynomial
-      |> step_pass "clifford-normalize" normalize_cliffords
-    in
-    let applied_list = List.rev !applied in
-    if (not check) || applied_list = [] then
-      { circuit = result; applied = applied_list; checked = false; ok = true }
-    else if oracle_equivalent c result then
-      { circuit = result; applied = applied_list; checked = true; ok = true }
-    else begin
-      (* The oracle rejected a rewrite: an engine bug.  Keep the input —
-         this tier must never be the place correctness dies. *)
-      Trace.bump trace "rewrite/oracle-rejected" 1.0;
-      { circuit = c; applied = []; checked = true; ok = false }
     end
   end

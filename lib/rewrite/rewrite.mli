@@ -1,7 +1,7 @@
 (** Declarative rewrite-template peephole engine.
 
-    The tier above {!Optimize}'s cancellation/identity-window passes, in
-    the spirit of quilc's compressor and staq's rotation folding: a
+    The rule passes of {!Optimize}'s single optimization loop, in the
+    spirit of quilc's compressor and staq's rotation folding: a
     registry of named, individually toggleable rewrite templates
     (pattern = contiguous gate sequence over wire/angle metavariables
     plus a side condition; replacement = template instantiation), and
@@ -12,10 +12,9 @@
     Every rule preserves the circuit's unitary {e exactly} — not merely
     up to global phase — matching the optimizer's contract (rotation
     deletion therefore requires the folded angle to be a multiple of
-    4 pi, since Rz(2 pi) = -I).  {!apply} additionally guards each pass
-    behind the selected cost objective (a pass whose result costs more
-    is reverted) and, with [check], behind an exact equivalence oracle
-    with revert-on-reject, mirroring {!Optimize.fold_known_states}. *)
+    4 pi, since Rz(2 pi) = -I).  This module only rewrites: the cost
+    guard on each pass, the fixpoint and the strict-mode equivalence
+    check all live in {!Optimize.optimize_budgeted}. *)
 
 (** {1 Patterns} *)
 
@@ -91,7 +90,6 @@ type selection
 
 val default_selection : selection
 val empty_selection : selection
-val selection_is_empty : selection -> bool
 val enabled : selection -> string -> bool
 
 (** [parse_selection s] reads a comma-separated rule list.  Tokens are
@@ -115,12 +113,11 @@ val selection_to_string : selection -> string
     eliminated (0 means the circuit is returned unchanged). *)
 
 (** Folds runs of same-axis Rx/Ry/Rz on one qubit into a single
-    rotation, commuting pending rotations through compatible gates
-    (a pending Rz slides past diagonal gates and CNOT controls, a
-    pending Rx past X and CNOT targets, a pending Ry past Y).  The
-    folded rotation is deleted only when its angle is a multiple of
-    4 pi (within 1e-12): Rz(2 pi) = -I, and the optimizer promises
-    exactness. *)
+    rotation, sliding pending rotations past every gate {!Gate.commutes}
+    with them (an Rz past diagonal gates and CNOT controls, an Rx past X
+    and CNOT targets, an Ry past Y).  The folded rotation is deleted
+    only when its angle is a multiple of 4 pi (within 1e-12): Rz(2 pi) =
+    -I, and the optimizer promises exactness. *)
 val merge_rotations : Circuit.t -> Circuit.t * int
 
 (** Phase-polynomial merging in the spirit of staq: tracks each wire's
@@ -141,46 +138,11 @@ val merge_phase_polynomial : Circuit.t -> Circuit.t * int
     are only replaced when the normal form is strictly shorter. *)
 val normalize_cliffords : Circuit.t -> Circuit.t * int
 
-(** [apply_templates ?device ?selection c] applies enabled templates to
-    a fixpoint and reports per-rule application counts. *)
+(** [apply_templates ?device ?selection c] makes one left-to-right
+    sweep of the enabled templates and counts applications per rule
+    ([[]], with [c] itself, when nothing fired). *)
 val apply_templates :
   ?device:Device.t ->
   ?selection:selection ->
   Circuit.t ->
   Circuit.t * (string * int) list
-
-(** {1 The tier} *)
-
-type outcome = {
-  circuit : Circuit.t;
-  applied : (string * int) list;
-      (** rule/pass name -> times applied (gates eliminated for engine
-          passes); only names that fired *)
-  checked : bool;  (** the equivalence oracle ran *)
-  ok : bool;  (** oracle accepted; [false] reverts to the input *)
-}
-
-(** [apply ?device ?selection ?cost ?check ?trace c] runs templates,
-    rotation merging, phase-polynomial merging and Clifford
-    normalization in that order.  Each pass is kept only when it does
-    not increase [cost] (default {!Cost.eqn2}); a reverted pass bumps
-    the ["rewrite/reverted"] counter.  Accepted passes bump
-    ["rewrite/<name>"] counters on [trace] — per template name for
-    template applications — which is what [qsc optimize --explain]
-    reports.
-
-    With [check] (default off; the compiler turns it on in strict
-    mode), the final circuit is validated against the input by an exact
-    equivalence oracle — dense {!Sim.equivalent} up to
-    {!Sim.max_unitary_qubits} wires, {!Qmdd.equivalent} beyond, both
-    with [up_to_phase:false] — and on rejection the input comes back
-    unchanged with [ok = false] and a ["rewrite/oracle-rejected"]
-    bump. *)
-val apply :
-  ?device:Device.t ->
-  ?selection:selection ->
-  ?cost:Cost.t ->
-  ?check:bool ->
-  ?trace:Trace.t ->
-  Circuit.t ->
-  outcome

@@ -1,4 +1,8 @@
 let now_ns () = Monotonic_clock.now ()
+
+let past = function
+  | None -> false
+  | Some d -> Int64.compare (now_ns ()) d >= 0
 let cpu_seconds () = Sys.time ()
 
 type snapshot = {

@@ -28,6 +28,10 @@
     not. *)
 val now_ns : unit -> int64
 
+(** [past deadline] holds once {!now_ns} has reached the instant
+    [deadline]; never for [None]. *)
+val past : int64 option -> bool
+
 (** [cpu_seconds ()] is processor time, as {!Sys.time}. *)
 val cpu_seconds : unit -> float
 

@@ -407,6 +407,22 @@ let test_content_digests () =
       check_bool (Printf.sprintf "canonical form names %s" key) true found)
     [ "cost"; "router"; "verification"; "deadline_seconds"; "swap_budget" ]
 
+let test_weighted_router_digest () =
+  (* The weighted router carries its calibration as data, so the cache
+     key tells calibrations apart and agrees on equal ones. *)
+  let device = Device.Ibm.ibmqx5 in
+  let digest seed =
+    Compiler.options_digest
+      { (Compiler.default_options ~device) with
+        Compiler.router =
+          Compiler.Weighted_ctr (Calibration.synthetic ~seed device)
+      }
+  in
+  check_bool "same seed, same digest" true (digest 1 = digest 1);
+  check_bool "different seeds, different digests" true (digest 1 <> digest 2);
+  check_bool "weighted differs from plain CTR" true
+    (digest 1 <> Compiler.options_digest (Compiler.default_options ~device))
+
 let test_option_combinations () =
   (* Every combination of the boolean pipeline switches still produces
      a verified, legal result. *)
@@ -493,7 +509,7 @@ let prop_all_routers_verified =
         [
           Compiler.Ctr;
           Compiler.Tracking;
-          Compiler.Weighted_ctr (Calibration.swap_hop_weight cal);
+          Compiler.Weighted_ctr cal;
         ])
 
 let prop_compile_classical =
@@ -751,6 +767,109 @@ let test_deadline_enforced_inside_verification () =
     Alcotest.failf "deadline compile aborted: %s"
       (String.concat "; " (List.map Diagnostic.to_string ds))
 
+(* The first two gates of the T6_b cascade on big96: past the dense
+   oracle's width, and the strict-mode check of the first swap-level
+   sweep takes QMDD well over half a second. *)
+let strict_heavy () =
+  let t6 = Benchsuite.Big_cascades.circuit (Benchsuite.Big_cascades.find "T6_b") in
+  Circuit.make ~n:(Circuit.n_qubits t6)
+    (List.filteri (fun i _ -> i < 2) (Circuit.gates t6))
+
+let test_strict_check_keeps_deadline () =
+  (* Regression: strict mode's oracle check of an optimizer sweep ran
+     without the compile's deadline, so a budget that expired mid-check
+     was overrun by the whole check.  The inject hook burns the budget
+     down to [margin] just before post-optimize; the first sweep's check
+     needs far longer, so it must give up at the deadline, and the
+     dropped sweep degrades post-optimize. *)
+  let device = Device.Ibm.big96 in
+  let circuit = strict_heavy () in
+  let deadline = 1.0 and margin = 0.03 in
+  let base =
+    { (Compiler.default_options ~device) with
+      Compiler.verification = Compiler.Skip;
+      Compiler.check_contracts = true
+    }
+  in
+  (* The premise: the check runs on QMDD, and without a deadline the
+     first post-optimize sweep takes longer than the 0.5s allowance, so
+     a check that ignored the deadline would overrun it. *)
+  check_bool "wider than the dense oracle" true
+    (Circuit.n_qubits circuit > Sim.max_unitary_qubits);
+  let trace = Trace.create () in
+  ignore (Compiler.compile ~trace base (Compiler.Quantum circuit));
+  let first_sweep =
+    List.find
+      (fun sp -> sp.Trace.name = "post-optimize/swap-level/iteration-1")
+      (Trace.spans trace)
+  in
+  if first_sweep.Trace.wall_seconds < 0.5 +. (3.0 *. margin) then
+    Alcotest.failf
+      "premise broken: the first strict sweep took %.3fs, inside the \
+       allowance; strict_heavy needs a heavier circuit"
+      first_sweep.Trace.wall_seconds;
+  let t0 = Trace.now_ns () in
+  let inject stage c =
+    if stage = Diagnostic.Expand_swaps then begin
+      let target =
+        Int64.add t0 (Int64.of_float ((deadline -. margin) *. 1e9))
+      in
+      while Int64.compare (Trace.now_ns ()) target < 0 do
+        ()
+      done
+    end;
+    c
+  in
+  let opts =
+    { base with
+      Compiler.budgets =
+        { Compiler.no_budgets with Compiler.deadline_seconds = Some deadline };
+      Compiler.inject = Some inject
+    }
+  in
+  match Compiler.compile_checked opts (Compiler.Quantum circuit) with
+  | Ok r ->
+    let elapsed = Int64.to_float (Int64.sub (Trace.now_ns ()) t0) /. 1e9 in
+    check_bool
+      (Printf.sprintf "no overrun (%.3fs for a %.1fs deadline)" elapsed
+         deadline)
+      true
+      (elapsed < deadline +. 0.5);
+    check_bool "post-optimize degraded" true
+      (List.mem_assoc Diagnostic.Post_optimize r.Compiler.degraded)
+  | Error ds ->
+    Alcotest.failf "strict deadline compile aborted: %s"
+      (String.concat "; " (List.map Diagnostic.to_string ds))
+
+let test_strict_check_gives_up_on_budget () =
+  (* A 1-node budget cannot settle a sweep check on QMDD (16 qubits is
+     past the dense oracle's cap): the sweep is dropped and the report
+     says so on the stage, as it does for a fold-states rejection. *)
+  let device = Device.Ibm.ibmqx5 in
+  let circuit =
+    Circuit.make ~n:16
+      [ Gate.T 0; Gate.T 0; Gate.Cnot { control = 0; target = 9 } ]
+  in
+  let opts =
+    { (Compiler.default_options ~device) with
+      Compiler.verification = Compiler.Qmdd_check { node_budget = Some 1 };
+      Compiler.check_contracts = true
+    }
+  in
+  match Compiler.compile_checked opts (Compiler.Quantum circuit) with
+  | Ok r ->
+    check_bool "pre-optimize sweep dropped and reported" true
+      (List.mem
+         ( Diagnostic.Pre_optimize,
+           "sweep 1 reverted: equivalence oracle gave up: QMDD node budget \
+            exhausted" )
+         r.Compiler.degraded);
+    check_bool "the T pair survives" true
+      (Circuit.t_count r.Compiler.optimized >= 2)
+  | Error ds ->
+    Alcotest.failf "compile aborted: %s"
+      (String.concat "; " (List.map Diagnostic.to_string ds))
+
 let test_fallback_chain_reaches_sim_oracle () =
   let device = Device.Ibm.ibmqx4 in
   let opts =
@@ -886,6 +1005,8 @@ let () =
           Alcotest.test_case "parse_source dispatch" `Quick
             test_parse_source_dispatch;
           Alcotest.test_case "content digests" `Quick test_content_digests;
+          Alcotest.test_case "weighted router digest" `Quick
+            test_weighted_router_digest;
           Alcotest.test_case "parse_file in dotted dir" `Quick
             test_parse_file_in_dotted_dir;
         ] );
@@ -911,6 +1032,10 @@ let () =
             test_deadline_degrades_not_aborts;
           Alcotest.test_case "deadline enforced inside verification" `Quick
             test_deadline_enforced_inside_verification;
+          Alcotest.test_case "strict check keeps the deadline" `Quick
+            test_strict_check_keeps_deadline;
+          Alcotest.test_case "strict check gives up on its budget" `Quick
+            test_strict_check_gives_up_on_budget;
           Alcotest.test_case "fallback reaches sim oracle" `Quick
             test_fallback_chain_reaches_sim_oracle;
           Alcotest.test_case "fallback unverified when too wide" `Quick

@@ -144,7 +144,7 @@ let test_fidelity_aware_router () =
   in
   let base = success Compiler.Ctr in
   let weighted =
-    success (Compiler.Weighted_ctr (Calibration.swap_hop_weight calibration))
+    success (Compiler.Weighted_ctr calibration)
   in
   check_bool "weighted never worse" true (weighted >= base *. 0.999)
 
@@ -158,7 +158,7 @@ let test_weighted_router_verifies () =
   let opts =
     {
       (Compiler.default_options ~device) with
-      Compiler.router = Compiler.Weighted_ctr (Calibration.swap_hop_weight calibration);
+      Compiler.router = Compiler.Weighted_ctr calibration;
     }
   in
   let r = Compiler.compile opts (Compiler.Quantum circuit) in

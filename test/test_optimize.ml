@@ -25,6 +25,8 @@ let test_no_unsound_cancellation () =
   check_int "nothing cancelled" 3 (Circuit.gate_count (Optimize.cancel_pass c))
 
 let test_fusion_rules () =
+  (* Cancellation only deletes inverse pairs; fusing two phase gates
+     into a third is phase-merge's job. *)
   let cases =
     [
       ([ Gate.T 0; Gate.T 0 ], [ Gate.S 0 ]);
@@ -38,12 +40,11 @@ let test_fusion_rules () =
   in
   List.iter
     (fun (input, expected) ->
-      let out = Optimize.cancel_pass (circ input) in
-      check_bool
-        (Printf.sprintf "%s fuses"
-           (String.concat ";" (List.map Gate.to_string input)))
-        true
-        (Circuit.gates out = expected);
+      let name = String.concat ";" (List.map Gate.to_string input) in
+      check_bool (name ^ " left to phase-merge") true
+        (Circuit.gates (Optimize.cancel_pass (circ input)) = input);
+      let out, _ = Rewrite.merge_phase_polynomial (circ input) in
+      check_bool (name ^ " fuses") true (Circuit.gates out = expected);
       check_bool "fusion exact" true
         (Sim.equivalent ~up_to_phase:false (circ input) out))
     cases
@@ -59,48 +60,6 @@ let test_toffoli_cancellation () =
   check_int "commuted-roles Toffoli pair cancels" 0
     (Circuit.gate_count (Optimize.cancel_pass c))
 
-let test_fig6_collapse () =
-  let fig6 =
-    circ
-      [
-        Gate.H 0;
-        Gate.H 1;
-        Gate.Cnot { control = 1; target = 0 };
-        Gate.H 0;
-        Gate.H 1;
-      ]
-  in
-  let out = Optimize.rewrite_pass fig6 in
-  check_bool "collapsed to one CNOT" true
-    (Circuit.gates out = [ Gate.Cnot { control = 0; target = 1 } ]);
-  check_bool "exact" true (Sim.equivalent ~up_to_phase:false fig6 out)
-
-let test_fig6_respects_device () =
-  (* On ibmqx4, 0 -> 1 is NOT allowed (only 1 -> 0 and 2 -> 0/1 are), so
-     the pattern around CNOT(1,0) must not collapse into CNOT(0,1). *)
-  let fig6 =
-    Circuit.make ~n:5
-      [
-        Gate.H 0;
-        Gate.H 1;
-        Gate.Cnot { control = 1; target = 0 };
-        Gate.H 0;
-        Gate.H 1;
-      ]
-  in
-  let out = Optimize.rewrite_pass ~device:Device.Ibm.ibmqx4 fig6 in
-  check_int "kept 5 gates" 5 (Circuit.gate_count out);
-  let out' = Optimize.rewrite_pass ~device:Device.Ibm.ibmqx2 fig6 in
-  check_int "collapsed on ibmqx2 (0->1 allowed)" 1 (Circuit.gate_count out')
-
-let test_h_conjugation () =
-  let hxh = circ [ Gate.H 2; Gate.X 2; Gate.H 2 ] in
-  check_bool "HXH = Z" true
-    (Circuit.gates (Optimize.rewrite_pass hxh) = [ Gate.Z 2 ]);
-  let hzh = circ [ Gate.H 2; Gate.Z 2; Gate.H 2 ] in
-  check_bool "HZH = X" true
-    (Circuit.gates (Optimize.rewrite_pass hzh) = [ Gate.X 2 ])
-
 let test_identity_window () =
   (* CNOT(0,1) CNOT(1,0) CNOT(0,1) CNOT(1,0) CNOT(0,1) CNOT(1,0) is the
      identity (two SWAPs): a 6-gate window no pairwise rule catches. *)
@@ -110,6 +69,30 @@ let test_identity_window () =
   in
   check_int "window removed" 0
     (Circuit.gate_count (Optimize.remove_identity_windows c))
+
+let test_opt_rules_none () =
+  (* With no rules a sweep is inverse-pair cancellation plus
+     identity-window removal, nothing else: T; T stays two gates. *)
+  let tt = circ [ Gate.T 0; Gate.T 0 ] in
+  check_bool "none keeps T; T" true
+    (Circuit.gates (Optimize.optimize ~rules:Rewrite.empty_selection tt)
+    = Circuit.gates tt);
+  check_bool "default fuses T; T to S" true
+    (Circuit.gates (Optimize.optimize tt) = [ Gate.S 0 ]);
+  let pair = circ [ Gate.T 0; Gate.Tdg 0; Gate.H 1; Gate.H 1 ] in
+  check_int "none still cancels inverse pairs" 0
+    (Circuit.gate_count (Optimize.optimize ~rules:Rewrite.empty_selection pair))
+
+let test_per_pass_guard () =
+  (* phase-merge turns Sdg; Phase(pi/4) into Tdg: one gate fewer, but
+     under the T-weighted objective 2 -> 11.  The per-pass guard keeps
+     the input. *)
+  let c = circ [ Gate.Sdg 0; Gate.Phase (Float.pi /. 4.0, 0) ] in
+  let out = Optimize.optimize ~cost:Cost.t_weighted c in
+  check_bool "t-weighted keeps the pair" true
+    (Circuit.gates out = Circuit.gates c);
+  check_bool "eqn2 takes the merge" true
+    (Circuit.gates (Optimize.optimize c) = [ Gate.Tdg 0 ])
 
 let test_optimize_fixed_point () =
   (* A cascade needing multiple passes: inner pair cancels, exposing the
@@ -145,16 +128,16 @@ let test_optimize_keeps_meaning () =
 
 let test_commutes_rules () =
   let cnot a b = Gate.Cnot { control = a; target = b } in
-  check_bool "disjoint" true (Optimize.commutes (Gate.H 0) (Gate.X 3));
-  check_bool "diag pair" true (Optimize.commutes (Gate.T 0) (Gate.Cz (0, 1)));
-  check_bool "T on control" true (Optimize.commutes (Gate.T 0) (cnot 0 1));
-  check_bool "T on target" false (Optimize.commutes (Gate.T 1) (cnot 0 1));
-  check_bool "X on target" true (Optimize.commutes (Gate.X 1) (cnot 0 1));
-  check_bool "X on control" false (Optimize.commutes (Gate.X 0) (cnot 0 1));
-  check_bool "shared control" true (Optimize.commutes (cnot 0 1) (cnot 0 2));
-  check_bool "shared target" true (Optimize.commutes (cnot 0 2) (cnot 1 2));
-  check_bool "control-target clash" false (Optimize.commutes (cnot 0 1) (cnot 1 2));
-  check_bool "H on shared qubit" false (Optimize.commutes (Gate.H 0) (cnot 0 1))
+  check_bool "disjoint" true (Gate.commutes (Gate.H 0) (Gate.X 3));
+  check_bool "diag pair" true (Gate.commutes (Gate.T 0) (Gate.Cz (0, 1)));
+  check_bool "T on control" true (Gate.commutes (Gate.T 0) (cnot 0 1));
+  check_bool "T on target" false (Gate.commutes (Gate.T 1) (cnot 0 1));
+  check_bool "X on target" true (Gate.commutes (Gate.X 1) (cnot 0 1));
+  check_bool "X on control" false (Gate.commutes (Gate.X 0) (cnot 0 1));
+  check_bool "shared control" true (Gate.commutes (cnot 0 1) (cnot 0 2));
+  check_bool "shared target" true (Gate.commutes (cnot 0 2) (cnot 1 2));
+  check_bool "control-target clash" false (Gate.commutes (cnot 0 1) (cnot 1 2));
+  check_bool "H on shared qubit" false (Gate.commutes (Gate.H 0) (cnot 0 1))
 
 (* Gaps the old commutation table missed: X/Rx (and Y/Ry) on a shared
    wire are both functions of the same Pauli, and an Rx on a CNOT
@@ -162,12 +145,12 @@ let test_commutes_rules () =
    table was extended. *)
 let test_commutes_rotation_fixes () =
   let cnot a b = Gate.Cnot { control = a; target = b } in
-  check_bool "Rx through target" true (Optimize.commutes (Gate.Rx (0.4, 1)) (cnot 0 1));
-  check_bool "Rx on control" false (Optimize.commutes (Gate.Rx (0.4, 0)) (cnot 0 1));
-  check_bool "X with Rx shared wire" true (Optimize.commutes (Gate.X 0) (Gate.Rx (0.4, 0)));
-  check_bool "Y with Ry shared wire" true (Optimize.commutes (Gate.Y 2) (Gate.Ry (0.4, 2)));
-  check_bool "X with Ry shared wire" false (Optimize.commutes (Gate.X 0) (Gate.Ry (0.4, 0)));
-  check_bool "Y with Rx shared wire" false (Optimize.commutes (Gate.Y 0) (Gate.Rx (0.4, 0)));
+  check_bool "Rx through target" true (Gate.commutes (Gate.Rx (0.4, 1)) (cnot 0 1));
+  check_bool "Rx on control" false (Gate.commutes (Gate.Rx (0.4, 0)) (cnot 0 1));
+  check_bool "X with Rx shared wire" true (Gate.commutes (Gate.X 0) (Gate.Rx (0.4, 0)));
+  check_bool "Y with Ry shared wire" true (Gate.commutes (Gate.Y 2) (Gate.Ry (0.4, 2)));
+  check_bool "X with Ry shared wire" false (Gate.commutes (Gate.X 0) (Gate.Ry (0.4, 0)));
+  check_bool "Y with Rx shared wire" false (Gate.commutes (Gate.Y 0) (Gate.Rx (0.4, 0)));
   (* The cancellations the new rules unlock. *)
   let through_target = circ [ Gate.Rx (0.4, 1); cnot 0 1; Gate.Rx (-0.4, 1) ] in
   let out = Optimize.cancel_pass through_target in
@@ -196,13 +179,14 @@ let test_phase_chain_collapses () =
 
 let test_lookback_bound () =
   (* Two H gates on q0 separated by more commuting gates than the
-     lookback window: the bounded pass must not merge them, the default
+     lookback window: the bounded pass must not cancel them, the default
      one does. *)
   let spacers = List.init 6 (fun i -> Gate.T ((i mod 3) + 1)) in
   let c = circ ((Gate.H 0 :: spacers) @ [ Gate.H 0 ]) in
-  (* Wide window: the H pair cancels and each T pair fuses to an S,
-     leaving 3 gates.  Narrow window: nothing is close enough. *)
-  check_int "wide window merges" 3
+  (* Wide window: the H pair cancels and the six T gates stay (fusing
+     them is phase-merge's job).  Narrow window: nothing is close
+     enough. *)
+  check_int "wide window cancels" 6
     (Circuit.gate_count (Optimize.cancel_pass ~lookback:50 c));
   check_int "narrow window keeps all" 8
     (Circuit.gate_count (Optimize.cancel_pass ~lookback:2 c))
@@ -223,23 +207,23 @@ let prop_commutes_sound =
   QCheck2.Test.make ~name:"commutes is sound" ~count:300
     QCheck2.Gen.(pair (Testutil.gen_gate 4) (Testutil.gen_gate 4))
     (fun (g, h) ->
-      (not (Optimize.commutes g h))
+      (not (Gate.commutes g h))
       ||
       let a = Gate.embedded_matrix ~n:4 g and b = Gate.embedded_matrix ~n:4 h in
       Mathkit.Matrix.approx_equal ~eps:1e-9 (Mathkit.Matrix.mul a b)
         (Mathkit.Matrix.mul b a))
 
-let prop_merge_sound =
-  (* Whenever merge_gates fires, the replacement has the same matrix. *)
-  QCheck2.Test.make ~name:"merge_gates is sound" ~count:300
-    QCheck2.Gen.(pair (Testutil.gen_gate 4) (Testutil.gen_gate 4))
+let prop_cancels_sound =
+  (* Whenever [cancels] says yes, the pair is exactly the identity. *)
+  QCheck2.Test.make ~name:"cancels is sound" ~count:300
+    QCheck2.Gen.(
+      pair (Testutil.gen_gate 4) (Testutil.gen_gate 4)
+      |> map (fun (g, h) -> if g = h then (g, Gate.adjoint g) else (g, h)))
     (fun (g, h) ->
-      match Optimize.merge_gates g h with
-      | None -> true
-      | Some replacement ->
-        Sim.equivalent ~up_to_phase:false
-          (Circuit.make ~n:4 [ g; h ])
-          (Circuit.make ~n:4 replacement))
+      (not (Optimize.cancels g h))
+      || Sim.equivalent ~up_to_phase:false
+           (Circuit.make ~n:4 [ g; h ])
+           (Circuit.make ~n:4 []))
 
 let prop_optimize_preserves_unitary =
   QCheck2.Test.make ~name:"optimize preserves unitary exactly" ~count:40
@@ -256,11 +240,6 @@ let prop_cancel_pass_preserves =
   QCheck2.Test.make ~name:"cancel pass preserves unitary" ~count:60
     (Testutil.gen_circuit ~max_gates:25 4)
     (fun c -> Sim.equivalent ~up_to_phase:false c (Optimize.cancel_pass c))
-
-let prop_rewrite_pass_preserves =
-  QCheck2.Test.make ~name:"rewrite pass preserves unitary" ~count:60
-    (Testutil.gen_circuit ~max_gates:25 4)
-    (fun c -> Sim.equivalent ~up_to_phase:false c (Optimize.rewrite_pass c))
 
 let prop_identity_windows_preserve =
   QCheck2.Test.make ~name:"identity-window removal preserves unitary" ~count:40
@@ -282,12 +261,7 @@ let () =
           Alcotest.test_case "toffoli pair" `Quick test_toffoli_cancellation;
         ] );
       ( "rewrites",
-        [
-          Alcotest.test_case "fig6 collapse" `Quick test_fig6_collapse;
-          Alcotest.test_case "fig6 device guard" `Quick test_fig6_respects_device;
-          Alcotest.test_case "H conjugation" `Quick test_h_conjugation;
-          Alcotest.test_case "identity window" `Quick test_identity_window;
-        ] );
+        [ Alcotest.test_case "identity window" `Quick test_identity_window ] );
       ( "fixed point",
         [
           Alcotest.test_case "cascade" `Quick test_optimize_fixed_point;
@@ -297,16 +271,17 @@ let () =
             test_commutes_rotation_fixes;
           Alcotest.test_case "phase chain" `Quick test_phase_chain_collapses;
           Alcotest.test_case "lookback bound" `Quick test_lookback_bound;
+          Alcotest.test_case "opt-rules none" `Quick test_opt_rules_none;
+          Alcotest.test_case "per-pass guard" `Quick test_per_pass_guard;
           QCheck_alcotest.to_alcotest prop_device_optimize_stays_legal;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_commutes_sound;
-          QCheck_alcotest.to_alcotest prop_merge_sound;
+          QCheck_alcotest.to_alcotest prop_cancels_sound;
           QCheck_alcotest.to_alcotest prop_optimize_preserves_unitary;
           QCheck_alcotest.to_alcotest prop_optimize_never_worse;
           QCheck_alcotest.to_alcotest prop_cancel_pass_preserves;
-          QCheck_alcotest.to_alcotest prop_rewrite_pass_preserves;
           QCheck_alcotest.to_alcotest prop_identity_windows_preserve;
         ] );
     ]

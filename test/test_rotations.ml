@@ -70,25 +70,32 @@ let test_adjoints () =
   check_bool "Phase adjoint cancels" true (Matrix.is_identity (Sim.unitary p))
 
 let test_optimizer_fusions () =
-  let fused gates = Circuit.gates (Optimize.cancel_pass (Circuit.make ~n:2 gates)) in
-  (* Same-axis rotations fuse. *)
-  (match fused [ Gate.Rz (0.3, 0); Gate.Rz (0.4, 0) ] with
+  let c gates = Circuit.make ~n:2 gates in
+  let cancelled gates = Circuit.gates (Optimize.cancel_pass (c gates)) in
+  let rotations gates = Circuit.gates (fst (Rewrite.merge_rotations (c gates))) in
+  let phases gates =
+    Circuit.gates (fst (Rewrite.merge_phase_polynomial (c gates)))
+  in
+  (* Same-axis rotations fuse in rotation-merge. *)
+  (match rotations [ Gate.Rz (0.3, 0); Gate.Rz (0.4, 0) ] with
   | [ Gate.Rz (t, 0) ] -> check_bool "Rz sums" true (abs_float (t -. 0.7) < 1e-12)
   | _ -> Alcotest.fail "expected a single fused Rz");
   check_bool "Rz inverse pair cancels" true
-    (fused [ Gate.Rz (0.3, 0); Gate.Rz (-0.3, 0) ] = []);
-  (* Phase-family fusion subsumes the named gates: T then Phase(pi/4)
-     becomes S. *)
+    (cancelled [ Gate.Rz (0.3, 0); Gate.Rz (-0.3, 0) ] = []);
+  (* Phase-family fusion in phase-merge subsumes the named gates: T
+     then Phase(pi/4) becomes S. *)
   check_bool "T + Phase(pi/4) = S" true
-    (fused [ Gate.T 0; Gate.Phase (pi /. 4.0, 0) ] = [ Gate.S 0 ]);
-  check_bool "Phase fusion cancels" true
-    (fused [ Gate.Phase (0.9, 1); Gate.Phase (-0.9, 1) ] = []);
+    (phases [ Gate.T 0; Gate.Phase (pi /. 4.0, 0) ] = [ Gate.S 0 ]);
+  check_bool "Phase inverse pair cancels" true
+    (cancelled [ Gate.Phase (0.9, 1); Gate.Phase (-0.9, 1) ] = []);
   (* Rz(pi).Rz(pi) = -I: must NOT silently cancel (global phase). *)
-  (match fused [ Gate.Rz (pi, 0); Gate.Rz (pi, 0) ] with
+  let two_pi = [ Gate.Rz (pi, 0); Gate.Rz (pi, 0) ] in
+  check_bool "Rz 2pi pair not cancelled" true (cancelled two_pi = two_pi);
+  match rotations two_pi with
   | [ Gate.Rz (t, 0) ] ->
     check_bool "Rz 2pi kept" true (abs_float (t -. (2.0 *. pi)) < 1e-12)
   | [] -> Alcotest.fail "unsound cancellation of Rz(2pi)"
-  | _ -> Alcotest.fail "unexpected fusion result")
+  | _ -> Alcotest.fail "unexpected fusion result"
 
 let test_qmdd_rotations () =
   let c =
