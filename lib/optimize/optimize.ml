@@ -58,9 +58,10 @@ let cancel_pass ?(lookback = 50) c =
    windows are position independent — [H 7; X 9; H 7] and [H 0; X 2;
    H 0] compact to the same signature — so each distinct signature pays
    for one dense [Sim.unitary] ever, across sweeps and across circuits
-   (the verdict depends only on the gate sequence).  The table is a pure
-   cache: on overflow it is dropped wholesale and verdicts are simply
-   re-simulated.
+   (the verdict depends only on the gate sequence).  The key is the
+   signature's byte encoding ([window_key]), so a lookup allocates one
+   short string and no gates.  The table is a pure cache: on overflow it
+   is dropped wholesale and verdicts are simply re-simulated.
 
    Ownership: the table lives in domain-local storage, one table per
    domain.  Domain-parallel compiles (the Parallel runner) each get a
@@ -69,8 +70,10 @@ let cancel_pass ?(lookback = 50) c =
    re-simulation.  Within one domain the table is still a plain
    Hashtbl — sys-threads of the same domain must not run optimize
    concurrently (the serve daemon's compile lock enforces this). *)
-let window_memo_key : (Gate.t list, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+module Memo = Hashtbl.Make (String)
+
+let window_memo_key : bool Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create 4096)
 
 let window_memo_limit = 65536
 
@@ -85,6 +88,94 @@ let near_identity_possible = function
   | Gate.Toffoli _ | Gate.Mct _ ->
     false
 
+(* The operands of a gate in constructor order, controls first: the
+   order [Gate.rename] keeps, so a window's key and its simulated
+   signature list the same qubits. *)
+let operand_count = function
+  | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
+  | Gate.T _ | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ ->
+    1
+  | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _ -> 2
+  | Gate.Toffoli _ -> 3
+  | Gate.Mct { controls; _ } -> List.length controls + 1
+
+let write_operands ops pos = function
+  | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q
+  | Gate.T q | Gate.Tdg q
+  | Gate.Rx (_, q) | Gate.Ry (_, q) | Gate.Rz (_, q) | Gate.Phase (_, q) ->
+    ops.(pos) <- q
+  | Gate.Cnot { control = a; target = b } | Gate.Cz (a, b) | Gate.Swap (a, b)
+    ->
+    ops.(pos) <- a;
+    ops.(pos + 1) <- b
+  | Gate.Toffoli { c1; c2; target } ->
+    ops.(pos) <- c1;
+    ops.(pos + 1) <- c2;
+    ops.(pos + 2) <- target
+  | Gate.Mct { controls; target } ->
+    List.iteri (fun k q -> ops.(pos + k) <- q) controls;
+    ops.(pos + List.length controls) <- target
+
+(* One flat scan's view of the circuit, built once per call.  The
+   operands of [gates.(j)] are [ops.(first.(j)) .. ops.(first.(j+1) - 1)].
+   [support] holds the qubits of the window being grown, in the order
+   they were first touched; the window of [w] gates spans the first
+   [width.(w)] of them. *)
+type scan = {
+  gates : Gate.t array;
+  first : int array;
+  ops : int array;
+  support : int array;
+  width : int array;
+}
+
+let scan_of gates ~max_window =
+  let n = Array.length gates in
+  let first = Array.make (n + 1) 0 in
+  Array.iteri (fun j g -> first.(j + 1) <- first.(j) + operand_count g) gates;
+  let ops = Array.make first.(n) 0 in
+  Array.iteri (fun j g -> write_operands ops first.(j) g) gates;
+  { gates; first; ops; support = Array.make 3 0;
+    width = Array.make (min max_window n + 1) 0 }
+
+let rec mem_prefix a k q = k > 0 && (a.(k - 1) = q || mem_prefix a (k - 1) q)
+
+let touches s j q =
+  let k = ref s.first.(j) and stop = s.first.(j + 1) in
+  while !k < stop && s.ops.(!k) <> q do
+    incr k
+  done;
+  !k < stop
+
+(* The longest window from gate [i], of at most [max_window] gates,
+   that stays within 3 qubits, recording the width of every shorter one.
+   A support only grows, so no longer window can fit.  A qubit that
+   would be the fourth ends the growth before it is stored: one gate
+   can add several new qubits (a Toffoli adds 3 to a 2-qubit prefix),
+   and none of them may overrun the buffer. *)
+let grow s i ~max_window =
+  let n = Array.length s.gates in
+  let count = ref 0 and len = ref 0 and fits = ref true in
+  while !fits && !len < max_window && i + !len < n do
+    let j = i + !len in
+    let k = ref s.first.(j) in
+    while !fits && !k < s.first.(j + 1) do
+      let q = s.ops.(!k) in
+      if not (mem_prefix s.support !count q) then
+        if !count = 3 then fits := false
+        else begin
+          s.support.(!count) <- q;
+          incr count
+        end;
+      incr k
+    done;
+    if !fits then begin
+      incr len;
+      s.width.(!len) <- !count
+    end
+  done;
+  !len
+
 (* Cheap sound rejection: a qubit touched by exactly one window gate
    forces that gate to act as the identity on it.  Factoring the window
    unitary over the lone qubit's operator blocks shows the gate would
@@ -92,74 +183,154 @@ let near_identity_possible = function
    qubits — and every parameter-free library gate is at distance O(1)
    from that set.  Only near-zero-angle rotations can pass, so they are
    exempt and fall through to the simulation. *)
-let lone_touch_rules_out window supports support =
-  List.exists
-    (fun q ->
-      match
-        List.filter (fun (_, s) -> List.mem q s) (List.combine window supports)
-      with
-      | [ (g, _) ] -> not (near_identity_possible g)
-      | _ -> false)
-    support
+let has_lone_touch s i w =
+  let ruled_out = ref false and t = ref 0 in
+  while (not !ruled_out) && !t < s.width.(w) do
+    let q = s.support.(!t) in
+    let touching = ref 0 and lone = ref i in
+    for j = i to i + w - 1 do
+      if touches s j q then begin
+        incr touching;
+        lone := j
+      end
+    done;
+    ruled_out := !touching = 1 && not (near_identity_possible s.gates.(!lone));
+    incr t
+  done;
+  !ruled_out
 
-let window_is_identity window =
-  let supports = List.map Gate.support window in
-  let support = List.sort_uniq Int.compare (List.concat supports) in
-  List.length support <= 3
-  &&
+(* The rank of [q] in the window's sorted support: the sorted-support
+   compaction, so [Cnot 5 -> 2] compacts to [Cnot 1 -> 0]. *)
+let rank s k q =
+  let r = ref 0 in
+  for t = 0 to k - 1 do
+    if s.support.(t) < q then incr r
+  done;
+  !r
+
+let put_byte b pos byte = Bytes.set b pos (Char.unsafe_chr byte)
+
+let kind_byte = function
+  | Gate.X _ -> 0
+  | Gate.Y _ -> 1
+  | Gate.Z _ -> 2
+  | Gate.H _ -> 3
+  | Gate.S _ -> 4
+  | Gate.Sdg _ -> 5
+  | Gate.T _ -> 6
+  | Gate.Tdg _ -> 7
+  | Gate.Rx _ -> 8
+  | Gate.Ry _ -> 9
+  | Gate.Rz _ -> 10
+  | Gate.Phase _ -> 11
+  | Gate.Cnot _ -> 12
+  | Gate.Cz _ -> 13
+  | Gate.Swap _ -> 14
+  | Gate.Toffoli _ -> 15
+  | Gate.Mct _ -> 16
+
+(* Bytes a gate's key takes after its kind byte and operands: the 64
+   bits of an angle, or the terminator of an [Mct]'s operand list. *)
+let key_extra = function
+  | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ -> 8
+  | Gate.Mct _ -> 1
+  | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
+  | Gate.T _ | Gate.Tdg _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
+  | Gate.Toffoli _ ->
+    0
+
+(* The memo key of the window of [w] gates from [i]: per gate, a kind
+   byte, the compacted operands in constructor order (each below 3), and
+   the IEEE bits of any angle.  The kind byte fixes every gate's length
+   except an [Mct]'s, whose operands end in the byte 255, which no
+   compacted qubit takes.  So the encoding is prefix-free, and two
+   windows share a key only when their compacted signatures are equal,
+   for every window length; the register width is the largest operand
+   plus one. *)
+let window_key s i w =
+  let k = s.width.(w) in
+  let len = ref 0 in
+  for j = i to i + w - 1 do
+    len := !len + 1 + s.first.(j + 1) - s.first.(j) + key_extra s.gates.(j)
+  done;
+  let b = Bytes.create !len in
+  let pos = ref 0 in
+  for j = i to i + w - 1 do
+    let g = s.gates.(j) in
+    put_byte b !pos (kind_byte g);
+    incr pos;
+    for o = s.first.(j) to s.first.(j + 1) - 1 do
+      put_byte b !pos (rank s k s.ops.(o));
+      incr pos
+    done;
+    match g with
+    | Gate.Rx (theta, _) | Gate.Ry (theta, _) | Gate.Rz (theta, _)
+    | Gate.Phase (theta, _) ->
+      Bytes.set_int64_le b !pos (Int64.bits_of_float theta);
+      pos := !pos + 8
+    | Gate.Mct _ ->
+      put_byte b !pos 255;
+      incr pos
+    | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
+    | Gate.T _ | Gate.Tdg _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
+    | Gate.Toffoli _ ->
+      ()
+  done;
+  Bytes.unsafe_to_string b
+
+(* The dense verdict on the compacted window, memoized per domain. *)
+let memo_verdict s i w =
+  let key = window_key s i w in
+  let window_memo = Domain.DLS.get window_memo_key in
+  match Memo.find window_memo key with
+  | verdict -> verdict
+  | exception Not_found ->
+    let k = s.width.(w) in
+    let signature =
+      List.init w (fun t -> Gate.rename (rank s k) s.gates.(i + t))
+    in
+    let compact = Circuit.make ~n:k signature in
+    let verdict = Mathkit.Matrix.is_identity ~eps:1e-9 (Sim.unitary compact) in
+    if Memo.length window_memo >= window_memo_limit then
+      Memo.reset window_memo;
+    Memo.replace window_memo key verdict;
+    verdict
+
+let is_identity s i w =
   (* Exact-inverse pair: g then (adjoint g) multiplies to the identity
      by construction; no simulation needed. *)
-  match window with
-  | [ g; h ] when Gate.equal h (Gate.adjoint g) -> true
-  | _ ->
-    (not (lone_touch_rules_out window supports support))
-    &&
-    let index q =
-      let rec find i = function
-        | [] -> assert false
-        | x :: rest -> if x = q then i else find (i + 1) rest
-      in
-      find 0 support
-    in
-    let signature = List.map (Gate.rename index) window in
-    let window_memo = Domain.DLS.get window_memo_key in
-    (match Hashtbl.find_opt window_memo signature with
-    | Some verdict -> verdict
-    | None ->
-      let compact = Circuit.make ~n:(List.length support) signature in
-      let verdict =
-        Mathkit.Matrix.is_identity ~eps:1e-9 (Sim.unitary compact)
-      in
-      if Hashtbl.length window_memo >= window_memo_limit then
-        Hashtbl.reset window_memo;
-      Hashtbl.replace window_memo signature verdict;
-      verdict)
+  (w = 2 && Gate.equal s.gates.(i + 1) (Gate.adjoint s.gates.(i)))
+  || ((not (has_lone_touch s i w)) && memo_verdict s i w)
+
+(* The longest identity window from [i], trying the widest first;
+   0 when there is none. *)
+let rec identity_window s i w =
+  if w < 2 then 0
+  else if is_identity s i w then w
+  else identity_window s i (w - 1)
 
 let remove_identity_windows ?(max_window = 6) c =
-  let rec take k = function
-    | rest when k = 0 -> Some ([], rest)
-    | [] -> None
-    | g :: rest -> (
-      match take (k - 1) rest with
-      | Some (window, tail) -> Some (g :: window, tail)
-      | None -> None)
+  let gates = Array.of_list (Circuit.gates c) in
+  let n = Array.length gates in
+  let s = scan_of gates ~max_window:(max max_window 0) in
+  (* Deleted windows as (start, length), latest first. *)
+  let deleted = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    match identity_window s !i (grow s !i ~max_window) with
+    | 0 -> incr i
+    | w ->
+      deleted := (!i, w) :: !deleted;
+      i := !i + w
+  done;
+  (* Gates [0, j) minus the deletions, rebuilt back to front. *)
+  let rec rebuild j deleted acc =
+    match deleted with
+    | (start, w) :: earlier when j = start + w -> rebuild start earlier acc
+    | _ -> if j = 0 then acc else rebuild (j - 1) deleted (gates.(j - 1) :: acc)
   in
-  let rec go gates =
-    match gates with
-    | [] -> []
-    | g :: rest ->
-      let rec try_window w =
-        if w < 2 then None
-        else
-          match take w gates with
-          | Some (window, tail) when window_is_identity window -> Some tail
-          | Some _ | None -> try_window (w - 1)
-      in
-      (match try_window max_window with
-      | Some tail -> go tail
-      | None -> g :: go rest)
-  in
-  Circuit.make ~n:(Circuit.n_qubits c) (go (Circuit.gates c))
+  if !deleted = [] then c
+  else Circuit.make ~n:(Circuit.n_qubits c) (rebuild n !deleted [])
 
 type outcome = {
   circuit : Circuit.t;

@@ -49,11 +49,24 @@ val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
 
 (** [remove_identity_windows ?max_window c] deletes contiguous gate
     windows (up to [max_window] gates, default 6, spanning at most 3
-    qubits) whose product is exactly the identity.  Identity verdicts
-    are memoized on the support-compacted gate sequence and guarded by
-    sound pre-filters (exact inverse pairs; qubits touched by a single
-    parameter-free gate), so the dense simulation only runs on cache
-    misses — the result is identical to checking every window. *)
+    qubits) whose product is exactly the identity.
+
+    One forward scan over the gates: each gate's operands are read once
+    into flat arrays, and from each start the window's support grows
+    gate by gate until a fourth qubit would join, which bounds every
+    candidate window.  The candidates are tried longest first; the
+    first identity is deleted and the scan resumes after it.
+
+    Sound pre-filters run first (exact inverse pairs; qubits touched by
+    a single parameter-free gate).  The remaining windows get a dense
+    {!Sim.unitary} verdict at tolerance 1e-9, memoized per domain on
+    the window's support-compacted signature.  The memo key is a byte
+    string: per gate a kind byte, the compacted operands and the 64
+    bits of any angle.  It is injective for every [max_window], so a
+    memo hit builds no gate list.  The output equals that of the
+    list-based scan this replaced, and of checking every window
+    without the memo: [test_optimize.ml] keeps that scan as a
+    differential reference. *)
 val remove_identity_windows : ?max_window:int -> Circuit.t -> Circuit.t
 
 (** What a budgeted optimization run produced and why it stopped. *)

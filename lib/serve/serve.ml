@@ -614,8 +614,11 @@ let record_miss t =
       t.misses <- t.misses + 1;
       Trace.bump t.trace "serve_cache_misses" 1.0)
 
-(* The pure compile core: no cache access, no locks.  Safe to run on
-   any domain — the optimizer's memo is domain-local and the GC alarm
+(* The pure compile core: no cache access, no locks.  At most one
+   compile may run per domain at a time: the optimizer's memo is
+   domain-local but not thread-safe, so the daemon's threads, which all
+   share the calling domain, call this only under [compile_lock] (a
+   batch's other lanes run on domains of their own).  The GC alarm
    inside [guarded_allocation] is domain-local too. *)
 let compile_uncached t req =
   guarded_allocation t (fun () ->
@@ -789,9 +792,11 @@ let batch_entry t j =
 
    Phase 1 parses every lane and predicts which distinct keys a
    sequential run would have to compile (first occurrence of a key not
-   already cached).  Phase 2 compiles exactly those, in parallel, with
-   no locks held — each domain owns its optimizer memo and its GC
-   alarm.  Phase 3 walks the lanes in order running the normal
+   already cached).  Phase 2 compiles exactly those, in parallel, under
+   [compile_lock]: the calling domain compiles lanes too, and a one-shot
+   compile on another thread of that domain would otherwise share its
+   optimizer memo.  Each spawned domain owns its memo and its GC alarm.
+   Phase 3 walks the lanes in order running the normal
    lookup/miss protocol, substituting a precomputed outcome where one
    exists; a predicted hit whose entry was evicted in the meantime
    simply falls back to the sequential inline path, so correctness
@@ -821,15 +826,16 @@ let batch_parallel t ~jobs requests =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let precomputed = Hashtbl.create 16 in
-  Parallel.map_list ~jobs
-    (fun (key, req) ->
-      let outcome =
-        match compile_uncached t req with
-        | outcome -> `Outcome outcome
-        | exception Allocation_budget_exceeded budget -> `Alloc budget
-      in
-      (key, outcome))
-    missing
+  with_lock t.compile_lock (fun () ->
+      Parallel.map_list ~jobs
+        (fun (key, req) ->
+          let outcome =
+            match compile_uncached t req with
+            | outcome -> `Outcome outcome
+            | exception Allocation_budget_exceeded budget -> `Alloc budget
+          in
+          (key, outcome))
+        missing)
   |> List.iter (fun (key, outcome) -> Hashtbl.replace precomputed key outcome);
   List.map
     (function

@@ -139,7 +139,9 @@ exception Allocation_budget_exceeded of int
 
     Parallelism: [jobs] (default 1) is the domain fan-out for the
     [batch] verb — a batch's cache-missing compiles run on up to [jobs]
-    OCaml domains at once, while the cache protocol itself stays
+    OCaml domains at once, under the compile lock (the calling domain
+    compiles lanes too, and one compile at a time may run on a domain),
+    while the cache protocol itself stays
     sequential in request order, so a batch response is byte-identical
     to the [jobs = 1] run of the same batch on an idle server (counters
     and LRU order included).

@@ -60,6 +60,101 @@ let test_toffoli_cancellation () =
   check_int "commuted-roles Toffoli pair cancels" 0
     (Circuit.gate_count (Optimize.cancel_pass c))
 
+(* The list-based identity-window scan that the flat array scan in
+   [Optimize] replaced, kept as the differential reference.  It has no
+   memo: every window that passes the pre-filters is simulated, so the
+   comparison also checks that the memo key never conflates two
+   windows. *)
+module Reference = struct
+  let near_identity_possible = function
+    | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ -> true
+    | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
+    | Gate.T _ | Gate.Tdg _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
+    | Gate.Toffoli _ | Gate.Mct _ ->
+      false
+
+  let lone_touch_rules_out window supports support =
+    List.exists
+      (fun q ->
+        match
+          List.filter (fun (_, s) -> List.mem q s) (List.combine window supports)
+        with
+        | [ (g, _) ] -> not (near_identity_possible g)
+        | _ -> false)
+      support
+
+  let window_is_identity window =
+    let supports = List.map Gate.support window in
+    let support = List.sort_uniq Int.compare (List.concat supports) in
+    List.length support <= 3
+    &&
+    match window with
+    | [ g; h ] when Gate.equal h (Gate.adjoint g) -> true
+    | _ ->
+      (not (lone_touch_rules_out window supports support))
+      &&
+      let index q =
+        let rec find i = function
+          | [] -> assert false
+          | x :: rest -> if x = q then i else find (i + 1) rest
+        in
+        find 0 support
+      in
+      let signature = List.map (Gate.rename index) window in
+      let compact = Circuit.make ~n:(List.length support) signature in
+      Mathkit.Matrix.is_identity ~eps:1e-9 (Sim.unitary compact)
+
+  let remove_identity_windows ?(max_window = 6) c =
+    let rec take k = function
+      | rest when k = 0 -> Some ([], rest)
+      | [] -> None
+      | g :: rest -> (
+        match take (k - 1) rest with
+        | Some (window, tail) -> Some (g :: window, tail)
+        | None -> None)
+    in
+    let rec go gates =
+      match gates with
+      | [] -> []
+      | g :: rest ->
+        let rec try_window w =
+          if w < 2 then None
+          else
+            match take w gates with
+            | Some (window, tail) when window_is_identity window -> Some tail
+            | Some _ | None -> try_window (w - 1)
+        in
+        (match try_window max_window with
+        | Some tail -> go tail
+        | None -> g :: go rest)
+    in
+    Circuit.make ~n:(Circuit.n_qubits c) (go (Circuit.gates c))
+end
+
+let cnot a b = Gate.Cnot { control = a; target = b }
+
+(* Six alternating CNOTs: two SWAPs, the identity. *)
+let double_swap a b = [ cnot a b; cnot b a; cnot a b; cnot b a; cnot a b; cnot b a ]
+
+(* H X H = Z, so H; X; H; Z is the identity on one wire. *)
+let hxhz q = [ Gate.H q; Gate.X q; Gate.H q; Gate.Z q ]
+
+(* An identity window to plant: a gate and its adjoint, a double SWAP,
+   or H; X; H; Z. *)
+let gen_planted n =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map (fun g -> [ g; Gate.adjoint g ]) (Testutil.gen_gate n);
+      map (fun (a, b) -> double_swap a b) (Testutil.gen_pair n);
+      map hxhz (Testutil.gen_qubit n);
+    ]
+
+let same_as_reference ?max_window c =
+  Circuit.equal
+    (Optimize.remove_identity_windows ?max_window c)
+    (Reference.remove_identity_windows ?max_window c)
+
 let test_identity_window () =
   (* CNOT(0,1) CNOT(1,0) CNOT(0,1) CNOT(1,0) CNOT(0,1) CNOT(1,0) is the
      identity (two SWAPs): a 6-gate window no pairwise rule catches. *)
@@ -69,6 +164,35 @@ let test_identity_window () =
   in
   check_int "window removed" 0
     (Circuit.gate_count (Optimize.remove_identity_windows c))
+
+let test_window_growth_past_three () =
+  (* The Toffoli would grow the 2-qubit CNOT prefix to 5 qubits: growth
+     stops before it, and the Toffoli pair still goes as an exact
+     inverse pair. *)
+  let toffoli = Gate.Toffoli { c1 = 2; c2 = 3; target = 4 } in
+  let c = Circuit.make ~n:5 [ cnot 0 1; toffoli; toffoli; cnot 0 1 ] in
+  check_bool "Toffoli pair removed" true
+    (Circuit.gates (Optimize.remove_identity_windows c) = [ cnot 0 1; cnot 0 1 ]);
+  check_bool "same as the list scan" true (same_as_reference c)
+
+let test_eight_gate_window () =
+  (* (CNOT 0->1; CNOT 1->2)^2 is CNOT 0->2, so the 8 gates of
+     (CNOT 0->1; CNOT 1->2)^4 on 3 qubits are the identity, and no
+     shorter window of them is. *)
+  let c = circ (List.concat (List.init 4 (fun _ -> [ cnot 0 1; cnot 1 2 ]))) in
+  check_int "whole window under max_window 8" 0
+    (Circuit.gate_count (Optimize.remove_identity_windows ~max_window:8 c));
+  check_int "out of reach of the default" 8
+    (Circuit.gate_count (Optimize.remove_identity_windows c));
+  check_bool "same as the list scan (8)" true (same_as_reference ~max_window:8 c);
+  check_bool "same as the list scan (6)" true (same_as_reference c)
+
+let test_window_at_end () =
+  (* H; X; H; Z ends on the circuit's last gate. *)
+  let c = circ (Gate.T 0 :: hxhz 1) in
+  check_bool "trailing window removed" true
+    (Circuit.gates (Optimize.remove_identity_windows c) = [ Gate.T 0 ]);
+  check_bool "same as the list scan" true (same_as_reference c)
 
 let test_opt_rules_none () =
   (* With no rules a sweep is inverse-pair cancellation plus
@@ -242,10 +366,75 @@ let prop_cancel_pass_preserves =
     (fun c -> Sim.equivalent ~up_to_phase:false c (Optimize.cancel_pass c))
 
 let prop_identity_windows_preserve =
+  (* A random circuit rarely holds an identity window, so one is planted
+     at a random position: the pass must delete something and keep the
+     unitary exactly. *)
   QCheck2.Test.make ~name:"identity-window removal preserves unitary" ~count:40
-    (Testutil.gen_circuit ~max_gates:25 4)
+    ~print:Testutil.print_circuit
+    QCheck2.Gen.(
+      map3
+        (fun c planted at ->
+          let gates = Circuit.gates c in
+          let at = at mod (List.length gates + 1) in
+          Circuit.make ~n:4
+            (List.filteri (fun i _ -> i < at) gates
+            @ planted
+            @ List.filteri (fun i _ -> i >= at) gates))
+        (Testutil.gen_circuit ~max_gates:25 4)
+        (gen_planted 4) nat)
     (fun c ->
-      Sim.equivalent ~up_to_phase:false c (Optimize.remove_identity_windows c))
+      let out = Optimize.remove_identity_windows c in
+      Circuit.gate_count out < Circuit.gate_count c
+      && Sim.equivalent ~up_to_phase:false c out)
+
+(* Circuits of 3 to 5 qubits mixing random library gates, 3-control
+   MCTs (too wide for any window), near-zero rotations (which the
+   lone-touch filter lets through) and planted identity windows, with
+   a window bound of 2 to 8. *)
+let gen_window_case =
+  let open QCheck2.Gen in
+  int_range 3 5 >>= fun n ->
+  (* Used only when n >= 4, so the shuffle has four qubits to take. *)
+  let mct3 =
+    map
+      (function
+        | a :: b :: c :: t :: _ -> Gate.mct [ a; b; c ] t
+        | _ -> invalid_arg "mct3 needs four qubits")
+      (shuffle_l (List.init n Fun.id))
+  in
+  let tiny =
+    map3
+      (fun ctor theta q -> ctor theta q)
+      (oneofl
+         [
+           (fun t q -> Gate.Rx (t, q));
+           (fun t q -> Gate.Ry (t, q));
+           (fun t q -> Gate.Rz (t, q));
+           (fun t q -> Gate.Phase (t, q));
+         ])
+      (oneofl [ 1e-11; -1e-11; 1e-13; 0.0 ])
+      (Testutil.gen_qubit n)
+  in
+  let piece =
+    frequency
+      ([
+         (6, map (fun g -> [ g ]) (Testutil.gen_gate n));
+         (1, map (fun g -> [ g ]) tiny);
+         (2, gen_planted n);
+       ]
+      @ if n >= 4 then [ (1, map (fun g -> [ g ]) mct3) ] else [])
+  in
+  pair
+    (int_bound 14 >>= fun len ->
+     list_repeat len piece >|= fun pieces -> Circuit.make ~n (List.concat pieces))
+    (int_range 2 8)
+
+let prop_identity_windows_match_reference =
+  QCheck2.Test.make ~name:"identity-window scan matches the list scan" ~count:500
+    ~print:(fun (c, w) ->
+      Printf.sprintf "max_window %d\n%s" w (Testutil.print_circuit c))
+    gen_window_case
+    (fun (c, max_window) -> same_as_reference ~max_window c)
 
 let () =
   Alcotest.run "optimize"
@@ -261,7 +450,13 @@ let () =
           Alcotest.test_case "toffoli pair" `Quick test_toffoli_cancellation;
         ] );
       ( "rewrites",
-        [ Alcotest.test_case "identity window" `Quick test_identity_window ] );
+        [
+          Alcotest.test_case "identity window" `Quick test_identity_window;
+          Alcotest.test_case "window growth past three qubits" `Quick
+            test_window_growth_past_three;
+          Alcotest.test_case "eight-gate window" `Quick test_eight_gate_window;
+          Alcotest.test_case "window at the end" `Quick test_window_at_end;
+        ] );
       ( "fixed point",
         [
           Alcotest.test_case "cascade" `Quick test_optimize_fixed_point;
@@ -283,5 +478,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_optimize_never_worse;
           QCheck_alcotest.to_alcotest prop_cancel_pass_preserves;
           QCheck_alcotest.to_alcotest prop_identity_windows_preserve;
+          QCheck_alcotest.to_alcotest prop_identity_windows_match_reference;
         ] );
     ]

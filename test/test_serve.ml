@@ -363,6 +363,45 @@ let test_parallel_batch_matches_sequential () =
   check_int "misses" sm pm;
   check_int "invariant" (ph + pm) pl
 
+let test_batch_holds_compile_lock () =
+  (* A batch's calling domain compiles lanes itself, and the optimizer's
+     identity-window memo is per domain, not per thread: a one-shot
+     compile on another thread must wait for the batch's compiles
+     rather than run beside them on the same domain.  The inject hook
+     counts compiles in flight per domain while each one sleeps. *)
+  let lock = Mutex.create () in
+  let in_flight = Hashtbl.create 4 in
+  let worst = ref 0 in
+  let count delta =
+    Mutex.lock lock;
+    let d = (Domain.self () :> int) in
+    let k = delta + Option.value ~default:0 (Hashtbl.find_opt in_flight d) in
+    Hashtbl.replace in_flight d k;
+    worst := max !worst k;
+    Mutex.unlock lock
+  in
+  let hook () =
+    count 1;
+    Fun.protect ~finally:(fun () -> count (-1)) (fun () -> Thread.delay 0.2)
+  in
+  let t = Serve.create ~jobs:2 ~inject:hook () in
+  let source i =
+    sample_qasm ^ String.concat "" (List.init i (fun _ -> "x q[1];\n"))
+  in
+  let batch =
+    [
+      ("op", J.String "batch");
+      ( "requests",
+        J.List (List.init 4 (fun i -> J.Obj (List.tl (compile_req (source i))))) );
+    ]
+  in
+  let batch_thread = Thread.create (fun () -> ignore (rpc t batch)) () in
+  Thread.delay 0.05;
+  let one_shot = rpc t (compile_req (source 4)) in
+  Thread.join batch_thread;
+  check_int "one-shot compiled" 0 (int_field "code" one_shot);
+  check_int "compiles in flight on one domain" 1 !worst
+
 (* --- the socket layer --- *)
 
 let temp_socket_path () =
@@ -888,6 +927,8 @@ let () =
             test_stats_snapshot_is_never_torn;
           Alcotest.test_case "parallel batch matches sequential" `Quick
             test_parallel_batch_matches_sequential;
+          Alcotest.test_case "batch holds the compile lock" `Quick
+            test_batch_holds_compile_lock;
         ] );
       ( "robustness",
         [
