@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Smith & Thornton, ISCA 2019) and times the synthesis
-   procedures with Bechamel.
+   evaluation (Smith & Thornton, ISCA 2019) and times the compile of
+   every benchmark.
 
    Usage:  main.exe [section ...]
    Sections: table1 table2 table3 table4 table5 table6 table7 table8
@@ -783,98 +783,14 @@ let append_history ~dir ~jobs ~seq_wall ~par_wall ~benchmarks =
     store
 
 (* ------------------------------------------------------------------ *)
-(* Timing with Bechamel: one Test.make per table                        *)
+(* Timing: the compile suite's wall times, written to
+   BENCH_compile.json, which CI guards against the committed baseline;
+   perfbench times the Table 8 synthesis and verification. *)
 
 let timing ?(jobs = 1) ?history () =
-  section "Timing (Bechamel): synthesis procedures behind each table";
-  let open Bechamel in
-  let open Toolkit in
-  let compile_no_verify device circuit () =
-    let opts =
-      { (Compiler.default_options ~device) with Compiler.verification = Compiler.Skip }
-    in
-    ignore (Compiler.compile opts (Compiler.Quantum circuit))
-  in
-  let single_target name =
-    Benchsuite.Single_target.circuit (Benchsuite.Single_target.find name)
-  in
-  let revlib name =
-    Benchsuite.Revlib_cascades.circuit (Benchsuite.Revlib_cascades.find name)
-  in
-  let big name = Benchsuite.Big_cascades.circuit (Benchsuite.Big_cascades.find name) in
-  let tests =
-    [
-      Test.make ~name:"table2:coupling-complexity"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun d -> ignore (Device.coupling_complexity d))
-               Device.Ibm.all));
-      Test.make ~name:"table3:compile #033f -> ibmqx5"
-        (Staged.stage (compile_no_verify Device.Ibm.ibmqx5 (single_target "033f")));
-      Test.make ~name:"table4:optimize #033f on ibmqx5"
-        (Staged.stage
-           (let r =
-              Compiler.compile
-                {
-                  (Compiler.default_options ~device:Device.Ibm.ibmqx5) with
-                  Compiler.post_optimize = false;
-                  Compiler.verification = Compiler.Skip;
-                }
-                (Compiler.Quantum (single_target "033f"))
-            in
-            let unopt = r.Compiler.unoptimized in
-            fun () -> ignore (Optimize.optimize ~device:Device.Ibm.ibmqx5 unopt)));
-      Test.make ~name:"table5:compile 4_49_17 -> ibmqx5"
-        (Staged.stage (compile_no_verify Device.Ibm.ibmqx5 (revlib "4_49_17")));
-      Test.make ~name:"table6:compile 4gt13-v1_93 -> ibmq_16"
-        (Staged.stage (compile_no_verify Device.Ibm.ibmq_16 (revlib "4gt13-v1_93")));
-      Test.make ~name:"table7:build T6_b cascade"
-        (Staged.stage (fun () ->
-             ignore
-               (Benchsuite.Big_cascades.circuit
-                  (Benchsuite.Big_cascades.find "T6_b"))));
-      Test.make ~name:"table8:compile T6_b -> big96"
-        (Staged.stage (compile_no_verify Device.Ibm.big96 (big "T6_b")));
-      Test.make ~name:"verify:qmdd 3_17_14 on ibmqx2"
-        (Staged.stage
-           (let d = Device.Ibm.ibmqx2 in
-            let r =
-              Compiler.compile
-                {
-                  (Compiler.default_options ~device:d) with
-                  Compiler.verification = Compiler.Skip;
-                }
-                (Compiler.Quantum (revlib "3_17_14"))
-            in
-            fun () ->
-              ignore
-                (Qmdd.equivalent ~up_to_phase:false r.Compiler.reference
-                   r.Compiler.optimized)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"qsynth" tests in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      let ns =
-        match Analyze.OLS.estimates est with
-        | Some [ v ] -> v
-        | Some _ | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  List.iter
-    (fun (name, ns) -> Printf.printf "  %-42s %12.3f ms/run\n" name (ns /. 1e6))
-    rows;
+  section "Timing: compile wall time of every benchmark";
   Printf.printf
-    "\n(The paper reports ~10^-2 s for most benchmarks, none above ~6.5 s.)\n";
+    "(The paper reports ~10^-2 s for most benchmarks, none above ~6.5 s.)\n";
   let par_wall = write_bench_compile ~jobs () in
   match history with
   | None -> ()

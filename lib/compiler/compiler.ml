@@ -591,54 +591,8 @@ let extension path =
     | Some i ->
       String.lowercase_ascii (String.sub base i (String.length base - i))
 
-let parse_file_checked path =
-  let parse_error fmt_name line message =
-    Error
-      (Diagnostic.error ~file:path ~line ~stage:Diagnostic.Front_end
-         ~kind:Diagnostic.Parse
-         (Printf.sprintf "%s parse error: %s" fmt_name message))
-  in
-  let io_error msg =
-    Error (Diagnostic.error ~file:path ~stage:Diagnostic.Driver ~kind:Diagnostic.Io msg)
-  in
-  match extension path with
-  | ".pla" -> (
-    match Qformats.Pla.read_file path with
-    | pla -> Ok (Classical pla)
-    | exception Qformats.Pla.Parse_error { line; message } ->
-      parse_error "PLA" line message
-    | exception Sys_error msg -> io_error msg)
-  | ".qasm" -> (
-    match Qformats.Qasm.read_file path with
-    | c -> Ok (Quantum c)
-    | exception Qformats.Qasm.Parse_error { line; message } ->
-      parse_error "QASM" line message
-    | exception Sys_error msg -> io_error msg)
-  | ".qc" -> (
-    match Qformats.Qc.read_file path with
-    | qc -> Ok (Quantum qc.Qformats.Qc.circuit)
-    | exception Qformats.Qc.Parse_error { line; message } ->
-      parse_error ".qc" line message
-    | exception Sys_error msg -> io_error msg)
-  | ".real" -> (
-    match Qformats.Real.read_file path with
-    | real -> Ok (Quantum real.Qformats.Real.circuit)
-    | exception Qformats.Real.Parse_error { line; message } ->
-      parse_error ".real" line message
-    | exception Sys_error msg -> io_error msg)
-  | other ->
-    Error
-      (Diagnostic.error ~file:path ~stage:Diagnostic.Driver
-         ~kind:Diagnostic.Unsupported
-         (Printf.sprintf "unsupported input extension %S" other))
-
-let parse_file path =
-  match parse_file_checked path with
-  | Ok input -> input
-  | Error d -> raise (Compile_error (Diagnostic.to_string d))
-
-(* The serve daemon receives sources over the wire rather than as
-   files; the same per-format parsers run on the in-memory string. *)
+(* The one format dispatch: files (read whole by [parse_file_checked])
+   and the serve daemon's in-memory request bodies both parse here. *)
 let parse_source_checked ~format ?path source =
   let fmt =
     let s = String.lowercase_ascii (String.trim format) in
@@ -681,6 +635,26 @@ let parse_source_checked ~format ?path source =
       (Diagnostic.error ~file ~stage:Diagnostic.Driver
          ~kind:Diagnostic.Unsupported
          (Printf.sprintf "unsupported input format %S" other))
+
+let parse_file_checked path =
+  match extension path with
+  | (".pla" | ".qasm" | ".qc" | ".real") as ext -> (
+    match In_channel.with_open_text path In_channel.input_all with
+    | source -> parse_source_checked ~format:ext ~path source
+    | exception Sys_error msg ->
+      Error
+        (Diagnostic.error ~file:path ~stage:Diagnostic.Driver
+           ~kind:Diagnostic.Io msg))
+  | other ->
+    Error
+      (Diagnostic.error ~file:path ~stage:Diagnostic.Driver
+         ~kind:Diagnostic.Unsupported
+         (Printf.sprintf "unsupported input extension %S" other))
+
+let parse_file path =
+  match parse_file_checked path with
+  | Ok input -> input
+  | Error d -> raise (Compile_error (Diagnostic.to_string d))
 
 (* {2 Content digests}
 

@@ -1,85 +1,12 @@
-(* ---- pattern matching ------------------------------------------------ *)
-
-type gate_pattern =
-  | Px of int
-  | Py of int
-  | Pz of int
-  | Ph of int
-  | Ps of int
-  | Psdg of int
-  | Pt of int
-  | Ptdg of int
-  | Prx of int * int
-  | Pry of int * int
-  | Prz of int * int
-  | Pphase of int * int
-  | Pcnot of int * int
-  | Pcz of int * int
-  | Pswap of int * int
-
-type env = { wires : (int * int) list; angles : (int * float) list }
-
-let empty_env = { wires = []; angles = [] }
-let wire env v = List.assoc v env.wires
-let angle env v = List.assoc v env.angles
-
-let bind_wire env v q =
-  match List.assoc_opt v env.wires with
-  | Some q' -> if q' = q then Some env else None
-  | None -> Some { env with wires = (v, q) :: env.wires }
-
-let bind_angle env v a =
-  match List.assoc_opt v env.angles with
-  | Some a' -> if a' = a then Some env else None
-  | None -> Some { env with angles = (v, a) :: env.angles }
-
-(* Every extension of [env] under which [p] matches [g].  The symmetric
-   two-qubit patterns (CZ, SWAP) try both operand orders, so a rule can
-   name "the other wire" without caring how the gate was stored. *)
-let match_gate env p g =
-  let one = function Some e -> [ e ] | None -> [] in
-  match (p, g) with
-  | Px v, Gate.X q
-  | Py v, Gate.Y q
-  | Pz v, Gate.Z q
-  | Ph v, Gate.H q
-  | Ps v, Gate.S q
-  | Psdg v, Gate.Sdg q
-  | Pt v, Gate.T q
-  | Ptdg v, Gate.Tdg q ->
-    one (bind_wire env v q)
-  | Prx (av, wv), Gate.Rx (theta, q)
-  | Pry (av, wv), Gate.Ry (theta, q)
-  | Prz (av, wv), Gate.Rz (theta, q)
-  | Pphase (av, wv), Gate.Phase (theta, q) -> (
-    match bind_wire env wv q with
-    | None -> []
-    | Some e -> one (bind_angle e av theta))
-  | Pcnot (cv, tv), Gate.Cnot { control; target } -> (
-    match bind_wire env cv control with
-    | None -> []
-    | Some e -> one (bind_wire e tv target))
-  | Pcz (uv, vv), Gate.Cz (a, b) | Pswap (uv, vv), Gate.Swap (a, b) ->
-    let try_order x y =
-      match bind_wire env uv x with
-      | None -> []
-      | Some e -> one (bind_wire e vv y)
-    in
-    try_order a b @ try_order b a
-  | _, _ -> []
-
 (* ---- the rule registry ----------------------------------------------- *)
 
 type rule = {
   name : string;
   doc : string;
-  pattern : gate_pattern list;
   pattern_doc : string;
-  guard : device:Device.t option -> env -> bool;
   guard_doc : string;
-  replacement : env -> Gate.t list;
   replacement_doc : string;
-  default_on : bool;
+  rewrite : device:Device.t option -> Gate.t list -> Gate.t list option;
 }
 
 let direction_ok ~device ~control ~target =
@@ -87,13 +14,14 @@ let direction_ok ~device ~control ~target =
   | None -> true
   | Some d -> Device.allows_cnot d ~control ~target
 
-let no_guard ~device:_ _ = true
+let same_pair ~c ~t u v = (u = c && v = t) || (u = t && v = c)
 
 (* Every replacement below is exactly equal to its pattern's unitary —
    global phase included — and strictly shorter, so template application
    terminates and the optimizer's exactness promise holds.  Identities
    that only hold modulo a phase (H Y H = -Y, Z X = i Y, ...) are
-   deliberately absent. *)
+   deliberately absent.  A repeated wire in [pattern_doc] is a [when]
+   equality on the matched operands. *)
 let rules =
   [
     {
@@ -101,157 +29,178 @@ let rules =
       doc =
         "Four H around a CNOT are the reversed CNOT (the paper's Fig. 6 \
          basis-change pattern).";
-      pattern = [ Ph 0; Ph 1; Pcnot (2, 3); Ph 4; Ph 5 ];
       pattern_doc = "H a; H b; CNOT c->t; H a'; H b'";
-      guard =
-        (fun ~device env ->
-          let c = wire env 2 and t = wire env 3 in
-          let pair u v = (u = c && v = t) || (u = t && v = c) in
-          pair (wire env 0) (wire env 1)
-          && pair (wire env 4) (wire env 5)
-          && direction_ok ~device ~control:t ~target:c);
       guard_doc = "{a,b} = {a',b'} = {c,t}; CNOT t->c legal on device";
-      replacement =
-        (fun env -> [ Gate.Cnot { control = wire env 3; target = wire env 2 } ]);
       replacement_doc = "CNOT t->c";
-      default_on = true;
+      rewrite =
+        (fun ~device -> function
+          | Gate.H a :: Gate.H b :: Gate.Cnot { control = c; target = t }
+            :: Gate.H a' :: Gate.H b' :: rest
+            when same_pair ~c ~t a b && same_pair ~c ~t a' b'
+                 && direction_ok ~device ~control:t ~target:c ->
+            Some (Gate.Cnot { control = t; target = c } :: rest)
+          | _ -> None);
     };
     {
       name = "h-x-h-to-z";
       doc = "H-conjugation: H X H = Z, exactly.";
-      pattern = [ Ph 0; Px 0; Ph 0 ];
       pattern_doc = "H a; X a; H a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.Z (wire env 0) ]);
       replacement_doc = "Z a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.H a :: Gate.X b :: Gate.H c :: rest when a = b && b = c ->
+            Some (Gate.Z a :: rest)
+          | _ -> None);
     };
     {
       name = "h-z-h-to-x";
       doc = "H-conjugation: H Z H = X, exactly.";
-      pattern = [ Ph 0; Pz 0; Ph 0 ];
       pattern_doc = "H a; Z a; H a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.X (wire env 0) ]);
       replacement_doc = "X a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.H a :: Gate.Z b :: Gate.H c :: rest when a = b && b = c ->
+            Some (Gate.X a :: rest)
+          | _ -> None);
     };
     {
       name = "h-cz-h-to-cnot";
       doc =
         "H on one operand of a CZ turns it into a CNOT targeting that \
          operand.";
-      pattern = [ Ph 0; Pcz (1, 0); Ph 0 ];
       pattern_doc = "H t; CZ c, t; H t";
-      guard =
-        (fun ~device env ->
-          direction_ok ~device ~control:(wire env 1) ~target:(wire env 0));
       guard_doc = "CNOT c->t legal on device";
-      replacement =
-        (fun env -> [ Gate.Cnot { control = wire env 1; target = wire env 0 } ]);
       replacement_doc = "CNOT c->t";
-      default_on = true;
+      (* CZ is symmetric, so [t] may be either operand; the stored order
+         CZ(c, t) is tried first. *)
+      rewrite =
+        (fun ~device -> function
+          | Gate.H t :: Gate.Cz (c, u) :: Gate.H v :: rest
+            when t = u && u = v && direction_ok ~device ~control:c ~target:t ->
+            Some (Gate.Cnot { control = c; target = t } :: rest)
+          | Gate.H t :: Gate.Cz (u, c) :: Gate.H v :: rest
+            when t = u && u = v && direction_ok ~device ~control:c ~target:t ->
+            Some (Gate.Cnot { control = c; target = t } :: rest)
+          | _ -> None);
     };
     {
       name = "x-rz-x-flip";
       doc = "X-conjugation negates a Z rotation: X Rz(t) X = Rz(-t), exactly.";
-      pattern = [ Px 0; Prz (0, 0); Px 0 ];
       pattern_doc = "X a; Rz(t) a; X a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.Rz (-.angle env 0, wire env 0) ]);
       replacement_doc = "Rz(-t) a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.X a :: Gate.Rz (t, b) :: Gate.X c :: rest
+            when a = b && b = c ->
+            Some (Gate.Rz (-.t, a) :: rest)
+          | _ -> None);
     };
     {
       name = "x-ry-x-flip";
       doc = "X-conjugation negates a Y rotation: X Ry(t) X = Ry(-t), exactly.";
-      pattern = [ Px 0; Pry (0, 0); Px 0 ];
       pattern_doc = "X a; Ry(t) a; X a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.Ry (-.angle env 0, wire env 0) ]);
       replacement_doc = "Ry(-t) a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.X a :: Gate.Ry (t, b) :: Gate.X c :: rest
+            when a = b && b = c ->
+            Some (Gate.Ry (-.t, a) :: rest)
+          | _ -> None);
     };
     {
       name = "z-rx-z-flip";
       doc = "Z-conjugation negates an X rotation: Z Rx(t) Z = Rx(-t), exactly.";
-      pattern = [ Pz 0; Prx (0, 0); Pz 0 ];
       pattern_doc = "Z a; Rx(t) a; Z a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.Rx (-.angle env 0, wire env 0) ]);
       replacement_doc = "Rx(-t) a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.Z a :: Gate.Rx (t, b) :: Gate.Z c :: rest
+            when a = b && b = c ->
+            Some (Gate.Rx (-.t, a) :: rest)
+          | _ -> None);
     };
     {
       name = "z-ry-z-flip";
       doc = "Z-conjugation negates a Y rotation: Z Ry(t) Z = Ry(-t), exactly.";
-      pattern = [ Pz 0; Pry (0, 0); Pz 0 ];
       pattern_doc = "Z a; Ry(t) a; Z a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.Ry (-.angle env 0, wire env 0) ]);
       replacement_doc = "Ry(-t) a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.Z a :: Gate.Ry (t, b) :: Gate.Z c :: rest
+            when a = b && b = c ->
+            Some (Gate.Ry (-.t, a) :: rest)
+          | _ -> None);
     };
     {
       name = "h-rx-h-to-rz";
       doc = "H-conjugation swaps rotation axes: H Rx(t) H = Rz(t), exactly.";
-      pattern = [ Ph 0; Prx (0, 0); Ph 0 ];
       pattern_doc = "H a; Rx(t) a; H a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.Rz (angle env 0, wire env 0) ]);
       replacement_doc = "Rz(t) a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.H a :: Gate.Rx (t, b) :: Gate.H c :: rest
+            when a = b && b = c ->
+            Some (Gate.Rz (t, a) :: rest)
+          | _ -> None);
     };
     {
       name = "h-rz-h-to-rx";
       doc = "H-conjugation swaps rotation axes: H Rz(t) H = Rx(t), exactly.";
-      pattern = [ Ph 0; Prz (0, 0); Ph 0 ];
       pattern_doc = "H a; Rz(t) a; H a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.Rx (angle env 0, wire env 0) ]);
       replacement_doc = "Rx(t) a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.H a :: Gate.Rz (t, b) :: Gate.H c :: rest
+            when a = b && b = c ->
+            Some (Gate.Rx (t, a) :: rest)
+          | _ -> None);
     };
     {
       name = "sdg-x-s-to-y";
       doc = "S-conjugation rotates Pauli axes: the run Sdg; X; S is Y, exactly.";
-      pattern = [ Psdg 0; Px 0; Ps 0 ];
       pattern_doc = "Sdg a; X a; S a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.Y (wire env 0) ]);
       replacement_doc = "Y a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.Sdg a :: Gate.X b :: Gate.S c :: rest when a = b && b = c ->
+            Some (Gate.Y a :: rest)
+          | _ -> None);
     };
     {
       name = "s-y-sdg-to-x";
       doc = "S-conjugation rotates Pauli axes: the run S; Y; Sdg is X, exactly.";
-      pattern = [ Ps 0; Py 0; Psdg 0 ];
       pattern_doc = "S a; Y a; Sdg a";
-      guard = no_guard;
       guard_doc = "-";
-      replacement = (fun env -> [ Gate.X (wire env 0) ]);
       replacement_doc = "X a";
-      default_on = true;
+      rewrite =
+        (fun ~device:_ -> function
+          | Gate.S a :: Gate.Y b :: Gate.Sdg c :: rest when a = b && b = c ->
+            Some (Gate.X a :: rest)
+          | _ -> None);
     };
     {
       name = "cnot-triple-to-swap";
       doc = "Three alternating CNOTs are a SWAP.";
-      pattern = [ Pcnot (0, 1); Pcnot (1, 0); Pcnot (0, 1) ];
       pattern_doc = "CNOT a->b; CNOT b->a; CNOT a->b";
-      guard = (fun ~device _ -> device = None);
       guard_doc = "unmapped circuits only (SWAP is not transmon-native)";
-      replacement = (fun env -> [ Gate.Swap (wire env 0, wire env 1) ]);
       replacement_doc = "SWAP a, b";
-      default_on = true;
+      rewrite =
+        (fun ~device -> function
+          | Gate.Cnot { control = a; target = b }
+            :: Gate.Cnot { control = b'; target = a' }
+            :: Gate.Cnot { control = a''; target = b'' } :: rest
+            when device = None && a = a' && a = a'' && b = b' && b = b'' ->
+            Some (Gate.Swap (a, b) :: rest)
+          | _ -> None);
     };
   ]
 
@@ -266,10 +215,7 @@ module StringSet = Set.Make (String)
 
 type selection = StringSet.t
 
-let default_selection =
-  StringSet.of_list
-    (List.map (fun r -> r.name) (List.filter (fun r -> r.default_on) rules)
-    @ engine_pass_names)
+let default_selection = StringSet.of_list all_names
 
 let empty_selection = StringSet.empty
 let enabled sel name = StringSet.mem name sel
@@ -286,9 +232,8 @@ let parse_selection s =
     | Error _ -> acc
     | Ok set -> (
       match token with
-      | "all" -> Ok (StringSet.of_list all_names)
+      | "all" | "default" -> Ok default_selection
       | "none" -> Ok StringSet.empty
-      | "default" -> Ok default_selection
       | t when String.length t > 1 && t.[0] = '-' ->
         let n = String.sub t 1 (String.length t - 1) in
         if known n then Ok (StringSet.remove n set)
@@ -313,26 +258,6 @@ let selection_to_string sel =
 
 (* ---- template application -------------------------------------------- *)
 
-(* Match [rule.pattern] against a prefix of [gates]; the first binding
-   that satisfies the guard wins.  Patterns are at most five gates, so
-   the candidate-environment list stays tiny. *)
-let match_rule ~device rule gates =
-  let rec go envs pats gs =
-    match pats with
-    | [] -> (
-      match List.find_opt (fun e -> rule.guard ~device e) envs with
-      | Some e -> Some (rule.replacement e, gs)
-      | None -> None)
-    | p :: prest -> (
-      match gs with
-      | [] -> None
-      | g :: grest -> (
-        match List.concat_map (fun e -> match_gate e p g) envs with
-        | [] -> None
-        | envs' -> go envs' prest grest))
-  in
-  go [ empty_env ] rule.pattern gates
-
 let apply_templates ?device ?(selection = default_selection) c =
   let enabled_rules = List.filter (fun r -> enabled selection r.name) rules in
   if enabled_rules = [] then (c, [])
@@ -342,23 +267,23 @@ let apply_templates ?device ?(selection = default_selection) c =
       Hashtbl.replace counts name
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
     in
+    let rec first todo = function
+      | [] -> None
+      | r :: more -> (
+        match r.rewrite ~device todo with
+        | Some _ as fired ->
+          bump r.name;
+          fired
+        | None -> first todo more)
+    in
     (* One left-to-right sweep.  A replacement is matched again where it
        lands; matches it enables further left wait for the optimizer's
        next sweep. *)
     let rec go acc todo =
       match todo with
       | [] -> List.rev acc
-      | g :: rest ->
-        let rec first = function
-          | [] -> None
-          | r :: more -> (
-            match match_rule ~device r todo with
-            | Some (replacement, tail) ->
-              bump r.name;
-              Some (replacement @ tail)
-            | None -> first more)
-        in
-        (match first enabled_rules with
+      | g :: rest -> (
+        match first todo enabled_rules with
         | Some todo' -> go acc todo'
         | None -> go (g :: acc) rest)
     in

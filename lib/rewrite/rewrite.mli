@@ -1,13 +1,13 @@
-(** Declarative rewrite-template peephole engine.
+(** Rewrite-template peephole engine.
 
     The rule passes of {!Optimize}'s single optimization loop, in the
     spirit of quilc's compressor and staq's rotation folding: a
-    registry of named, individually toggleable rewrite templates
-    (pattern = contiguous gate sequence over wire/angle metavariables
-    plus a side condition; replacement = template instantiation), and
-    three engine-level passes templates alone cannot express —
-    same-axis rotation merging, phase-polynomial merging across CNOT
-    ladders, and Clifford normalization of one-qubit runs.
+    registry of named, individually toggleable rewrite templates, each
+    one native pattern match on a contiguous gate sequence with its side
+    condition as a [when] guard, and three engine-level passes templates
+    alone cannot express — same-axis rotation merging, phase-polynomial
+    merging across CNOT ladders, and Clifford normalization of one-qubit
+    runs.
 
     Every rule preserves the circuit's unitary {e exactly} — not merely
     up to global phase — matching the optimizer's contract (rotation
@@ -16,56 +16,23 @@
     guard on each pass, the fixpoint and the strict-mode equivalence
     check all live in {!Optimize.optimize_budgeted}. *)
 
-(** {1 Patterns} *)
-
-(** One gate of a pattern.  Integer arguments are {e metavariable
-    indices}, not qubits: the same index must match the same wire (or
-    angle) everywhere it appears; distinct indices may match the same
-    wire unless the rule's side condition says otherwise.  [Pcz] and
-    [Pswap] match their operands in either order. *)
-type gate_pattern =
-  | Px of int
-  | Py of int
-  | Pz of int
-  | Ph of int
-  | Ps of int
-  | Psdg of int
-  | Pt of int
-  | Ptdg of int
-  | Prx of int * int  (** angle metavariable, wire metavariable *)
-  | Pry of int * int
-  | Prz of int * int
-  | Pphase of int * int
-  | Pcnot of int * int  (** control, target *)
-  | Pcz of int * int
-  | Pswap of int * int
-
-(** A successful match's metavariable bindings. *)
-type env
-
-(** [wire env v] is the qubit bound to wire metavariable [v].
-    @raise Not_found when unbound. *)
-val wire : env -> int -> int
-
-(** [angle env v] is the angle bound to angle metavariable [v].
-    @raise Not_found when unbound. *)
-val angle : env -> int -> float
-
 (** {1 The rule registry} *)
 
 type rule = {
   name : string;  (** unique registry key, e.g. ["h-x-h-to-z"] *)
   doc : string;
-  pattern : gate_pattern list;
-  pattern_doc : string;  (** e.g. ["H a; X a; H a"] *)
-  guard : device:Device.t option -> env -> bool;
-      (** side condition; sees the device so direction-changing rules
-          can refuse illegal CNOT orientations and SWAP-introducing
-          rules can restrict themselves to unmapped circuits *)
+  pattern_doc : string;
+      (** e.g. ["H a; X a; H a"]: a repeated letter is the same wire;
+          [CZ] matches its operands in either order *)
   guard_doc : string;  (** ["-"] when unconditional *)
-  replacement : env -> Gate.t list;
   replacement_doc : string;
-  default_on : bool;
+  rewrite : device:Device.t option -> Gate.t list -> Gate.t list option;
+      (** [rewrite ~device gates] is [Some (replacement @ rest)] when a
+          prefix of [gates] matches the pattern and satisfies the side
+          condition, [None] otherwise.  The side condition sees the
+          device so direction-changing rules can refuse illegal CNOT
+          orientations and SWAP-introducing rules can restrict
+          themselves to unmapped circuits ([device = None]). *)
 }
 
 (** All registered templates, in match-priority order.  Every
@@ -88,7 +55,10 @@ val all_names : string list
 (** A set of enabled rule/pass names, canonically ordered. *)
 type selection
 
+(** Every name in {!all_names}: the [all] and [default] tokens of
+    {!parse_selection} both name this set. *)
 val default_selection : selection
+
 val empty_selection : selection
 val enabled : selection -> string -> bool
 

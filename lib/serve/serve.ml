@@ -26,11 +26,10 @@ type t = {
   max_pending : int;
   jobs : int;  (** domain fan-out for the [batch] verb; 1 = sequential *)
   inject : (unit -> unit) option;
-  trace : Trace.t;
-  (* [state_lock] guards the cache, every counter and [Trace.bump]
-     (short sections only); [compile_lock] serializes the compiler
-     itself, whose hash-consing tables are not thread-safe.  Order:
-     never acquire [compile_lock] while holding [state_lock]. *)
+  (* [state_lock] guards the cache and every counter (short sections
+     only); [compile_lock] serializes the compiler itself, whose
+     hash-consing tables are not thread-safe.  Order: never acquire
+     [compile_lock] while holding [state_lock]. *)
   state_lock : Mutex.t;
   compile_lock : Mutex.t;
   mutable clock : int;  (** LRU tick; bumped on every cache touch *)
@@ -197,7 +196,6 @@ let evict_lru t =
     Hashtbl.remove t.cache key;
     t.cache_bytes <- t.cache_bytes - entry.bytes;
     t.evictions <- t.evictions + 1;
-    Trace.bump t.trace "serve_cache_evictions" 1.0;
     persist_remove t key
   | None -> ()
 
@@ -289,7 +287,7 @@ let create ?(cache_capacity = 256) ?(max_cache_bytes = 64 * 1024 * 1024)
     ?persist_dir ?(max_deadline_seconds = 60.0)
     ?(max_frame_bytes = 4 * 1024 * 1024) ?(watchdog_grace_seconds = 5.0)
     ?max_request_bytes ?(read_timeout_seconds = 30.0) ?(max_workers = 8)
-    ?(max_pending = 32) ?(jobs = 1) ?inject ?(trace = Trace.disabled) () =
+    ?(max_pending = 32) ?(jobs = 1) ?inject () =
   if cache_capacity < 0 then
     invalid_arg "Serve.create: negative cache_capacity";
   if max_cache_bytes < 0 then
@@ -324,7 +322,6 @@ let create ?(cache_capacity = 256) ?(max_cache_bytes = 64 * 1024 * 1024)
       max_pending;
       jobs;
       inject;
-      trace;
       state_lock = Mutex.create ();
       compile_lock = Mutex.create ();
       clock = 0;
@@ -603,7 +600,6 @@ let cache_lookup t key =
       | Some entry ->
         t.lookups <- t.lookups + 1;
         t.hits <- t.hits + 1;
-        Trace.bump t.trace "serve_cache_hits" 1.0;
         touch t entry;
         Some (entry.code, entry.payload @ [ ("cached", J.Bool true) ])
       | None -> None)
@@ -611,8 +607,7 @@ let cache_lookup t key =
 let record_miss t =
   with_state t (fun () ->
       t.lookups <- t.lookups + 1;
-      t.misses <- t.misses + 1;
-      Trace.bump t.trace "serve_cache_misses" 1.0)
+      t.misses <- t.misses + 1)
 
 (* The pure compile core: no cache access, no locks.  At most one
    compile may run per domain at a time: the optimizer's memo is
@@ -751,9 +746,7 @@ let internal_error_body msg =
   ]
 
 let alloc_trip t budget =
-  with_state t (fun () ->
-      t.alloc_trips <- t.alloc_trips + 1;
-      Trace.bump t.trace "serve_alloc_trips" 1.0);
+  with_state t (fun () -> t.alloc_trips <- t.alloc_trips + 1);
   ( 125,
     internal_error_body
       (Printf.sprintf
@@ -904,9 +897,7 @@ let dispatch t j =
 
 let handle_line_core t line =
   let t0 = Trace.now_ns () in
-  with_state t (fun () ->
-      t.requests <- t.requests + 1;
-      Trace.bump t.trace "serve_requests" 1.0);
+  with_state t (fun () -> t.requests <- t.requests + 1);
   let id, (code, body) =
     match J.of_string line with
     | Error msg -> (
@@ -962,9 +953,7 @@ let handle_line t line =
   if String.length line > t.max_frame_bytes then begin
     with_state t (fun () ->
         t.requests <- t.requests + 1;
-        t.frame_rejects <- t.frame_rejects + 1;
-        Trace.bump t.trace "serve_requests" 1.0;
-        Trace.bump t.trace "serve_frame_rejects" 1.0);
+        t.frame_rejects <- t.frame_rejects + 1);
     envelope ~code:124 ~seconds:0.0 (frame_reject_body t)
   end
   else
@@ -1020,9 +1009,7 @@ let handle_line_supervised t line =
           match late with
           | Some response -> response
           | None ->
-            with_state t (fun () ->
-                t.watchdog_trips <- t.watchdog_trips + 1;
-                Trace.bump t.trace "serve_watchdog_trips" 1.0);
+            with_state t (fun () -> t.watchdog_trips <- t.watchdog_trips + 1);
             let id = request_id_of_line line in
             envelope ?id ~code:125 ~seconds:deadline
               (internal_error_body
@@ -1071,9 +1058,7 @@ let write_all t conn s =
     go 0;
     true
   with Unix.Unix_error _ ->
-    with_state t (fun () ->
-        t.client_disconnects <- t.client_disconnects + 1;
-        Trace.bump t.trace "serve_client_disconnects" 1.0);
+    with_state t (fun () -> t.client_disconnects <- t.client_disconnects + 1);
     false
 
 let serve ?max_requests t address =
@@ -1127,9 +1112,7 @@ let serve ?max_requests t address =
     set_send_timeout conn;
     ignore (write_all t conn (refusal_line "draining" [] ^ "\n"));
     close_quiet conn;
-    with_state t (fun () ->
-        t.drained <- t.drained + 1;
-        Trace.bump t.trace "serve_drained" 1.0)
+    with_state t (fun () -> t.drained <- t.drained + 1)
   in
   let shed conn depth =
     set_send_timeout conn;
@@ -1140,9 +1123,7 @@ let serve ?max_requests t address =
             [ ("retry_after_ms", J.Int retry_after_ms) ]
          ^ "\n"));
     close_quiet conn;
-    with_state t (fun () ->
-        t.shed <- t.shed + 1;
-        Trace.bump t.trace "serve_shed" 1.0)
+    with_state t (fun () -> t.shed <- t.shed + 1)
   in
   let admit conn =
     Mutex.lock pending_lock;
@@ -1167,9 +1148,17 @@ let serve ?max_requests t address =
             t.open_connections <- t.open_connections - 1))
       (fun () ->
         set_send_timeout conn;
-        let residue = ref "" in
+        (* Bytes read but not yet returned as a frame; the first
+           [!scanned] of them hold no newline.  Appending to a buffer
+           keeps a frame's cost linear in its size. *)
+        let pending_bytes = Buffer.create 8192 in
         let scanned = ref 0 in
         let chunk = Bytes.create 8192 in
+        let rec newline_from i =
+          if i >= Buffer.length pending_bytes then None
+          else if Buffer.nth pending_bytes i = '\n' then Some i
+          else newline_from (i + 1)
+        in
         (* Bounded frame reader: accumulate until a newline, a read
            deadline, the frame cap (with no newline in sight — the
            connection cannot be resynced, so it is answered and
@@ -1177,15 +1166,19 @@ let serve ?max_requests t address =
         let next_frame () =
           let deadline_at = Unix.gettimeofday () +. t.read_timeout in
           let rec go () =
-            match String.index_from_opt !residue !scanned '\n' with
+            match newline_from !scanned with
             | Some i ->
-              let line = String.sub !residue 0 i in
-              residue :=
-                String.sub !residue (i + 1) (String.length !residue - i - 1);
+              let line = Buffer.sub pending_bytes 0 i in
+              let rest =
+                Buffer.sub pending_bytes (i + 1)
+                  (Buffer.length pending_bytes - i - 1)
+              in
+              Buffer.reset pending_bytes;
+              Buffer.add_string pending_bytes rest;
               scanned := 0;
               `Frame line
             | None ->
-              scanned := String.length !residue;
+              scanned := Buffer.length pending_bytes;
               if !scanned > t.max_frame_bytes then `Too_long
               else if finished () then `Draining
               else begin
@@ -1199,7 +1192,7 @@ let serve ?max_requests t address =
                     match Unix.read conn chunk 0 (Bytes.length chunk) with
                     | 0 -> `Eof
                     | n ->
-                      residue := !residue ^ Bytes.sub_string chunk 0 n;
+                      Buffer.add_subbytes pending_bytes chunk 0 n;
                       go ()
                     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
                     | exception Unix.Unix_error _ -> `Eof)
@@ -1219,17 +1212,13 @@ let serve ?max_requests t address =
                 loop ()
               end
             | `Too_long ->
-              with_state t (fun () ->
-                  t.frame_rejects <- t.frame_rejects + 1;
-                  Trace.bump t.trace "serve_frame_rejects" 1.0);
+              with_state t (fun () -> t.frame_rejects <- t.frame_rejects + 1);
               ignore
                 (write_all t conn
                    (envelope ~code:124 ~seconds:0.0 (frame_reject_body t)
                    ^ "\n"))
             | `Timeout ->
-              with_state t (fun () ->
-                  t.read_timeouts <- t.read_timeouts + 1;
-                  Trace.bump t.trace "serve_read_timeouts" 1.0)
+              with_state t (fun () -> t.read_timeouts <- t.read_timeouts + 1)
             | `Eof | `Draining -> ()
         in
         loop ())

@@ -150,9 +150,7 @@ exception Allocation_budget_exceeded of int
     the chaos harness: it is called once per cache-missing compile,
     before the compiler runs, and whatever it raises (or however long
     it sleeps) flows through the supervision machinery like a real
-    fault.  [trace] (default {!Trace.disabled}) additionally receives
-    cache/request/overload totals as named counters via {!Trace.bump};
-    spans are never recorded on it. *)
+    fault. *)
 val create :
   ?cache_capacity:int ->
   ?max_cache_bytes:int ->
@@ -166,7 +164,6 @@ val create :
   ?max_pending:int ->
   ?jobs:int ->
   ?inject:(unit -> unit) ->
-  ?trace:Trace.t ->
   unit ->
   t
 

@@ -2,8 +2,10 @@
    fire case (exact before/after pin plus unitary check) and a near-miss
    the side condition must block; the three engine passes get pinned
    merge counts; the rotation-fold metamorphic tests sweep every pair of
-   the fuzzer's edge angles; and T-count deltas on the classic
-   benchmarks are pinned so a regression in phase merging is loud. *)
+   the fuzzer's edge angles; the native template matches are checked
+   against the pattern interpreter they replaced; and T-count deltas on
+   the classic benchmarks are pinned so a regression in phase merging
+   is loud. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -55,6 +57,9 @@ let test_selection_parsing () =
     (Rewrite.selection_to_string (sel "none") = "none");
   check_bool "default not empty" true
     (Rewrite.selection_to_string Rewrite.default_selection <> "none");
+  check_bool "default is all" true
+    (Rewrite.selection_to_string (sel "default")
+    = Rewrite.selection_to_string (sel "all"));
   List.iter
     (fun n -> check_bool (n ^ " on under all") true (Rewrite.enabled (sel "all") n))
     Rewrite.all_names;
@@ -423,6 +428,317 @@ let test_benchmark_deltas () =
   check_bool "qft equivalent" true
     (Qmdd.equivalent ~up_to_phase:false qft opt_q)
 
+(* --- differential: native matches against the pattern interpreter ---
+
+   [Reference] is the interpreter the registry's native matches
+   replaced: gate patterns over wire/angle metavariables, an assoc-list
+   environment, guard and replacement closures over it.  It is kept
+   here as the behaviour the native rules must reproduce exactly —
+   output gates (angles bit for bit) and per-rule counts.  Pattern
+   constructors no rule used (T, Tdg, Phase, SWAP) are left out. *)
+
+module Reference = struct
+  type gate_pattern =
+    | Px of int
+    | Py of int
+    | Pz of int
+    | Ph of int
+    | Ps of int
+    | Psdg of int
+    | Prx of int * int  (* angle metavariable, wire metavariable *)
+    | Pry of int * int
+    | Prz of int * int
+    | Pcnot of int * int  (* control, target *)
+    | Pcz of int * int
+
+  type env = { wires : (int * int) list; angles : (int * float) list }
+
+  let empty_env = { wires = []; angles = [] }
+  let wire env v = List.assoc v env.wires
+  let angle env v = List.assoc v env.angles
+
+  let bind_wire env v q =
+    match List.assoc_opt v env.wires with
+    | Some q' -> if q' = q then Some env else None
+    | None -> Some { env with wires = (v, q) :: env.wires }
+
+  let bind_angle env v a =
+    match List.assoc_opt v env.angles with
+    | Some a' -> if a' = a then Some env else None
+    | None -> Some { env with angles = (v, a) :: env.angles }
+
+  (* Every extension of [env] under which [p] matches [g]; CZ tries both
+     operand orders. *)
+  let match_gate env p g =
+    let one = function Some e -> [ e ] | None -> [] in
+    match (p, g) with
+    | Px v, Gate.X q
+    | Py v, Gate.Y q
+    | Pz v, Gate.Z q
+    | Ph v, Gate.H q
+    | Ps v, Gate.S q
+    | Psdg v, Gate.Sdg q ->
+      one (bind_wire env v q)
+    | Prx (av, wv), Gate.Rx (theta, q)
+    | Pry (av, wv), Gate.Ry (theta, q)
+    | Prz (av, wv), Gate.Rz (theta, q) -> (
+      match bind_wire env wv q with
+      | None -> []
+      | Some e -> one (bind_angle e av theta))
+    | Pcnot (cv, tv), Gate.Cnot { control; target } -> (
+      match bind_wire env cv control with
+      | None -> []
+      | Some e -> one (bind_wire e tv target))
+    | Pcz (uv, vv), Gate.Cz (a, b) ->
+      let try_order x y =
+        match bind_wire env uv x with
+        | None -> []
+        | Some e -> one (bind_wire e vv y)
+      in
+      try_order a b @ try_order b a
+    | _, _ -> []
+
+  type rule = {
+    name : string;
+    pattern : gate_pattern list;
+    guard : device:Device.t option -> env -> bool;
+    replacement : env -> Gate.t list;
+  }
+
+  let direction_ok ~device ~control ~target =
+    match device with
+    | None -> true
+    | Some d -> Device.allows_cnot d ~control ~target
+
+  let no_guard ~device:_ _ = true
+
+  let conj name pattern replacement =
+    { name; pattern; guard = no_guard; replacement }
+
+  let rules =
+    [
+      {
+        name = "cnot-reversal";
+        pattern = [ Ph 0; Ph 1; Pcnot (2, 3); Ph 4; Ph 5 ];
+        guard =
+          (fun ~device env ->
+            let c = wire env 2 and t = wire env 3 in
+            let pair u v = (u = c && v = t) || (u = t && v = c) in
+            pair (wire env 0) (wire env 1)
+            && pair (wire env 4) (wire env 5)
+            && direction_ok ~device ~control:t ~target:c);
+        replacement =
+          (fun env ->
+            [ Gate.Cnot { control = wire env 3; target = wire env 2 } ]);
+      };
+      conj "h-x-h-to-z" [ Ph 0; Px 0; Ph 0 ] (fun env ->
+          [ Gate.Z (wire env 0) ]);
+      conj "h-z-h-to-x" [ Ph 0; Pz 0; Ph 0 ] (fun env ->
+          [ Gate.X (wire env 0) ]);
+      {
+        name = "h-cz-h-to-cnot";
+        pattern = [ Ph 0; Pcz (1, 0); Ph 0 ];
+        guard =
+          (fun ~device env ->
+            direction_ok ~device ~control:(wire env 1) ~target:(wire env 0));
+        replacement =
+          (fun env ->
+            [ Gate.Cnot { control = wire env 1; target = wire env 0 } ]);
+      };
+      conj "x-rz-x-flip" [ Px 0; Prz (0, 0); Px 0 ] (fun env ->
+          [ Gate.Rz (-.angle env 0, wire env 0) ]);
+      conj "x-ry-x-flip" [ Px 0; Pry (0, 0); Px 0 ] (fun env ->
+          [ Gate.Ry (-.angle env 0, wire env 0) ]);
+      conj "z-rx-z-flip" [ Pz 0; Prx (0, 0); Pz 0 ] (fun env ->
+          [ Gate.Rx (-.angle env 0, wire env 0) ]);
+      conj "z-ry-z-flip" [ Pz 0; Pry (0, 0); Pz 0 ] (fun env ->
+          [ Gate.Ry (-.angle env 0, wire env 0) ]);
+      conj "h-rx-h-to-rz" [ Ph 0; Prx (0, 0); Ph 0 ] (fun env ->
+          [ Gate.Rz (angle env 0, wire env 0) ]);
+      conj "h-rz-h-to-rx" [ Ph 0; Prz (0, 0); Ph 0 ] (fun env ->
+          [ Gate.Rx (angle env 0, wire env 0) ]);
+      conj "sdg-x-s-to-y" [ Psdg 0; Px 0; Ps 0 ] (fun env ->
+          [ Gate.Y (wire env 0) ]);
+      conj "s-y-sdg-to-x" [ Ps 0; Py 0; Psdg 0 ] (fun env ->
+          [ Gate.X (wire env 0) ]);
+      {
+        name = "cnot-triple-to-swap";
+        pattern = [ Pcnot (0, 1); Pcnot (1, 0); Pcnot (0, 1) ];
+        guard = (fun ~device _ -> device = None);
+        replacement = (fun env -> [ Gate.Swap (wire env 0, wire env 1) ]);
+      };
+    ]
+
+  (* Match [rule.pattern] against a prefix of [gates]; the first binding
+     that satisfies the guard wins. *)
+  let match_rule ~device rule gates =
+    let rec go envs pats gs =
+      match pats with
+      | [] -> (
+        match List.find_opt (fun e -> rule.guard ~device e) envs with
+        | Some e -> Some (rule.replacement e, gs)
+        | None -> None)
+      | p :: prest -> (
+        match gs with
+        | [] -> None
+        | g :: grest -> (
+          match List.concat_map (fun e -> match_gate e p g) envs with
+          | [] -> None
+          | envs' -> go envs' prest grest))
+    in
+    go [ empty_env ] rule.pattern gates
+
+  let apply_templates ?device ~selection c =
+    let enabled_rules =
+      List.filter (fun r -> Rewrite.enabled selection r.name) rules
+    in
+    let counts = Hashtbl.create 8 in
+    let bump name =
+      Hashtbl.replace counts name
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
+    in
+    let rec go acc todo =
+      match todo with
+      | [] -> List.rev acc
+      | g :: rest ->
+        let rec first = function
+          | [] -> None
+          | r :: more -> (
+            match match_rule ~device r todo with
+            | Some (replacement, tail) ->
+              bump r.name;
+              Some (replacement @ tail)
+            | None -> first more)
+        in
+        (match first enabled_rules with
+        | Some todo' -> go acc todo'
+        | None -> go (g :: acc) rest)
+    in
+    let gates = go [] (Circuit.gates c) in
+    let applied =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
+    in
+    if applied = [] then (c, [])
+    else (Circuit.make ~n:(Circuit.n_qubits c) gates, applied)
+end
+
+(* Random circuits on 2-4 qubits of up to 24 gates from H, X, Y, Z, S,
+   Sdg, Rx/Ry/Rz at edge angles (-0.0 included), CNOT and CZ (both
+   operand orders).  Gates come singly or as template-shaped motifs
+   whose kinds and wires are sometimes perturbed, so exact matches and
+   near misses both occur often.  Each case also draws a selection that
+   drops some templates, to exercise registry priority. *)
+let gen_diff_case st =
+  let n = 2 + Random.State.int st 3 in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let q () = Random.State.int st n in
+  let other a = (a + 1 + Random.State.int st (n - 1)) mod n in
+  let near a = if Random.State.int st 4 = 0 then q () else a in
+  let angle () = pick (-0.0 :: Fuzz.Gen.edge_angles) in
+  let h a = Gate.H a and x a = Gate.X a and y a = Gate.Y a
+  and z a = Gate.Z a and s a = Gate.S a and sdg a = Gate.Sdg a in
+  let rx a = Gate.Rx (angle (), a) and ry a = Gate.Ry (angle (), a)
+  and rz a = Gate.Rz (angle (), a) in
+  let cnot a = Gate.Cnot { control = a; target = other a } in
+  let cz a =
+    let b = other a in
+    if Random.State.bool st then Gate.Cz (a, b) else Gate.Cz (b, a)
+  in
+  let kinds = [ h; x; y; z; s; sdg; rx; ry; rz; cnot; cz ] in
+  let skeletons =
+    [ (h, x, h); (h, z, h); (h, cz, h); (x, rz, x); (x, ry, x); (z, rx, z);
+      (z, ry, z); (h, rx, h); (h, rz, h); (sdg, x, s); (s, y, sdg) ]
+  in
+  let piece () =
+    match Random.State.int st 5 with
+    | 0 | 1 -> [ (pick kinds) (q ()) ]
+    | 2 ->
+      let o, m, o' =
+        if Random.State.bool st then pick skeletons
+        else (pick kinds, pick kinds, pick kinds)
+      in
+      let a = q () in
+      [ o a; m (near a); o' (near a) ]
+    | 3 ->
+      let c = q () in
+      let t = other c in
+      let either () = near (if Random.State.bool st then c else t) in
+      [ h (either ()); h (either ());
+        Gate.Cnot { control = c; target = t }; h (either ()); h (either ()) ]
+    | _ ->
+      let a = q () in
+      let b = other a in
+      let cx c t = Gate.Cnot { control = c; target = t } in
+      [ cx a b;
+        (if Random.State.int st 4 = 0 then cnot (q ()) else cx b a);
+        (if Random.State.int st 4 = 0 then cnot (q ()) else cx a b) ]
+  in
+  let len = Random.State.int st 25 in
+  let rec fill acc =
+    if List.length acc >= len then List.filteri (fun i _ -> i < len) acc
+    else fill (acc @ piece ())
+  in
+  let selection =
+    List.fold_left
+      (fun acc name ->
+        if Random.State.int st 4 = 0 then acc ^ ",-" ^ name else acc)
+      "default" template_names
+  in
+  (Circuit.make ~n (fill []), sel selection)
+
+let angle_bits c =
+  List.map
+    (function
+      | Gate.Rx (t, _) | Gate.Ry (t, _) | Gate.Rz (t, _) | Gate.Phase (t, _) ->
+        Some (Int64.bits_of_float t)
+      | _ -> None)
+    (Circuit.gates c)
+
+let test_differential () =
+  let fired = Hashtbl.create 16 in
+  let devices n =
+    let chain = List.init (n - 1) (fun i -> (i, i + 1)) in
+    [ None;
+      Some (Device.make ~name:"one-way" ~n_qubits:n chain);
+      Some (Device.make ~name:"two-way" ~n_qubits:n
+              (chain @ List.map (fun (a, b) -> (b, a)) chain)) ]
+  in
+  let agrees ?device selection c =
+    let native, counts = Rewrite.apply_templates ?device ~selection c in
+    let reference, ref_counts =
+      Reference.apply_templates ?device ~selection c
+    in
+    List.iter
+      (fun (name, k) ->
+        Hashtbl.replace fired name
+          (k + Option.value ~default:0 (Hashtbl.find_opt fired name)))
+      counts;
+    Circuit.equal native reference
+    && angle_bits native = angle_bits reference
+    && counts = ref_counts
+  in
+  let prop =
+    QCheck2.Test.make ~name:"native templates = interpreter" ~count:2000
+      ~print:(fun (c, s) ->
+        Circuit.to_string c ^ "selection " ^ Rewrite.selection_to_string s)
+      (Testutil.of_fuzz_gen gen_diff_case)
+      (fun (c, selection) ->
+        List.for_all
+          (fun device ->
+            agrees ?device Rewrite.default_selection c
+            && agrees ?device selection c)
+          (devices (Circuit.n_qubits c)))
+  in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 16 |]) prop;
+  (* The comparison is only as good as the rules it exercises. *)
+  List.iter
+    (fun name ->
+      check_bool (name ^ " exercised") true
+        (Option.value ~default:0 (Hashtbl.find_opt fired name) > 0))
+    template_names
+
 (* --- README drift --- *)
 
 let read_lines path =
@@ -437,7 +753,7 @@ let read_lines path =
   go []
 
 (* Rows of the Optimization section's rule table:
-   | `name` | pattern | side condition | default |. *)
+   | `name` | pattern | side condition |. *)
 let readme_rule_rows () =
   let lines = read_lines "../README.md" in
   let in_section = ref false in
@@ -481,13 +797,11 @@ let test_readme_table () =
           |> List.filter (fun s -> s <> "")
         in
         (match cells with
-        | [ _; pattern; guard; dflt ] ->
+        | [ _; pattern; guard ] ->
           check_bool (name ^ " pattern in sync") true
             (pattern = r.Rewrite.pattern_doc);
           check_bool (name ^ " guard in sync") true
-            (guard = r.Rewrite.guard_doc);
-          check_bool (name ^ " default in sync") true
-            (dflt = if r.Rewrite.default_on then "yes" else "no")
+            (guard = r.Rewrite.guard_doc)
         | _ -> Alcotest.failf "%s: malformed table row" name))
     rows;
   (* Every engine pass is mentioned in the section too. *)
@@ -529,6 +843,8 @@ let () =
           Alcotest.test_case "fire" `Quick test_templates_fire;
           Alcotest.test_case "near miss" `Quick test_templates_near_miss;
           Alcotest.test_case "device guards" `Quick test_device_guards;
+          Alcotest.test_case "differential vs interpreter" `Quick
+            test_differential;
         ] );
       ( "engine passes",
         [

@@ -404,8 +404,11 @@ let test_batch_holds_compile_lock () =
 
 (* --- the socket layer --- *)
 
+(* Not "qsynth-serve...": test_fuzz counts that prefix in the shared
+   temp directory to catch leaks of the fuzzer's own sockets, and dune
+   runs the two suites at once. *)
 let temp_socket_path () =
-  let path = Filename.temp_file "qsynth-serve-test" ".sock" in
+  let path = Filename.temp_file "qsynth-test-sock" ".sock" in
   Sys.remove path;
   path
 
@@ -756,6 +759,26 @@ let test_worker_pool_stays_bounded () =
       check_int "every connection served" 30
         (c.Serve.connections_served - base))
 
+let test_large_frame_is_linear () =
+  (* A frame just under the default 4 MiB cap arrives in 8 KiB reads.
+     Re-copying the pending bytes on every read made its cost quadratic:
+     about 1 GB allocated for this one ping. *)
+  let daemon = Serve.create () in
+  with_server daemon (fun _path address ->
+      let pad = String.make (4 * 1024 * 1024 - 100 * 1024) 'x' in
+      let frame =
+        J.to_string (J.Obj [ ("op", J.String "ping"); ("pad", J.String pad) ])
+      in
+      let conn = connect_retry address 100 in
+      let before = Gc.allocated_bytes () in
+      let r = parse_response (Serve.Client.request conn frame) in
+      let grown = Gc.allocated_bytes () -. before in
+      Serve.Client.close conn;
+      check_int "large ping answered" 0 (int_field "code" r);
+      check_bool
+        (Printf.sprintf "%.0f MB allocated, under 64 MB" (grown /. 1e6))
+        true (grown < 64e6))
+
 let test_client_disconnect_is_clean () =
   (* The client hangs up between request and response: the daemon must
      absorb the EPIPE on the write and keep serving. *)
@@ -948,6 +971,8 @@ let () =
             test_concurrent_clients_loopback;
           Alcotest.test_case "worker pool stays bounded" `Quick
             test_worker_pool_stays_bounded;
+          Alcotest.test_case "large frame costs linear memory" `Quick
+            test_large_frame_is_linear;
           Alcotest.test_case "client disconnect is clean" `Quick
             test_client_disconnect_is_clean;
           Alcotest.test_case "overload sheds with retry_after_ms" `Quick
