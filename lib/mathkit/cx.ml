@@ -45,7 +45,6 @@ let round_part x =
   if r = 0.0 then 0.0 else r
 
 let round_key z = (round_part z.Complex.re, round_part z.Complex.im)
-let hash z = Hashtbl.hash (round_key z)
 
 let to_string z =
   let re = z.Complex.re and im = z.Complex.im in

@@ -50,12 +50,11 @@ val is_zero : ?eps:float -> t -> bool
 (** [is_one ?eps z] holds when [z] is within [eps] of one. *)
 val is_one : ?eps:float -> t -> bool
 
-(** [round_key z] rounds both parts to the canonical unique-table grid
-    (1e-10) and returns them; used as a hash key for near-equal weights. *)
+(** [round_key z] rounds both parts to the 1e-10 grid and returns them.
+    This grid defines when the QMDD unique table treats two edge
+    weights as the same: weights that round to one grid point share a
+    node. *)
 val round_key : t -> float * float
-
-(** [hash z] hashes the canonical rounding of [z]. *)
-val hash : t -> int
 
 (** [to_string z] renders [z] compactly, e.g. ["0.7071+0.7071i"]. *)
 val to_string : t -> string

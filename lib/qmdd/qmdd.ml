@@ -1,17 +1,146 @@
 open Mathkit
 
-type node = { id : int; var : int; edges : edge array }
-and edge = { w : Cx.t; node : node }
+(* A weight in canonical form: the representative [value], its id
+   [wid] in the manager's value table and its grid class [cls] (see
+   [grid_class]).
+   Every representative has exactly one such record, shared by all the
+   edges that carry it.  A record with [wid = -1] is raw: a matrix entry
+   not snapped yet, which only gate construction hands to [make_node]. *)
+type weight = { value : Cx.t; wid : int; cls : int }
 
-type unique_key = int * ((float * float) * int) array
+type node = { id : int; var : int; edges : edge array }
+and edge = { w : weight; node : node }
+
+(* Every manager gives zero id 0 and one id 1, and files them under grid
+   classes 0 and 1, so the two records are shared. *)
+let zero_weight = { value = Cx.zero; wid = 0; cls = 0 }
+let one_weight = { value = Cx.one; wid = 1; cls = 1 }
+let raw z = { value = z; wid = -1; cls = -1 }
+
+(* Integer hashing for the tables below: multiply to carry low-bit
+   differences up, fold the high half back down. *)
+let mix h =
+  let h = h * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
+
+let combine h x = (h * 0x1F0A3BD5) + x
+
+(* The unique table.  Two nodes are the same when they agree on the
+   variable and, edge by edge, on the child and the weight's grid
+   class: representatives closer than the 1e-10 grid share a node. *)
+module Unique = Hashtbl.Make (struct
+  type t = node
+
+  let same_edge e f = e.node == f.node && e.w.cls = f.w.cls
+
+  let equal a b =
+    a.var = b.var
+    && same_edge a.edges.(0) b.edges.(0)
+    && same_edge a.edges.(1) b.edges.(1)
+    && same_edge a.edges.(2) b.edges.(2)
+    && same_edge a.edges.(3) b.edges.(3)
+
+  let hash n =
+    let edge h e = combine (combine h e.node.id) e.w.cls in
+    let es = n.edges in
+    mix (edge (edge (edge (edge n.var es.(0)) es.(1)) es.(2)) es.(3))
+end)
+
+(* An open-addressing table keyed by three non-negative ints, for the
+   operation caches and the weight memo: a probe allocates nothing and
+   hashes and compares integers only.  Entries are never removed one by
+   one; [reset] empties the whole table. *)
+module Int3_table = struct
+  type 'a t = {
+    mutable keys : int array;  (* three per slot; a free slot starts -1 *)
+    mutable values : 'a array;
+    mutable count : int;
+    absent : 'a;  (* what [find] returns for a missing key *)
+  }
+
+  let initial_slots = 1024
+
+  let create absent =
+    {
+      keys = Array.make (3 * initial_slots) (-1);
+      values = Array.make initial_slots absent;
+      count = 0;
+      absent;
+    }
+
+  let length t = t.count
+
+  let reset t =
+    t.keys <- Array.make (3 * initial_slots) (-1);
+    t.values <- Array.make initial_slots t.absent;
+    t.count <- 0
+
+  (* The slot holding key (a, b, c), or the free slot where it belongs,
+     probing linearly from slot [i]. *)
+  let rec probe t a b c i =
+    let k = 3 * i in
+    let ka = t.keys.(k) in
+    if ka < 0 || (ka = a && t.keys.(k + 1) = b && t.keys.(k + 2) = c) then i
+    else probe t a b c ((i + 1) land (Array.length t.values - 1))
+
+  let slot t a b c =
+    probe t a b c
+      (mix (combine (combine a b) c) land (Array.length t.values - 1))
+
+  let find t a b c =
+    let i = slot t a b c in
+    if t.keys.(3 * i) < 0 then t.absent else t.values.(i)
+
+  let set t i a b c v =
+    t.keys.(3 * i) <- a;
+    t.keys.((3 * i) + 1) <- b;
+    t.keys.((3 * i) + 2) <- c;
+    t.values.(i) <- v
+
+  let grow t =
+    let keys = t.keys and values = t.values in
+    let slots = 2 * Array.length values in
+    t.keys <- Array.make (3 * slots) (-1);
+    t.values <- Array.make slots t.absent;
+    Array.iteri
+      (fun i v ->
+        let a = keys.(3 * i) in
+        if a >= 0 then begin
+          let b = keys.((3 * i) + 1) and c = keys.((3 * i) + 2) in
+          set t (slot t a b c) a b c v
+        end)
+      values
+
+  let replace t a b c v =
+    let i = slot t a b c in
+    if t.keys.(3 * i) >= 0 then t.values.(i) <- v
+    else begin
+      set t i a b c v;
+      t.count <- t.count + 1;
+      if 2 * t.count > Array.length t.values then grow t
+    end
+end
+
+(* A memoized [canonical (a op b)], valid while the weight table holds
+   [stamp] representatives.  A stale entry is rewritten in place. *)
+type memo_entry = { mutable result : weight; mutable stamp : int }
+
+(* What the memo's [find] returns for a missing key; never written. *)
+let no_entry = { result = zero_weight; stamp = -1 }
 
 type manager = {
   n : int;
   terminal : node;
-  unique : (unique_key, node) Hashtbl.t;
-  values : (int * int, Cx.t list) Hashtbl.t;
-  mul_cache : (int * int, edge) Hashtbl.t;
-  add_cache : (int * int * (float * float), edge) Hashtbl.t;
+  zero_edge : edge;
+  unique : node Unique.t;
+  values : (int * int, weight list) Hashtbl.t;
+      (* the value table: representatives by bucket, oldest first *)
+  classes : (float * float, int) Hashtbl.t;
+      (* grid class of each [Cx.round_key] a representative has had *)
+  mutable n_weights : int;  (* representatives so far, zero and one included *)
+  memo : memo_entry Int3_table.t;  (* keyed by (operation, wid, wid) *)
+  mul_cache : edge Int3_table.t;  (* keyed by (node id, node id, 0) *)
+  add_cache : edge Int3_table.t;  (* keyed by (node id, node id, ratio class) *)
   gates : (Gate.t, edge) Hashtbl.t;
       (* every gate diagram built so far: a circuit applies few distinct
          gates many times, and each build is n [make_node] calls *)
@@ -59,11 +188,23 @@ let bucket_scale = 1e9
 
 let bucket x = int_of_float (Float.round (x *. bucket_scale))
 
+(* The grid class of a new representative: one integer per distinct
+   [Cx.round_key], the point of the 1e-10 grid the unique table compares
+   weights on. *)
+let grid_class m z =
+  let key = Cx.round_key z in
+  match Hashtbl.find_opt m.classes key with
+  | Some c -> c
+  | None ->
+    let c = Hashtbl.length m.classes in
+    Hashtbl.add m.classes key c;
+    c
+
 (* Map a freshly computed weight onto the canonical representative stored
    in the value table, so that near-equal floats coming from different
-   computation paths become physically identical and hash identically.
-   Checking the 3x3 neighborhood of the bucket covers values that land
-   just across a bucket boundary.
+   computation paths become one shared [weight] with one id.  Checking
+   the 3x3 neighborhood of the bucket covers values that land just
+   across a bucket boundary.
 
    Each bucket holds a {e chain} of representatives, oldest first: a
    miss appends instead of overwriting, so a new weight that shares a
@@ -73,10 +214,15 @@ let bucket x = int_of_float (Float.round (x *. bucket_scale))
    node dedup — every stream switch would re-canonicalize the other
    stream's nodes to a fresh representative.)  Chains stay short: a
    bucket is [weight_eps] wide while representatives must be more than
-   [2 * weight_eps] apart to coexist. *)
+   [2 * weight_eps] apart to coexist.
+
+   Snapping a representative's own value returns that representative:
+   everything ahead of it in its bucket's chain was there, and failed to
+   match it, when it was appended.  So a weight that already has an id
+   never needs snapping again.  This is the only place ids are given. *)
 let canonical m z =
-  if Cx.is_zero ~eps:weight_eps z then Cx.zero
-  else if Cx.is_one ~eps:weight_eps z then Cx.one
+  if Cx.is_zero ~eps:weight_eps z then zero_weight
+  else if Cx.is_one ~eps:weight_eps z then one_weight
   else
     let br = bucket z.Complex.re and bi = bucket z.Complex.im in
     (* The matching tolerance shrinks with the weight's magnitude:
@@ -99,15 +245,17 @@ let canonical m z =
     in
     let rec scan = function
       | [] ->
+        let rep = { value = z; wid = m.n_weights; cls = grid_class m z } in
+        m.n_weights <- m.n_weights + 1;
         let chain =
           Option.value ~default:[] (Hashtbl.find_opt m.values (br, bi))
         in
-        Hashtbl.replace m.values (br, bi) (chain @ [ z ]);
-        z
+        Hashtbl.replace m.values (br, bi) (chain @ [ rep ]);
+        rep
       | (dr, di) :: rest -> (
         match Hashtbl.find_opt m.values (br + dr, bi + di) with
         | Some chain -> (
-          match List.find_opt (fun rep -> matching rep z) chain with
+          match List.find_opt (fun rep -> matching rep.value z) chain with
           | Some rep -> rep
           | None -> scan rest)
         | None -> scan rest)
@@ -116,16 +264,62 @@ let canonical m z =
       [ (0, 0); (1, 0); (-1, 0); (0, 1); (0, -1); (1, 1); (1, -1); (-1, 1);
         (-1, -1) ]
 
+(* The operation caches and the memo grow with every distinct key; on
+   the 96-qubit verifications that is the dominant memory consumer, so
+   they are emptied once they pass a bound.  Dropping a table only costs
+   recomputation, never correctness. *)
+let cache_bound = 2_000_000
+
+let trim_cache table =
+  if Int3_table.length table > cache_bound then Int3_table.reset table
+
+(* [canonical (op a.value b.value)] for canonical [a] and [b], memoized
+   by ids.  Snapping depends only on the value and the value table, and
+   the table only grows, so an entry written when the table held as many
+   representatives as it does now is exactly what snapping again would
+   return. *)
+let memoized m op compute a b =
+  let entry = Int3_table.find m.memo op a.wid b.wid in
+  if entry.stamp = m.n_weights then entry.result
+  else begin
+    let result = canonical m (compute a.value b.value) in
+    if entry != no_entry then begin
+      entry.result <- result;
+      entry.stamp <- m.n_weights
+    end
+    else begin
+      trim_cache m.memo;
+      Int3_table.replace m.memo op a.wid b.wid
+        { result; stamp = m.n_weights }
+    end;
+    result
+  end
+
+let product m a b = memoized m 0 Cx.mul a b
+let quotient m a b = memoized m 1 Cx.div a b
+let sum m a b = memoized m 2 Cx.add a b
+
+(* What the caches' [find] returns for a missing key. *)
+let absent_edge =
+  { w = zero_weight; node = { id = -1; var = -1; edges = [||] } }
+
 let create ~n =
   if n <= 0 then invalid_arg "Qmdd.create: need at least one qubit";
   let terminal = { id = 0; var = n; edges = [||] } in
+  let classes = Hashtbl.create 1024 in
+  Hashtbl.add classes (Cx.round_key Cx.zero) zero_weight.cls;
+  Hashtbl.add classes (Cx.round_key Cx.one) one_weight.cls;
   {
     n;
     terminal;
-    unique = Hashtbl.create 4096;
+    zero_edge = { w = zero_weight; node = terminal };
+    unique = Unique.create 4096;
     values = Hashtbl.create 1024;
-    mul_cache = Hashtbl.create 4096;
-    add_cache = Hashtbl.create 4096;
+    classes;
+    n_weights = 2;
+    memo = Int3_table.create no_entry;
+    mul_cache = Int3_table.create absent_edge;
+    add_cache = Int3_table.create absent_edge;
     gates = Hashtbl.create 64;
     next_id = 1;
     identity_from = [||];
@@ -143,7 +337,7 @@ let allocated_nodes m = m.next_id
 
 let stats m =
   {
-    unique_nodes = Hashtbl.length m.unique;
+    unique_nodes = Unique.length m.unique;
     peak_unique_nodes = m.peak_unique;
     allocated = m.next_id;
     mul_cache_hits = m.mul_hits;
@@ -152,45 +346,45 @@ let stats m =
     add_cache_misses = m.add_misses;
   }
 
-let zero_edge m = { w = Cx.zero; node = m.terminal }
-let terminal_one m = { w = Cx.one; node = m.terminal }
+let zero_edge m = m.zero_edge
+let terminal_one m = { w = one_weight; node = m.terminal }
 
-let edge_key e = (Cx.round_key e.w, e.node.id)
+let rec first_nonzero edges k =
+  if k < 4 && edges.(k).w.wid = 0 then first_nonzero edges (k + 1) else k
 
 (* Hash-consing constructor.  Normalizes so the leftmost non-zero edge
    weight is exactly one; the factored-out weight becomes the weight of
-   the returned edge. *)
+   the returned edge.  Only raw weights are snapped here; every other
+   edge already carries a representative.  [edges] must be a fresh
+   array of four: it is normalized in place and becomes the node's. *)
 let make_node m var edges =
-  let edges =
-    Array.map
-      (fun e ->
-        let w = canonical m e.w in
-        if w == Cx.zero || Cx.is_zero ~eps:weight_eps w then zero_edge m
-        else { e with w })
-      edges
-  in
-  let rec first_nonzero k =
-    if k >= 4 then None
-    else if Cx.is_zero ~eps:weight_eps edges.(k).w then first_nonzero (k + 1)
-    else Some k
-  in
-  match first_nonzero 0 with
-  | None -> zero_edge m
-  | Some k ->
+  for k = 0 to 3 do
+    let e = edges.(k) in
+    if e.w.wid = 0 then edges.(k) <- zero_edge m
+    else if e.w.wid < 0 then begin
+      let w = canonical m e.w.value in
+      edges.(k) <- (if w.wid = 0 then zero_edge m else { e with w })
+    end
+  done;
+  match first_nonzero edges 0 with
+  | 4 -> zero_edge m
+  | k ->
     let norm = edges.(k).w in
-    let normalized =
-      Array.mapi
-        (fun idx e ->
-          if Cx.is_zero ~eps:weight_eps e.w then zero_edge m
-          else if idx = k then { e with w = Cx.one }
-          else { e with w = canonical m (Cx.div e.w norm) })
-        edges
-    in
-    let key = (var, Array.map edge_key normalized) in
+    (* Zero edges are already the terminal's, from the loop above. *)
+    for idx = 0 to 3 do
+      let e = edges.(idx) in
+      if e.w.wid <> 0 then begin
+        let w = if idx = k then one_weight else quotient m e.w norm in
+        if w != e.w then edges.(idx) <- { e with w }
+      end
+    done;
+    (* A fresh node takes the next id, so the candidate is built with it
+       and kept only when the table has no equal node. *)
+    let candidate = { id = m.next_id; var; edges } in
     let node =
-      match Hashtbl.find_opt m.unique key with
-      | Some node -> node
-      | None ->
+      match Unique.find m.unique candidate with
+      | node -> node
+      | exception Not_found ->
         (match m.budget with
         | Some budget when m.next_id > budget -> raise Node_budget_exceeded
         | Some _ | None -> ());
@@ -198,19 +392,19 @@ let make_node m var edges =
         | Some d when m.next_id land (deadline_stride - 1) = 0 ->
           if Int64.compare (now_ns ()) d >= 0 then raise Deadline_exceeded
         | Some _ | None -> ());
-        let node = { id = m.next_id; var; edges = normalized } in
         m.next_id <- m.next_id + 1;
-        Hashtbl.add m.unique key node;
-        let live = Hashtbl.length m.unique in
+        Unique.add m.unique candidate candidate;
+        let live = Unique.length m.unique in
         if live > m.peak_unique then m.peak_unique <- live;
-        node
+        candidate
     in
     { w = norm; node }
 
 let scale_edge m s e =
-  if Cx.is_zero ~eps:weight_eps s || Cx.is_zero ~eps:weight_eps e.w then
-    zero_edge m
-  else { e with w = canonical m (Cx.mul s e.w) }
+  if s.wid = 0 || e.w.wid = 0 then zero_edge m
+  else
+    let w = product m s e.w in
+    if w == e.w then e else { e with w }
 
 let build_identity_table m =
   let table = Array.make (m.n + 1) (terminal_one m) in
@@ -227,41 +421,33 @@ let identity_from m v =
 let identity m = identity_from m 0
 let zero m = zero_edge m
 
-(* The operation caches grow with every distinct (operand, operand)
-   pair; on the 96-qubit verifications that is the dominant memory
-   consumer, so they are emptied once they pass a bound.  Dropping a
-   cache only costs recomputation, never correctness. *)
-let cache_bound = 2_000_000
-
-let trim_cache table =
-  if Hashtbl.length table > cache_bound then Hashtbl.reset table
-
 let rec add m a b =
   trim_cache m.add_cache;
-  if Cx.is_zero ~eps:weight_eps a.w then b
-  else if Cx.is_zero ~eps:weight_eps b.w then a
+  if a.w.wid = 0 then b
+  else if b.w.wid = 0 then a
   else if a.node == m.terminal then
-    let w = canonical m (Cx.add a.w b.w) in
-    if Cx.is_zero ~eps:weight_eps w then zero_edge m else { w; node = m.terminal }
+    let w = sum m a.w b.w in
+    if w.wid = 0 then zero_edge m else { w; node = m.terminal }
   else begin
     (* Factor the first weight out so the cache works on (node, node,
        weight-ratio); addition is linear, so scaling back is sound. *)
-    let ratio = canonical m (Cx.div b.w a.w) in
-    let key = (a.node.id, b.node.id, Cx.round_key ratio) in
+    let ratio = quotient m b.w a.w in
+    let cached = Int3_table.find m.add_cache a.node.id b.node.id ratio.cls in
     let unit_result =
-      match Hashtbl.find_opt m.add_cache key with
-      | Some r ->
+      if cached != absent_edge then begin
         m.add_hits <- m.add_hits + 1;
-        r
-      | None ->
+        cached
+      end
+      else begin
         m.add_misses <- m.add_misses + 1;
         let children =
           Array.init 4 (fun k ->
               add m a.node.edges.(k) (scale_edge m ratio b.node.edges.(k)))
         in
         let r = make_node m a.node.var children in
-        Hashtbl.replace m.add_cache key r;
+        Int3_table.replace m.add_cache a.node.id b.node.id ratio.cls r;
         r
+      end
     in
     scale_edge m a.w unit_result
   end
@@ -275,8 +461,7 @@ let is_identity_node m node =
 
 let rec multiply m a b =
   trim_cache m.mul_cache;
-  if Cx.is_zero ~eps:weight_eps a.w || Cx.is_zero ~eps:weight_eps b.w then
-    zero_edge m
+  if a.w.wid = 0 || b.w.wid = 0 then zero_edge m
   else if a.node == m.terminal then scale_edge m a.w b
   else if b.node == m.terminal then scale_edge m b.w a
   (* A gate's diagram is a scaled identity below its lowest qubit, so
@@ -285,15 +470,19 @@ let rec multiply m a b =
   else if is_identity_node m a.node then scale_edge m a.w b
   else if is_identity_node m b.node then scale_edge m b.w a
   else begin
-    let key = (a.node.id, b.node.id) in
+    let cached = Int3_table.find m.mul_cache a.node.id b.node.id 0 in
     let unit_result =
-      match Hashtbl.find_opt m.mul_cache key with
-      | Some r ->
+      if cached != absent_edge then begin
         m.mul_hits <- m.mul_hits + 1;
-        r
-      | None ->
+        cached
+      end
+      else begin
         m.mul_misses <- m.mul_misses + 1;
-        (* Quadrant (i,j) of the product is sum_k A(i,k) * B(k,j). *)
+        (* Quadrant (i,j) of the product is sum_k A(i,k) * B(k,j).  The
+           array literal builds the quadrants right to left, and [add]
+           takes its second operand first: that order decides which
+           weights are snapped first, and so which become
+           representatives. *)
         let quadrant i j =
           add m
             (multiply m a.node.edges.((2 * i) + 0) b.node.edges.((2 * 0) + j))
@@ -303,22 +492,24 @@ let rec multiply m a b =
           [| quadrant 0 0; quadrant 0 1; quadrant 1 0; quadrant 1 1 |]
         in
         let r = make_node m a.node.var children in
-        Hashtbl.replace m.mul_cache key r;
+        Int3_table.replace m.mul_cache a.node.id b.node.id 0 r;
         r
+      end
     in
-    scale_edge m (canonical m (Cx.mul a.w b.w)) unit_result
+    scale_edge m (product m a.w b.w) unit_result
   end
 
 (* Construction of a single-target controlled gate.  [diag v alpha beta]
    is the diagonal matrix over variables v..n-1 whose entry is [alpha]
-   on rows where every control below v is 1, and [beta] elsewhere. *)
+   on rows where every control below v is 1, and [beta] elsewhere.
+   [alpha] is a raw matrix entry, snapped by the [make_node] that first
+   takes it; [beta] is zero or one. *)
 let controlled_gate m ~controls ~target ~u =
   let in_controls = Array.make m.n false in
   List.iter (fun c -> in_controls.(c) <- true) controls;
   let rec diag v alpha beta =
-    if Cx.is_zero ~eps:weight_eps alpha && Cx.is_zero ~eps:weight_eps beta then
-      zero_edge m
-    else if v = m.n then { w = alpha; node = m.terminal }
+    if Cx.is_zero ~eps:weight_eps alpha && beta.wid = 0 then zero_edge m
+    else if v = m.n then { w = raw alpha; node = m.terminal }
     else if in_controls.(v) then
       make_node m v
         [|
@@ -335,7 +526,7 @@ let controlled_gate m ~controls ~target ~u =
     if v = target then
       let quadrant i j =
         let alpha = Matrix.get u i j in
-        let beta = if i = j then Cx.one else Cx.zero in
+        let beta = if i = j then one_weight else zero_weight in
         diag (v + 1) alpha beta
       in
       make_node m v [| quadrant 0 0; quadrant 0 1; quadrant 1 0; quadrant 1 1 |]
@@ -417,11 +608,11 @@ let of_circuit ?node_budget m c =
   with_budget m node_budget (fun () ->
       Circuit.fold (fun acc g -> apply m g acc) (identity m) c)
 
-let equal a b = a.node == b.node && a.w = b.w
+let equal a b = a.node == b.node && a.w.wid = b.w.wid
 
 let equal_up_to_phase a b =
   a.node == b.node
-  && abs_float (Cx.norm a.w -. Cx.norm b.w) <= 1e-6
+  && abs_float (Cx.norm a.w.value -. Cx.norm b.w.value) <= 1e-6
 
 (* [canonical] snaps each weight to a bucket representative up to
    [2 * weight_eps] away, and a product of many gates accumulates those
@@ -430,10 +621,10 @@ let equal_up_to_phase a b =
    irrational-angle circuits fail their own equivalence check.  1e-6
    matches the phase-insensitive variant below. *)
 let is_identity m e =
-  e.node == (identity m).node && Cx.is_one ~eps:1e-6 e.w
+  e.node == (identity m).node && Cx.is_one ~eps:1e-6 e.w.value
 
 let is_identity_up_to_phase m e =
-  e.node == (identity m).node && abs_float (Cx.norm e.w -. 1.0) <= 1e-6
+  e.node == (identity m).node && abs_float (Cx.norm e.w.value -. 1.0) <= 1e-6
 
 (* Relabel both circuits so qubits appear in first-use order (reference
    first, then the candidate), clustering interacting qubits in the
@@ -518,6 +709,12 @@ let adjoint m e =
   (* Transpose the quadrant structure (U01 <-> U10) and conjugate the
      weights.  Unit-weight results are cached per node. *)
   let cache = Hashtbl.create 256 in
+  (* [conj w * e.w], snapped: the conjugate of a representative is a raw
+     weight, so this product is not memoized. *)
+  let scale_conj w e =
+    if w.wid = 0 || e.w.wid = 0 then zero_edge m
+    else { e with w = canonical m (Cx.mul (Cx.conj w.value) e.w.value) }
+  in
   let rec walk node =
     if node == m.terminal then terminal_one m
     else
@@ -526,8 +723,7 @@ let adjoint m e =
       | None ->
         let child k =
           let c = node.edges.(k) in
-          if Cx.is_zero ~eps:weight_eps c.w then zero_edge m
-          else scale_edge m (Cx.conj c.w) (walk c.node)
+          if c.w.wid = 0 then zero_edge m else scale_conj c.w (walk c.node)
         in
         let r =
           make_node m node.var [| child 0; child 2; child 1; child 3 |]
@@ -535,7 +731,7 @@ let adjoint m e =
         Hashtbl.replace cache node.id r;
         r
   in
-  scale_edge m (Cx.conj e.w) (walk e.node)
+  scale_conj e.w (walk e.node)
 
 (* The diagonal sum, multiplied by [per_level] once per variable:
    [per_level = 0.5] gives tr / 2^n without ever forming 2^n, which
@@ -550,14 +746,13 @@ let diagonal_sum m e ~per_level =
       | None ->
         let part k =
           let c = node.edges.(k) in
-          if Cx.is_zero ~eps:weight_eps c.w then Cx.zero
-          else Cx.mul c.w (walk c.node)
+          if c.w.wid = 0 then Cx.zero else Cx.mul c.w.value (walk c.node)
         in
         let t = Cx.scale per_level (Cx.add (part 0) (part 3)) in
         Hashtbl.replace cache node.id t;
         t
   in
-  Cx.mul e.w (walk e.node)
+  Cx.mul e.w.value (walk e.node)
 
 let trace m e = diagonal_sum m e ~per_level:1.0
 
@@ -600,24 +795,24 @@ let classical_outcome m state ~from =
      nonzero, with unit weight overall. *)
   let row = Array.make m.n false in
   let rec walk e v magnitude =
-    if Cx.is_zero ~eps:weight_eps e.w then None
+    if e.w.wid = 0 then None
     else if v = m.n then begin
-      let mag = magnitude *. Cx.norm e.w in
+      let mag = magnitude *. Cx.norm e.w.value in
       if abs_float (mag -. 1.0) <= 1e-6 then Some (Array.copy row) else None
     end
     else begin
       let cbit = if from.(v) then 1 else 0 in
       let zero_branch = e.node.edges.((2 * 0) + cbit) in
       let one_branch = e.node.edges.((2 * 1) + cbit) in
-      let z_alive = not (Cx.is_zero ~eps:weight_eps zero_branch.w) in
-      let o_alive = not (Cx.is_zero ~eps:weight_eps one_branch.w) in
+      let z_alive = zero_branch.w.wid <> 0 in
+      let o_alive = one_branch.w.wid <> 0 in
       match (z_alive, o_alive) with
       | true, false ->
         row.(v) <- false;
-        walk zero_branch (v + 1) (magnitude *. Cx.norm e.w)
+        walk zero_branch (v + 1) (magnitude *. Cx.norm e.w.value)
       | false, true ->
         row.(v) <- true;
-        walk one_branch (v + 1) (magnitude *. Cx.norm e.w)
+        walk one_branch (v + 1) (magnitude *. Cx.norm e.w.value)
       | true, true | false, false -> None
     end
   in
@@ -638,11 +833,11 @@ let node_count e =
    from [row_bit] and [col_bit]. *)
 let entry_at m e ~row_bit ~col_bit =
   let rec walk e v =
-    if Cx.is_zero ~eps:weight_eps e.w then Cx.zero
-    else if v = m.n then e.w
+    if e.w.wid = 0 then Cx.zero
+    else if v = m.n then e.w.value
     else
       let child = e.node.edges.((2 * row_bit v) + col_bit v) in
-      Cx.mul e.w (walk child (v + 1))
+      Cx.mul e.w.value (walk child (v + 1))
   in
   walk e 0
 
@@ -682,7 +877,7 @@ let to_dot m e =
   Buffer.add_string buf "digraph qmdd {\n  rankdir=TB;\n";
   Buffer.add_string buf
     (Printf.sprintf "  root [shape=none, label=\"%s\"];\n  root -> n%d;\n"
-       (Cx.to_string e.w) e.node.id);
+       (Cx.to_string e.w.value) e.node.id);
   iter_nodes e (fun node ->
       if node == m.terminal then
         Buffer.add_string buf
@@ -693,7 +888,7 @@ let to_dot m e =
              node.var);
         Array.iteri
           (fun k child ->
-            if Cx.is_zero ~eps:weight_eps child.w then
+            if child.w.wid = 0 then
               Buffer.add_string buf
                 (Printf.sprintf
                    "  z%d_%d [shape=point]; n%d -> z%d_%d [label=\"0 (U%d%d)\", style=dashed];\n"
@@ -701,7 +896,7 @@ let to_dot m e =
             else
               Buffer.add_string buf
                 (Printf.sprintf "  n%d -> n%d [label=\"%s (U%d%d)\"];\n"
-                   node.id child.node.id (Cx.to_string child.w) (k / 2)
+                   node.id child.node.id (Cx.to_string child.w.value) (k / 2)
                    (k mod 2)))
           node.edges
       end);
@@ -710,7 +905,8 @@ let to_dot m e =
 
 let to_ascii m e =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "root --%s--> n%d\n" (Cx.to_string e.w) e.node.id);
+  Buffer.add_string buf
+    (Printf.sprintf "root --%s--> n%d\n" (Cx.to_string e.w.value) e.node.id);
   iter_nodes e (fun node ->
       if node == m.terminal then
         Buffer.add_string buf (Printf.sprintf "n%d: terminal(1)\n" node.id)
@@ -719,8 +915,10 @@ let to_ascii m e =
         Array.iteri
           (fun k child ->
             let label =
-              if Cx.is_zero ~eps:weight_eps child.w then "0"
-              else Printf.sprintf "%s*n%d" (Cx.to_string child.w) child.node.id
+              if child.w.wid = 0 then "0"
+              else
+                Printf.sprintf "%s*n%d" (Cx.to_string child.w.value)
+                  child.node.id
             in
             Buffer.add_string buf
               (Printf.sprintf "%sU%d%d=%s" (if k = 0 then "[" else " ") (k / 2)

@@ -15,6 +15,24 @@
     two circuits have pointer-equal QMDDs iff their matrices agree, which
     is exactly the equivalence check the compiler runs on every output.
 
+    Canonicalization.  The value table snaps every computed weight to a
+    representative: the first stored value within 2e-9 * min(1, |w|)
+    of it, scanning the weight's 1e-9 bucket and then its eight
+    neighbours, oldest first in each.
+    Each representative gets an integer id in its manager (zero is 0,
+    one is 1), and an edge carries its representative, so a weight that
+    has an id is never snapped again.  The unique table compares a
+    node's variable and, edge by edge, the child and the weight's grid
+    class: representatives that {!Mathkit.Cx.round_key} maps to one
+    point of its 1e-10 grid share a class, and so a node.  The multiply
+    cache is keyed by the two node ids, the add cache by the two node
+    ids and the class of the weight ratio.  The snapped product,
+    quotient and sum of two representatives are memoized by their ids;
+    an entry is used only while the value table holds as many
+    representatives as when it was written, since a new one can change
+    what a value snaps to.  The ids and the memo only save work: every
+    diagram is the one the value table alone would give.
+
     All diagrams belong to a [manager] that owns the unique table and the
     operation caches.  Diagrams from different managers must not be
     mixed. *)

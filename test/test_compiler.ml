@@ -672,7 +672,7 @@ let test_deadline_degrades_not_aborts () =
       (String.concat "; " (List.map Diagnostic.to_string ds))
 
 (* A circuit whose QMDD equivalence check takes a few hundred
-   milliseconds: three layers of H, an irrational Rz and a CNOT five
+   milliseconds: ten layers of H, an irrational Rz and a CNOT five
    qubits away over 16 qubits.  Routing those CNOTs on ibmqx5 inserts
    SWAP chains, and the distinct angles keep the diagram's weights from
    collapsing, so the check cannot finish inside the sliver of budget
@@ -680,7 +680,7 @@ let test_deadline_degrades_not_aborts () =
 let verification_heavy =
   let n = 16 in
   let gates = ref [] in
-  for layer = 1 to 3 do
+  for layer = 1 to 10 do
     for q = 0 to n - 1 do
       let angle = (sqrt 2.0 *. float_of_int (q + 1)) +. float_of_int layer in
       gates := Gate.Rz (angle, q) :: Gate.H q :: !gates;
@@ -767,13 +767,13 @@ let test_deadline_enforced_inside_verification () =
     Alcotest.failf "deadline compile aborted: %s"
       (String.concat "; " (List.map Diagnostic.to_string ds))
 
-(* The first two gates of the T6_b cascade on big96: past the dense
+(* The first three gates of the T6_b cascade on big96: past the dense
    oracle's width, and the strict-mode check of the first swap-level
    sweep takes QMDD well over half a second. *)
 let strict_heavy () =
   let t6 = Benchsuite.Big_cascades.circuit (Benchsuite.Big_cascades.find "T6_b") in
   Circuit.make ~n:(Circuit.n_qubits t6)
-    (List.filteri (fun i _ -> i < 2) (Circuit.gates t6))
+    (List.filteri (fun i _ -> i < 3) (Circuit.gates t6))
 
 let test_strict_check_keeps_deadline () =
   (* Regression: strict mode's oracle check of an optimizer sweep ran

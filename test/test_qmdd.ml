@@ -485,38 +485,56 @@ let test_gate_memo () =
     (Qmdd.equal (Qmdd.gate m (Gate.Swap (0, 3)))
        (Qmdd.multiply m (cnot 0 3) (Qmdd.multiply m (cnot 3 0) (cnot 0 3))))
 
-(* Per-check (allocated, peak_unique_nodes, multiply-cache probes) of
-   the staged proof of T6_b's first gate compiled to big96, measured
-   before gate diagrams were memoized and identity operands
-   short-circuited: reference = native, the 72 routed CNOT blocks,
-   then unoptimized = optimized. *)
+(* Per-check [Qmdd.stats] of the staged proof of T6_b's first gate
+   compiled to big96, as (unique, peak, allocated, multiply-cache hits,
+   misses, add-cache hits, misses), measured before weights had ids:
+   reference = native, the 72 routed CNOT blocks, then unoptimized =
+   optimized. *)
 let t6_prefix_checks =
   [|
-    (3591, 3590, 11823); (351, 350, 1275); (825, 824, 2861); (351, 350, 1275);
-    (825, 824, 2861); (178, 177, 596); (178, 177, 596); (99, 98, 198);
-    (328, 327, 1144); (99, 98, 198); (328, 327, 1144); (189, 188, 663);
-    (189, 188, 663); (1137, 1136, 3835); (351, 350, 1275); (1137, 1136, 3835);
-    (351, 350, 1275); (306, 305, 1075); (306, 305, 1075); (179, 178, 577);
-    (111, 110, 252); (179, 178, 577); (111, 110, 252); (111, 110, 252);
-    (111, 110, 252); (1137, 1136, 3835); (351, 350, 1275); (1137, 1136, 3835);
-    (351, 350, 1275); (306, 305, 1075); (306, 305, 1075); (99, 98, 198);
-    (328, 327, 1144); (99, 98, 198); (328, 327, 1144); (189, 188, 663);
-    (189, 188, 663); (351, 350, 1275); (825, 824, 2861); (351, 350, 1275);
-    (825, 824, 2861); (178, 177, 596); (178, 177, 596); (99, 98, 198);
-    (328, 327, 1144); (99, 98, 198); (328, 327, 1144); (189, 188, 663);
-    (189, 188, 663); (1137, 1136, 3835); (351, 350, 1275); (1137, 1136, 3835);
-    (351, 350, 1275); (306, 305, 1075); (306, 305, 1075); (179, 178, 577);
-    (111, 110, 252); (179, 178, 577); (111, 110, 252); (111, 110, 252);
-    (111, 110, 252); (1137, 1136, 3835); (351, 350, 1275); (1137, 1136, 3835);
-    (351, 350, 1275); (306, 305, 1075); (306, 305, 1075); (99, 98, 198);
-    (328, 327, 1144); (99, 98, 198); (328, 327, 1144); (189, 188, 663);
-    (189, 188, 663); (30866, 30865, 138148);
+    (3590, 3590, 3591, 3959, 4046, 626, 280); (350, 350, 351, 207, 315, 368, 274);
+    (824, 824, 825, 695, 907, 544, 334); (350, 350, 351, 207, 315, 368, 274);
+    (824, 824, 825, 695, 907, 544, 334); (177, 177, 178, 79, 105, 272, 242);
+    (177, 177, 178, 79, 105, 272, 242); (98, 98, 99, 0, 2, 0, 0);
+    (327, 327, 328, 209, 270, 350, 250); (98, 98, 99, 0, 2, 0, 0);
+    (327, 327, 328, 209, 270, 350, 250); (188, 188, 189, 54, 93, 278, 230);
+    (188, 188, 189, 54, 93, 278, 230); (1136, 1136, 1137, 1030, 1277, 630, 350);
+    (350, 350, 351, 207, 315, 368, 274); (1136, 1136, 1137, 1030, 1277, 630, 350);
+    (350, 350, 351, 207, 315, 368, 274); (305, 305, 306, 137, 243, 334, 252);
+    (305, 305, 306, 137, 243, 334, 252); (178, 178, 179, 45, 81, 254, 218);
+    (110, 110, 111, 6, 9, 194, 194); (178, 178, 179, 45, 81, 254, 218);
+    (110, 110, 111, 6, 9, 194, 194); (110, 110, 111, 6, 11, 200, 192);
+    (110, 110, 111, 6, 11, 200, 192); (1136, 1136, 1137, 1030, 1277, 630, 350);
+    (350, 350, 351, 207, 315, 368, 274); (1136, 1136, 1137, 1030, 1277, 630, 350);
+    (350, 350, 351, 207, 315, 368, 274); (305, 305, 306, 137, 243, 334, 252);
+    (305, 305, 306, 137, 243, 334, 252); (98, 98, 99, 0, 2, 0, 0);
+    (327, 327, 328, 209, 270, 350, 250); (98, 98, 99, 0, 2, 0, 0);
+    (327, 327, 328, 209, 270, 350, 250); (188, 188, 189, 54, 93, 278, 230);
+    (188, 188, 189, 54, 93, 278, 230); (350, 350, 351, 207, 315, 368, 274);
+    (824, 824, 825, 695, 907, 544, 334); (350, 350, 351, 207, 315, 368, 274);
+    (824, 824, 825, 695, 907, 544, 334); (177, 177, 178, 79, 105, 272, 242);
+    (177, 177, 178, 79, 105, 272, 242); (98, 98, 99, 0, 2, 0, 0);
+    (327, 327, 328, 209, 270, 350, 250); (98, 98, 99, 0, 2, 0, 0);
+    (327, 327, 328, 209, 270, 350, 250); (188, 188, 189, 54, 93, 278, 230);
+    (188, 188, 189, 54, 93, 278, 230); (1136, 1136, 1137, 1030, 1277, 630, 350);
+    (350, 350, 351, 207, 315, 368, 274); (1136, 1136, 1137, 1030, 1277, 630, 350);
+    (350, 350, 351, 207, 315, 368, 274); (305, 305, 306, 137, 243, 334, 252);
+    (305, 305, 306, 137, 243, 334, 252); (178, 178, 179, 45, 81, 254, 218);
+    (110, 110, 111, 6, 9, 194, 194); (178, 178, 179, 45, 81, 254, 218);
+    (110, 110, 111, 6, 9, 194, 194); (110, 110, 111, 6, 11, 200, 192);
+    (110, 110, 111, 6, 11, 200, 192); (1136, 1136, 1137, 1030, 1277, 630, 350);
+    (350, 350, 351, 207, 315, 368, 274); (1136, 1136, 1137, 1030, 1277, 630, 350);
+    (350, 350, 351, 207, 315, 368, 274); (305, 305, 306, 137, 243, 334, 252);
+    (305, 305, 306, 137, 243, 334, 252); (98, 98, 99, 0, 2, 0, 0);
+    (327, 327, 328, 209, 270, 350, 250); (98, 98, 99, 0, 2, 0, 0);
+    (327, 327, 328, 209, 270, 350, 250); (188, 188, 189, 54, 93, 278, 230);
+    (188, 188, 189, 54, 93, 278, 230); (30865, 30865, 30866, 50544, 40252, 23338, 11002);
   |]
 
 let test_t6_prefix_staged_proof () =
-  (* The kernel shortcuts must not change a single diagram: every check
-     of the staged proof hash-conses exactly the nodes it did before,
-     with strictly fewer multiply-cache probes. *)
+  (* Kernel speed-ups must not change a single diagram or cache
+     decision: every check of the staged proof ends with exactly the
+     statistics it had before. *)
   let device = Device.Ibm.big96 in
   let n = Device.n_qubits device in
   let b = Benchsuite.Big_cascades.find "T6_b" in
@@ -552,21 +570,27 @@ let test_t6_prefix_staged_proof () =
   check_int "checks" (Array.length t6_prefix_checks) (List.length checks);
   List.iteri
     (fun i (a, b) ->
-      let allocated, peak, probes = t6_prefix_checks.(i) in
       let seen = ref None in
       check_bool
         (Printf.sprintf "check %d holds" i)
         true
         (Qmdd.equivalent ~up_to_phase:false ~stats:(fun s -> seen := Some s) a b);
       let s = Option.get !seen in
-      check_int (Printf.sprintf "check %d allocated" i) allocated s.Qmdd.allocated;
-      check_int
-        (Printf.sprintf "check %d peak" i)
-        peak s.Qmdd.peak_unique_nodes;
-      let now = s.Qmdd.mul_cache_hits + s.Qmdd.mul_cache_misses in
-      check_bool
-        (Printf.sprintf "check %d multiply-cache probes %d < %d" i now probes)
-        true (now < probes))
+      let unique, peak, allocated, mul_hits, mul_misses, add_hits, add_misses =
+        t6_prefix_checks.(i)
+      in
+      List.iter
+        (fun (field, expected, got) ->
+          check_int (Printf.sprintf "check %d %s" i field) expected got)
+        [
+          ("unique", unique, s.Qmdd.unique_nodes);
+          ("peak", peak, s.Qmdd.peak_unique_nodes);
+          ("allocated", allocated, s.Qmdd.allocated);
+          ("mul hits", mul_hits, s.Qmdd.mul_cache_hits);
+          ("mul misses", mul_misses, s.Qmdd.mul_cache_misses);
+          ("add hits", add_hits, s.Qmdd.add_cache_hits);
+          ("add misses", add_misses, s.Qmdd.add_cache_misses);
+        ])
     checks;
   (* These are the compiler's checks: its traced staged proof runs the
      same number and allocates the same total. *)
@@ -583,8 +607,41 @@ let test_t6_prefix_staged_proof () =
   check_int "compiler checks" (Array.length t6_prefix_checks)
     (counter "qmdd_checks");
   check_int "compiler allocated"
-    (Array.fold_left (fun acc (a, _, _) -> acc + a) 0 t6_prefix_checks)
+    (Array.fold_left
+       (fun acc (_, _, allocated, _, _, _, _) -> acc + allocated)
+       0 t6_prefix_checks)
     (counter "qmdd_allocated_nodes")
+
+(* The unique table compares weights on the 1e-10 grid of
+   [Cx.round_key], not by representative.  Ry(θ) with tan(θ/2) = t
+   normalizes to the node [1, -t; t, 1].  At t = 0.01 the value table's
+   tolerance is 2e-11, so t and t + 3e-11 are two representatives, yet
+   they round to one grid point: one node. *)
+let test_grid_class () =
+  let m = Qmdd.create ~n:1 in
+  let ry t = Qmdd.gate m (Gate.Ry (2. *. atan t, 0)) in
+  let a = ry 0.01 and b = ry (0.01 +. 3e-11) in
+  check_int "one unique node" 1 (Qmdd.stats m).Qmdd.unique_nodes;
+  check_bool "equal" true (Qmdd.equal a b)
+
+(* A memoized product is only reused while the value table is as it was:
+   a representative planted since can change what the product snaps
+   to.  Ry(θ) with cos(θ/2) = c carries c on its root edge, and the
+   product of the roots of Ry(c = 0.5) and Ry(c = 2z) is z.  With
+   r = z - 5e-10 planted first, z snaps to r (tolerance 6e-10 there);
+   once r' = z + 2e-10 is planted in z's own bucket, which the scan
+   reads first, z snaps to r'. *)
+let test_stale_memo () =
+  let m = Qmdd.create ~n:1 in
+  let ry c = Qmdd.gate m (Gate.Ry (2. *. acos c, 0)) in
+  let z = 0.2999999997 in
+  ignore (ry (z -. 5e-10));
+  let a = ry 0.5 and b = ry (2. *. z) in
+  let before = Qmdd.multiply m a b in
+  ignore (ry (z +. 2e-10));
+  let after = Qmdd.multiply m a b in
+  check_bool "the grown table snaps the product elsewhere" false
+    (Qmdd.equal before after)
 
 (* ------------------------------------------------------------------ *)
 (* Registers wider than an OCaml int                                    *)
@@ -700,6 +757,8 @@ let () =
           Alcotest.test_case "gate memo" `Quick test_gate_memo;
           Alcotest.test_case "T6_b prefix staged proof pinned" `Quick
             test_t6_prefix_staged_proof;
+          Alcotest.test_case "grid class" `Quick test_grid_class;
+          Alcotest.test_case "stale memo" `Quick test_stale_memo;
         ] );
       ( "wide registers",
         [
