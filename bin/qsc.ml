@@ -27,10 +27,10 @@ let device_conv =
   Arg.conv (parse, fun fmt d -> Format.pp_print_string fmt (Device.name d))
 
 (* Shared --jobs flag: domain fan-out for the embarrassingly parallel
-   loops (batch compiles, fuzz cases, served batches).  The unset flag
-   falls back to QSC_JOBS, then to 1 — and every consumer guarantees
-   byte-identical output at any value, so parallelism is purely a
-   throughput knob. *)
+   loops (batch compiles, fuzz cases).  The unset flag falls back to
+   QSC_JOBS, then to 1 — and every consumer guarantees byte-identical
+   output at any value, so parallelism is purely a throughput knob.
+   `qsc serve` has its own --jobs (see [serve_default_jobs]). *)
 let jobs_term what =
   Arg.(
     value
@@ -45,6 +45,29 @@ let jobs_term what =
 let resolve_jobs = function
   | Some n when n < 1 -> Error (`Msg "--jobs must be >= 1")
   | opt -> Ok (Parallel.resolve_jobs opt)
+
+(* The heap one compile may reach before the default 8M-node
+   verification budget stops it: T10_b compiled to big96 had 2.9 GB
+   when the budget stopped its proof. *)
+let compile_peak_kb = 3 * 1024 * 1024
+
+let physical_memory_kb () =
+  try
+    In_channel.with_open_text "/proc/meminfo" (fun ic ->
+        Option.bind (In_channel.input_line ic) (fun line ->
+            Scanf.sscanf_opt line "MemTotal: %d kB" Fun.id))
+  with Sys_error _ -> None
+
+(* `qsc serve`'s unset --jobs: QSC_JOBS when set.  Else one compile per
+   core, but no more than physical memory holds at [compile_peak_kb]
+   each, and one where the memory size is unknown. *)
+let serve_default_jobs () =
+  if Option.is_some (Sys.getenv_opt "QSC_JOBS") then Parallel.default_jobs ()
+  else
+    match physical_memory_kb () with
+    | Some kb ->
+      max 1 (min (Domain.recommended_domain_count ()) (kb / compile_peak_kb))
+    | None -> 1
 
 (* --- compile --- *)
 
@@ -1497,6 +1520,21 @@ let serve_cmd =
              alarms); a request allocating past it is aborted with a 125 \
              diagnostic.  Default: unlimited.")
   in
+  let serve_jobs =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:
+            "The most compiles the daemon runs at once, each on its own \
+             domain: cache-missing one-shot compiles and batch lanes alike.  \
+             Each compile may reach about 3 GB of heap under the default \
+             node budget, so N compiles may hold N times that.  Default: \
+             $(b,QSC_JOBS) when set, else the number of cores, but no more \
+             than one per 3 GB of physical memory (1 where that is \
+             unknown).  1 compiles one request at a time.  Responses are \
+             byte-identical at every N.")
+  in
   let run socket port cache_size max_deadline max_requests cache_bytes
       persist_dir max_workers max_pending read_timeout max_frame_bytes
       watchdog_grace max_request_mb jobs_opt =
@@ -1524,10 +1562,12 @@ let serve_cmd =
         Error (`Msg "--watchdog-grace must be >= 0")
       else if (match max_request_mb with Some n -> n <= 0 | None -> false)
       then Error (`Msg "--max-request-mb must be positive")
+      else if (match jobs_opt with Some n -> n < 1 | None -> false) then
+        Error (`Msg "--jobs must be >= 1")
       else begin
-        match resolve_jobs jobs_opt with
-        | Error e -> Error e
-        | Ok jobs ->
+        let jobs =
+          match jobs_opt with Some n -> n | None -> serve_default_jobs ()
+        in
         let max_request_bytes =
           Option.map (fun mb -> mb * 1024 * 1024) max_request_mb
         in
@@ -1535,8 +1575,8 @@ let serve_cmd =
           Serve.create ~cache_capacity:cache_size ~max_cache_bytes:cache_bytes
             ?persist_dir ~max_deadline_seconds:max_deadline ~max_frame_bytes
             ~watchdog_grace_seconds:watchdog_grace ?max_request_bytes
-            ~read_timeout_seconds:read_timeout ~max_workers ~max_pending ~jobs
-            ()
+            ~read_timeout_seconds:read_timeout ~max_workers ~max_pending
+            ~jobs ()
         in
         (* Readiness line on stdout: harnesses wait for it before
            connecting. *)
@@ -1569,8 +1609,7 @@ let serve_cmd =
     Term.(
       const run $ socket $ port $ cache_size $ max_deadline $ max_requests
       $ cache_bytes $ persist_dir $ max_workers $ max_pending $ read_timeout
-      $ max_frame_bytes $ watchdog_grace $ max_request_mb
-      $ jobs_term "batch-verb compiles")
+      $ max_frame_bytes $ watchdog_grace $ max_request_mb $ serve_jobs)
 
 let main =
   let info =

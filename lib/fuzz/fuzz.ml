@@ -1204,14 +1204,14 @@ module Property = struct
       (* Every third compile blows up mid-pipeline while the transport
          is being mistreated, so pipeline and socket faults land
          together.  The flag lets the post-chaos probes compile
-         cleanly. *)
-      let chaos_over = ref false in
-      let calls = ref 0 in
+         cleanly.  Both are atomic: compiles run on several domains at
+         once. *)
+      let chaos_over = Atomic.make false in
+      let calls = Atomic.make 0 in
       let inject () =
-        if not !chaos_over then begin
-          incr calls;
-          if !calls mod 3 = 0 then raise (Faultinject.Injected "serve-chaos")
-        end
+        if not (Atomic.get chaos_over) then
+          if (Atomic.fetch_and_add calls 1 + 1) mod 3 = 0 then
+            raise (Faultinject.Injected "serve-chaos")
       in
       let daemon =
         Serve.create ~cache_capacity:8 ~max_cache_bytes:(512 * 1024)
@@ -1393,7 +1393,7 @@ module Property = struct
           try Sys.remove path with Sys_error _ -> ())
         (fun () ->
           List.iter run_event plan;
-          chaos_over := true;
+          Atomic.set chaos_over true;
           (* Liveness after the storm: the daemon must still answer
              probes and a clean compile with code 0. *)
           probe "post-chaos ping" {|{"op":"ping"}|};

@@ -63,18 +63,14 @@ let cancel_pass ?(lookback = 50) c =
    short string and no gates.  The table is a pure cache: on overflow it
    is dropped wholesale and verdicts are simply re-simulated.
 
-   Ownership: the table lives in domain-local storage, one table per
-   domain.  Domain-parallel compiles (the Parallel runner) each get a
-   private memo and never contend; the verdict is a pure function of
-   the signature, so duplicated entries across domains cost only the
-   re-simulation.  Within one domain the table is still a plain
-   Hashtbl — sys-threads of the same domain must not run optimize
-   concurrently (the serve daemon's compile lock enforces this). *)
+   Ownership: one process-wide table under [window_memo_lock], so a
+   verdict any domain or thread simulated is never simulated again.
+   The lock is held for one lookup or one insert, never across a
+   simulation. *)
 module Memo = Hashtbl.Make (String)
 
-let window_memo_key : bool Memo.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Memo.create 4096)
-
+let window_memo : bool Memo.t = Memo.create 4096
+let window_memo_lock = Mutex.create ()
 let window_memo_limit = 65536
 
 (* Gates whose matrix can be arbitrarily close to the identity
@@ -278,23 +274,33 @@ let window_key s i w =
   done;
   Bytes.unsafe_to_string b
 
-(* The dense verdict on the compacted window, memoized per domain. *)
+(* The dense verdict on the compacted window, memoized (see [Memo]).
+   The lookup is inline so that a hit allocates nothing.  The serve
+   daemon's GC alarm may raise inside [find]; the lock is released on
+   that path too. *)
 let memo_verdict s i w =
   let key = window_key s i w in
-  let window_memo = Domain.DLS.get window_memo_key in
+  Mutex.lock window_memo_lock;
   match Memo.find window_memo key with
-  | verdict -> verdict
+  | verdict ->
+    Mutex.unlock window_memo_lock;
+    verdict
   | exception Not_found ->
+    Mutex.unlock window_memo_lock;
     let k = s.width.(w) in
     let signature =
       List.init w (fun t -> Gate.rename (rank s k) s.gates.(i + t))
     in
     let compact = Circuit.make ~n:k signature in
     let verdict = Mathkit.Matrix.is_identity ~eps:1e-9 (Sim.unitary compact) in
-    if Memo.length window_memo >= window_memo_limit then
-      Memo.reset window_memo;
-    Memo.replace window_memo key verdict;
+    Mutex.protect window_memo_lock (fun () ->
+        if Memo.length window_memo >= window_memo_limit then
+          Memo.reset window_memo;
+        Memo.replace window_memo key verdict);
     verdict
+  | exception e ->
+    Mutex.unlock window_memo_lock;
+    raise e
 
 let is_identity s i w =
   (* Exact-inverse pair: g then (adjoint g) multiplies to the identity

@@ -27,13 +27,12 @@
     circuit keeps it mapped.
 
     {b Ownership rule.}  The module's only mutable state is the
-    identity-window memo table, which lives in domain-local storage
-    ([Domain.DLS]): each domain owns a private table, so domain-parallel
-    compiles never contend and produce identical results (the cached
-    verdict is a pure function of the window signature).  Sys-threads
-    {e within} one domain must not run optimize passes concurrently —
-    callers that mix threads and optimization (the serve daemon)
-    serialize compiles per domain. *)
+    identity-window memo: one process-wide table under a mutex, held
+    for one lookup or one insert and never across a simulation.  So
+    every domain and thread may run optimize passes at once, a verdict
+    any of them simulated is never simulated again, and results are
+    identical (the cached verdict is a pure function of the window
+    signature). *)
 
 (** [cancels g h] holds when the later gate [h] undoes [g] exactly:
     self-inverse pairs (operand order ignored where the gate is
@@ -59,13 +58,13 @@ val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
 
     Sound pre-filters run first (exact inverse pairs; qubits touched by
     a single parameter-free gate).  The remaining windows get a dense
-    {!Sim.unitary} verdict at tolerance 1e-9, memoized per domain on
-    the window's support-compacted signature.  The memo key is a byte
-    string: per gate a kind byte, the compacted operands and the 64
-    bits of any angle.  It is injective for every [max_window], so a
-    memo hit builds no gate list.  The output equals that of the
-    list-based scan this replaced, and of checking every window
-    without the memo: [test_optimize.ml] keeps that scan as a
+    {!Sim.unitary} verdict at tolerance 1e-9, memoized (see the
+    ownership rule above) on the window's support-compacted signature.
+    The memo key is a byte string: per gate a kind byte, the compacted
+    operands and the 64 bits of any angle.  It is injective for every
+    [max_window], so a memo hit builds no gate list.  The output equals
+    that of the list-based scan this replaced, and of checking every
+    window without the memo: [test_optimize.ml] keeps that scan as a
     differential reference. *)
 val remove_identity_windows : ?max_window:int -> Circuit.t -> Circuit.t
 

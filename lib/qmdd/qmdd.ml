@@ -25,11 +25,16 @@ let mix h =
 
 let combine h x = (h * 0x1F0A3BD5) + x
 
-(* The unique table.  Two nodes are the same when they agree on the
-   variable and, edge by edge, on the child and the weight's grid
-   class: representatives closer than the 1e-10 grid share a node. *)
-module Unique = Hashtbl.Make (struct
-  type t = node
+(* The unique table: an insert-only open-addressing set of nodes, probed
+   linearly and grown at 3/4 load, so a node costs its slot and no
+   bucket cell.  Two nodes are the same when they agree on the variable
+   and, edge by edge, on the child and the weight's grid class:
+   representatives closer than the 1e-10 grid share a node. *)
+module Unique = struct
+  type t = { mutable slots : node array; mutable count : int }
+
+  (* What a free slot holds. *)
+  let free = { id = -1; var = -1; edges = [||] }
 
   let same_edge e f = e.node == f.node && e.w.cls = f.w.cls
 
@@ -44,12 +49,41 @@ module Unique = Hashtbl.Make (struct
     let edge h e = combine (combine h e.node.id) e.w.cls in
     let es = n.edges in
     mix (edge (edge (edge (edge n.var es.(0)) es.(1)) es.(2)) es.(3))
-end)
+
+  let create slots = { slots = Array.make slots free; count = 0 }
+  let length t = t.count
+
+  (* The slot holding a node equal to [n], or the free slot where [n]
+     belongs, probing linearly from slot [i]. *)
+  let rec probe slots n i =
+    let s = slots.(i) in
+    if s == free || equal s n then i
+    else probe slots n ((i + 1) land (Array.length slots - 1))
+
+  let slot t n = probe t.slots n (hash n land (Array.length t.slots - 1))
+
+  (* The nodes are distinct, so rehashing only looks for free slots. *)
+  let grow t =
+    let old = t.slots in
+    let slots = Array.make (2 * Array.length old) free in
+    let mask = Array.length slots - 1 in
+    let rec place n i =
+      if slots.(i) == free then slots.(i) <- n else place n ((i + 1) land mask)
+    in
+    Array.iter (fun n -> if n != free then place n (hash n land mask)) old;
+    t.slots <- slots
+
+  (* Store [n] in the free slot [i] that [slot] returned for it. *)
+  let insert t i n =
+    t.slots.(i) <- n;
+    t.count <- t.count + 1;
+    if 4 * t.count > 3 * Array.length t.slots then grow t
+end
 
 (* An open-addressing table keyed by three non-negative ints, for the
    operation caches and the weight memo: a probe allocates nothing and
-   hashes and compares integers only.  Entries are never removed one by
-   one; [reset] empties the whole table. *)
+   hashes and compares integers only.  It grows at 3/4 load.  Entries
+   are never removed one by one; [reset] empties the whole table. *)
 module Int3_table = struct
   type 'a t = {
     mutable keys : int array;  (* three per slot; a free slot starts -1 *)
@@ -117,7 +151,7 @@ module Int3_table = struct
     else begin
       set t i a b c v;
       t.count <- t.count + 1;
-      if 2 * t.count > Array.length t.values then grow t
+      if 4 * t.count > 3 * Array.length t.values then grow t
     end
 end
 
@@ -132,7 +166,7 @@ type manager = {
   n : int;
   terminal : node;
   zero_edge : edge;
-  unique : node Unique.t;
+  unique : Unique.t;
   values : (int * int, weight list) Hashtbl.t;
       (* the value table: representatives by bucket, oldest first *)
   classes : (float * float, int) Hashtbl.t;
@@ -381,10 +415,11 @@ let make_node m var edges =
     (* A fresh node takes the next id, so the candidate is built with it
        and kept only when the table has no equal node. *)
     let candidate = { id = m.next_id; var; edges } in
+    let i = Unique.slot m.unique candidate in
+    let found = m.unique.slots.(i) in
     let node =
-      match Unique.find m.unique candidate with
-      | node -> node
-      | exception Not_found ->
+      if found != Unique.free then found
+      else begin
         (match m.budget with
         | Some budget when m.next_id > budget -> raise Node_budget_exceeded
         | Some _ | None -> ());
@@ -393,10 +428,11 @@ let make_node m var edges =
           if Int64.compare (now_ns ()) d >= 0 then raise Deadline_exceeded
         | Some _ | None -> ());
         m.next_id <- m.next_id + 1;
-        Unique.add m.unique candidate candidate;
+        Unique.insert m.unique i candidate;
         let live = Unique.length m.unique in
         if live > m.peak_unique then m.peak_unique <- live;
         candidate
+      end
     in
     { w = norm; node }
 

@@ -24,14 +24,17 @@ type t = {
   read_timeout : float;
   max_workers : int;
   max_pending : int;
-  jobs : int;  (** domain fan-out for the [batch] verb; 1 = sequential *)
+  jobs : int;  (** the most compiles this daemon runs at once *)
+  slots : Semaphore.Counting.t;
+      (** [jobs] slots; each queued or running compile holds one *)
   inject : (unit -> unit) option;
-  (* [state_lock] guards the cache and every counter (short sections
-     only); [compile_lock] serializes the compiler itself, whose
-     hash-consing tables are not thread-safe.  Order: never acquire
-     [compile_lock] while holding [state_lock]. *)
+  (* [state_lock] guards the cache, [in_flight] and every counter
+     (short sections, and waits on [landed]).  No lock is held while a
+     compile runs. *)
   state_lock : Mutex.t;
-  compile_lock : Mutex.t;
+  in_flight : (string, unit) Hashtbl.t;
+      (** keys a one-shot miss is compiling; see [compile_with_cache] *)
+  landed : Condition.t;  (** broadcast whenever a key leaves [in_flight] *)
   mutable clock : int;  (** LRU tick; bumped on every cache touch *)
   mutable cache_bytes : int;
   mutable requests : int;
@@ -287,7 +290,8 @@ let create ?(cache_capacity = 256) ?(max_cache_bytes = 64 * 1024 * 1024)
     ?persist_dir ?(max_deadline_seconds = 60.0)
     ?(max_frame_bytes = 4 * 1024 * 1024) ?(watchdog_grace_seconds = 5.0)
     ?max_request_bytes ?(read_timeout_seconds = 30.0) ?(max_workers = 8)
-    ?(max_pending = 32) ?(jobs = 1) ?inject () =
+    ?(max_pending = 32) ?(jobs = Domain.recommended_domain_count ())
+    ?inject () =
   if cache_capacity < 0 then
     invalid_arg "Serve.create: negative cache_capacity";
   if max_cache_bytes < 0 then
@@ -321,9 +325,11 @@ let create ?(cache_capacity = 256) ?(max_cache_bytes = 64 * 1024 * 1024)
       max_workers;
       max_pending;
       jobs;
+      slots = Semaphore.Counting.make jobs;
       inject;
       state_lock = Mutex.create ();
-      compile_lock = Mutex.create ();
+      in_flight = Hashtbl.create 16;
+      landed = Condition.create ();
       clock = 0;
       cache_bytes = 0;
       requests = 0;
@@ -552,26 +558,28 @@ let cache_key req =
 (* Bound one request's heap appetite without being able to kill a
    thread: a [Gc] alarm (runs at the end of major cycles) compares the
    domain's allocation counter against the budget and raises inside
-   the guarded thread.  [Compiler.compile_checked] converts in-flight
-   exceptions to diagnostics, so [tripped] re-raises after the thunk —
-   a budgeted request can never smuggle its result out.  The sampling
-   is deliberately approximate (major-cycle granularity, domain-wide
-   counter); it is a circuit breaker, not an accountant. *)
+   the compile, and the counter is checked once more when the compile
+   ends.  Both are the compile domain's own, and a pool domain runs one
+   compile at a time, so the counter measures this compile alone.  The
+   final check matters: while another domain is blocked, allocating
+   large blocks does not by itself drive a major cycle to its end, so
+   a compile that allocates mostly large blocks may finish before any
+   alarm runs.  [Compiler.compile_checked] converts
+   in-flight exceptions to diagnostics, so [tripped] re-raises after
+   the thunk — a budgeted request can never smuggle its result out.
+   The alarm is a circuit breaker, not an accountant: it samples at
+   major-cycle granularity. *)
 let guarded_allocation t f =
   match t.max_request_bytes with
   | None -> f ()
   | Some budget ->
-    let me = Thread.id (Thread.self ()) in
     let start = Gc.allocated_bytes () in
+    let over () = Gc.allocated_bytes () -. start > float_of_int budget in
     let armed = ref true in
     let tripped = ref false in
     let alarm =
       Gc.create_alarm (fun () ->
-          if
-            !armed
-            && Thread.id (Thread.self ()) = me
-            && Gc.allocated_bytes () -. start > float_of_int budget
-          then begin
+          if !armed && over () then begin
             armed := false;
             tripped := true;
             raise (Allocation_budget_exceeded budget)
@@ -584,37 +592,118 @@ let guarded_allocation t f =
           Gc.delete_alarm alarm)
         f
     in
-    if !tripped then raise (Allocation_budget_exceeded budget);
+    if !tripped || over () then raise (Allocation_budget_exceeded budget);
     result
+
+(* --- the compile pool ---------------------------------------------- *)
+
+(* Every compile runs on a domain of one process-wide pool, so the
+   daemon's sys-threads only move bytes, supervise and wait.  The pool
+   is process-wide because OCaml caps a process at 128 domains and
+   tests and the fuzzer build thousands of daemons in one process.  It
+   starts with the first compile, grows to the largest [jobs] any
+   daemon asked for, and never shrinks.  A domain runs one compile at
+   a time, so its GC alarm measures that compile alone.  Spawning a
+   domain per compile instead was slower and raised serve-mixed's peak
+   RSS by a quarter (EXPERIMENTS.md). *)
+module Pool = struct
+  let lock = Mutex.create ()
+  let work = Condition.create ()
+  let queue : (unit -> unit) Queue.t = Queue.create ()
+  let domains = ref 0
+
+  (* The pool size at which the runtime refused another domain (OCaml
+     caps a process at 128), after which queued compiles wait for the
+     domains the pool has. *)
+  let ceiling = ref max_int
+
+  (* Jobs never raise: [start] wraps each one. *)
+  let rec worker () =
+    let job =
+      Mutex.protect lock (fun () ->
+          while Queue.is_empty queue do
+            Condition.wait work lock
+          done;
+          Queue.pop queue)
+    in
+    job ();
+    worker ()
+
+  let submit ~domains:wanted job =
+    Mutex.protect lock (fun () ->
+        (try
+           while !domains < min wanted !ceiling do
+             ignore (Domain.spawn worker : _ Domain.t);
+             incr domains
+           done
+         with Failure _ when !domains > 0 -> ceiling := !domains);
+        Queue.push job queue;
+        Condition.signal work)
+end
+
+(* A compile submitted to the pool.  [await] blocks on [finished] (a
+   mutex and a condition), which frees the submitting thread's domain
+   for I/O. *)
+type 'a pending = {
+  finished : Semaphore.Binary.t;  (** released once [outcome] is set *)
+  mutable outcome : ('a, exn * Printexc.raw_backtrace) result option;
+}
+
+(* Queue [f] behind one of [t]'s [jobs] slots.  The slot then belongs
+   to the compile, which releases it when it ends, so a thread never
+   holds a slot while it waits for another. *)
+let start t f =
+  Semaphore.Counting.acquire t.slots;
+  let p = { finished = Semaphore.Binary.make false; outcome = None } in
+  let job () =
+    p.outcome <-
+      Some
+        (match f () with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+    Semaphore.Counting.release t.slots;
+    Semaphore.Binary.release p.finished
+  in
+  (try Pool.submit ~domains:t.jobs job
+   with e ->
+     Semaphore.Counting.release t.slots;
+     raise e);
+  p
+
+(* The compile's result, or its exception re-raised in this thread. *)
+let await p =
+  Semaphore.Binary.acquire p.finished;
+  match p.outcome with
+  | Some (Ok v) -> v
+  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+  | None -> assert false
 
 (* --- compile ------------------------------------------------------- *)
 
 let diagnostics_json ds = J.List (List.map Diagnostic.to_json ds)
 
 (* A resolved cache consultation: a hit bumps [hits] and [lookups] in
-   one critical section; [record_miss] is its counterpart, so
-   [hits + misses = lookups] holds at every instant. *)
+   one critical section; a miss bumps [misses] and [lookups] in one, so
+   [hits + misses = lookups] holds at every instant.  Called with
+   [state_lock] held. *)
+let count_hit (t : t) entry =
+  t.lookups <- t.lookups + 1;
+  t.hits <- t.hits + 1;
+  touch t entry;
+  (entry.code, entry.payload @ [ ("cached", J.Bool true) ])
+
+let count_miss (t : t) =
+  t.lookups <- t.lookups + 1;
+  t.misses <- t.misses + 1
+
 let cache_lookup t key =
   with_state t (fun () ->
-      match Hashtbl.find_opt t.cache key with
-      | Some entry ->
-        t.lookups <- t.lookups + 1;
-        t.hits <- t.hits + 1;
-        touch t entry;
-        Some (entry.code, entry.payload @ [ ("cached", J.Bool true) ])
-      | None -> None)
+      Option.map (count_hit t) (Hashtbl.find_opt t.cache key))
 
-let record_miss t =
-  with_state t (fun () ->
-      t.lookups <- t.lookups + 1;
-      t.misses <- t.misses + 1)
+let record_miss t = with_state t (fun () -> count_miss t)
 
-(* The pure compile core: no cache access, no locks.  At most one
-   compile may run per domain at a time: the optimizer's memo is
-   domain-local but not thread-safe, so the daemon's threads, which all
-   share the calling domain, call this only under [compile_lock] (a
-   batch's other lanes run on domains of their own).  The GC alarm
-   inside [guarded_allocation] is domain-local too. *)
+(* The pure compile core: no cache access, no locks.  Runs on a pool
+   domain (see [start]). *)
 let compile_uncached t req =
   guarded_allocation t (fun () ->
       (match t.inject with Some f -> f () | None -> ());
@@ -652,19 +741,35 @@ let finish_miss t key req outcome =
     with_state t (fun () -> cache_insert t key payload code);
     (code, payload @ [ ("cached", J.Bool false) ])
 
+(* Racing misses coalesce: a miss registers its key in [in_flight], in
+   the critical section that found the cache without it, and compiles
+   with no lock held.  A request for a registered key waits until the
+   key leaves, then looks again: it takes the cached report as a hit,
+   or, when the outcome was not cached (a diagnostic, an exception),
+   becomes the next miss. *)
 let compile_with_cache t req key =
-  match cache_lookup t key with
-  | Some result -> result
+  let rec claim () =
+    match Hashtbl.find_opt t.cache key with
+    | Some entry -> Some (count_hit t entry)
+    | None when Hashtbl.mem t.in_flight key ->
+      Condition.wait t.landed t.state_lock;
+      claim ()
+    | None ->
+      Hashtbl.replace t.in_flight key ();
+      count_miss t;
+      None
+  in
+  match with_state t claim with
+  | Some hit -> hit
   | None ->
-    with_lock t.compile_lock (fun () ->
-        (* Re-check under the compile lock: two racing misses for one
-           key coalesce into a single compile, the loser taking the
-           winner's report as a hit. *)
-        match cache_lookup t key with
-        | Some result -> result
-        | None ->
-          record_miss t;
-          finish_miss t key req (compile_uncached t req))
+    Fun.protect
+      ~finally:(fun () ->
+        with_state t (fun () ->
+            Hashtbl.remove t.in_flight key;
+            Condition.broadcast t.landed))
+      (fun () ->
+        let outcome = await (start t (fun () -> compile_uncached t req)) in
+        finish_miss t key req outcome)
 
 (* Returns the response code and body fields for one compile request. *)
 let run_compile t j =
@@ -708,6 +813,7 @@ let stats_body t =
                 ("shed", J.Int c.shed);
                 ("drained", J.Int c.drained);
                 ("max_workers", J.Int t.max_workers);
+                ("jobs", J.Int t.jobs);
                 ("max_pending", J.Int t.max_pending);
               ] );
           ( "supervision",
@@ -778,23 +884,21 @@ let batch_entry t j =
   | exception Reject (code, d) -> reject_entry code d
   | exception Allocation_budget_exceeded budget -> alloc_entry t budget
 
-(* Domain-parallel batch.  Only the pure compiles fan out: the cache
+(* Parallel batch.  Only the pure compiles fan out: the cache
    protocol is replayed strictly sequentially in request order
    (phase 3), so response bytes, counters and LRU order are identical
    to a sequential run of the same batch on an idle server.
 
    Phase 1 parses every lane and predicts which distinct keys a
    sequential run would have to compile (first occurrence of a key not
-   already cached).  Phase 2 compiles exactly those, in parallel, under
-   [compile_lock]: the calling domain compiles lanes too, and a one-shot
-   compile on another thread of that domain would otherwise share its
-   optimizer memo.  Each spawned domain owns its memo and its GC alarm.
-   Phase 3 walks the lanes in order running the normal
-   lookup/miss protocol, substituting a precomputed outcome where one
-   exists; a predicted hit whose entry was evicted in the meantime
-   simply falls back to the sequential inline path, so correctness
-   never depends on the prediction. *)
-let batch_parallel t ~jobs requests =
+   already cached).  Phase 2 submits exactly those to the compile
+   pool, up to [jobs] at once, and waits for them.  Phase 3 walks the
+   lanes in order running the normal lookup/miss protocol,
+   substituting a precomputed outcome where one exists; a predicted
+   hit whose entry was evicted in the meantime simply falls back to
+   the sequential inline path, so correctness never depends on the
+   prediction. *)
+let batch_parallel t requests =
   let lanes =
     List.map
       (fun rj ->
@@ -819,17 +923,15 @@ let batch_parallel t ~jobs requests =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let precomputed = Hashtbl.create 16 in
-  with_lock t.compile_lock (fun () ->
-      Parallel.map_list ~jobs
-        (fun (key, req) ->
-          let outcome =
+  List.map
+    (fun (key, req) ->
+      ( key,
+        start t (fun () ->
             match compile_uncached t req with
             | outcome -> `Outcome outcome
-            | exception Allocation_budget_exceeded budget -> `Alloc budget
-          in
-          (key, outcome))
-        missing)
-  |> List.iter (fun (key, outcome) -> Hashtbl.replace precomputed key outcome);
+            | exception Allocation_budget_exceeded budget -> `Alloc budget) ))
+    missing
+  |> List.iter (fun (key, p) -> Hashtbl.replace precomputed key (await p));
   List.map
     (function
       | `Rejected (code, d) -> reject_entry code d
@@ -864,7 +966,7 @@ let run_batch t j =
   in
   let results =
     if t.jobs <= 1 then List.map (batch_entry t) requests
-    else batch_parallel t ~jobs:t.jobs requests
+    else batch_parallel t requests
   in
   let code_of = function
     | J.Obj fields -> (

@@ -19,6 +19,14 @@
     a frame-size cap (slowloris defense), and the report cache can
     spill to an on-disk store that survives a [kill -9].
 
+    Threads and domains: sys-threads accept connections, read frames,
+    supervise requests and answer cache hits; every compile runs on a
+    domain of one process-wide compile pool, up to [jobs] at once per
+    daemon (see {!create}).  So compiles use several cores, and a hit
+    never waits behind a compile.  The cache, the in-flight table and
+    every counter are guarded by one state lock, which is never held
+    across a compile.
+
     {2 The wire protocol: [qsynth-serve/v1]}
 
     One request per line, one response line per request, both UTF-8
@@ -32,7 +40,8 @@
       request object without ["op"]) independently and aggregates — the
       protocol form of [qsc compile --keep-going].
     - [{"op":"stats"}] reports request, cache, overload, supervision
-      and connection counters.
+      and connection counters (the [overload] group also carries
+      [max_workers], [jobs] and [max_pending]).
     - [{"op":"ping"}] liveness probe.
     - [{"op":"shutdown"}] starts a graceful drain: in-flight requests
       finish, queued-but-unserved and new connections are refused, and
@@ -83,8 +92,10 @@
     entry count and a byte budget (the sum of serialized payload
     sizes).  Only completed reports (status ok or mismatch) are cached.
     Two racing misses for the same key coalesce: the compiler runs
-    once, the second racer is served the first's report as a hit.  A
-    hit skips the whole pipeline {e including verification}; that is
+    once, the second racer waits for it and is served the first's
+    report as a hit (when the first compile's outcome is not cached —
+    a diagnostic, an exception — the waiter retries as the next miss).
+    A hit skips the whole pipeline {e including verification}; that is
     sound because the key pins the exact source, device table and
     option set that produced the verified report, and verification is
     deterministic for a pinned triple — re-running it could only repeat
@@ -126,8 +137,9 @@ exception Allocation_budget_exceeded of int
     ceiling the {e supervised} path ({!handle_line_supervised}, used by
     the socket layer) waits before abandoning a wedged request and
     answering 125 on its behalf.  [max_request_bytes] (default
-    unlimited), when set, bounds one request's heap allocation, sampled
-    via a [Gc] alarm during the parse-and-compile window; a request
+    unlimited), when set, bounds one request's heap allocation,
+    sampled via a [Gc] alarm on the compile's domain during the
+    parse-and-compile window and checked again when it ends; a request
     past it is aborted with a code-125 diagnostic.
 
     Sockets (used by {!serve}): [max_frame_bytes] (default 4 MiB) caps
@@ -137,20 +149,35 @@ exception Allocation_budget_exceeded of int
     [max_pending] (default 32) bounds the admission queue, beyond which
     connections are shed.
 
-    Parallelism: [jobs] (default 1) is the domain fan-out for the
-    [batch] verb — a batch's cache-missing compiles run on up to [jobs]
-    OCaml domains at once, under the compile lock (the calling domain
-    compiles lanes too, and one compile at a time may run on a domain),
-    while the cache protocol itself stays
-    sequential in request order, so a batch response is byte-identical
-    to the [jobs = 1] run of the same batch on an idle server (counters
-    and LRU order included).
+    Parallelism: [jobs] (default [Domain.recommended_domain_count ()],
+    one per core) is the most compiles this daemon runs at once,
+    one-shot misses and [batch] lanes alike; [jobs = 1] compiles one
+    request at a time.  Every
+    compile runs on a domain of one process-wide compile pool, which
+    starts with the first cache miss in the process, grows to the
+    largest [jobs] any daemon asked for (or as far as the runtime's
+    128-domain cap allows), and never shrinks; each pool domain runs
+    one compile at a time.  The requesting thread waits for
+    its compile without holding a lock, so cache hits and other
+    requests proceed meanwhile.  Racing misses for one key coalesce
+    (see the cache section).  A batch with [jobs > 1] submits its
+    predicted cache misses to the pool (up to [jobs] at once) while the
+    cache protocol itself stays sequential in request order, so a
+    batch response is byte-identical to the [jobs = 1] run of the same
+    batch on an idle server (counters and LRU order included).
+
+    Memory: one compile's heap is bounded by its QMDD node budget
+    (about 3 GB at the default 8M nodes; a request's [node_budget] 0
+    lifts that bound) and by [max_request_bytes] when it is set.  The
+    daemon runs up to [jobs] compiles at once, so its heap may reach
+    [jobs] times one compile's bound.  [qsc serve] keeps its default
+    [jobs] within physical memory at 3 GB per compile.
 
     [inject] (default none) is a fault hook for robustness tests and
-    the chaos harness: it is called once per cache-missing compile,
-    before the compiler runs, and whatever it raises (or however long
-    it sleeps) flows through the supervision machinery like a real
-    fault. *)
+    the chaos harness: it is called once per cache-missing compile, on
+    the compile's pool domain, before the compiler runs, and whatever
+    it raises (or however long it sleeps) flows through the
+    supervision machinery like a real fault. *)
 val create :
   ?cache_capacity:int ->
   ?max_cache_bytes:int ->
@@ -215,8 +242,9 @@ val shutdown_requested : t -> bool
     layer below only moves lines — so tests and the fuzzer drive the
     daemon in-process with strings.  Never raises: internal errors
     become code-125 responses, over-long lines code-124 responses.
-    Thread-safe: cache and counter updates serialize on a state lock,
-    and the compiler itself runs under a dedicated compile lock (with
+    Thread-safe: cache, in-flight table and counter updates serialize
+    on a state lock that is never held across a compile; the compile
+    itself runs on a pool domain while the calling thread waits (with
     racing identical misses coalesced into one compile). *)
 val handle_line : t -> string -> string
 

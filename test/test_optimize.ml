@@ -194,6 +194,35 @@ let test_window_at_end () =
     (Circuit.gates (Optimize.remove_identity_windows c) = [ Gate.T 0 ]);
   check_bool "same as the list scan" true (same_as_reference c)
 
+let test_verdicts_shared_across_domains () =
+  (* A fresh domain finds the window verdicts an earlier domain
+     simulated, instead of simulating them again.  The angles are this
+     test's own, so no other test has put these windows in the tables;
+     [Gc.minor_words] counts the calling domain's allocation only. *)
+  let c =
+    Circuit.make ~n:3
+      (List.concat
+         (List.init 40 (fun k ->
+              let a = 0.1234567 +. (0.001 *. float_of_int k) in
+              [ Gate.Rz (a, 0); cnot 0 1; Gate.Rx (a +. 0.5, 1);
+                Gate.Ry (a +. 0.25, 2); cnot 1 2 ])))
+  in
+  let in_fresh_domain () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let before = Gc.minor_words () in
+           let out = Optimize.remove_identity_windows c in
+           (out, Gc.minor_words () -. before)))
+  in
+  let first, first_words = in_fresh_domain () in
+  let second, second_words = in_fresh_domain () in
+  check_bool "same output" true (Circuit.equal first second);
+  check_bool
+    (Printf.sprintf "second domain allocates far less (%.0f vs %.0f words)"
+       second_words first_words)
+    true
+    (second_words *. 10.0 < first_words)
+
 let test_opt_rules_none () =
   (* With no rules a sweep is inverse-pair cancellation plus
      identity-window removal, nothing else: T; T stays two gates. *)
@@ -456,6 +485,8 @@ let () =
             test_window_growth_past_three;
           Alcotest.test_case "eight-gate window" `Quick test_eight_gate_window;
           Alcotest.test_case "window at the end" `Quick test_window_at_end;
+          Alcotest.test_case "verdicts shared across domains" `Quick
+            test_verdicts_shared_across_domains;
         ] );
       ( "fixed point",
         [

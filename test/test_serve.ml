@@ -363,12 +363,11 @@ let test_parallel_batch_matches_sequential () =
   check_int "misses" sm pm;
   check_int "invariant" (ph + pm) pl
 
-let test_batch_holds_compile_lock () =
-  (* A batch's calling domain compiles lanes itself, and the optimizer's
-     identity-window memo is per domain, not per thread: a one-shot
-     compile on another thread must wait for the batch's compiles
-     rather than run beside them on the same domain.  The inject hook
-     counts compiles in flight per domain while each one sleeps. *)
+let test_one_compile_per_domain () =
+  (* A domain runs one compile at a time, so a compile's GC alarm
+     measures that compile alone.  A batch and a one-shot compile race
+     on a two-job daemon; the inject hook counts compiles in flight per
+     domain while each one sleeps. *)
   let lock = Mutex.create () in
   let in_flight = Hashtbl.create 4 in
   let worst = ref 0 in
@@ -401,6 +400,123 @@ let test_batch_holds_compile_lock () =
   Thread.join batch_thread;
   check_int "one-shot compiled" 0 (int_field "code" one_shot);
   check_int "compiles in flight on one domain" 1 !worst
+
+(* Run [f i] for i = 0 .. n-1 on n threads at once and return the
+   results; fails instead of hanging when they are not all back within
+   [seconds]. *)
+let race ?(seconds = 20.0) n f =
+  let results = Array.make n None in
+  let finished = Atomic.make 0 in
+  let threads =
+    List.init n (fun i ->
+        Thread.create
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.incr finished)
+              (fun () -> results.(i) <- Some (f i)))
+          ())
+  in
+  let t0 = Unix.gettimeofday () in
+  while Atomic.get finished < n && Unix.gettimeofday () -. t0 < seconds do
+    Thread.delay 0.01
+  done;
+  if Atomic.get finished < n then
+    Alcotest.failf "%d of %d requests still unanswered after %gs"
+      (n - Atomic.get finished) n seconds;
+  List.iter Thread.join threads;
+  Array.map
+    (function Some r -> r | None -> Alcotest.fail "a racer raised")
+    results
+
+let test_compiles_overlap_across_domains () =
+  (* Two misses for different sources from two threads: a two-job
+     daemon compiles them at once, on two domains; a one-job daemon one
+     after the other.  The hook counts compiles in flight across the
+     process. *)
+  let peak jobs =
+    let lock = Mutex.create () in
+    let in_flight = ref 0 and worst = ref 0 in
+    let count delta =
+      Mutex.lock lock;
+      in_flight := !in_flight + delta;
+      worst := max !worst !in_flight;
+      Mutex.unlock lock
+    in
+    let hook () =
+      count 1;
+      Fun.protect ~finally:(fun () -> count (-1)) (fun () -> Thread.delay 0.3)
+    in
+    let t = Serve.create ~jobs ~inject:hook () in
+    let codes =
+      race 2 (fun i ->
+          int_field "code"
+            (rpc t (compile_req (sample_qasm ^ Printf.sprintf "x q[%d];\n" i))))
+    in
+    Array.iter (check_int "compiled" 0) codes;
+    !worst
+  in
+  check_int "two compiles at once under jobs 2" 2 (peak 2);
+  check_int "one compile at a time under jobs 1" 1 (peak 1)
+
+let test_racing_misses_coalesce () =
+  (* Four requests for one source while its compile sleeps: one
+     compile, one miss, three hits, and the same report bytes for all. *)
+  let calls = Atomic.make 0 in
+  let hook () =
+    Atomic.incr calls;
+    Thread.delay 0.3
+  in
+  let t = Serve.create ~inject:hook () in
+  let responses = race 4 (fun _ -> rpc t (compile_req sample_qasm)) in
+  check_int "the compiler ran once" 1 (Atomic.get calls);
+  let _, hits, misses = cache_counters t in
+  check_int "misses" 1 misses;
+  check_int "hits" 3 hits;
+  let report r = J.to_string (field "report" r) in
+  Array.iter
+    (fun r ->
+      check_int "code" 0 (int_field "code" r);
+      check_string "report bytes" (report responses.(0)) (report r))
+    responses;
+  check_int "one response was the miss" 1
+    (Array.fold_left
+       (fun n r -> if bool_field "cached" r then n else n + 1)
+       0 responses)
+
+let test_uncached_failure_releases_waiters () =
+  (* The first compile raises, so nothing is cached: its two waiters
+     must wake and retry, one as the next miss and one as its hit. *)
+  let calls = Atomic.make 0 in
+  let hook () =
+    if Atomic.fetch_and_add calls 1 = 0 then begin
+      Thread.delay 0.2;
+      failwith "injected fault on the first compile"
+    end
+  in
+  let t = Serve.create ~inject:hook () in
+  let codes =
+    race 3 (fun _ -> int_field "code" (rpc t (compile_req sample_qasm)))
+  in
+  Alcotest.(check (list int))
+    "one internal error, two reports" [ 0; 0; 125 ]
+    (List.sort compare (Array.to_list codes));
+  check_int "the compiler ran twice" 2 (Atomic.get calls)
+
+let test_stats_reports_jobs () =
+  let t = Serve.create ~jobs:3 () in
+  let stats = field "stats" (rpc t [ ("op", J.String "stats") ]) in
+  check_int "jobs" 3 (int_field "jobs" (field "overload" stats))
+
+let test_jobs_past_the_domain_cap () =
+  (* OCaml caps a process at 128 domains: a daemon asking for more
+     compiles on the domains the pool could get.  Registered last, as
+     every later test would pay for the idle domains' share of each
+     stop-the-world collection. *)
+  let t = Serve.create ~jobs:200 () in
+  check_int "first miss compiles" 0
+    (int_field "code" (rpc t (compile_req sample_qasm)));
+  check_int "later misses compile too" 0
+    (int_field "code" (rpc t (compile_req (sample_qasm ^ "x q[2];\n"))))
 
 (* --- the socket layer --- *)
 
@@ -950,8 +1066,16 @@ let () =
             test_stats_snapshot_is_never_torn;
           Alcotest.test_case "parallel batch matches sequential" `Quick
             test_parallel_batch_matches_sequential;
-          Alcotest.test_case "batch holds the compile lock" `Quick
-            test_batch_holds_compile_lock;
+          Alcotest.test_case "one compile per domain" `Quick
+            test_one_compile_per_domain;
+          Alcotest.test_case "compiles overlap across domains" `Quick
+            test_compiles_overlap_across_domains;
+          Alcotest.test_case "racing misses coalesce" `Quick
+            test_racing_misses_coalesce;
+          Alcotest.test_case "an uncached failure releases its waiters" `Quick
+            test_uncached_failure_releases_waiters;
+          Alcotest.test_case "stats reports jobs" `Quick
+            test_stats_reports_jobs;
         ] );
       ( "robustness",
         [
@@ -979,5 +1103,10 @@ let () =
             test_overload_sheds;
           Alcotest.test_case "graceful drain completes in-flight work" `Quick
             test_graceful_drain;
+        ] );
+      ( "limits",
+        [
+          Alcotest.test_case "jobs past the domain cap" `Quick
+            test_jobs_past_the_domain_cap;
         ] );
     ]
