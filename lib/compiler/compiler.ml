@@ -99,17 +99,28 @@ let front_end = function
    blocks is literally the unoptimized circuit), (3) unoptimized =
    optimized.  The three diagrams stay small where the single-shot
    miter explodes; chaining the equivalences gives
-   reference = optimized.  [check] is the QMDD oracle. *)
+   reference = optimized.  [check] is the QMDD oracle.
+
+   Routing a one-gate circuit is deterministic, so each distinct gate
+   is routed, and each distinct CNOT's block proved, once, in order of
+   first occurrence. *)
 let verify_staged ~check ~route device native unoptimized optimized reference =
   let n = Device.n_qubits device in
-  let blocks =
-    List.map
-      (fun g ->
-        (g, Route.expand_swaps device (route device (Circuit.make ~n [ g ]))))
-      (Circuit.gates native)
+  let routed = Hashtbl.create 64 and cnot_blocks = ref [] in
+  let block g =
+    match Hashtbl.find_opt routed g with
+    | Some b -> b
+    | None ->
+      let b = Route.expand_swaps device (route device (Circuit.make ~n [ g ])) in
+      Hashtbl.add routed g b;
+      (match g with
+      | Gate.Cnot _ -> cnot_blocks := (Circuit.make ~n [ g ], b) :: !cnot_blocks
+      | _ -> ());
+      b
   in
   let reassembled =
-    Circuit.make ~n (List.concat_map (fun (_, b) -> Circuit.gates b) blocks)
+    Circuit.make ~n
+      (List.concat_map (fun g -> Circuit.gates (block g)) (Circuit.gates native))
   in
   (* Blocks that do not reassemble leave the proof with nothing to
      chain: report it as running out of budget, so the caller moves on
@@ -117,19 +128,12 @@ let verify_staged ~check ~route device native unoptimized optimized reference =
   if not (Circuit.equal reassembled unoptimized) then
     Oracle.Gave_up Oracle.Node_budget
   else
-    let cnot_blocks =
-      List.filter_map
-        (fun (g, block) ->
-          match g with
-          | Gate.Cnot _ -> Some (Circuit.make ~n [ g ], block)
-          | _ -> None)
-        blocks
-    in
     (* The first link that is not [Equal] settles the chain. *)
     List.fold_left
       (fun v (a, b) -> if v = Oracle.Equal then check a b else v)
       Oracle.Equal
-      (((reference, native) :: cnot_blocks) @ [ (unoptimized, optimized) ])
+      (((reference, native) :: List.rev !cnot_blocks)
+      @ [ (unoptimized, optimized) ])
 
 let verify mode options ~trace ~budget ~route ~native ~unoptimized ~optimized
     reference =

@@ -684,6 +684,81 @@ let first_use_relabeling c1 c2 =
 
 let manager_stats = stats
 
+(* Work the aligner may spend per input gate: one unit per diagonal
+   extension and one per matched step of a snake.  The Table 8 checks
+   need about 5, the serve workload's at most about 150. *)
+let align_work_per_gate = 256
+
+(* A longest common subsequence of two int arrays, as the list of its
+   snakes (i, j, len) in order: xs.(i + t) = ys.(j + t) for t < len.
+   This is the O(NP) algorithm of Wu, Manber, Myers and Miller ("An
+   O(NP) sequence comparison algorithm", IPL 1990), where P counts the
+   deletions from the shorter array beyond the length difference: the
+   furthest point fp.(k) reached on each diagonal k = y - x grows round
+   by round, and round p visits diagonals -p .. delta + p.  A diagonal
+   inherits the path of the neighbour it was reached from, a list of
+   snakes, latest first, that grows only by a non-empty snake.  [probe]
+   runs once per round.  Gives up, returning no snake, once the work
+   passes [align_work_per_gate] per input gate. *)
+let align ~probe (xs : int array) (ys : int array) =
+  let swapped = Array.length xs > Array.length ys in
+  let a, b = if swapped then (ys, xs) else (xs, ys) in
+  let m = Array.length a and n = Array.length b in
+  let delta = n - m and offset = m + 1 in
+  let fp = Array.make (m + n + 3) (-1) in
+  let path = Array.make (m + n + 3) [] in
+  let work = ref 0 and limit = align_work_per_gate * (m + n) in
+  let extend k =
+    let d = offset + k in
+    let from = if fp.(d - 1) + 1 > fp.(d + 1) then d - 1 else d + 1 in
+    let y0 = Int.max (fp.(d - 1) + 1) fp.(d + 1) in
+    let y = ref y0 in
+    while !y - k < m && !y < n && Int.equal a.(!y - k) b.(!y) do
+      incr y
+    done;
+    let len = !y - y0 in
+    work := !work + 1 + len;
+    fp.(d) <- !y;
+    path.(d) <-
+      (if len > 0 then (y0 - k, y0, len) :: path.(from) else path.(from))
+  in
+  let p = ref (-1) in
+  while fp.(offset + delta) < n && !work <= limit do
+    probe ();
+    incr p;
+    for k = - !p to delta - 1 do
+      extend k
+    done;
+    for k = delta + !p downto delta + 1 do
+      extend k
+    done;
+    extend delta
+  done;
+  if fp.(offset + delta) < n then []
+  else
+    List.rev_map
+      (fun (x, y, len) -> if swapped then (y, x, len) else (x, y, len))
+      path.(offset + delta)
+
+(* [align] over two gate arrays interned to ints, equal gates sharing
+   one. *)
+let gate_snakes ~probe g1 g2 =
+  let ids = Hashtbl.create 256 in
+  let id g =
+    try Hashtbl.find ids g
+    with Not_found ->
+      let k = Hashtbl.length ids in
+      Hashtbl.add ids g k;
+      k
+  in
+  let x1 = Array.map id g1 in
+  align ~probe x1 (Array.map id g2)
+
+let common_subsequence g1 g2 =
+  List.concat_map
+    (fun (i, j, len) -> List.init len (fun t -> (i + t, j + t)))
+    (gate_snakes ~probe:ignore g1 g2)
+
 let equivalent ?(up_to_phase = true) ?node_budget ?deadline_ns
     ?(reorder = true) ?stats c1 c2 =
   if Circuit.n_qubits c1 <> Circuit.n_qubits c2 then
@@ -712,32 +787,55 @@ let equivalent ?(up_to_phase = true) ?node_budget ?deadline_ns
   with_budget m node_budget (fun () ->
   with_deadline m deadline_ns (fun () ->
       (* Alternating scheme: gates of c1 left-multiplied, adjoints of c2
-         right-multiplied, interleaved in proportion so the intermediate
-         diagram stays close to the identity.  Final product is
-         U1 * U2^dagger. *)
+         right-multiplied, so the intermediate diagram stays close to
+         the identity.  Final product is U1 * U2^dagger.  A gate the two
+         circuits share (a pair of their longest common subsequence) is
+         applied on both sides at once, which returns the product to
+         where it was; the gates between two such pairs are interleaved
+         in proportion to their counts.  Every gate is applied once, in
+         order, on its own side, so the alignment only changes diagram
+         sizes, never the product. *)
       let g1 = Array.of_list (Circuit.gates c1) in
       let g2 = Array.of_list (Circuit.gates c2) in
-      let n1 = Array.length g1 and n2 = Array.length g2 in
       let acc = ref (identity m) in
-      let i = ref 0 and j = ref 0 in
-      while !i < n1 || !j < n2 do
-        (* Per-gate deadline probe: the per-allocation check inside
-           [make_node] only fires while the diagram grows, so a long
-           all-cache-hit stretch still re-reads the clock here. *)
-        if past_deadline () then raise Deadline_exceeded;
-        let advance_c1 =
-          !i < n1
-          && (!j >= n2 || !i * n2 <= !j * n1)
-        in
-        if advance_c1 then begin
-          acc := multiply m (gate m g1.(!i)) !acc;
-          incr i
-        end
-        else begin
-          acc := multiply m !acc (gate m (Gate.adjoint g2.(!j)));
-          incr j
-        end
-      done;
+      (* Per-gate deadline probe: the per-allocation check inside
+         [make_node] only fires while the diagram grows, so a long
+         all-cache-hit stretch still re-reads the clock here. *)
+      let probe () = if past_deadline () then raise Deadline_exceeded in
+      let left g =
+        probe ();
+        acc := multiply m (gate m g) !acc
+      in
+      let right g =
+        probe ();
+        acc := multiply m !acc (gate m (Gate.adjoint g))
+      in
+      let interleave i0 i1 j0 j1 =
+        let a = i1 - i0 and b = j1 - j0 in
+        let i = ref 0 and j = ref 0 in
+        while !i < a || !j < b do
+          if !i < a && (!j >= b || !i * b <= !j * a) then begin
+            left g1.(i0 + !i);
+            incr i
+          end
+          else begin
+            right g2.(j0 + !j);
+            incr j
+          end
+        done
+      in
+      let i, j =
+        List.fold_left
+          (fun (i, j) (si, sj, len) ->
+            interleave i si j sj;
+            for t = 0 to len - 1 do
+              left g1.(si + t);
+              right g2.(sj + t)
+            done;
+            (si + len, sj + len))
+          (0, 0) (gate_snakes ~probe g1 g2)
+      in
+      interleave i (Array.length g1) j (Array.length g2);
       if up_to_phase then is_identity_up_to_phase m !acc
       else is_identity m !acc)))
 

@@ -130,13 +130,34 @@ val equal_up_to_phase : edge -> edge -> bool
 val is_identity : manager -> edge -> bool
 val is_identity_up_to_phase : manager -> edge -> bool
 
+(** [common_subsequence g1 g2] is a longest common subsequence of the
+    two gate arrays, as index pairs (i, j) with [g1.(i)] structurally
+    equal to [g2.(j)], rising strictly in both coordinates.  It runs the
+    O(NP) algorithm of Wu, Manber, Myers and Miller (IPL 1990), whose
+    work is O((n1 + n2) * P) where P counts the deletions from the
+    shorter array beyond the length difference.  The work is bounded:
+    past 256 diagonal extensions and snake steps per input gate, the
+    aligner gives up and the result is [[]]. *)
+val common_subsequence : Gate.t array -> Gate.t array -> (int * int) list
+
 (** [equivalent ?up_to_phase ?node_budget ?reorder c1 c2] formally
     verifies two circuits of equal width by building [U1 * U2-dagger]
     with the alternating scheme (gates of [c1] left-multiplied, adjoint
-    gates of [c2] right-multiplied, interleaved in proportion to circuit
-    length so the intermediate diagram stays near the identity) and
-    testing the result against the identity.  [up_to_phase] defaults to
-    [true].
+    gates of [c2] right-multiplied, so the intermediate diagram stays
+    near the identity) and testing the result against the identity.
+    [up_to_phase] defaults to [true].
+
+    The schedule follows the diff of the two gate lists.  At each pair
+    of {!common_subsequence} (computed after the relabeling below), the
+    gate of [c1] is left-multiplied and then the adjoint of its partner
+    in [c2] right-multiplied, so a gate both circuits share returns the
+    product to where it was.  Between two consecutive pairs, the
+    unmatched gates of both sides are interleaved in proportion to
+    their counts in that segment.  With no pair, which includes an
+    aligner past its work bound, that is the proportional interleaving
+    of the whole circuits.  Every gate is applied exactly once, in
+    order, on its own side, so the verdict does not depend on the
+    alignment; only the diagram sizes do.
 
     [reorder] (default [true]) relabels {e both} circuits by first-use
     order before building diagrams, so qubits that interact sit next to
@@ -148,8 +169,9 @@ val is_identity_up_to_phase : manager -> edge -> bool
     [deadline_ns], when given, is a monotonic-clock instant (the scale
     of [Trace.now_ns]): once past, the check aborts with
     {!Deadline_exceeded} instead of running to completion.  The
-    deadline is probed before every gate multiplication and once per
-    1024 fresh node allocations, so even a single exploding multiply
+    deadline is probed once per round of the aligner, before every gate
+    multiplication and once per 1024 fresh node allocations, so even a
+    single exploding multiply
     overruns by at most a fraction of a millisecond — this is what lets
     a compile's wall-clock budget bound the verification stage instead
     of merely being consulted before it starts.

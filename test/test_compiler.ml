@@ -672,15 +672,18 @@ let test_deadline_degrades_not_aborts () =
       (String.concat "; " (List.map Diagnostic.to_string ds))
 
 (* A circuit whose QMDD equivalence check takes a few hundred
-   milliseconds: ten layers of H, an irrational Rz and a CNOT five
+   milliseconds: twenty layers of H, an irrational Rz and a CNOT five
    qubits away over 16 qubits.  Routing those CNOTs on ibmqx5 inserts
    SWAP chains, and the distinct angles keep the diagram's weights from
    collapsing, so the check cannot finish inside the sliver of budget
-   the test leaves it. *)
+   the test leaves it.  The routed circuit is twenty times longer than
+   the reference, too far apart for the aligner's work bound, so the
+   miter interleaves the two in proportion; ten layers align, and check
+   in about 0.05 s. *)
 let verification_heavy =
   let n = 16 in
   let gates = ref [] in
-  for layer = 1 to 10 do
+  for layer = 1 to 20 do
     for q = 0 to n - 1 do
       let angle = (sqrt 2.0 *. float_of_int (q + 1)) +. float_of_int layer in
       gates := Gate.Rz (angle, q) :: Gate.H q :: !gates;
@@ -767,13 +770,17 @@ let test_deadline_enforced_inside_verification () =
     Alcotest.failf "deadline compile aborted: %s"
       (String.concat "; " (List.map Diagnostic.to_string ds))
 
-(* The first three gates of the T6_b cascade on big96: past the dense
-   oracle's width, and the strict-mode check of the first swap-level
-   sweep takes QMDD well over half a second. *)
+(* The five Table 8 cascades from T10_b down to T6_b, then back up, on
+   big96: past the dense oracle's width, and the strict-mode check of
+   the first swap-level sweep takes QMDD over a second.  A miter paced
+   along the diff of the two gate lists checks the sweep of a single
+   cascade in a fraction of that, and of the five in ascending order,
+   twice, in about 0.9 s; this order makes it about 1.5 times longer. *)
 let strict_heavy () =
-  let t6 = Benchsuite.Big_cascades.circuit (Benchsuite.Big_cascades.find "T6_b") in
-  Circuit.make ~n:(Circuit.n_qubits t6)
-    (List.filteri (fun i _ -> i < 3) (Circuit.gates t6))
+  let up = List.map Benchsuite.Big_cascades.circuit Benchsuite.Big_cascades.all in
+  match List.rev up @ up with
+  | first :: rest -> List.fold_left Circuit.concat first rest
+  | [] -> assert false
 
 let test_strict_check_keeps_deadline () =
   (* Regression: strict mode's oracle check of an optimizer sweep ran
@@ -784,7 +791,7 @@ let test_strict_check_keeps_deadline () =
      dropped sweep degrades post-optimize. *)
   let device = Device.Ibm.big96 in
   let circuit = strict_heavy () in
-  let deadline = 1.0 and margin = 0.03 in
+  let deadline = 1.0 and margin = 0.1 in
   let base =
     { (Compiler.default_options ~device) with
       Compiler.verification = Compiler.Skip;
@@ -836,7 +843,15 @@ let test_strict_check_keeps_deadline () =
       true
       (elapsed < deadline +. 0.5);
     check_bool "post-optimize degraded" true
-      (List.mem_assoc Diagnostic.Post_optimize r.Compiler.degraded)
+      (List.mem_assoc Diagnostic.Post_optimize r.Compiler.degraded);
+    (* Post-optimize did start: the time left after the hook covers the
+       audits between it and the first sweep. *)
+    check_bool "the first sweep's check gave up at the deadline" true
+      (List.mem
+         ( Diagnostic.Post_optimize,
+           "sweep 1 reverted: equivalence oracle gave up: wall-clock \
+            deadline exceeded" )
+         r.Compiler.degraded)
   | Error ds ->
     Alcotest.failf "strict deadline compile aborted: %s"
       (String.concat "; " (List.map Diagnostic.to_string ds))
