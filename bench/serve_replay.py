@@ -14,14 +14,20 @@ serve contract end to end:
     verb before and after);
   * the "batch" verb maps malformed entries to the documented failure
     codes (123 reported failure / 124 protocol misuse), never 125 and
-    never a dropped connection.
+    never a dropped connection;
+  * batch lanes agree with one-shot compiles: the whole suite goes out
+    as one batch on a second device (ibmqx3), so every lane is a miss
+    compiled on the daemon's pool, then lane by lane as one-shot
+    compiles, each of which must be a cache hit whenever its lane
+    produced a report, and byte-identical to its batch entry.
 
 Usage: python3 bench/serve_replay.py SOCKET_PATH [DEVICE] [flags]
 
 Flags (for the robustness / warm-restart CI cycles):
 
   --single-pass          compile the suite once and skip the
-                         second-pass determinism + batch checks
+                         second-pass determinism and both batch
+                         checks
   --expect-warm-hits     assert this pass was served >= 90% from cache
                          (a daemon restarted over a persistent cache
                          must answer warm)
@@ -226,6 +232,49 @@ def check_malformed_batch(client):
     print(f"malformed batch ok: {len(bad)}/{len(bad)} structured failures")
 
 
+def envelope_free(resp):
+    """A response without its envelope fields and cache flag: what a
+    batch entry and the one-shot compile of its lane must share."""
+    skip = ("protocol", "id", "seconds", "cached")
+    return json.dumps({k: v for k, v in resp.items() if k not in skip}, sort_keys=True)
+
+
+def check_batch_lanes(client, files, device):
+    """The suite as one batch on a device no pass has used, then each
+    lane again as a one-shot compile (see the module docstring)."""
+    lanes = []
+    for path, fmt in files:
+        with open(path, encoding="utf-8") as f:
+            lanes.append({"source": f.read(), "format": fmt, "device": device})
+    resp = client.request({"op": "batch", "id": "lanes", "requests": lanes})
+    check_envelope(resp, "suite batch")
+    results = resp.get("results", [])
+    if len(results) != len(lanes):
+        fail(f"suite batch: {len(results)} results for {len(lanes)} lanes")
+        return
+    hits = 0
+    for (path, _), lane, entry in zip(files, lanes, results):
+        if entry.get("code") not in (0, 123):
+            fail(f"batch {path}: unexpected code {entry.get('code')}")
+        if "report" in entry and entry.get("cached") is not False:
+            fail(f"batch {path}: lane on a fresh device was not a miss")
+        one = client.request(
+            dict(lane, op="compile", id=f"lane:{os.path.basename(path)}")
+        )
+        check_envelope(one, f"one-shot {path}")
+        if "report" in entry:
+            if one.get("cached") is True:
+                hits += 1
+            else:
+                fail(f"one-shot {path}: not served from its batch entry")
+        if envelope_free(one) != envelope_free(entry):
+            fail(f"{path}: one-shot response differs from its batch entry")
+    print(
+        f"batch lanes ok: {len(lanes)} lanes on {device}, "
+        f"{hits} one-shot hits byte-identical to their entries"
+    )
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="Replay the benchmark suite through a qsc serve daemon."
@@ -281,6 +330,8 @@ def main():
                 fail(f"cache hit rate {hits}/{n} below the 90% floor")
 
             check_malformed_batch(client)
+            batch_device = "ibmq_16" if device == "ibmqx3" else "ibmqx3"
+            check_batch_lanes(client, files, batch_device)
 
         if args.save_reports:
             with open(args.save_reports, "w", encoding="utf-8") as f:

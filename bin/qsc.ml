@@ -1506,9 +1506,10 @@ let serve_cmd =
       value & opt float 5.0
       & info [ "watchdog-grace" ] ~docv:"SECONDS"
           ~doc:
-            "How long past the --max-deadline ceiling the supervisor waits \
-             before abandoning a wedged request and answering 125 on its \
-             behalf (0 disables supervision).")
+            "How long past the --max-deadline ceiling a request may wait \
+             for any one thing (its turn to compile, or its compile) \
+             before the watchdog answers it 125 on its connection; the \
+             limit is per wait (0 disables the watchdog).")
   in
   let max_request_mb =
     Arg.(

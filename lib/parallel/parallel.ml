@@ -38,8 +38,16 @@ let map ~jobs f xs =
       in
       loop ()
     in
-    let spawned = min jobs n - 1 in
-    let domains = Array.init spawned (fun _ -> Domain.spawn worker) in
+    (* Past the runtime's domain cap (128 per process), run on the
+       domains spawned so far. *)
+    let rec spawn acc k =
+      if k = 0 then acc
+      else
+        match Domain.spawn worker with
+        | d -> spawn (d :: acc) (k - 1)
+        | exception Failure _ -> acc
+    in
+    let domains = spawn [] (min jobs n - 1) in
     (* The calling domain is pool member 0: it works instead of idling,
        and [jobs = 1] degenerates to the sequential loop above. *)
     let caller_failure =
@@ -47,7 +55,7 @@ let map ~jobs f xs =
       | () -> None
       | exception e -> Some (e, Printexc.get_raw_backtrace ())
     in
-    Array.iter Domain.join domains;
+    List.iter Domain.join domains;
     (match caller_failure with
     | Some (e, bt) ->
       (* The worker loop itself never raises (task exceptions are

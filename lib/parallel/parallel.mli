@@ -34,8 +34,9 @@ val default_jobs : unit -> int
 val resolve_jobs : int option -> int
 
 (** [map ~jobs f xs] maps [f] over [xs], running up to [jobs] tasks at
-    once (the calling domain works too: [jobs = 4] spawns 3 domains).
-    Result order matches input order. *)
+    once (the calling domain works too: [jobs = 4] spawns 3 domains;
+    past the runtime's 128-domain cap it runs on the domains it could
+    spawn).  Result order matches input order. *)
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [map_list ~jobs f xs] is {!map} over a list. *)

@@ -12,6 +12,27 @@ type entry = {
   mutable tick : int;
 }
 
+type counters = {
+  mutable requests : int;
+  mutable lookups : int;  (** resolved cache consultations: hits + misses *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  resident : int;  (** filled in by [stats] only *)
+  mutable resident_bytes : int;
+  mutable warmed : int;
+  mutable persist_errors : int;
+  mutable shed : int;
+  mutable drained : int;
+  mutable watchdog_trips : int;
+  mutable alloc_trips : int;
+  mutable client_disconnects : int;
+  mutable read_timeouts : int;
+  mutable frame_rejects : int;
+  mutable connections_served : int;
+  mutable open_connections : int;
+}
+
 type t = {
   cache : (string, entry) Hashtbl.t;
   capacity : int;
@@ -25,94 +46,34 @@ type t = {
   max_workers : int;
   max_pending : int;
   jobs : int;  (** the most compiles this daemon runs at once *)
-  slots : Semaphore.Counting.t;
-      (** [jobs] slots; each queued or running compile holds one *)
   inject : (unit -> unit) option;
-  (* [state_lock] guards the cache, [in_flight] and every counter
-     (short sections, and waits on [landed]).  No lock is held while a
-     compile runs. *)
+  (* [state_lock] guards the cache, [in_flight], [running] and the
+     counters, in short sections and in waits on [changed].  No lock is
+     held while a compile runs. *)
   state_lock : Mutex.t;
+  changed : Condition.t;
+      (** broadcast when a compile lands, and on every tick of [serve]'s
+          accept loop; every wait for a compile waits on it *)
   in_flight : (string, unit) Hashtbl.t;
       (** keys a one-shot miss is compiling; see [compile_with_cache] *)
-  landed : Condition.t;  (** broadcast whenever a key leaves [in_flight] *)
+  mutable running : int;  (** compiles queued or running, at most [jobs] *)
   mutable clock : int;  (** LRU tick; bumped on every cache touch *)
-  mutable cache_bytes : int;
-  mutable requests : int;
-  mutable lookups : int;  (** resolved cache consultations: hits + misses *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable warmed : int;
-  mutable persist_errors : int;
-  mutable shed : int;
-  mutable drained : int;
-  mutable watchdog_trips : int;
-  mutable alloc_trips : int;
-  mutable client_disconnects : int;
-  mutable read_timeouts : int;
-  mutable frame_rejects : int;
-  mutable connections_served : int;
-  mutable open_connections : int;
-  mutable stop : bool;
+  c : counters;
+  stop : bool Atomic.t;
 }
 
 exception Allocation_budget_exceeded of int
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let with_state t f = with_lock t.state_lock f
-
-type counters = {
-  requests : int;
-  lookups : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-  resident : int;
-  resident_bytes : int;
-  warmed : int;
-  persist_errors : int;
-  shed : int;
-  drained : int;
-  watchdog_trips : int;
-  alloc_trips : int;
-  client_disconnects : int;
-  read_timeouts : int;
-  frame_rejects : int;
-  connections_served : int;
-  open_connections : int;
-}
+let with_state t f = Mutex.protect t.state_lock f
 
 (* One lock acquisition for the whole snapshot: every field is read in
    the same critical section the workers write them in, so a snapshot
    can never be torn — [hits + misses = lookups] holds in every
    observation, even under full compile load. *)
 let stats t =
-  with_state t (fun () ->
-      {
-        requests = t.requests;
-        lookups = t.lookups;
-        hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        resident = Hashtbl.length t.cache;
-        resident_bytes = t.cache_bytes;
-        warmed = t.warmed;
-        persist_errors = t.persist_errors;
-        shed = t.shed;
-        drained = t.drained;
-        watchdog_trips = t.watchdog_trips;
-        alloc_trips = t.alloc_trips;
-        client_disconnects = t.client_disconnects;
-        read_timeouts = t.read_timeouts;
-        frame_rejects = t.frame_rejects;
-        connections_served = t.connections_served;
-        open_connections = t.open_connections;
-      })
+  with_state t (fun () -> { t.c with resident = Hashtbl.length t.cache })
 
-let shutdown_requested t = t.stop
+let shutdown_requested t = Atomic.get t.stop
 
 (* --- the persistent store ------------------------------------------ *)
 
@@ -169,7 +130,7 @@ let persist_store t key (entry : entry) =
          raise e);
       Unix.rename tmp file
     with Sys_error _ | Unix.Unix_error _ ->
-      t.persist_errors <- t.persist_errors + 1;
+      t.c.persist_errors <- t.c.persist_errors + 1;
       (try Sys.remove tmp with Sys_error _ -> ()))
 
 let persist_remove t key =
@@ -197,14 +158,14 @@ let evict_lru t =
   match victim with
   | Some (key, entry) ->
     Hashtbl.remove t.cache key;
-    t.cache_bytes <- t.cache_bytes - entry.bytes;
-    t.evictions <- t.evictions + 1;
+    t.c.resident_bytes <- t.c.resident_bytes - entry.bytes;
+    t.c.evictions <- t.c.evictions + 1;
     persist_remove t key
   | None -> ()
 
 let over_budget t =
   (t.capacity > 0 && Hashtbl.length t.cache > t.capacity)
-  || (t.max_bytes > 0 && t.cache_bytes > t.max_bytes)
+  || (t.max_bytes > 0 && t.c.resident_bytes > t.max_bytes)
 
 let enforce_budgets t =
   while over_budget t && Hashtbl.length t.cache > 0 do
@@ -218,14 +179,14 @@ let cache_insert ?(persist = true) t key payload code =
   if t.capacity > 0 then begin
     (match Hashtbl.find_opt t.cache key with
     | Some old ->
-      t.cache_bytes <- t.cache_bytes - old.bytes;
+      t.c.resident_bytes <- t.c.resident_bytes - old.bytes;
       Hashtbl.remove t.cache key
     | None -> ());
     let bytes = String.length (J.to_string (J.Obj payload)) in
     let entry = { payload; code; bytes; tick = 0 } in
     touch t entry;
     Hashtbl.replace t.cache key entry;
-    t.cache_bytes <- t.cache_bytes + bytes;
+    t.c.resident_bytes <- t.c.resident_bytes + bytes;
     enforce_budgets t;
     if persist && Hashtbl.mem t.cache key then persist_store t key entry
   end
@@ -241,7 +202,7 @@ let warm_from_disk t =
   | Some dir ->
     (try mkdir_p dir
      with Sys_error _ | Unix.Unix_error _ ->
-       t.persist_errors <- t.persist_errors + 1);
+       t.c.persist_errors <- t.c.persist_errors + 1);
     let names = try Sys.readdir dir with Sys_error _ -> [||] in
     Array.iter
       (fun name ->
@@ -261,7 +222,7 @@ let warm_from_disk t =
     List.iter
       (fun (path, _) ->
         let drop () =
-          t.persist_errors <- t.persist_errors + 1;
+          t.c.persist_errors <- t.c.persist_errors + 1;
           try Sys.remove path with Sys_error _ -> ()
         in
         match read_file path with
@@ -282,7 +243,7 @@ let warm_from_disk t =
                 Some (J.Obj payload) )
               when schema = cache_schema ->
               cache_insert ~persist:false t key payload code;
-              if Hashtbl.mem t.cache key then t.warmed <- t.warmed + 1
+              if Hashtbl.mem t.cache key then t.c.warmed <- t.c.warmed + 1
             | _ -> drop ())))
       reports
 
@@ -325,30 +286,34 @@ let create ?(cache_capacity = 256) ?(max_cache_bytes = 64 * 1024 * 1024)
       max_workers;
       max_pending;
       jobs;
-      slots = Semaphore.Counting.make jobs;
       inject;
       state_lock = Mutex.create ();
+      changed = Condition.create ();
       in_flight = Hashtbl.create 16;
-      landed = Condition.create ();
+      running = 0;
       clock = 0;
-      cache_bytes = 0;
-      requests = 0;
-      lookups = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      warmed = 0;
-      persist_errors = 0;
-      shed = 0;
-      drained = 0;
-      watchdog_trips = 0;
-      alloc_trips = 0;
-      client_disconnects = 0;
-      read_timeouts = 0;
-      frame_rejects = 0;
-      connections_served = 0;
-      open_connections = 0;
-      stop = false;
+      c =
+        {
+          requests = 0;
+          lookups = 0;
+          hits = 0;
+          misses = 0;
+          evictions = 0;
+          resident = 0;
+          resident_bytes = 0;
+          warmed = 0;
+          persist_errors = 0;
+          shed = 0;
+          drained = 0;
+          watchdog_trips = 0;
+          alloc_trips = 0;
+          client_disconnects = 0;
+          read_timeouts = 0;
+          frame_rejects = 0;
+          connections_served = 0;
+          open_connections = 0;
+        };
+      stop = Atomic.make false;
     }
   in
   warm_from_disk t;
@@ -598,9 +563,9 @@ let guarded_allocation t f =
 (* --- the compile pool ---------------------------------------------- *)
 
 (* Every compile runs on a domain of one process-wide pool, so the
-   daemon's sys-threads only move bytes, supervise and wait.  The pool
-   is process-wide because OCaml caps a process at 128 domains and
-   tests and the fuzzer build thousands of daemons in one process.  It
+   daemon's sys-threads only move bytes and wait.  The pool is
+   process-wide because OCaml caps a process at 128 domains and tests
+   and the fuzzer build thousands of daemons in one process.  It
    starts with the first compile, grows to the largest [jobs] any
    daemon asked for, and never shrinks.  A domain runs one compile at
    a time, so its GC alarm measures that compile alone.  Spawning a
@@ -617,7 +582,7 @@ module Pool = struct
      domains the pool has. *)
   let ceiling = ref max_int
 
-  (* Jobs never raise: [start] wraps each one. *)
+  (* Jobs never raise: [submit] below wraps each one. *)
   let rec worker () =
     let job =
       Mutex.protect lock (fun () ->
@@ -641,39 +606,71 @@ module Pool = struct
         Condition.signal work)
 end
 
-(* A compile submitted to the pool.  [await] blocks on [finished] (a
-   mutex and a condition), which frees the submitting thread's domain
-   for I/O. *)
+(* --- waits --------------------------------------------------------- *)
+
+(* Raised by a wait that outlasted its watchdog limit (in seconds). *)
+exception Watchdog of float
+
+(* Wait on [changed], with [state_lock] held, until [ready ()] holds.
+   Under a [limit] (seconds; [None] is no watchdog) the wait raises
+   [Watchdog] once it has lasted that long.  OCaml 5.1's [Condition]
+   has no timed wait, so [serve]'s accept loop broadcasts [changed] on
+   every tick, and a wait on a wedged compile still wakes to see its
+   deadline. *)
+let wait_until t ~limit ready =
+  let began = Unix.gettimeofday () in
+  while not (ready ()) do
+    (match limit with
+    | Some s when Unix.gettimeofday () -. began >= s -> raise (Watchdog s)
+    | _ -> ());
+    Condition.wait t.changed t.state_lock
+  done
+
+(* A compile submitted to the pool; [outcome] is set under [state_lock]
+   when it lands. *)
 type 'a pending = {
-  finished : Semaphore.Binary.t;  (** released once [outcome] is set *)
   mutable outcome : ('a, exn * Printexc.raw_backtrace) result option;
 }
 
-(* Queue [f] behind one of [t]'s [jobs] slots.  The slot then belongs
-   to the compile, which releases it when it ends, so a thread never
-   holds a slot while it waits for another. *)
-let start t f =
-  Semaphore.Counting.acquire t.slots;
-  let p = { finished = Semaphore.Binary.make false; outcome = None } in
+(* Run [f] on the pool, on a slot the caller has taken (counted in
+   [running] under [state_lock]).  When [f] ends, one critical section
+   hands its outcome to [landed], records it, frees the slot and wakes
+   every waiter, whether or not anyone still waits for it. *)
+let submit ?(landed = ignore) t f =
+  let p = { outcome = None } in
+  let settle outcome =
+    with_state t (fun () ->
+        landed outcome;
+        p.outcome <- Some outcome;
+        t.running <- t.running - 1;
+        Condition.broadcast t.changed)
+  in
   let job () =
-    p.outcome <-
-      Some
-        (match f () with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ()));
-    Semaphore.Counting.release t.slots;
-    Semaphore.Binary.release p.finished
+    settle
+      (match f () with
+      | v -> Ok v
+      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
   in
   (try Pool.submit ~domains:t.jobs job
-   with e ->
-     Semaphore.Counting.release t.slots;
-     raise e);
+   with e -> settle (Error (e, Printexc.get_raw_backtrace ())));
   p
 
+(* Queue [f] behind one of [t]'s [jobs] slots.  The slot then belongs
+   to the compile, which frees it when it lands, so a thread never
+   holds a slot while it waits for another. *)
+let start t ~limit f =
+  with_state t (fun () ->
+      wait_until t ~limit (fun () -> t.running < t.jobs);
+      t.running <- t.running + 1);
+  submit t f
+
 (* The compile's result, or its exception re-raised in this thread. *)
-let await p =
-  Semaphore.Binary.acquire p.finished;
-  match p.outcome with
+let await t ~limit p =
+  match
+    with_state t (fun () ->
+        wait_until t ~limit (fun () -> Option.is_some p.outcome);
+        p.outcome)
+  with
   | Some (Ok v) -> v
   | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
   | None -> assert false
@@ -687,29 +684,20 @@ let diagnostics_json ds = J.List (List.map Diagnostic.to_json ds)
    [hits + misses = lookups] holds at every instant.  Called with
    [state_lock] held. *)
 let count_hit (t : t) entry =
-  t.lookups <- t.lookups + 1;
-  t.hits <- t.hits + 1;
+  t.c.lookups <- t.c.lookups + 1;
+  t.c.hits <- t.c.hits + 1;
   touch t entry;
   (entry.code, entry.payload @ [ ("cached", J.Bool true) ])
 
 let count_miss (t : t) =
-  t.lookups <- t.lookups + 1;
-  t.misses <- t.misses + 1
+  t.c.lookups <- t.c.lookups + 1;
+  t.c.misses <- t.c.misses + 1
 
 let cache_lookup t key =
   with_state t (fun () ->
       Option.map (count_hit t) (Hashtbl.find_opt t.cache key))
 
 let record_miss t = with_state t (fun () -> count_miss t)
-
-(* The pure compile core: no cache access, no locks.  Runs on a pool
-   domain (see [start]). *)
-let compile_uncached t req =
-  guarded_allocation t (fun () ->
-      (match t.inject with Some f -> f () | None -> ());
-      match Compiler.parse_source_checked ~format:req.format req.source with
-      | Error d -> Error [ d ]
-      | Ok input -> Compiler.compile_checked req.options input)
 
 let outcome_response req = function
   | Error ds ->
@@ -730,51 +718,60 @@ let outcome_response req = function
     in
     `Report (code, payload)
 
-(* Miss path tail shared by one-shot compiles and batch lanes: render
-   the outcome, cache completed reports.  The caller has already
-   counted the miss (before compiling, so an allocation trip still
-   counts it). *)
-let finish_miss t key req outcome =
-  match outcome_response req outcome with
-  | `Fail (code, body) -> (code, body)
-  | `Report (code, payload) ->
-    with_state t (fun () -> cache_insert t key payload code);
-    (code, payload @ [ ("cached", J.Bool false) ])
+(* The pure compile core and its rendering: no cache access, no locks.
+   Runs on a pool domain (see [submit]). *)
+let compile_uncached t req =
+  outcome_response req
+    (guarded_allocation t (fun () ->
+         (match t.inject with Some f -> f () | None -> ());
+         match Compiler.parse_source_checked ~format:req.format req.source with
+         | Error d -> Error [ d ]
+         | Ok input -> Compiler.compile_checked req.options input))
 
-(* Racing misses coalesce: a miss registers its key in [in_flight], in
-   the critical section that found the cache without it, and compiles
-   with no lock held.  A request for a registered key waits until the
-   key leaves, then looks again: it takes the cached report as a hit,
-   or, when the outcome was not cached (a diagnostic, an exception),
-   becomes the next miss. *)
-let compile_with_cache t req key =
-  let rec claim () =
-    match Hashtbl.find_opt t.cache key with
-    | Some entry -> Some (count_hit t entry)
-    | None when Hashtbl.mem t.in_flight key ->
-      Condition.wait t.landed t.state_lock;
-      claim ()
-    | None ->
-      Hashtbl.replace t.in_flight key ();
-      count_miss t;
-      None
+let miss_response = function
+  | `Fail response -> response
+  | `Report (code, payload) -> (code, payload @ [ ("cached", J.Bool false) ])
+
+(* Racing misses coalesce: a miss registers its key in [in_flight] and
+   takes a compile slot in the critical section that found the cache
+   without the key, then compiles with no lock held.  A request for a
+   registered key waits until the key leaves, then looks again: it
+   takes the cached report as a hit, or, when the outcome was not
+   cached (a diagnostic, an exception), becomes the next miss.  The key
+   leaves when the compile lands, in the section that caches its
+   report, even when the watchdog has given up on the request: the
+   late report still goes to the cache, and a request for the same key
+   waits for it meanwhile. *)
+let compile_with_cache t ~limit req key =
+  let claimed =
+    with_state t (fun () ->
+        wait_until t ~limit (fun () ->
+            Hashtbl.mem t.cache key
+            || not (Hashtbl.mem t.in_flight key || t.running >= t.jobs));
+        match Hashtbl.find_opt t.cache key with
+        | Some entry -> Some (count_hit t entry)
+        | None ->
+          Hashtbl.replace t.in_flight key ();
+          count_miss t;
+          t.running <- t.running + 1;
+          None)
   in
-  match with_state t claim with
+  match claimed with
   | Some hit -> hit
   | None ->
-    Fun.protect
-      ~finally:(fun () ->
-        with_state t (fun () ->
-            Hashtbl.remove t.in_flight key;
-            Condition.broadcast t.landed))
-      (fun () ->
-        let outcome = await (start t (fun () -> compile_uncached t req)) in
-        finish_miss t key req outcome)
+    let landed outcome =
+      (match outcome with
+      | Ok (`Report (code, payload)) -> cache_insert t key payload code
+      | Ok (`Fail _) | Error _ -> ());
+      Hashtbl.remove t.in_flight key
+    in
+    miss_response
+      (await t ~limit (submit ~landed t (fun () -> compile_uncached t req)))
 
 (* Returns the response code and body fields for one compile request. *)
-let run_compile t j =
+let run_compile t ~limit j =
   let req = parse_compile_request t j in
-  compile_with_cache t req (cache_key req)
+  compile_with_cache t ~limit req (cache_key req)
 
 (* --- dispatch ------------------------------------------------------ *)
 
@@ -852,7 +849,7 @@ let internal_error_body msg =
   ]
 
 let alloc_trip t budget =
-  with_state t (fun () -> t.alloc_trips <- t.alloc_trips + 1);
+  with_state t (fun () -> t.c.alloc_trips <- t.c.alloc_trips + 1);
   ( 125,
     internal_error_body
       (Printf.sprintf
@@ -878,16 +875,10 @@ let alloc_entry t budget =
   let code, body = alloc_trip t budget in
   J.Obj ([ ("ok", J.Bool false); ("code", J.Int code) ] @ body)
 
-let batch_entry t j =
-  match run_compile t j with
-  | response -> entry_of_response response
-  | exception Reject (code, d) -> reject_entry code d
-  | exception Allocation_budget_exceeded budget -> alloc_entry t budget
-
-(* Parallel batch.  Only the pure compiles fan out: the cache
-   protocol is replayed strictly sequentially in request order
-   (phase 3), so response bytes, counters and LRU order are identical
-   to a sequential run of the same batch on an idle server.
+(* A batch.  Only the pure compiles fan out: the cache protocol is
+   replayed strictly sequentially in request order (phase 3), so
+   response bytes, counters and LRU order are those of a sequential run
+   of the same batch on an idle server, at every [jobs].
 
    Phase 1 parses every lane and predicts which distinct keys a
    sequential run would have to compile (first occurrence of a key not
@@ -896,9 +887,9 @@ let batch_entry t j =
    lanes in order running the normal lookup/miss protocol,
    substituting a precomputed outcome where one exists; a predicted
    hit whose entry was evicted in the meantime simply falls back to
-   the sequential inline path, so correctness never depends on the
+   the one-shot path, so correctness never depends on the
    prediction. *)
-let batch_parallel t requests =
+let batch_results t ~limit requests =
   let lanes =
     List.map
       (fun rj ->
@@ -926,12 +917,13 @@ let batch_parallel t requests =
   List.map
     (fun (key, req) ->
       ( key,
-        start t (fun () ->
+        start t ~limit (fun () ->
             match compile_uncached t req with
             | outcome -> `Outcome outcome
             | exception Allocation_budget_exceeded budget -> `Alloc budget) ))
     missing
-  |> List.iter (fun (key, p) -> Hashtbl.replace precomputed key (await p));
+  |> List.iter (fun (key, p) ->
+         Hashtbl.replace precomputed key (await t ~limit p));
   List.map
     (function
       | `Rejected (code, d) -> reject_entry code d
@@ -947,27 +939,28 @@ let batch_parallel t requests =
             alloc_entry t budget
           | Some (`Outcome outcome) ->
             record_miss t;
-            entry_of_response (finish_miss t key req outcome)
+            (match outcome with
+            | `Report (code, payload) ->
+              with_state t (fun () -> cache_insert t key payload code)
+            | `Fail _ -> ());
+            entry_of_response (miss_response outcome)
           | None -> (
-            (* Predicted hit evicted mid-batch: compile inline exactly
-               as the sequential run would. *)
-            match compile_with_cache t req key with
+            (* Predicted hit evicted mid-batch: compile it as the
+               sequential run would. *)
+            match compile_with_cache t ~limit req key with
             | response -> entry_of_response response
             | exception Allocation_budget_exceeded budget ->
               alloc_entry t budget))))
     lanes
 
-let run_batch t j =
+let run_batch t ~limit j =
   let requests =
     match J.member "requests" j with
     | Some (J.List l) -> l
     | Some _ -> misuse "field \"requests\" must be a list"
     | None -> missing_field "batch request is missing \"requests\""
   in
-  let results =
-    if t.jobs <= 1 then List.map (batch_entry t) requests
-    else batch_parallel t requests
-  in
+  let results = batch_results t ~limit requests in
   let code_of = function
     | J.Obj fields -> (
       match List.assoc_opt "code" fields with Some (J.Int c) -> c | _ -> 125)
@@ -985,21 +978,33 @@ let run_batch t j =
       ("results", J.List results);
     ] )
 
-let dispatch t j =
+let dispatch t ~limit j =
   match get_string "op" j with
   | Some "ping" -> (0, [ ("pong", J.Bool true) ])
   | Some "stats" -> (0, stats_body t)
   | Some "shutdown" ->
-    with_state t (fun () -> t.stop <- true);
+    Atomic.set t.stop true;
     (0, [ ("stopping", J.Bool true) ])
-  | Some "compile" -> run_compile t j
-  | Some "batch" -> run_batch t j
+  | Some "compile" -> run_compile t ~limit j
+  | Some "batch" -> run_batch t ~limit j
   | Some other -> misuse (Printf.sprintf "unknown op %S" other)
   | None -> missing_field "request is missing \"op\""
 
-let handle_line_core t line =
+(* OCaml threads cannot be killed, so a request the watchdog gives up
+   on is answered, not stopped: its compile keeps its domain and its
+   slot until it lands, and the late report only reaches the cache. *)
+let watchdog_trip t limit =
+  with_state t (fun () -> t.c.watchdog_trips <- t.c.watchdog_trips + 1);
+  ( 125,
+    internal_error_body
+      (Printf.sprintf
+         "watchdog: a wait exceeded the %.3gs limit; request abandoned, its \
+          late result discarded"
+         limit) )
+
+let handle_line_core t ~limit line =
   let t0 = Trace.now_ns () in
-  with_state t (fun () -> t.requests <- t.requests + 1);
+  with_state t (fun () -> t.c.requests <- t.c.requests + 1);
   let id, (code, body) =
     match J.of_string line with
     | Error msg -> (
@@ -1015,7 +1020,7 @@ let handle_line_core t line =
       let id = match j with J.Obj _ -> J.member "id" j | _ -> None in
       ( id,
         match
-          dispatch t
+          dispatch t ~limit
             (match j with
             | J.Obj _ -> j
             | _ -> misuse "request must be a JSON object")
@@ -1028,6 +1033,7 @@ let handle_line_core t line =
               ("diagnostics", diagnostics_json [ d ]);
             ] )
         | exception Allocation_budget_exceeded budget -> alloc_trip t budget
+        | exception Watchdog limit -> watchdog_trip t limit
         | exception exn ->
           ( 125,
             internal_error_body
@@ -1049,17 +1055,19 @@ let frame_reject_body t =
         ] );
   ]
 
-let handle_line t line =
+(* The protocol core: one response line for one request line.  Each
+   wait of the request is bounded by [limit] when one is given. *)
+let respond t ~limit line =
   (* The frame cap comes first: an over-long line is answered without
      ever being parsed (or buffered further by the socket layer). *)
   if String.length line > t.max_frame_bytes then begin
     with_state t (fun () ->
-        t.requests <- t.requests + 1;
-        t.frame_rejects <- t.frame_rejects + 1);
+        t.c.requests <- t.c.requests + 1;
+        t.c.frame_rejects <- t.c.frame_rejects + 1);
     envelope ~code:124 ~seconds:0.0 (frame_reject_body t)
   end
   else
-    try handle_line_core t line
+    try handle_line_core t ~limit line
     with exn ->
       (* [handle_line_core] already converts everything it can; this is
          the last-resort 125 lane (e.g. Out_of_memory). *)
@@ -1067,67 +1075,7 @@ let handle_line t line =
         (internal_error_body
            (Printf.sprintf "unexpected exception: %s" (Printexc.to_string exn)))
 
-(* --- supervision --------------------------------------------------- *)
-
-let request_id_of_line line =
-  match J.of_string line with
-  | Ok (J.Obj _ as j) -> J.member "id" j
-  | Ok _ | Error _ -> None
-
-(* OCaml threads cannot be killed, so a wedged request is abandoned,
-   not stopped: its late result is discarded (a late cache insert is
-   still kept — it can only help), the supervisor answers 125 on its
-   behalf, and the next request gets a fresh worker thread. *)
-let handle_line_supervised t line =
-  if t.watchdog_grace <= 0.0 then handle_line t line
-  else begin
-    let result = ref None in
-    let result_lock = Mutex.create () in
-    let abandoned = ref false in
-    let (_ : Thread.t) =
-      Thread.create
-        (fun () ->
-          let response = handle_line t line in
-          Mutex.lock result_lock;
-          if not !abandoned then result := Some response;
-          Mutex.unlock result_lock)
-        ()
-    in
-    let deadline = t.max_deadline +. t.watchdog_grace in
-    let t0 = Unix.gettimeofday () in
-    let delay = ref 0.0003 in
-    let rec wait () =
-      Mutex.lock result_lock;
-      let r = !result in
-      Mutex.unlock result_lock;
-      match r with
-      | Some response -> response
-      | None ->
-        if Unix.gettimeofday () -. t0 >= deadline then begin
-          Mutex.lock result_lock;
-          abandoned := true;
-          let late = !result in
-          Mutex.unlock result_lock;
-          match late with
-          | Some response -> response
-          | None ->
-            with_state t (fun () -> t.watchdog_trips <- t.watchdog_trips + 1);
-            let id = request_id_of_line line in
-            envelope ?id ~code:125 ~seconds:deadline
-              (internal_error_body
-                 (Printf.sprintf
-                    "watchdog: request exceeded the %.3gs deadline; abandoned \
-                     and the worker recycled"
-                    deadline))
-        end
-        else begin
-          Thread.delay !delay;
-          delay := Float.min 0.004 (!delay *. 1.7);
-          wait ()
-        end
-    in
-    wait ()
-  end
+let handle_line t line = respond t ~limit:None line
 
 (* --- the socket layer ---------------------------------------------- *)
 
@@ -1160,7 +1108,7 @@ let write_all t conn s =
     go 0;
     true
   with Unix.Unix_error _ ->
-    with_state t (fun () -> t.client_disconnects <- t.client_disconnects + 1);
+    with_state t (fun () -> t.c.client_disconnects <- t.c.client_disconnects + 1);
     false
 
 let serve ?max_requests t address =
@@ -1174,36 +1122,30 @@ let serve ?max_requests t address =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let sock = Unix.socket domain Unix.SOCK_STREAM 0 in
-  let served = ref 0 in
-  let served_lock = Mutex.create () in
+  let served = Atomic.make 0 in
   let finished () =
     shutdown_requested t
-    ||
-    match max_requests with
-    | Some n ->
-      Mutex.lock served_lock;
-      let done_ = !served >= n in
-      Mutex.unlock served_lock;
-      done_
-    | None -> false
+    || match max_requests with Some n -> Atomic.get served >= n | None -> false
   in
-  let bump_served () =
-    Mutex.lock served_lock;
-    incr served;
-    Mutex.unlock served_lock
+  (* The watchdog bounds each wait of a request served here. *)
+  let limit =
+    if t.watchdog_grace > 0.0 then Some (t.max_deadline +. t.watchdog_grace)
+    else None
   in
   (* Admission control: accepted connections pass through a bounded
      queue into a fixed worker pool.  The accept loop sheds beyond the
      queue bound; the pool never grows. *)
   let pending : Unix.file_descr Queue.t = Queue.create () in
   let pending_lock = Mutex.create () in
-  let pop_pending () =
-    Mutex.lock pending_lock;
-    let conn =
-      if Queue.is_empty pending then None else Some (Queue.pop pending)
-    in
-    Mutex.unlock pending_lock;
-    conn
+  let queued = Condition.create () in
+  (* The next queued connection, once there is one; [None] once the
+     daemon is finished and nothing is queued. *)
+  let next_conn () =
+    Mutex.protect pending_lock (fun () ->
+        while Queue.is_empty pending && not (finished ()) do
+          Condition.wait queued pending_lock
+        done;
+        Queue.take_opt pending)
   in
   let close_quiet conn = try Unix.close conn with Unix.Unix_error _ -> () in
   let set_send_timeout conn =
@@ -1214,7 +1156,7 @@ let serve ?max_requests t address =
     set_send_timeout conn;
     ignore (write_all t conn (refusal_line "draining" [] ^ "\n"));
     close_quiet conn;
-    with_state t (fun () -> t.drained <- t.drained + 1)
+    with_state t (fun () -> t.c.drained <- t.c.drained + 1)
   in
   let shed conn depth =
     set_send_timeout conn;
@@ -1225,7 +1167,7 @@ let serve ?max_requests t address =
             [ ("retry_after_ms", J.Int retry_after_ms) ]
          ^ "\n"));
     close_quiet conn;
-    with_state t (fun () -> t.shed <- t.shed + 1)
+    with_state t (fun () -> t.c.shed <- t.c.shed + 1)
   in
   let admit conn =
     Mutex.lock pending_lock;
@@ -1236,18 +1178,19 @@ let serve ?max_requests t address =
     end
     else begin
       Queue.push conn pending;
+      Condition.signal queued;
       Mutex.unlock pending_lock
     end
   in
   let handle_connection conn =
     with_state t (fun () ->
-        t.open_connections <- t.open_connections + 1;
-        t.connections_served <- t.connections_served + 1);
+        t.c.open_connections <- t.c.open_connections + 1;
+        t.c.connections_served <- t.c.connections_served + 1);
     Fun.protect
       ~finally:(fun () ->
         close_quiet conn;
         with_state t (fun () ->
-            t.open_connections <- t.open_connections - 1))
+            t.c.open_connections <- t.c.open_connections - 1))
       (fun () ->
         set_send_timeout conn;
         (* Bytes read but not yet returned as a frame; the first
@@ -1308,42 +1251,63 @@ let serve ?max_requests t address =
           if not (finished ()) then
             match next_frame () with
             | `Frame line ->
-              let response = handle_line_supervised t line in
+              let response = respond t ~limit line in
               if write_all t conn (response ^ "\n") then begin
-                bump_served ();
+                Atomic.incr served;
                 loop ()
               end
             | `Too_long ->
-              with_state t (fun () -> t.frame_rejects <- t.frame_rejects + 1);
+              with_state t (fun () -> t.c.frame_rejects <- t.c.frame_rejects + 1);
               ignore
                 (write_all t conn
                    (envelope ~code:124 ~seconds:0.0 (frame_reject_body t)
                    ^ "\n"))
             | `Timeout ->
-              with_state t (fun () -> t.read_timeouts <- t.read_timeouts + 1)
+              with_state t (fun () -> t.c.read_timeouts <- t.c.read_timeouts + 1)
             | `Eof | `Draining -> ()
         in
         loop ())
   in
+  (* The last worker to leave writes one byte to the [left] pipe,
+     which ends the accept loop's wait at once. *)
+  let live = Atomic.make t.max_workers in
+  let left_r, left_w = Unix.pipe ~cloexec:true () in
   let worker () =
     let rec loop () =
-      match pop_pending () with
+      match next_conn () with
       | Some conn ->
         (* A connection still queued at drain time is refused, never
            served: only in-flight requests ride out the shutdown. *)
         if finished () then refuse_draining conn else handle_connection conn;
         loop ()
-      | None ->
-        if not (finished ()) then begin
-          Thread.delay 0.002;
-          loop ()
-        end
+      | None -> ()
     in
-    loop ()
+    Fun.protect
+      ~finally:(fun () ->
+        if Atomic.fetch_and_add live (-1) = 1 then
+          try ignore (Unix.write_substring left_w "." 0 1)
+          with Unix.Unix_error _ -> ())
+      loop
+  in
+  (* Graceful drain: whatever is still queued is refused with a
+     structured response, and idle workers wake and leave; in-flight
+     connections notice the stop at their next frame boundary. *)
+  let rec drain () =
+    match
+      Mutex.protect pending_lock (fun () ->
+          Condition.broadcast queued;
+          Queue.take_opt pending)
+    with
+    | Some conn ->
+      refuse_draining conn;
+      drain ()
+    | None -> ()
   in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ sock; left_r; left_w ];
       match address with
       | Unix_socket path -> (
         try Unix.unlink path with Unix.Unix_error _ -> () | Sys_error _ -> ())
@@ -1353,28 +1317,25 @@ let serve ?max_requests t address =
       Unix.bind sock sockaddr;
       Unix.listen sock (max 64 (2 * t.max_pending));
       let workers = List.init t.max_workers (fun _ -> Thread.create worker ()) in
-      (* Poll with a short timeout so shutdown requests arriving on a
-         live connection stop the accept loop promptly. *)
-      while not (finished ()) do
-        match Unix.select [ sock ] [] [] 0.05 with
-        | [], _, _ -> ()
-        | _ :: _, _, _ -> (
+      (* The accept loop wakes at least every 50 ms, so a shutdown
+         request arriving on a live connection stops it promptly, and
+         it keeps waking through the drain until every worker has left.
+         Each wake broadcasts [changed]: that is the watchdog's clock,
+         so a wait past its limit ends even when no compile lands. *)
+      while Atomic.get live > 0 do
+        let draining = finished () in
+        if draining then drain ();
+        (match
+           Unix.select [ (if draining then left_r else sock) ] [] [] 0.05
+         with
+        | _ :: _, _, _ when not draining -> (
           match Unix.accept sock with
           | conn, _ -> admit conn
           | exception Unix.Unix_error _ -> ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        Condition.broadcast t.changed
       done;
-      (* Graceful drain: whatever is still queued is refused with a
-         structured response; in-flight connections notice the stop
-         flag at their next frame boundary; then the pool is joined. *)
-      let rec drain () =
-        match pop_pending () with
-        | Some conn ->
-          refuse_draining conn;
-          drain ()
-        | None -> ()
-      in
-      drain ();
       List.iter Thread.join workers)
 
 (* --- client -------------------------------------------------------- *)

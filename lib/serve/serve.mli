@@ -8,24 +8,25 @@
     socket, and memoizes full compile reports in a content-addressed
     cache (the same shape as quilc's server mode, see DESIGN.md).
 
-    The daemon is built to stay up under overload and faults: requests
-    run under a supervisor (watchdog deadline, optional per-request
-    allocation budget, a last-resort exception envelope — a poisoned
-    request is answered with a structured code-125 diagnostic and its
-    worker recycled, never a dead process), connections are admitted
+    The daemon is built to stay up under overload and faults: every
+    wait of a request is bounded by a watchdog, a request may carry an
+    allocation budget, and a last-resort exception envelope catches the
+    rest — a poisoned request is answered with a structured code-125
+    diagnostic, never a dead process.  Connections are admitted
     through a bounded queue ahead of a fixed worker pool (excess load
     is shed with an explicit [overloaded] response instead of an
     unbounded thread pile-up), reads carry per-connection deadlines and
     a frame-size cap (slowloris defense), and the report cache can
     spill to an on-disk store that survives a [kill -9].
 
-    Threads and domains: sys-threads accept connections, read frames,
-    supervise requests and answer cache hits; every compile runs on a
-    domain of one process-wide compile pool, up to [jobs] at once per
+    Threads and domains: connection threads read frames and answer
+    each request on the connection's own thread; every compile runs on
+    a domain of one process-wide compile pool, up to [jobs] at once per
     daemon (see {!create}).  So compiles use several cores, and a hit
-    never waits behind a compile.  The cache, the in-flight table and
-    every counter are guarded by one state lock, which is never held
-    across a compile.
+    never waits behind a compile.  One state lock, never held across a
+    compile, guards the cache, the in-flight table, the running
+    compiles and every counter, and every wait for a compile waits on
+    one condition under it.
 
     {2 The wire protocol: [qsynth-serve/v1]}
 
@@ -133,11 +134,14 @@ exception Allocation_budget_exceeded of int
     Budgets: [max_deadline_seconds] (default 60) bounds every request's
     wall-clock compile budget: a request asking for more is clamped,
     one asking for nothing gets the maximum.  [watchdog_grace_seconds]
-    (default 5; 0 disables supervision) is how long past the deadline
-    ceiling the {e supervised} path ({!handle_line_supervised}, used by
-    the socket layer) waits before abandoning a wedged request and
-    answering 125 on its behalf.  [max_request_bytes] (default
-    unlimited), when set, bounds one request's heap allocation,
+    (default 5; 0 disables the watchdog): a request served by {!serve}
+    waits at most [max_deadline_seconds + watchdog_grace_seconds] for
+    any one thing — its turn to compile (a slot, or another request's
+    compile of the same key), or its compile — and is answered 125
+    past that.  The abandoned compile keeps its domain and slot until
+    it ends; its late report only reaches the cache.
+    [max_request_bytes] (default unlimited), when set, bounds one
+    request's heap allocation,
     sampled via a [Gc] alarm on the compile's domain during the
     parse-and-compile window and checked again when it ends; a request
     past it is aborted with a code-125 diagnostic.
@@ -160,11 +164,11 @@ exception Allocation_budget_exceeded of int
     one compile at a time.  The requesting thread waits for
     its compile without holding a lock, so cache hits and other
     requests proceed meanwhile.  Racing misses for one key coalesce
-    (see the cache section).  A batch with [jobs > 1] submits its
-    predicted cache misses to the pool (up to [jobs] at once) while the
-    cache protocol itself stays sequential in request order, so a
-    batch response is byte-identical to the [jobs = 1] run of the same
-    batch on an idle server (counters and LRU order included).
+    (see the cache section).  A batch submits its predicted cache
+    misses to the pool (up to [jobs] at once) while the cache protocol
+    itself stays sequential in request order, so its entries, counters
+    and LRU order are those of its lanes sent one by one as [compile]
+    requests to an idle server, at every [jobs].
 
     Memory: one compile's heap is bounded by its QMDD node budget
     (about 3 GB at the default 8M nodes; a request's [node_budget] 0
@@ -176,8 +180,8 @@ exception Allocation_budget_exceeded of int
     [inject] (default none) is a fault hook for robustness tests and
     the chaos harness: it is called once per cache-missing compile, on
     the compile's pool domain, before the compiler runs, and whatever
-    it raises (or however long it sleeps) flows through the
-    supervision machinery like a real fault. *)
+    it raises (or however long it sleeps) flows through the allocation
+    budget and the watchdog like a real fault. *)
 val create :
   ?cache_capacity:int ->
   ?max_cache_bytes:int ->
@@ -201,32 +205,34 @@ val create :
     exactly once, as a hit or as a miss).
     [resident]/[resident_bytes] describe the live cache; [warmed] counts entries loaded from the persistent store at
     {!create}; [shed]/[drained] count refused connections (queue full /
-    shutdown drain); [watchdog_trips]/[alloc_trips] count supervised
-    requests answered 125 on behalf of a wedged or over-allocating
-    worker; [client_disconnects], [read_timeouts] and [frame_rejects]
+    shutdown drain); [watchdog_trips]/[alloc_trips] count requests
+    answered 125 because a wait outlasted the watchdog or a compile
+    over-allocated; [client_disconnects], [read_timeouts] and [frame_rejects]
     count per-connection degradations absorbed without touching the
     daemon; [connections_served] and [open_connections] watch the
     worker pool (the latter is a gauge and returns to 0 when idle —
-    the regression handle for the old grow-only thread list). *)
-type counters = {
-  requests : int;
-  lookups : int;
-  hits : int;
-  misses : int;
-  evictions : int;
+    the regression handle for the old grow-only thread list).  A
+    snapshot is a copy of the daemon's own record; callers can neither
+    build nor change one. *)
+type counters = private {
+  mutable requests : int;
+  mutable lookups : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
   resident : int;
-  resident_bytes : int;
-  warmed : int;
-  persist_errors : int;
-  shed : int;
-  drained : int;
-  watchdog_trips : int;
-  alloc_trips : int;
-  client_disconnects : int;
-  read_timeouts : int;
-  frame_rejects : int;
-  connections_served : int;
-  open_connections : int;
+  mutable resident_bytes : int;
+  mutable warmed : int;
+  mutable persist_errors : int;
+  mutable shed : int;
+  mutable drained : int;
+  mutable watchdog_trips : int;
+  mutable alloc_trips : int;
+  mutable client_disconnects : int;
+  mutable read_timeouts : int;
+  mutable frame_rejects : int;
+  mutable connections_served : int;
+  mutable open_connections : int;
 }
 
 val stats : t -> counters
@@ -245,21 +251,9 @@ val shutdown_requested : t -> bool
     Thread-safe: cache, in-flight table and counter updates serialize
     on a state lock that is never held across a compile; the compile
     itself runs on a pool domain while the calling thread waits (with
-    racing identical misses coalesced into one compile). *)
+    racing identical misses coalesced into one compile).  No watchdog
+    bounds its waits; {!serve} adds one. *)
 val handle_line : t -> string -> string
-
-(** [handle_line_supervised t line] is {!handle_line} run under the
-    supervisor: the request executes on a disposable worker thread
-    watched against the watchdog deadline
-    ([max_deadline_seconds + watchdog_grace_seconds]).  If the worker
-    wedges past it, the request is abandoned (its late result is
-    discarded; the thread is left to die and a fresh one serves the
-    next request) and a code-125 watchdog diagnostic is returned
-    instead — the caller always gets exactly one response line.  With
-    supervision disabled ([watchdog_grace_seconds = 0]) this is
-    {!handle_line}.  The socket layer routes every frame through
-    here. *)
-val handle_line_supervised : t -> string -> string
 
 (** {2 The socket layer} *)
 
@@ -274,8 +268,9 @@ val address_to_string : address -> string
     bounded test and CI runs).  Connections are admitted through a
     bounded queue into a fixed pool of [max_workers] threads — the pool
     never grows, excess connections are shed with an [overloaded]
-    response — and every frame runs through
-    {!handle_line_supervised}.  [SIGPIPE] is ignored; client
+    response — and every frame is answered as by {!handle_line} on its
+    connection's thread, under the watchdog (see {!create}), which
+    the accept loop's 50 ms ticks keep awake.  [SIGPIPE] is ignored; client
     disconnects, stalled reads and over-long frames degrade that
     connection only.  On shutdown the drain is graceful: in-flight
     requests finish and are answered, queued connections are refused

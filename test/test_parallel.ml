@@ -221,6 +221,19 @@ let test_fuzz_jobs_replay_determinism () =
     | Fuzz.Property.Pass -> Alcotest.fail "replayed case must still fail")
   | [] -> Alcotest.fail "unreachable: failure list checked non-empty above"
 
+(* --- the runtime's domain cap --- *)
+
+let test_jobs_past_the_domain_cap () =
+  (* OCaml caps a process at 128 domains.  Spawning one domain per job
+     raised "failed to allocate domain" out of [map] while the early
+     tasks still ran; the map now runs on the domains it could get.
+     Registered last: idle domains would slow every later test. *)
+  check_bool "200 jobs return every result in order" true
+    (Parallel.init ~jobs:200 200 (fun i ->
+         Unix.sleepf 0.05;
+         i)
+    = Array.init 200 Fun.id)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -244,5 +257,10 @@ let () =
         [
           Alcotest.test_case "replay determinism across jobs" `Quick
             test_fuzz_jobs_replay_determinism;
+        ] );
+      ( "limits",
+        [
+          Alcotest.test_case "jobs past the domain cap" `Quick
+            test_jobs_past_the_domain_cap;
         ] );
     ]

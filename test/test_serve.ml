@@ -328,10 +328,11 @@ let test_stats_snapshot_is_never_torn () =
   check_int "lookups" (hits + misses) lookups
 
 let test_parallel_batch_matches_sequential () =
-  (* A daemon created with ~jobs:4 fans batch lanes across domains; the
-     guarantee is byte-identical output AND identical cache counters to
-     the sequential daemon — duplicates, per-lane failures and the
-     cached flags included. *)
+  (* A batch fans its lanes' compiles across domains; the guarantee is
+     that each entry is byte-identical to its lane's response when the
+     lanes are sent one by one as compile requests to a fresh daemon,
+     with the same cache counters — duplicates, per-lane failures and
+     the cached flags included — at every jobs. *)
   let lanes =
     [
       List.tl (compile_req sample_qasm);
@@ -349,19 +350,42 @@ let test_parallel_batch_matches_sequential () =
       ("requests", J.List (List.map (fun fields -> J.Obj fields) lanes));
     ]
   in
-  let run jobs =
-    let t = Serve.create ~jobs () in
-    let r = rpc t batch in
-    (J.to_string (field "results" r), int_field "code" r, cache_counters t)
+  (* A response without its envelope fields is a batch entry. *)
+  let entry_of = function
+    | J.Obj fields ->
+      let envelope k = k = "protocol" || k = "seconds" in
+      J.to_string (J.Obj (List.filter (fun (k, _) -> not (envelope k)) fields))
+    | other -> J.to_string other
   in
-  let seq_results, seq_code, (sl, sh, sm) = run 1 in
-  let par_results, par_code, (pl, ph, pm) = run 4 in
-  check_string "results byte-identical" seq_results par_results;
-  check_int "envelope code" seq_code par_code;
-  check_int "lookups" sl pl;
-  check_int "hits" sh ph;
-  check_int "misses" sm pm;
-  check_int "invariant" (ph + pm) pl
+  let one_shot = Serve.create () in
+  let responses =
+    List.map
+      (fun lane -> rpc one_shot (("op", J.String "compile") :: lane))
+      lanes
+  in
+  let expected = List.map entry_of responses in
+  let expected_code =
+    List.fold_left (fun acc r -> max acc (int_field "code" r)) 0 responses
+  in
+  let el, eh, em = cache_counters one_shot in
+  List.iter
+    (fun jobs ->
+      let t = Serve.create ~jobs () in
+      let r = rpc t batch in
+      (match field "results" r with
+      | J.List entries ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "entries equal one-shot responses at jobs=%d" jobs)
+          expected
+          (List.map (fun e -> J.to_string e) entries)
+      | v -> Alcotest.failf "results: %s" (J.to_string v));
+      check_int "envelope code" expected_code (int_field "code" r);
+      let l, h, m = cache_counters t in
+      check_int "lookups" el l;
+      check_int "hits" eh h;
+      check_int "misses" em m;
+      check_int "invariant" (h + m) l)
+    [ 1; 4 ]
 
 let test_one_compile_per_domain () =
   (* A domain runs one compile at a time, so a compile's GC alarm
@@ -652,28 +676,6 @@ let test_allocation_budget () =
   let calm = Serve.create ~max_request_bytes:(256 * 1024 * 1024) () in
   check_int "modest request passes the budget" 0
     (int_field "code" (rpc calm (compile_req sample_qasm)))
-
-let test_watchdog_abandons_wedged_requests () =
-  let t =
-    Serve.create ~max_deadline_seconds:0.1 ~watchdog_grace_seconds:0.1
-      ~inject:(fun () -> Thread.delay 0.6)
-      ()
-  in
-  let line =
-    J.to_string (J.Obj (compile_req sample_qasm @ [ ("id", J.Int 9) ]))
-  in
-  let r = parse_response (Serve.handle_line_supervised t line) in
-  check_int "watchdog code" 125 (int_field "code" r);
-  check_int "id echoed on the supervisor's answer" 9 (int_field "id" r);
-  check_bool "message names the watchdog" true
-    (String.length (diagnostic_message r) >= 8
-    && String.sub (diagnostic_message r) 0 8 = "watchdog");
-  check_int "watchdog_trips counted" 1 (Serve.stats t).Serve.watchdog_trips;
-  (* The daemon stays responsive while the abandoned worker drains. *)
-  let ping = rpc t [ ("op", J.String "ping") ] in
-  check_int "still answers" 0 (int_field "code" ping);
-  (* Let the abandoned thread finish before the process exits. *)
-  Thread.delay 0.7
 
 let test_byte_budget_lru () =
   (* Probe one entry's charged size, then budget two entries plus
@@ -989,6 +991,148 @@ let test_overload_sheds () =
       Serve.Client.close busy;
       check_bool "shed counted" true ((Serve.stats daemon).Serve.shed >= 1))
 
+(* --- robustness: the watchdog ---------------------------------------- *)
+
+let is_watchdog r =
+  let m = diagnostic_message r in
+  String.length m >= 8 && String.sub m 0 8 = "watchdog"
+
+(* One request line on a fresh connection: the response and the
+   seconds it took. *)
+let timed_request address fields =
+  let conn = connect_retry address 100 in
+  Fun.protect
+    ~finally:(fun () -> Serve.Client.close conn)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let line = J.to_string (J.Obj fields) in
+      let r = parse_response (Serve.Client.request conn line) in
+      (r, Unix.gettimeofday () -. t0))
+
+(* Wait, at most [seconds], until a wedged compile has landed its late
+   report in the cache, so that it frees its pool domain before the
+   next test. *)
+let await_late_report ?(seconds = 3.0) daemon =
+  let t0 = Unix.gettimeofday () in
+  while
+    (Serve.stats daemon).Serve.resident = 0
+    && Unix.gettimeofday () -. t0 < seconds
+  do
+    Thread.delay 0.02
+  done;
+  (Serve.stats daemon).Serve.resident
+
+let test_watchdog_abandons_wedged_requests () =
+  (* A compile sleeps well past the 0.2 s limit: the request is
+     answered 125 on its own connection, which then keeps serving. *)
+  let daemon =
+    Serve.create ~max_deadline_seconds:0.1 ~watchdog_grace_seconds:0.1
+      ~inject:(fun () -> Thread.delay 0.6)
+      ()
+  in
+  with_server daemon (fun _path address ->
+      let conn = connect_retry address 100 in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close conn)
+        (fun () ->
+          let line =
+            J.to_string (J.Obj (compile_req sample_qasm @ [ ("id", J.Int 9) ]))
+          in
+          let r = parse_response (Serve.Client.request conn line) in
+          check_int "watchdog code" 125 (int_field "code" r);
+          check_int "id echoed on the watchdog's answer" 9 (int_field "id" r);
+          check_bool "message names the watchdog" true (is_watchdog r);
+          check_int "watchdog_trips counted" 1
+            (Serve.stats daemon).Serve.watchdog_trips;
+          let ping =
+            parse_response (Serve.Client.request conn {|{"op":"ping"}|})
+          in
+          check_int "the same connection still answers" 0
+            (int_field "code" ping)));
+  check_int "the late report still reaches the cache" 1
+    (await_late_report daemon)
+
+let test_watchdog_bounds_every_wait () =
+  (* One compile slot, held by a compile wedged for 1 s.  Its own
+     request waits for it, a request for another source waits for the
+     slot, and a second request for the wedged source waits on its key
+     in flight.  Each is answered 125 within the 0.3 s limit and one
+     50 ms tick of the accept loop, not when the wedge ends. *)
+  let calls = Atomic.make 0 in
+  let inject () = if Atomic.fetch_and_add calls 1 = 0 then Thread.delay 1.0 in
+  let limit = 0.3 in
+  let daemon =
+    Serve.create ~jobs:1 ~max_deadline_seconds:0.2 ~watchdog_grace_seconds:0.1
+      ~inject ()
+  in
+  with_server daemon (fun _path address ->
+      let wedged = ref None in
+      let first =
+        Thread.create
+          (fun () ->
+            wedged := Some (timed_request address (compile_req sample_qasm)))
+          ()
+      in
+      let t0 = Unix.gettimeofday () in
+      while Atomic.get calls = 0 && Unix.gettimeofday () -. t0 < 5.0 do
+        Thread.delay 0.01
+      done;
+      let waiters =
+        race 2 (fun i ->
+            timed_request address
+              (compile_req
+                 (if i = 0 then sample_qasm ^ "x q[2];\n" else sample_qasm)))
+      in
+      Thread.join first;
+      let answers =
+        match !wedged with
+        | Some answer -> answer :: Array.to_list waiters
+        | None -> Alcotest.fail "the wedged request got no answer"
+      in
+      List.iteri
+        (fun i (r, seconds) ->
+          check_int (Printf.sprintf "request %d answered by the watchdog" i) 125
+            (int_field "code" r);
+          check_bool "message names the watchdog" true (is_watchdog r);
+          check_bool
+            (Printf.sprintf
+               "request %d answered in %.3f s, within the limit and a tick" i
+               seconds)
+            true
+            (seconds < limit +. 0.05 +. 0.1))
+        answers;
+      check_int "watchdog_trips" 3 (Serve.stats daemon).Serve.watchdog_trips);
+  check_int "the late report still reaches the cache" 1
+    (await_late_report daemon)
+
+let test_watchdog_spares_honest_batches () =
+  (* Four honest 0.3 s compiles in one batch on a one-job daemon.  When
+     the watchdog bounded a whole request line, the batch outlasted its
+     0.7 s and was lost; each wait is bounded now, and no wait here
+     lasts longer than one compile. *)
+  let daemon =
+    Serve.create ~jobs:1 ~max_deadline_seconds:0.5 ~watchdog_grace_seconds:0.2
+      ~inject:(fun () -> Thread.delay 0.3)
+      ()
+  in
+  with_server daemon (fun _path address ->
+      let source i =
+        sample_qasm ^ String.concat "" (List.init i (fun _ -> "x q[1];\n"))
+      in
+      let batch =
+        [
+          ("op", J.String "batch");
+          ( "requests",
+            J.List
+              (List.init 4 (fun i ->
+                   J.Obj (List.tl (compile_req (source i))))) );
+        ]
+      in
+      let r, _ = timed_request address batch in
+      check_int "batch code" 0 (int_field "code" r);
+      check_int "no lane failed" 0 (int_field "failed" r);
+      check_int "watchdog_trips" 0 (Serve.stats daemon).Serve.watchdog_trips)
+
 let test_graceful_drain () =
   (* Shutdown during a slow in-flight compile: that request completes
      with a full response, the daemon then refuses new work and the
@@ -1032,6 +1176,51 @@ let test_graceful_drain () =
       Serve.Client.close conn;
       false
     | exception _ -> true);
+  try Sys.remove path with Sys_error _ -> ()
+
+let test_drain_bounds_a_wedged_compile () =
+  (* Shutdown while a compile is wedged for 1.5 s: the accept loop keeps
+     the watchdog ticking through the drain, so the request is answered
+     125 at its 0.2 s limit and the serve call returns then, not when
+     the wedge ends. *)
+  let daemon =
+    Serve.create ~max_deadline_seconds:0.1 ~watchdog_grace_seconds:0.1
+      ~inject:(fun () -> Thread.delay 1.5)
+      ()
+  in
+  let path = temp_socket_path () in
+  let address = Serve.Unix_socket path in
+  let server = Thread.create (fun () -> Serve.serve daemon address) () in
+  Serve.Client.close (connect_retry address 100);
+  let slow = connect_retry address 100 in
+  let answer = ref None in
+  let slow_thread =
+    Thread.create
+      (fun () ->
+        answer :=
+          Some
+            (Serve.Client.request slow
+               (J.to_string (J.Obj (compile_req sample_qasm)))))
+      ()
+  in
+  Thread.delay 0.05;
+  let t0 = Unix.gettimeofday () in
+  let ctl = connect_retry address 100 in
+  ignore (Serve.Client.request ctl {|{"op":"shutdown"}|});
+  Serve.Client.close ctl;
+  Thread.join server;
+  let seconds = Unix.gettimeofday () -. t0 in
+  Thread.join slow_thread;
+  Serve.Client.close slow;
+  (match !answer with
+  | Some line ->
+    check_int "the wedged request is answered by the watchdog" 125
+      (int_field "code" (parse_response line))
+  | None -> Alcotest.fail "the wedged request got no answer");
+  check_bool
+    (Printf.sprintf "drained in %.2f s, before the wedge ended" seconds)
+    true (seconds < 1.0);
+  ignore (await_late_report daemon);
   try Sys.remove path with Sys_error _ -> ()
 
 let () =
@@ -1085,6 +1274,10 @@ let () =
             test_allocation_budget;
           Alcotest.test_case "watchdog abandons wedged requests" `Quick
             test_watchdog_abandons_wedged_requests;
+          Alcotest.test_case "watchdog bounds every wait" `Quick
+            test_watchdog_bounds_every_wait;
+          Alcotest.test_case "watchdog spares honest batches" `Quick
+            test_watchdog_spares_honest_batches;
           Alcotest.test_case "byte-budgeted LRU" `Quick test_byte_budget_lru;
           Alcotest.test_case "persistent cache warm restart" `Quick
             test_persistent_cache_warm_restart;
@@ -1103,6 +1296,8 @@ let () =
             test_overload_sheds;
           Alcotest.test_case "graceful drain completes in-flight work" `Quick
             test_graceful_drain;
+          Alcotest.test_case "drain bounds a wedged compile" `Quick
+            test_drain_bounds_a_wedged_compile;
         ] );
       ( "limits",
         [
