@@ -19,12 +19,13 @@ Exits non-zero with a per-benchmark report on any violation.
 The --optimize form guards the optimizer's rule passes instead: CURRENT
 and BASELINE are BENCH_optimize.json documents
 (qsynth-bench-optimize/v1, written by `bench/main.exe optimize`).  The
-with-rules output is pinned exactly, as the compile guard pins its
-outputs: every benchmark's `with_tier` block (gate volume, T-count,
-CNOT count, Eqn. 2 cost) and oracle verdict must equal the baseline.
-A missing benchmark, any oracle rejection, or a drop in the total
-improved count also fails.  `without_tier` and `rules` are
-informational.
+optimizer's outputs and its rule counts are pinned exactly, as the
+compile guard pins its outputs: every benchmark's `with_tier` block
+(gate volume, T-count, CNOT count, Eqn. 2 cost), its `without_tier`
+block (the no-rules sweep: cancellation plus identity windows), its
+`rules` block (how often each rule fired) and its oracle verdict must
+equal the baseline.  A missing benchmark, any oracle rejection, or a
+drop in the total improved count also fails.
 
 --metrics-only skips the wall-time comparison: the CI parallel job
 uses it to pin a --jobs N run byte-identical to the sequential run,
@@ -138,16 +139,19 @@ def check_optimize(current_path, baseline_path):
             failures.append(f"{name}: equivalence oracle REJECTED the tier output")
         elif c["oracle"] != b["oracle"]:
             failures.append(f"{name}: oracle verdict {b['oracle']} -> {c['oracle']}")
-        bt, ct = b["with_tier"], c["with_tier"]
-        for field in ("gate_volume", "t_count", "cnot_count"):
-            if ct[field] != bt[field]:
+        for block, label in (("with_tier", "with-tier"), ("without_tier", "without-tier")):
+            bt, ct = b[block], c[block]
+            for field in ("gate_volume", "t_count", "cnot_count"):
+                if ct[field] != bt[field]:
+                    failures.append(
+                        f"{name}: {label} {field} changed {bt[field]} -> {ct[field]}"
+                    )
+            if abs(ct["cost"] - bt["cost"]) > COST_EPS:
                 failures.append(
-                    f"{name}: with-tier {field} changed {bt[field]} -> {ct[field]}"
+                    f"{name}: {label} cost changed {bt['cost']:.2f} -> {ct['cost']:.2f}"
                 )
-        if abs(ct["cost"] - bt["cost"]) > COST_EPS:
-            failures.append(
-                f"{name}: with-tier cost changed {bt['cost']:.2f} -> {ct['cost']:.2f}"
-            )
+        if c["rules"] != b["rules"]:
+            failures.append(f"{name}: rule counts changed {b['rules']} -> {c['rules']}")
 
     if current["improved"] < baseline["improved"]:
         failures.append(
@@ -161,8 +165,9 @@ def check_optimize(current_path, baseline_path):
             print(f"  {f}")
         sys.exit(1)
     print(
-        f"optimize regression guard ok: {len(cur)} benchmarks, with-rules "
-        f"outputs identical, {current['improved']}/{current['total']} improved"
+        f"optimize regression guard ok: {len(cur)} benchmarks, outputs with "
+        f"and without rules and rule counts identical, "
+        f"{current['improved']}/{current['total']} improved"
     )
 
 

@@ -351,12 +351,17 @@ module Property = struct
         | _ -> wrong_case "compile-qmdd-equivalent");
     }
 
-  (* 3. Optimization is exact (not merely up to phase) and the cost
-     function never goes up — Sec. 4, items 5-6. *)
+  (* 3. Optimization is exact (not merely up to phase), the cost
+     function never goes up, and the output is a fixed point — Sec. 4,
+     items 5-6.  Optimizing the output again must keep no sweep: a
+     sweep that ends early must not have stopped short of one that
+     would still improve. *)
   let optimize_preserves_unitary =
     {
       name = "optimize-preserves-unitary";
-      doc = "optimize preserves the exact unitary and never raises cost";
+      doc =
+        "optimize preserves the exact unitary, never raises cost and \
+         reaches a fixed point";
       paper = "Sec. 4 (cost-driven optimization)";
       gen =
         (fun cfg st ->
@@ -371,6 +376,7 @@ module Property = struct
           let c' = Optimize.optimize c in
           let cost_before = Cost.evaluate Cost.eqn2 c in
           let cost_after = Cost.evaluate Cost.eqn2 c' in
+          let again = Optimize.optimize_budgeted c' in
           check_all
             [
               ( (fun () -> Sim.equivalent ~up_to_phase:false c c'),
@@ -379,6 +385,13 @@ module Property = struct
                 fun () ->
                   Printf.sprintf "cost increased: %g -> %g" cost_before
                     cost_after );
+              ( (fun () ->
+                  again.iterations = 0 && Circuit.equal again.circuit c'),
+                fun () ->
+                  Printf.sprintf
+                    "output is not a fixed point: optimizing it again kept %d \
+                     sweeps"
+                    again.iterations );
             ]
         | _ -> wrong_case "optimize-preserves-unitary");
     }

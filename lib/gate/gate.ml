@@ -70,16 +70,29 @@ let mct controls target =
   | [ c1; c2 ] -> Toffoli { c1; c2; target }
   | controls -> Mct { controls; target }
 
+(* The sorted, duplicate-free support of a two-operand gate, built
+   without sorting: the list [List.sort_uniq] would return. *)
+let pair_support a b = if a < b then [ a; b ] else if b < a then [ b; a ] else [ a ]
+
 let support = function
   | X q | Y q | Z q | H q | S q | Sdg q | T q | Tdg q
   | Rx (_, q) | Ry (_, q) | Rz (_, q) | Phase (_, q) ->
     [ q ]
-  | Cnot { control; target } -> List.sort_uniq Int.compare [ control; target ]
-  | Cz (a, b) | Swap (a, b) -> List.sort_uniq Int.compare [ a; b ]
+  | Cnot { control = a; target = b } | Cz (a, b) | Swap (a, b) -> pair_support a b
   | Toffoli { c1; c2; target } -> List.sort_uniq Int.compare [ c1; c2; target ]
   | Mct { controls; target } -> List.sort_uniq Int.compare (target :: controls)
 
-let max_qubit g = List.fold_left max 0 (support g)
+(* The largest of 0 and the operands, as a fold over [support] would
+   give, but read straight off the constructor: [Circuit.make]
+   validates every gate through it, so it allocates nothing. *)
+let max_qubit = function
+  | X q | Y q | Z q | H q | S q | Sdg q | T q | Tdg q
+  | Rx (_, q) | Ry (_, q) | Rz (_, q) | Phase (_, q) ->
+    Int.max 0 q
+  | Cnot { control = a; target = b } | Cz (a, b) | Swap (a, b) ->
+    Int.max 0 (Int.max a b)
+  | Toffoli { c1; c2; target } -> Int.max 0 (Int.max c1 (Int.max c2 target))
+  | Mct { controls; target } -> List.fold_left Int.max (Int.max 0 target) controls
 
 let adjoint = function
   | S q -> Sdg q

@@ -27,32 +27,53 @@ let cancels g h =
       && List.sort Int.compare a.controls = List.sort Int.compare b.controls
     | _, _ -> false)
 
+(* A gate [cancel_pass] has processed, with its support and a mask of
+   it: bit [q mod 63] for each qubit [q].  Disjoint masks mean disjoint
+   supports.  Past 63 qubits two qubits can share a bit; that only sends
+   a pair to the full test. *)
+type entry = { gate : Gate.t; support : int list; mask : int }
+
+let entry g =
+  let support = Gate.support g in
+  { gate = g; support;
+    mask = List.fold_left (fun m q -> m lor (1 lsl (q mod 63))) 0 support }
+
 let cancel_pass ?(lookback = 50) c =
-  (* [acc] holds processed gates in reverse order (head = most recent),
-     each paired with its support, computed once per gate: the backward
-     scan tests commutation up to [lookback] times per incoming gate.
+  (* [acc] holds processed gates in reverse order (head = most recent).
      The incoming gate deletes the first earlier gate it cancels with,
-     provided it commutes with everything in between. *)
-  let rec try_cancel acc (g, sg) depth =
+     provided it commutes with everything in between.  An entry whose
+     mask misses the incoming gate's shares no qubit with it, so it can
+     neither cancel nor block: the scan steps over it, and it still
+     counts toward [lookback].  [find] returns the depth of the entry to
+     delete, or -1. *)
+  let rec find acc e depth =
     match acc with
-    | [] -> None
-    | ((h, sh) as entry) :: earlier ->
-      if depth <= 0 then None
-      else if cancels h g then Some earlier
-      else if Gate.commutes_with_support sg g sh h then
-        Option.map
-          (fun earlier' -> entry :: earlier')
-          (try_cancel earlier (g, sg) (depth - 1))
-      else None
+    | [] -> -1
+    | h :: earlier ->
+      if depth = lookback then -1
+      else if h.mask land e.mask = 0 then find earlier e (depth + 1)
+      else if cancels h.gate e.gate then depth
+      else if Gate.commutes_with_support e.support e.gate h.support h.gate then
+        find earlier e (depth + 1)
+      else -1
   in
+  let rec remove acc depth =
+    match acc with
+    | h :: earlier -> if depth = 0 then earlier else h :: remove earlier (depth - 1)
+    | [] -> assert false (* [find] found the entry *)
+  in
+  let deleted = ref false in
   let step acc g =
-    let entry = (g, Gate.support g) in
-    match try_cancel acc entry lookback with
-    | Some acc' -> acc'
-    | None -> entry :: acc
+    let e = entry g in
+    match find acc e 0 with
+    | -1 -> e :: acc
+    | depth ->
+      deleted := true;
+      remove acc depth
   in
-  Circuit.make ~n:(Circuit.n_qubits c)
-    (List.rev_map fst (Circuit.fold step [] c))
+  let kept = Circuit.fold step [] c in
+  if not !deleted then c
+  else Circuit.make ~n:(Circuit.n_qubits c) (List.rev_map (fun e -> e.gate) kept)
 
 (* Window-signature memo for the identity test.  Support-compacted
    windows are position independent — [H 7; X 9; H 7] and [H 0; X 2;
@@ -350,9 +371,10 @@ type outcome = {
    the circuit alone, or the rewritten circuit with the rule counters to
    bump if the pass is kept. *)
 let sweep_passes ~device ~rules =
+  (* Both deleting passes return their input when they delete nothing. *)
   let shrinking f c =
     let c' = f c in
-    if Circuit.gate_count c' < Circuit.gate_count c then Some (c', []) else None
+    if c' == c then None else Some (c', [])
   in
   let counted name f c =
     if not (Rewrite.enabled rules name) then None
@@ -372,14 +394,33 @@ let sweep_passes ~device ~rules =
     shrinking (fun c -> remove_identity_windows c);
   ]
 
-(* Run the passes over [c], whose cost is [k].  A pass is kept only when
-   it does not raise the cost; the running cost is carried along, so
-   each rewritten circuit is evaluated once. *)
-let sweep ~cost ~trace passes (c, k) =
-  List.fold_left
-    (fun (c0, k0) pass ->
+(* Where a sweep left off: its passes from [last] on ran on the circuit
+   it returned and changed nothing, the cost guard reverting [reverted]
+   of them.  [last] is just past the sweep's last kept pass. *)
+type left_off = { last : int; reverted : int }
+
+(* Run the passes over [c], whose cost is [k], after a sweep that left
+   off at [from].  A pass is kept only when it does not raise the cost;
+   the running cost is carried along, so each rewritten circuit is
+   evaluated once.
+
+   While this sweep has kept nothing, it is still on the circuit [from]
+   describes.  So it ends on reaching [from.last]: the passes from there
+   on are deterministic in the circuit, the device, the rules and the
+   cost, and would change nothing again.  It bumps [rewrite/reverted]
+   once for each revert it skips, so the counter totals are those of
+   the full sweep. *)
+let sweep ~cost ~trace passes ~from (c, k) =
+  let rec go j (c0, k0) here = function
+    | _ when here.last = 0 && j >= from.last ->
+      for _ = 1 to from.reverted do
+        Trace.bump trace "rewrite/reverted" 1.0
+      done;
+      (c0, k0, { here with reverted = here.reverted + from.reverted })
+    | [] -> (c0, k0, here)
+    | pass :: rest -> (
       match pass c0 with
-      | None -> (c0, k0)
+      | None -> go (j + 1) (c0, k0) here rest
       | Some (c1, fired) ->
         let k1 = Cost.evaluate cost c1 in
         if k1 <= k0 +. 1e-9 then begin
@@ -387,13 +428,14 @@ let sweep ~cost ~trace passes (c, k) =
             (fun (name, n) ->
               Trace.bump trace ("rewrite/" ^ name) (float_of_int n))
             fired;
-          (c1, k1)
+          go (j + 1) (c1, k1) { last = j + 1; reverted = 0 } rest
         end
         else begin
           Trace.bump trace "rewrite/reverted" 1.0;
-          (c0, k0)
+          go (j + 1) (c0, k0) { here with reverted = here.reverted + 1 } rest
         end)
-    (c, k) passes
+  in
+  go 0 (c, k) { last = 0; reverted = 0 } passes
 
 let optimize_budgeted ?device ?(cost = Cost.eqn2) ?(trace = Trace.disabled)
     ?(stage = "optimize") ?(rules = Rewrite.default_selection) ?check
@@ -411,7 +453,7 @@ let optimize_budgeted ?device ?(cost = Cost.eqn2) ?(trace = Trace.disabled)
      time is paid whether or not the result is kept.  Budgets are
      checked before starting a sweep, so a capped run returns the best
      circuit found so far rather than aborting. *)
-  let rec loop i best best_cost =
+  let rec loop i best best_cost from =
     if capped i then stop ~cap:true i best
     else if Trace.past deadline_ns then stop ~deadline:true i best
     else begin
@@ -419,8 +461,8 @@ let optimize_budgeted ?device ?(cost = Cost.eqn2) ?(trace = Trace.disabled)
         Trace.start_with trace (Printf.sprintf "%s/iteration-%d" stage i) ~cost
           best
       in
-      let candidate, candidate_cost =
-        sweep ~cost ~trace passes (best, best_cost)
+      let candidate, candidate_cost, left_off =
+        sweep ~cost ~trace passes ~from (best, best_cost)
       in
       let improved = candidate_cost < best_cost in
       (* Strict mode: the oracle certifies every sweep that would be
@@ -441,10 +483,12 @@ let optimize_budgeted ?device ?(cost = Cost.eqn2) ?(trace = Trace.disabled)
       match refusal with
       | Some why -> stop ~reverted:why i best
       | None ->
-        if improved then loop (i + 1) candidate candidate_cost else stop i best
+        if improved then loop (i + 1) candidate candidate_cost left_off
+        else stop i best
     end
   in
-  loop 1 c (Cost.evaluate cost c)
+  (* The first sweep runs every pass. *)
+  loop 1 c (Cost.evaluate cost c) { last = List.length passes; reverted = 0 }
 
 let optimize ?device ?cost ?trace ?stage ?rules c =
   (optimize_budgeted ?device ?cost ?trace ?stage ?rules c).circuit

@@ -16,7 +16,19 @@
 
     Each pass is kept only if it does not raise the objective (the
     guard matters: phase merging can trade gates for T gates), and the
-    sweep is kept only if the cost strictly falls.  The rule selection
+    sweep is kept only if the cost strictly falls.
+
+    A sweep ends early when it can only repeat its predecessor.  The
+    passes after the previous sweep's last kept pass ran on the circuit
+    that sweep returned and changed it not at all (each found nothing,
+    or the guard reverted it).  So while a sweep has kept nothing, it
+    stops on reaching that point, not improved: the passes are
+    deterministic in the circuit, the device, the rules and the cost
+    (a {!Cost.custom} objective must be a function of the circuit).
+    It bumps ["rewrite/reverted"] once for each revert it skips.  The
+    first sweep and every sweep that changes the circuit run in full,
+    so outputs, iteration counts, sweep spans and counter totals are
+    those of running every sweep in full.  The rule selection
     switches passes 2 to 5 on or off; with {!Rewrite.empty_selection}
     ([--opt-rules none]) a sweep is inverse-pair cancellation plus
     identity-window removal and nothing else.
@@ -43,7 +55,14 @@ val cancels : Gate.t -> Gate.t -> bool
 (** [cancel_pass ?lookback c] sweeps once, deleting each gate together
     with an earlier gate it {!cancels} when everything between commutes
     with it ({!Gate.commutes}).  [lookback] bounds the scan depth
-    (default 50). *)
+    (default 50).
+
+    Each scanned gate carries a mask of its qubits, bit [q mod 63] for
+    qubit [q].  A gate whose mask misses the incoming gate's shares no
+    qubit with it, so it neither cancels nor blocks: the scan steps
+    over it without testing it, and it still counts toward [lookback].
+    Past 63 qubits masks can alias, which only sends a pair to the full
+    test.  When nothing cancels, the result is [c] itself. *)
 val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
 
 (** [remove_identity_windows ?max_window c] deletes contiguous gate
@@ -65,7 +84,8 @@ val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
     [max_window], so a memo hit builds no gate list.  The output equals
     that of the list-based scan this replaced, and of checking every
     window without the memo: [test_optimize.ml] keeps that scan as a
-    differential reference. *)
+    differential reference.  When no window is deleted, the result is
+    [c] itself. *)
 val remove_identity_windows : ?max_window:int -> Circuit.t -> Circuit.t
 
 (** What a budgeted optimization run produced and why it stopped. *)

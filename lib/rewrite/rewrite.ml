@@ -287,14 +287,31 @@ let apply_templates ?device ?(selection = default_selection) c =
         | Some todo' -> go acc todo'
         | None -> go (g :: acc) rest)
     in
-    let gates = go [] (Circuit.gates c) in
-    let applied =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
+    (* The first [k] gates, reversed: [go]'s accumulator after [k]
+       gates that matched nothing. *)
+    let rec rev_prefix k acc = function
+      | g :: rest when k > 0 -> rev_prefix (k - 1) (g :: acc) rest
+      | _ -> acc
     in
-    if applied = [] then (c, [])
-    else (Circuit.make ~n:(Circuit.n_qubits c) gates, applied)
+    (* Up to the first match the sweep keeps every gate, so it builds
+       nothing there: a circuit no rule matches costs only the scan. *)
+    let rec scan kept todo =
+      match todo with
+      | [] -> None
+      | _ :: rest -> (
+        match first todo enabled_rules with
+        | Some todo' -> Some (go (rev_prefix kept [] (Circuit.gates c)) todo')
+        | None -> scan (kept + 1) rest)
+    in
+    match scan 0 (Circuit.gates c) with
+    | None -> (c, [])
+    | Some gates ->
+      let applied =
+        List.sort
+          (fun (a, _) (b, _) -> String.compare a b)
+          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
+      in
+      (Circuit.make ~n:(Circuit.n_qubits c) gates, applied)
   end
 
 (* ---- rotation merging ------------------------------------------------ *)
@@ -326,7 +343,12 @@ let rotation_deletable theta =
 
 let merge_rotations c =
   let n = Circuit.n_qubits c in
-  if n = 0 then (c, 0)
+  (* No rotation, nothing to merge: Clifford+T circuits, every
+     decomposed benchmark among them, return here. *)
+  if n = 0
+     || not
+          (List.exists (fun g -> Option.is_some (axis_rotation g)) (Circuit.gates c))
+  then (c, 0)
   else begin
     let pending : (axis * float) option array = Array.make n None in
     let out = Circuit.Builder.create ~n in
@@ -388,16 +410,23 @@ type slot = {
   s_rz : bool;
 }
 
+(* What the walk decides for a gate: it passes through, it opens a slot
+   (the first diagonal rotation on its parity), or it folds into the
+   slot already open for its parity. *)
+type decision = Keep | Open of slot | Fold
+
+(* The gate an opened slot emits, if any. *)
+let slot_gate s =
+  if s.hits = 1 then Some s.s_gate
+  else if s.s_rz then
+    if rotation_deletable s.sum then None
+    else Some (Gate.Rz ((if s.s_const then -.s.sum else s.sum), s.s_wire))
+  else Gate.phase_gate s.sum s.s_wire
+
 let merge_phase_polynomial c =
   let n = Circuit.n_qubits c in
   if n = 0 then (c, 0)
   else begin
-    let fresh = ref n in
-    let parity = Array.init n (fun i -> ([ i ], false)) in
-    let new_var q =
-      parity.(q) <- ([ !fresh ], false);
-      incr fresh
-    in
     let rec symdiff a b =
       match (a, b) with
       | [], r | r, [] -> r
@@ -406,98 +435,99 @@ let merge_phase_polynomial c =
         else if y < x then y :: symdiff a ys
         else symdiff xs ys
     in
-    let slots : (bool * int list * bool, slot) Hashtbl.t = Hashtbl.create 64 in
-    (* [`Keep g] passes through, [`Slot s] marks a slot's first
-       occurrence, [`Drop] a later rotation folded into its slot. *)
-    let classify g =
-      match Gate.phase_angle g with
-      | Some (phi, q) -> (
-        let p, cst = parity.(q) in
-        let key = (true, p, cst) in
+    (* A walk from the initial parities, with no slot open: it decides
+       each gate, in circuit order. *)
+    let classifier () =
+      let fresh = ref n in
+      let parity = Array.init n (fun i -> ([ i ], false)) in
+      let new_var q =
+        parity.(q) <- ([ !fresh ], false);
+        incr fresh
+      in
+      let slots : (bool * int list * bool, slot) Hashtbl.t = Hashtbl.create 64 in
+      let hit key contribution ~wire ~const ~gate ~rz =
         match Hashtbl.find_opt slots key with
         | Some s ->
-          s.sum <- s.sum +. phi;
+          s.sum <- s.sum +. contribution;
           s.hits <- s.hits + 1;
-          `Drop
+          Fold
         | None ->
           let s =
-            { sum = phi; hits = 1; s_wire = q; s_const = cst; s_gate = g;
-              s_rz = false }
+            { sum = contribution; hits = 1; s_wire = wire; s_const = const;
+              s_gate = gate; s_rz = rz }
           in
           Hashtbl.replace slots key s;
-          `Slot s)
-      | None -> (
-        match g with
-        | Gate.Rz (theta, q) -> (
+          Open s
+      in
+      fun g ->
+        match Gate.phase_angle g with
+        | Some (phi, q) ->
           let p, cst = parity.(q) in
-          (* Rz through a complemented parity is Rz with the angle
-             negated — exactly, with no global-phase residue — so the
-             contribution normalizes to the plain-parity frame and the
-             complement bit stays out of the key. *)
-          let contribution = if cst then -.theta else theta in
-          let key = (false, p, false) in
-          match Hashtbl.find_opt slots key with
-          | Some s ->
-            s.sum <- s.sum +. contribution;
-            s.hits <- s.hits + 1;
-            `Drop
-          | None ->
-            let s =
-              { sum = contribution; hits = 1; s_wire = q; s_const = cst;
-                s_gate = g; s_rz = true }
-            in
-            Hashtbl.replace slots key s;
-            `Slot s)
-        | Gate.Cnot { control; target } ->
-          let pc, cc = parity.(control) and pt, ct = parity.(target) in
-          parity.(target) <- (symdiff pc pt, cc <> ct);
-          `Keep g
-        | Gate.X q ->
-          let p, cst = parity.(q) in
-          parity.(q) <- (p, not cst);
-          `Keep g
-        | Gate.Swap (a, b) ->
-          let pa = parity.(a) in
-          parity.(a) <- parity.(b);
-          parity.(b) <- pa;
-          `Keep g
-        | Gate.Cz _ ->
-          (* diagonal: preserves every wire's computational value *)
-          `Keep g
-        | Gate.Toffoli { target; _ } | Gate.Mct { target; _ } ->
-          (* a permutation, but the target update is non-affine *)
-          new_var target;
-          `Keep g
-        | Gate.H q | Gate.Y q | Gate.Rx (_, q) | Gate.Ry (_, q) ->
-          new_var q;
-          `Keep g
-        | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _
-        | Gate.Phase _ ->
-          (* unreachable: phase_angle covers the whole phase family *)
-          `Keep g)
+          hit (true, p, cst) phi ~wire:q ~const:cst ~gate:g ~rz:false
+        | None -> (
+          match g with
+          | Gate.Rz (theta, q) ->
+            let p, cst = parity.(q) in
+            (* Rz through a complemented parity is Rz with the angle
+               negated — exactly, with no global-phase residue — so the
+               contribution normalizes to the plain-parity frame and the
+               complement bit stays out of the key. *)
+            hit (false, p, false)
+              (if cst then -.theta else theta)
+              ~wire:q ~const:cst ~gate:g ~rz:true
+          | Gate.Cnot { control; target } ->
+            let pc, cc = parity.(control) and pt, ct = parity.(target) in
+            parity.(target) <- (symdiff pc pt, cc <> ct);
+            Keep
+          | Gate.X q ->
+            let p, cst = parity.(q) in
+            parity.(q) <- (p, not cst);
+            Keep
+          | Gate.Swap (a, b) ->
+            let pa = parity.(a) in
+            parity.(a) <- parity.(b);
+            parity.(b) <- pa;
+            Keep
+          | Gate.Cz _ ->
+            (* diagonal: preserves every wire's computational value *)
+            Keep
+          | Gate.Toffoli { target; _ } | Gate.Mct { target; _ } ->
+            (* a permutation, but the target update is non-affine *)
+            new_var target;
+            Keep
+          | Gate.H q | Gate.Y q | Gate.Rx (_, q) | Gate.Ry (_, q) ->
+            new_var q;
+            Keep
+          | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _
+          | Gate.Phase _ ->
+            (* unreachable: phase_angle covers the whole phase family *)
+            Keep)
     in
-    let decisions =
-      List.rev (List.fold_left (fun acc g -> classify g :: acc) []
-                  (Circuit.gates c))
+    let gates = Circuit.gates c in
+    (* The pass eliminates a gate exactly when some rotation folds into
+       an open slot, so a first walk that stops at the first fold
+       settles that without building a decision or a gate list. *)
+    let folds =
+      let classify = classifier () in
+      List.exists
+        (fun g -> match classify g with Fold -> true | Keep | Open _ -> false)
+        gates
     in
-    let before = Circuit.gate_count c in
-    let emit = function
-      | `Keep g -> [ g ]
-      | `Drop -> []
-      | `Slot s ->
-        if s.hits = 1 then [ s.s_gate ]
-        else if s.s_rz then
-          if rotation_deletable s.sum then []
-          else [ Gate.Rz ((if s.s_const then -.s.sum else s.sum), s.s_wire) ]
-        else (
-          match Gate.phase_gate s.sum s.s_wire with
-          | None -> []
-          | Some g -> [ g ])
-    in
-    let gates = List.concat_map emit decisions in
-    let eliminated = before - List.length gates in
-    if eliminated = 0 then (c, 0)
-    else (Circuit.make ~n gates, eliminated)
+    if not folds then (c, 0)
+    else begin
+      let classify = classifier () in
+      let decisions = List.rev (List.rev_map classify gates) in
+      let out =
+        List.fold_left2
+          (fun acc g -> function
+            | Keep -> g :: acc
+            | Fold -> acc
+            | Open s -> (
+              match slot_gate s with None -> acc | Some g' -> g' :: acc))
+          [] gates decisions
+      in
+      (Circuit.make ~n (List.rev out), Circuit.gate_count c - List.length out)
+    end
   end
 
 (* ---- Clifford normalization ------------------------------------------ *)

@@ -87,7 +87,8 @@ val selection_to_string : selection -> string
     with them (an Rz past diagonal gates and CNOT controls, an Rx past X
     and CNOT targets, an Ry past Y).  The folded rotation is deleted
     only when its angle is a multiple of 4 pi (within 1e-12): Rz(2 pi) =
-    -I, and the optimizer promises exactness. *)
+    -I, and the optimizer promises exactness.  A circuit with no Rx, Ry
+    or Rz (every Clifford+T circuit) returns at once. *)
 val merge_rotations : Circuit.t -> Circuit.t * int
 
 (** Phase-polynomial merging in the spirit of staq: tracks each wire's
@@ -98,7 +99,9 @@ val merge_rotations : Circuit.t -> Circuit.t * int
     (negating through a set constant bit), phase-family gates
     (Z/S/Sdg/T/Tdg/Phase) with each other via {!Gate.phase_gate}, which
     re-expresses the folded angle as the cheapest Clifford+T gate.
-    This is the pass that reduces T-count across CNOT ladders. *)
+    This is the pass that reduces T-count across CNOT ladders.  A
+    first walk stops at the first rotation that folds into an earlier
+    one; when none does, [(c, 0)] comes back with no list built. *)
 val merge_phase_polynomial : Circuit.t -> Circuit.t * int
 
 (** Replaces runs of one-qubit Clifford gates (X/Y/Z/H/S/Sdg on one
@@ -110,7 +113,8 @@ val normalize_cliffords : Circuit.t -> Circuit.t * int
 
 (** [apply_templates ?device ?selection c] makes one left-to-right
     sweep of the enabled templates and counts applications per rule
-    ([[]], with [c] itself, when nothing fired). *)
+    ([[]], with [c] itself, when nothing fired; no copy of the gate list
+    is built before the first match). *)
 val apply_templates :
   ?device:Device.t ->
   ?selection:selection ->

@@ -854,7 +854,7 @@ let alloc_trip t budget =
     internal_error_body
       (Printf.sprintf
          "request exceeded the per-request allocation budget (%d bytes); \
-          worker recycled"
+          compile abandoned"
          budget) )
 
 (* One entry of a batch: same shape as a compile response, minus the
@@ -1182,6 +1182,13 @@ let serve ?max_requests t address =
       Mutex.unlock pending_lock
     end
   in
+  (* One byte written to [wake_w] ends the accept loop's wait at once:
+     the connection worker whose response made the daemon finished
+     writes it, and so does the last worker to leave. *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let wake () =
+    try ignore (Unix.write_substring wake_w "." 0 1) with Unix.Unix_error _ -> ()
+  in
   let handle_connection conn =
     with_state t (fun () ->
         t.c.open_connections <- t.c.open_connections + 1;
@@ -1254,7 +1261,7 @@ let serve ?max_requests t address =
               let response = respond t ~limit line in
               if write_all t conn (response ^ "\n") then begin
                 Atomic.incr served;
-                loop ()
+                if finished () then wake () else loop ()
               end
             | `Too_long ->
               with_state t (fun () -> t.c.frame_rejects <- t.c.frame_rejects + 1);
@@ -1268,10 +1275,7 @@ let serve ?max_requests t address =
         in
         loop ())
   in
-  (* The last worker to leave writes one byte to the [left] pipe,
-     which ends the accept loop's wait at once. *)
   let live = Atomic.make t.max_workers in
-  let left_r, left_w = Unix.pipe ~cloexec:true () in
   let worker () =
     let rec loop () =
       match next_conn () with
@@ -1283,10 +1287,7 @@ let serve ?max_requests t address =
       | None -> ()
     in
     Fun.protect
-      ~finally:(fun () ->
-        if Atomic.fetch_and_add live (-1) = 1 then
-          try ignore (Unix.write_substring left_w "." 0 1)
-          with Unix.Unix_error _ -> ())
+      ~finally:(fun () -> if Atomic.fetch_and_add live (-1) = 1 then wake ())
       loop
   in
   (* Graceful drain: whatever is still queued is refused with a
@@ -1307,7 +1308,7 @@ let serve ?max_requests t address =
     ~finally:(fun () ->
       List.iter
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        [ sock; left_r; left_w ];
+        [ sock; wake_r; wake_w ];
       match address with
       | Unix_socket path -> (
         try Unix.unlink path with Unix.Unix_error _ -> () | Sys_error _ -> ())
@@ -1317,22 +1318,29 @@ let serve ?max_requests t address =
       Unix.bind sock sockaddr;
       Unix.listen sock (max 64 (2 * t.max_pending));
       let workers = List.init t.max_workers (fun _ -> Thread.create worker ()) in
-      (* The accept loop wakes at least every 50 ms, so a shutdown
-         request arriving on a live connection stops it promptly, and
-         it keeps waking through the drain until every worker has left.
-         Each wake broadcasts [changed]: that is the watchdog's clock,
-         so a wait past its limit ends even when no compile lands. *)
+      (* The accept loop waits on the socket and the wake pipe, so the
+         response that makes the daemon finished starts the drain at
+         once, and the last worker's leaving ends it.  It also wakes at
+         least every 50 ms and broadcasts [changed]: that is the
+         watchdog's clock, so a wait past its limit ends even when no
+         compile lands.  A wake byte is read out, so the drain does not
+         spin on it. *)
+      let wake_bytes = Bytes.create 64 in
       while Atomic.get live > 0 do
         let draining = finished () in
         if draining then drain ();
         (match
-           Unix.select [ (if draining then left_r else sock) ] [] [] 0.05
+           Unix.select (if draining then [ wake_r ] else [ sock; wake_r ]) [] []
+             0.05
          with
-        | _ :: _, _, _ when not draining -> (
-          match Unix.accept sock with
-          | conn, _ -> admit conn
-          | exception Unix.Unix_error _ -> ())
-        | _ -> ()
+        | ready, _, _ ->
+          if List.mem wake_r ready then (
+            try ignore (Unix.read wake_r wake_bytes 0 (Bytes.length wake_bytes))
+            with Unix.Unix_error _ -> ());
+          if (not draining) && List.mem sock ready then (
+            match Unix.accept sock with
+            | conn, _ -> admit conn
+            | exception Unix.Unix_error _ -> ())
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         Condition.broadcast t.changed
       done;

@@ -270,7 +270,9 @@ val address_to_string : address -> string
     never grows, excess connections are shed with an [overloaded]
     response — and every frame is answered as by {!handle_line} on its
     connection's thread, under the watchdog (see {!create}), which
-    the accept loop's 50 ms ticks keep awake.  [SIGPIPE] is ignored; client
+    the accept loop's 50 ms ticks keep awake.  The response that ends
+    the daemon wakes the accept loop at once, so the call returns as
+    soon as the drain is done.  [SIGPIPE] is ignored; client
     disconnects, stalled reads and over-long frames degrade that
     connection only.  On shutdown the drain is graceful: in-flight
     requests finish and are answered, queued connections are refused

@@ -97,6 +97,58 @@ let test_support () =
   check_bool "max_qubit" true
     (Gate.max_qubit (Gate.Toffoli { c1 = 9; c2 = 3; target = 6 }) = 9)
 
+(* [support] and [max_qubit] as they were written before they stopped
+   sorting and allocating. *)
+let sorted_support = function
+  | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q
+  | Gate.T q | Gate.Tdg q
+  | Gate.Rx (_, q) | Gate.Ry (_, q) | Gate.Rz (_, q) | Gate.Phase (_, q) ->
+    [ q ]
+  | Gate.Cnot { control; target } ->
+    List.sort_uniq Int.compare [ control; target ]
+  | Gate.Cz (a, b) | Gate.Swap (a, b) -> List.sort_uniq Int.compare [ a; b ]
+  | Gate.Toffoli { c1; c2; target } ->
+    List.sort_uniq Int.compare [ c1; c2; target ]
+  | Gate.Mct { controls; target } ->
+    List.sort_uniq Int.compare (target :: controls)
+
+let folded_max_qubit g = List.fold_left max 0 (sorted_support g)
+
+let test_support_matches_sorting () =
+  (* Every constructor, both operand orders, equal operands (which only
+     raw constructors can build) and an Mct past 63 qubits. *)
+  let wide = Gate.Mct { controls = List.init 70 (fun i -> 99 - i); target = 5 } in
+  let gates =
+    [
+      Gate.X 3; Gate.Y 0; Gate.Z 7; Gate.H 2; Gate.S 4; Gate.Sdg 1; Gate.T 9;
+      Gate.Tdg 6; Gate.Rx (0.5, 2); Gate.Ry (-1.0, 8); Gate.Rz (3.0, 0);
+      Gate.Phase (0.25, 5);
+      Gate.Cnot { control = 1; target = 6 }; Gate.Cnot { control = 6; target = 1 };
+      Gate.Cnot { control = 4; target = 4 };
+      Gate.Cz (0, 3); Gate.Cz (3, 0); Gate.Cz (2, 2);
+      Gate.Swap (5, 9); Gate.Swap (9, 5); Gate.Swap (7, 7);
+      Gate.Toffoli { c1 = 8; c2 = 2; target = 5 };
+      Gate.Toffoli { c1 = 3; c2 = 3; target = 1 };
+      Gate.Mct { controls = [ 4; 0; 6 ]; target = 2 }; wide;
+    ]
+  in
+  List.iter
+    (fun g ->
+      let name = Gate.to_string g in
+      check_bool (name ^ " support") true (Gate.support g = sorted_support g);
+      Alcotest.(check int) (name ^ " max_qubit") (folded_max_qubit g)
+        (Gate.max_qubit g))
+    gates;
+  (* Validation reads every gate through [max_qubit]: building a
+     circuit allocates its record and nothing per gate. *)
+  let many = List.concat (List.init 500 (fun _ -> gates)) in
+  let before = Gc.minor_words () in
+  let c = Circuit.make ~n:100 many in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity c);
+  check_bool (Printf.sprintf "validation allocates %.0f words" words) true
+    (words < 64.0)
+
 let test_rename () =
   let g = Gate.Cnot { control = 0; target = 1 } in
   check_bool "rename shifts" true
@@ -160,6 +212,8 @@ let () =
           Alcotest.test_case "adjoint pairs" `Quick test_adjoint_pairs;
           Alcotest.test_case "mct constructor" `Quick test_mct_constructor;
           Alcotest.test_case "support" `Quick test_support;
+          Alcotest.test_case "support and max_qubit match sorting" `Quick
+            test_support_matches_sorting;
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "classification" `Quick test_classification;
           QCheck_alcotest.to_alcotest prop_adjoint_involutive;

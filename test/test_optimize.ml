@@ -465,6 +465,341 @@ let prop_identity_windows_match_reference =
     gen_window_case
     (fun (c, max_window) -> same_as_reference ~max_window c)
 
+(* ---- the converged loop against the full-sweep loop ---------------- *)
+
+(* [cancel_pass] as it was before its entries carried qubit masks: every
+   entry in the lookback gets the full [cancels] and commutation test,
+   and the output is always rebuilt. *)
+module Unmasked = struct
+  let cancel_pass ?(lookback = 50) c =
+    let rec try_cancel acc (g, sg) depth =
+      match acc with
+      | [] -> None
+      | ((h, sh) as entry) :: earlier ->
+        if depth <= 0 then None
+        else if Optimize.cancels h g then Some earlier
+        else if Gate.commutes_with_support sg g sh h then
+          Option.map
+            (fun earlier' -> entry :: earlier')
+            (try_cancel earlier (g, sg) (depth - 1))
+        else None
+    in
+    let step acc g =
+      let entry = (g, Gate.support g) in
+      match try_cancel acc entry lookback with
+      | Some acc' -> acc'
+      | None -> entry :: acc
+    in
+    Circuit.make ~n:(Circuit.n_qubits c)
+      (List.rev_map fst (Circuit.fold step [] c))
+end
+
+(* The optimizer loop as it was before a sweep could end early: every
+   sweep runs every pass.  It is built from the public passes, with no
+   deadline.  Besides the outcome it reports [replays]: the reverts the
+   converged loop skips and replays instead.  Those are the reverts of
+   a sweep that kept nothing, from the previous sweep's last kept pass
+   on. *)
+module Full_sweep = struct
+  let passes ~device ~rules =
+    let shrinking f c =
+      let c' = f c in
+      if Circuit.gate_count c' < Circuit.gate_count c then Some (c', []) else None
+    in
+    let counted name f c =
+      if not (Rewrite.enabled rules name) then None
+      else match f c with _, 0 -> None | c', k -> Some (c', [ (name, k) ])
+    in
+    let templates c =
+      match Rewrite.apply_templates ?device ~selection:rules c with
+      | _, [] -> None
+      | c', fired -> Some (c', fired)
+    in
+    [
+      shrinking (fun c -> Optimize.cancel_pass c);
+      templates;
+      counted "rotation-merge" Rewrite.merge_rotations;
+      counted "phase-merge" Rewrite.merge_phase_polynomial;
+      counted "clifford-normalize" Rewrite.normalize_cliffords;
+      shrinking (fun c -> Optimize.remove_identity_windows c);
+    ]
+
+  (* One sweep: the circuit, its cost, the index just past the last kept
+     pass, and the indices of the passes the guard reverted. *)
+  let sweep ~cost ~trace passes (c, k) =
+    let _, c, k, last, reverts =
+      List.fold_left
+        (fun (j, c0, k0, last, reverts) pass ->
+          match pass c0 with
+          | None -> (j + 1, c0, k0, last, reverts)
+          | Some (c1, fired) ->
+            let k1 = Cost.evaluate cost c1 in
+            if k1 <= k0 +. 1e-9 then begin
+              List.iter
+                (fun (name, n) ->
+                  Trace.bump trace ("rewrite/" ^ name) (float_of_int n))
+                fired;
+              (j + 1, c1, k1, j + 1, reverts)
+            end
+            else begin
+              Trace.bump trace "rewrite/reverted" 1.0;
+              (j + 1, c0, k0, last, j :: reverts)
+            end)
+        (0, c, k, 0, []) passes
+    in
+    (c, k, last, reverts)
+
+  let optimize_budgeted ?device ?(cost = Cost.eqn2) ?(trace = Trace.disabled)
+      ?(rules = Rewrite.default_selection) ?check ?max_iterations c =
+    let passes = passes ~device ~rules in
+    let replays = ref 0 in
+    let capped i =
+      match max_iterations with None -> false | Some cap -> i > cap
+    in
+    let stop ?(cap = false) ?reverted i best =
+      { Optimize.circuit = best; iterations = i - 1; hit_iteration_cap = cap;
+        hit_deadline = false; reverted }
+    in
+    let rec loop i best best_cost previous_last =
+      if capped i then stop ~cap:true i best
+      else begin
+        let sp =
+          Trace.start_with trace (Printf.sprintf "optimize/iteration-%d" i)
+            ~cost best
+        in
+        let candidate, candidate_cost, last, reverts =
+          sweep ~cost ~trace passes (best, best_cost)
+        in
+        if last = 0 then
+          replays := List.length (List.filter (fun j -> j >= previous_last) reverts);
+        let improved = candidate_cost < best_cost in
+        let verdict =
+          match check with
+          | Some budget when improved -> Oracle.unitary budget best candidate
+          | Some _ | None -> Oracle.Equal
+        in
+        if verdict = Oracle.Different then
+          Trace.bump trace "rewrite/oracle-rejected" 1.0;
+        let refusal = Oracle.refusal verdict in
+        Trace.stop_with trace sp ~cost
+          ~counters:
+            [ ("improved", if improved && refusal = None then 1.0 else 0.0) ]
+          candidate;
+        match refusal with
+        | Some why -> stop ~reverted:why i best
+        | None ->
+          if improved then loop (i + 1) candidate candidate_cost last
+          else stop i best
+      end
+    in
+    let outcome = loop 1 c (Cost.evaluate cost c) (List.length passes) in
+    (outcome, !replays)
+end
+
+(* Z and S cost 10, every other gate 1: phase-merge's T; T -> S and
+   clifford-normalize's rewrites into Z or S raise it, so the cost
+   guard reverts them. *)
+let zs_heavy =
+  Cost.custom ~name:"zs-heavy" (fun c ->
+      Circuit.fold
+        (fun acc g ->
+          acc +. match g with Gate.Z _ | Gate.S _ -> 10.0 | _ -> 1.0)
+        0.0 c)
+
+let test_confirming_sweep_replays_reverts () =
+  (* Sweep 1 keeps only cancellation (H; H goes) and reverts
+     phase-merge's T; T -> S, which [zs_heavy] prices 2 -> 10.  Sweep 2
+     ends after cancellation, on the circuit sweep 1 left, and bumps the
+     revert it skips, as the full sweep would have. *)
+  let c = circ [ Gate.H 0; Gate.H 0; Gate.T 1; Gate.T 1 ] in
+  let trace = Trace.create () in
+  let out = Optimize.optimize_budgeted ~cost:zs_heavy ~trace c in
+  check_bool "T; T stays" true (Circuit.gates out.circuit = [ Gate.T 1; Gate.T 1 ]);
+  check_int "one sweep kept" 1 out.iterations;
+  check_bool "both reverts counted" true
+    (Trace.counter_totals trace = [ ("rewrite/reverted", 2.0) ]);
+  check_bool "the confirming sweep has its span" true
+    (List.map (fun (s : Trace.span) -> (s.name, s.counters)) (Trace.spans trace)
+    = [ ("optimize/iteration-1", [ ("improved", 1.0) ]);
+        ("optimize/iteration-2", [ ("improved", 0.0) ]) ])
+
+let test_confirming_sweep_reruns_last_kept_pass () =
+  (* With no rules, sweep 1's last kept pass is identity-window removal.
+     Deleting the double SWAP exposes H; X; H; Z, which only that pass
+     deletes, so sweep 2 must run it again on its own output. *)
+  let c = circ ((Gate.H 0 :: Gate.X 0 :: double_swap 0 1) @ [ Gate.H 0; Gate.Z 0 ]) in
+  let out = Optimize.optimize_budgeted ~rules:Rewrite.empty_selection c in
+  check_int "everything goes" 0 (Circuit.gate_count out.circuit);
+  check_int "two sweeps kept" 2 out.iterations
+
+let test_changed_sweep_runs_in_full () =
+  (* On a device (so no SWAP template), sweep 1's last kept pass is
+     clifford-normalize: phase-merge makes H; S; S; H into H; Z; H and
+     clifford-normalize makes that X.  In sweep 2 cancellation deletes
+     that X with the last one, through the CNOT onto qubit 2, which
+     leaves a double SWAP.  Sweep 2 has changed the circuit, so it runs
+     on past where sweep 1 left off, and identity-window removal
+     deletes the double SWAP. *)
+  let c =
+    Circuit.make ~n:5
+      ([ cnot 0 1; cnot 1 0; cnot 0 1; Gate.H 2; Gate.S 2; Gate.S 2; Gate.H 2 ]
+      @ [ cnot 1 0; cnot 0 1; cnot 1 0; cnot 3 2; Gate.X 2 ])
+  in
+  let out = Optimize.optimize_budgeted ~device:Device.Ibm.ibmqx4 c in
+  check_bool "only the CNOT onto qubit 2 stays" true
+    (Circuit.gates out.circuit = [ cnot 3 2 ]);
+  check_int "two sweeps kept" 2 out.iterations
+
+(* A few qubits of a 64- to 100-qubit register, two of them 63 apart so
+   that their mask bits coincide. *)
+let gen_wide_pool =
+  let open QCheck2.Gen in
+  int_range 64 100 >>= fun n ->
+  pair (int_bound (n - 64)) (int_bound (n - 1)) >|= fun (a, b) ->
+  (n, List.sort_uniq Int.compare
+        [ a; a + 1; a + 63; b; (b + 1) mod n; (b + 2) mod n ])
+
+(* A gate on the pool: at least four distinct qubits, so every gate
+   kind has its operands. *)
+let gen_pool_gate pool =
+  let open QCheck2.Gen in
+  let distinct k = map (List.filteri (fun i _ -> i < k)) (shuffle_l pool) in
+  let on k f = map f (distinct k) in
+  frequency
+    [
+      ( 6,
+        map2
+          (fun ctor q -> ctor q)
+          (oneofl
+             [ (fun q -> Gate.X q); (fun q -> Gate.H q); (fun q -> Gate.T q);
+               (fun q -> Gate.Tdg q); (fun q -> Gate.S q); (fun q -> Gate.Z q);
+               (fun q -> Gate.Rz (0.3, q)); (fun q -> Gate.Rz (-0.3, q)) ])
+          (oneofl pool) );
+      (3, on 2 (function [ a; b ] -> cnot a b | _ -> assert false));
+      (1, on 2 (function [ a; b ] -> Gate.Cz (a, b) | _ -> assert false));
+      (1, on 2 (function [ a; b ] -> Gate.Swap (a, b) | _ -> assert false));
+      (1, on 3 (function [ a; b; t ] -> Gate.mct [ a; b ] t | _ -> assert false));
+      (1, on 4 (function t :: cs -> Gate.mct cs t | [] -> assert false));
+    ]
+
+let gen_wide_circuit =
+  let open QCheck2.Gen in
+  gen_wide_pool >>= fun (n, pool) ->
+  int_bound 120 >>= fun len ->
+  list_repeat len (gen_pool_gate pool) >|= Circuit.make ~n
+
+let prop_cancel_pass_matches_unmasked =
+  QCheck2.Test.make ~name:"cancel pass matches the unmasked pass" ~count:300
+    ~print:(fun (c, lookback) ->
+      Printf.sprintf "lookback %d\n%s" lookback (Testutil.print_circuit c))
+    QCheck2.Gen.(pair gen_wide_circuit (oneofl [ 1; 2; 3; 7; 50 ]))
+    (fun (c, lookback) ->
+      let out = Optimize.cancel_pass ~lookback c in
+      Circuit.equal out (Unmasked.cancel_pass ~lookback c)
+      && (out == c) = (Circuit.gate_count out = Circuit.gate_count c))
+
+type loop_case = {
+  circuit : Circuit.t;
+  device : Device.t option;
+  cost : Cost.t;
+  rules : Rewrite.selection;
+  check : (string * Oracle.budget) option;
+  max_iterations : int option;
+}
+
+let print_loop_case k =
+  Printf.sprintf "device %s, cost %s, rules %s, check %s, max_iterations %s\n%s"
+    (match k.device with None -> "none" | Some d -> Device.name d)
+    (Cost.name k.cost)
+    (Rewrite.selection_to_string k.rules)
+    (match k.check with None -> "none" | Some (name, _) -> name)
+    (match k.max_iterations with None -> "none" | Some i -> string_of_int i)
+    (Testutil.print_circuit k.circuit)
+
+(* Small circuits of library gates with planted identity windows and
+   T pairs (which phase-merge fuses to S, against [zs_heavy]), mapped
+   circuits on ibmqx4, and wide pool circuits; under three costs, both
+   rule sets, with and without the oracle and the iteration cap. *)
+let gen_loop_case =
+  let open QCheck2.Gen in
+  let small =
+    int_range 3 6 >>= fun n ->
+    int_bound 16 >>= fun len ->
+    list_repeat len
+      (frequency
+         [
+           (6, map (fun g -> [ g ]) (Testutil.gen_gate n));
+           (2, gen_planted n);
+           (1, map (fun q -> [ Gate.T q; Gate.T q ]) (Testutil.gen_qubit n));
+         ])
+    >|= fun pieces -> (Circuit.make ~n (List.concat pieces), None)
+  in
+  let mapped =
+    Testutil.gen_native_circuit ~max_gates:30 5 >|= fun c ->
+    let d = Device.Ibm.ibmqx4 in
+    (Route.route_circuit d c, Some d)
+  in
+  let wide = gen_wide_circuit >|= fun c -> (c, None) in
+  let tiny_budget = { Oracle.default_budget with node_budget = Some 1; dense_qubits = 0 } in
+  map
+    (fun ((circuit, device), cost, rules, check, max_iterations) ->
+      { circuit; device; cost; rules; check; max_iterations })
+    (tup5
+       (frequency [ (5, small); (2, mapped); (1, wide) ])
+       (oneofl [ Cost.eqn2; Cost.t_weighted; zs_heavy ])
+       (frequency
+          [ (3, return Rewrite.default_selection);
+            (1, return Rewrite.empty_selection) ])
+       (frequency
+          [ (6, return None);
+            (1, return (Some ("default", Oracle.default_budget)));
+            (1, return (Some ("one node", tiny_budget))) ])
+       (frequency [ (5, return None); (1, map Option.some (int_range 1 3)) ]))
+
+(* Everything a run shows: the outcome, every sweep span but its
+   timings, and the counter totals. *)
+let run_view (o : Optimize.outcome) trace =
+  let span (s : Trace.span) = (s.name, s.index, s.before, s.after, s.counters) in
+  ( (Circuit.gates o.circuit, Circuit.n_qubits o.circuit),
+    (o.iterations, o.hit_iteration_cap, o.hit_deadline, o.reverted),
+    List.map span (Trace.spans trace),
+    Trace.counter_totals trace )
+
+let test_loop_matches_full_sweep () =
+  let rand = Random.State.make [| 21 |] in
+  let cases = QCheck2.Gen.generate ~rand ~n:1500 gen_loop_case in
+  let replays = ref 0 and reverting = ref 0 and confirmed = ref 0 in
+  List.iter
+    (fun k ->
+      let check = Option.map snd k.check in
+      let trace = Trace.create () and reference = Trace.create () in
+      let out =
+        Optimize.optimize_budgeted ?device:k.device ~cost:k.cost ~trace
+          ~rules:k.rules ?check ?max_iterations:k.max_iterations k.circuit
+      in
+      let expected, replayed =
+        Full_sweep.optimize_budgeted ?device:k.device ~cost:k.cost
+          ~trace:reference ~rules:k.rules ?check
+          ?max_iterations:k.max_iterations k.circuit
+      in
+      if run_view out trace <> run_view expected reference then
+        Alcotest.failf "converged loop differs from the full-sweep loop:\n%s"
+          (print_loop_case k);
+      replays := !replays + replayed;
+      if List.mem_assoc "rewrite/reverted" (Trace.counter_totals trace) then
+        incr reverting;
+      if out.iterations >= 1 && not out.hit_iteration_cap then incr confirmed)
+    cases;
+  (* The cases must reach what the loop change is about: runs with a
+     confirming sweep, runs the guard reverts in, and reverts the early
+     end replays. *)
+  check_bool (Printf.sprintf "%d runs with a confirming sweep" !confirmed) true
+    (!confirmed >= 100);
+  check_bool (Printf.sprintf "%d runs revert a pass" !reverting) true
+    (!reverting >= 20);
+  check_bool (Printf.sprintf "%d reverts replayed" !replays) true
+    (!replays >= 5)
+
 let () =
   Alcotest.run "optimize"
     [
@@ -500,6 +835,14 @@ let () =
           Alcotest.test_case "opt-rules none" `Quick test_opt_rules_none;
           Alcotest.test_case "per-pass guard" `Quick test_per_pass_guard;
           QCheck_alcotest.to_alcotest prop_device_optimize_stays_legal;
+          Alcotest.test_case "converged loop matches the full sweeps" `Quick
+            test_loop_matches_full_sweep;
+          Alcotest.test_case "confirming sweep replays reverts" `Quick
+            test_confirming_sweep_replays_reverts;
+          Alcotest.test_case "confirming sweep reruns the last kept pass" `Quick
+            test_confirming_sweep_reruns_last_kept_pass;
+          Alcotest.test_case "a sweep that changes the circuit runs in full"
+            `Quick test_changed_sweep_runs_in_full;
         ] );
       ( "properties",
         [
@@ -508,6 +851,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_optimize_preserves_unitary;
           QCheck_alcotest.to_alcotest prop_optimize_never_worse;
           QCheck_alcotest.to_alcotest prop_cancel_pass_preserves;
+          QCheck_alcotest.to_alcotest prop_cancel_pass_matches_unmasked;
           QCheck_alcotest.to_alcotest prop_identity_windows_preserve;
           QCheck_alcotest.to_alcotest prop_identity_windows_match_reference;
         ] );

@@ -1223,6 +1223,37 @@ let test_drain_bounds_a_wedged_compile () =
   ignore (await_late_report daemon);
   try Sys.remove path with Sys_error _ -> ()
 
+let test_shutdown_returns_promptly () =
+  (* The response that makes the daemon finished wakes the accept loop
+     through its pipe, so [Serve.serve] returns as soon as the drain is
+     done, not at the loop's next 50 ms tick.  The best of three runs
+     keeps a slow scheduler from deciding the verdict. *)
+  let once () =
+    let daemon = Serve.create () in
+    let path = temp_socket_path () in
+    let address = Serve.Unix_socket path in
+    let returned = ref 0.0 in
+    let server =
+      Thread.create
+        (fun () ->
+          Serve.serve daemon address;
+          returned := Unix.gettimeofday ())
+        ()
+    in
+    let ctl = connect_retry address 100 in
+    let ack = parse_response (Serve.Client.request ctl {|{"op":"shutdown"}|}) in
+    let acknowledged = Unix.gettimeofday () in
+    check_bool "shutdown acknowledged" true (bool_field "stopping" ack);
+    Thread.join server;
+    Serve.Client.close ctl;
+    (try Sys.remove path with Sys_error _ -> ());
+    !returned -. acknowledged
+  in
+  let best = List.fold_left Float.min infinity (List.init 3 (fun _ -> once ())) in
+  check_bool
+    (Printf.sprintf "serve returned %.1f ms after the acknowledgement" (best *. 1e3))
+    true (best < 0.025)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1298,6 +1329,8 @@ let () =
             test_graceful_drain;
           Alcotest.test_case "drain bounds a wedged compile" `Quick
             test_drain_bounds_a_wedged_compile;
+          Alcotest.test_case "shutdown returns promptly" `Quick
+            test_shutdown_returns_promptly;
         ] );
       ( "limits",
         [
