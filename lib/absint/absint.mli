@@ -114,10 +114,6 @@ type result = {
     gates, merges, final class count, known/restored wires). *)
 val analyze : ?trace:Trace.t -> Circuit.t -> result
 
-(** [classes_of_partition part] groups equal labels into sorted
-    classes (the same normalization {!result.classes} uses). *)
-val classes_of_partition : int array -> int list list
-
 val fact_to_string : fact -> string
 
 (** [class_to_string [0;2]] is ["{q0,q2}"]. *)

@@ -52,8 +52,6 @@ type kind =
           {!Serve}) *)
   | Internal  (** an unexpected exception; a bug, but a reported one *)
 
-val kind_to_string : kind -> string
-
 type severity = Error | Warning
 
 val severity_to_string : severity -> string

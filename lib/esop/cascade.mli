@@ -8,13 +8,11 @@
     one generalized Toffoli targeting the output wire, with X gates
     temporarily inverting negatively-occurring inputs. *)
 
-(** [of_esop e] realizes the single-output function on
-    [e.n_inputs + 1] wires; the output wire is index [e.n_inputs] and
-    must start at 0.  Input wire [i] carries input variable [i]. *)
-val of_esop : Esop.t -> Circuit.t
-
-(** [of_truth_table table] composes {!Esop.of_truth_table} with
-    {!of_esop}: a reversible single-target gate computing the table. *)
+(** [of_truth_table table] realizes the function [table] tabulates
+    ([2^n] entries for [n] inputs) as the cascade of
+    {!Esop.of_truth_table}'s ESOP, on [n + 1] wires: input wire [i]
+    carries input variable [i], and the output wire, index [n], must
+    start at 0. *)
 val of_truth_table : bool array -> Circuit.t
 
 (** [of_pla pla] realizes every output of a multi-output PLA on

@@ -18,9 +18,6 @@ val make : n_inputs:int -> cube list -> t
 
 val cube_count : t -> int
 
-(** [eval_cube cube assignment] holds when the product term is 1. *)
-val eval_cube : cube -> int -> bool
-
 (** [eval esop assignment] is the XOR over all cubes. *)
 val eval : t -> int -> bool
 

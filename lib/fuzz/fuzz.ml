@@ -206,27 +206,50 @@ type case =
       device : Device.t option;
       budget : int option;
     }
+  | Optimize_case of {
+      circuit : Circuit.t;
+      device : Device.t option;
+      cost : Cost.t;
+      rules : Rewrite.selection;
+    }
   | Function_case of { pla : Qformats.Pla.t }
   | Source_case of { ext : string; text : string }
 
+(* A circuit case's printout: its size, its device, one line per
+   setting, then the gates. *)
+let circuit_to_string ~settings circuit device =
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "circuit: %d qubit(s), %d gate(s)\n"
+       (Circuit.n_qubits circuit)
+       (Circuit.gate_count circuit));
+  (match device with
+  | Some d ->
+    Buffer.add_string b
+      (Printf.sprintf "device: %d qubit(s) %s\n" (Device.n_qubits d)
+         (Device.to_dict_string d))
+  | None -> ());
+  List.iter
+    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\n" k v))
+    settings;
+  Buffer.add_string b (Circuit.to_string circuit);
+  Buffer.contents b
+
+(* The cost and rule selection of an [Optimize_case], by name: the
+   repro headers and the case printout. *)
+let optimize_settings cost rules =
+  [ ("cost", Cost.name cost); ("rules", Rewrite.selection_to_string rules) ]
+
 let case_to_string = function
   | Circuit_case { circuit; device; budget } ->
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf "circuit: %d qubit(s), %d gate(s)\n"
-         (Circuit.n_qubits circuit)
-         (Circuit.gate_count circuit));
-    (match device with
-    | Some d ->
-      Buffer.add_string b
-        (Printf.sprintf "device: %d qubit(s) %s\n" (Device.n_qubits d)
-           (Device.to_dict_string d))
-    | None -> ());
-    (match budget with
-    | Some k -> Buffer.add_string b (Printf.sprintf "swap budget: %d\n" k)
-    | None -> ());
-    Buffer.add_string b (Circuit.to_string circuit);
-    Buffer.contents b
+    let settings =
+      match budget with
+      | Some k -> [ ("swap budget", string_of_int k) ]
+      | None -> []
+    in
+    circuit_to_string ~settings circuit device
+  | Optimize_case { circuit; device; cost; rules } ->
+    circuit_to_string ~settings:(optimize_settings cost rules) circuit device
   | Function_case { pla } -> Qformats.Pla.to_string pla
   | Source_case { ext; text } ->
     Printf.sprintf "source (%s):\n%s" ext text
@@ -351,11 +374,38 @@ module Property = struct
         | _ -> wrong_case "compile-qmdd-equivalent");
     }
 
+  (* One sweep of the optimizer's passes, in the loop's order, each
+     called through its public entry point and kept when it does not
+     raise [cost].  It shares no code with the loop, so it also sees a
+     loop that skips a pass in every sweep it runs. *)
+  let sweep_once ?device ~cost ~rules c =
+    let counted name f c =
+      if not (Rewrite.enabled rules name) then c
+      else match f c with _, 0 -> c | c', _ -> c'
+    in
+    List.fold_left
+      (fun c pass ->
+        let c' = pass c in
+        if Cost.evaluate cost c' <= Cost.evaluate cost c +. 1e-9 then c' else c)
+      c
+      [
+        (fun c -> Optimize.cancel_pass c);
+        (fun c -> fst (Rewrite.apply_templates ?device ~selection:rules c));
+        counted "rotation-merge" Rewrite.merge_rotations;
+        counted "phase-merge" Rewrite.merge_phase_polynomial;
+        counted "clifford-normalize" Rewrite.normalize_cliffords;
+        (fun c -> Optimize.remove_identity_windows c);
+      ]
+
   (* 3. Optimization is exact (not merely up to phase), the cost
      function never goes up, and the output is a fixed point — Sec. 4,
-     items 5-6.  Optimizing the output again must keep no sweep: a
-     sweep that ends early must not have stopped short of one that
-     would still improve. *)
+     items 5-6.  Neither optimizing the output again nor one sweep of
+     the passes may lower its cost: a sweep that ends early must not
+     have stopped short of one that would still improve.  Each case
+     draws its objective (Eqn. 2 or T-weighted) and its rules (all or
+     none); half of them route a native circuit on a random device
+     and optimize for it, so that the guard reverts passes and the
+     templates respect couplings. *)
   let optimize_preserves_unitary =
     {
       name = "optimize-preserves-unitary";
@@ -365,18 +415,32 @@ module Property = struct
       paper = "Sec. 4 (cost-driven optimization)";
       gen =
         (fun cfg st ->
-          let c =
-            Gen.circuit ~max_qubits:(min 6 cfg.max_qubits)
-              ~max_gates:cfg.max_gates st
+          let cost = Gen.choose [ Cost.eqn2; Cost.t_weighted ] st in
+          let rules =
+            Gen.choose [ Rewrite.default_selection; Rewrite.empty_selection ] st
           in
-          Circuit_case { circuit = c; device = None; budget = None });
+          if Random.State.bool st then
+            let d = dev_gen ~cap:6 cfg st in
+            let c = circuit_on_device ~gate:Gen.native_gate cfg d st in
+            Optimize_case { circuit = c; device = Some d; cost; rules }
+          else
+            let c =
+              Gen.circuit ~max_qubits:(min 6 cfg.max_qubits)
+                ~max_gates:cfg.max_gates st
+            in
+            Optimize_case { circuit = c; device = None; cost; rules });
       check =
         (function
-        | Circuit_case { circuit = c; _ } ->
-          let c' = Optimize.optimize c in
-          let cost_before = Cost.evaluate Cost.eqn2 c in
-          let cost_after = Cost.evaluate Cost.eqn2 c' in
-          let again = Optimize.optimize_budgeted c' in
+        | Optimize_case { circuit; device; cost; rules } ->
+          let c =
+            match device with
+            | Some d -> Route.route_circuit d circuit
+            | None -> circuit
+          in
+          let c' = Optimize.optimize ?device ~cost ~rules c in
+          let cost_before = Cost.evaluate cost c in
+          let cost_after = Cost.evaluate cost c' in
+          let again = Optimize.optimize_budgeted ?device ~cost ~rules c' in
           check_all
             [
               ( (fun () -> Sim.equivalent ~up_to_phase:false c c'),
@@ -392,6 +456,11 @@ module Property = struct
                     "output is not a fixed point: optimizing it again kept %d \
                      sweeps"
                     again.iterations );
+              ( (fun () ->
+                  Cost.evaluate cost (sweep_once ?device ~cost ~rules c')
+                  >= cost_after),
+                fun () -> "output is not a fixed point: one sweep lowers its cost"
+              );
             ]
         | _ -> wrong_case "optimize-preserves-unitary");
     }
@@ -1696,6 +1765,13 @@ let source_candidates ext text =
 let candidates = function
   | Circuit_case { circuit; device; budget } ->
     circuit_candidates ~circuit ~device ~budget
+  | Optimize_case o ->
+    List.filter_map
+      (function
+        | Circuit_case { circuit; device; _ } ->
+          Some (Optimize_case { o with circuit; device })
+        | Optimize_case _ | Function_case _ | Source_case _ -> None)
+      (circuit_candidates ~circuit:o.circuit ~device:o.device ~budget:None)
   | Function_case { pla } -> function_candidates pla
   | Source_case { ext; text } -> source_candidates ext text
 
@@ -1848,11 +1924,7 @@ let repro_to_string (f : failure) =
   header "property" f.property;
   header "seed" (string_of_int f.seed);
   header "message" (sanitize_line f.message);
-  (match f.shrunk with
-  | Circuit_case { circuit; device; budget } ->
-    header "case" "circuit";
-    header "budget"
-      (match budget with Some k -> string_of_int k | None -> "none");
+  let circuit_payload circuit device =
     (match device with
     | Some d ->
       header "device"
@@ -1860,6 +1932,17 @@ let repro_to_string (f : failure) =
     | None -> header "device" "none");
     Buffer.add_string b "payload:\n";
     Buffer.add_string b (Qformats.Qc.to_string circuit)
+  in
+  (match f.shrunk with
+  | Circuit_case { circuit; device; budget } ->
+    header "case" "circuit";
+    header "budget"
+      (match budget with Some k -> string_of_int k | None -> "none");
+    circuit_payload circuit device
+  | Optimize_case { circuit; device; cost; rules } ->
+    header "case" "optimize";
+    List.iter (fun (k, v) -> header k v) (optimize_settings cost rules);
+    circuit_payload circuit device
   | Function_case { pla } ->
     header "case" "function";
     Buffer.add_string b "payload:\n";
@@ -1896,13 +1979,9 @@ let repro_of_string s =
       match int_of_string_opt seed_s with
       | None -> Error (Printf.sprintf "bad seed %S" seed_s)
       | Some seed -> (
-        match kind with
-        | "circuit" -> (
-          let budget =
-            match get "budget" with
-            | Some "none" | None -> None
-            | Some s -> int_of_string_opt s
-          in
+        (* The device header and the QC payload of a circuit or
+           optimize case, handed to [make]. *)
+        let with_circuit make =
           let device =
             match get "device" with
             | Some "none" | None -> Ok None
@@ -1927,14 +2006,32 @@ let repro_of_string s =
           | Error msg -> Error msg
           | Ok device -> (
             match Qformats.Qc.of_string payload with
-            | qc ->
-              Ok
-                ( property,
-                  seed,
-                  Circuit_case
-                    { circuit = qc.Qformats.Qc.circuit; device; budget } )
+            | qc -> Ok (property, seed, make device qc.Qformats.Qc.circuit)
             | exception Qformats.Qc.Parse_error { line; message } ->
-              Error (Printf.sprintf "payload line %d: %s" line message)))
+              Error (Printf.sprintf "payload line %d: %s" line message))
+        in
+        match kind with
+        | "circuit" ->
+          let budget =
+            match get "budget" with
+            | Some "none" | None -> None
+            | Some s -> int_of_string_opt s
+          in
+          with_circuit (fun device circuit ->
+              Circuit_case { circuit; device; budget })
+        | "optimize" -> (
+          let cost =
+            List.find_opt
+              (fun c -> Some (Cost.name c) = get "cost")
+              [ Cost.eqn2; Cost.gate_volume; Cost.t_weighted ]
+          in
+          match (cost, Option.map Rewrite.parse_selection (get "rules")) with
+          | Some cost, Some (Ok rules) ->
+            with_circuit (fun device circuit ->
+                Optimize_case { circuit; device; cost; rules })
+          | None, _ -> Error "optimize case without a known cost header"
+          | Some _, (None | Some (Error _)) ->
+            Error "optimize case without a valid rules header")
         | "function" -> (
           match Qformats.Pla.of_string payload with
           | pla -> Ok (property, seed, Function_case { pla })

@@ -108,6 +108,13 @@ type case =
       budget : int option;  (** routing SWAP budget, when the property
                                 exercises graceful degradation *)
     }
+  | Optimize_case of {
+      circuit : Circuit.t;
+      device : Device.t option;
+          (** route [circuit] on it and optimize with [~device] *)
+      cost : Cost.t;
+      rules : Rewrite.selection;
+    }  (** an optimizer run: what it runs on and under which objective *)
   | Function_case of { pla : Qformats.Pla.t }
   | Source_case of { ext : string; text : string }
       (** raw front-end input text (possibly byte-mutated) with the

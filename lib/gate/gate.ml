@@ -115,40 +115,54 @@ let is_diagonal = function
   | X _ | Y _ | H _ | Rx _ | Ry _ | Cnot _ | Swap _ | Toffoli _ | Mct _ ->
     false
 
-(* NOT-family gates: a bit flip on the target, controlled by the rest. *)
-let not_family = function
-  | X q -> Some ([], q)
-  | Cnot { control; target } -> Some ([ control ], target)
-  | Toffoli { c1; c2; target } -> Some ([ c1; c2 ], target)
-  | Mct { controls; target } -> Some (controls, target)
+(* NOT-family gates are a bit flip on the target, controlled by the
+   rest: [not_target] is the target of one, and -1, which no qubit is,
+   for every other gate.  Both tests read the constructor and allocate
+   nothing. *)
+let not_target = function
+  | X q -> q
+  | Cnot { target; _ } | Toffoli { target; _ } | Mct { target; _ } -> target
   | Y _ | Z _ | H _ | S _ | Sdg _ | T _ | Tdg _ | Rx _ | Ry _ | Rz _
   | Phase _ | Cz _ | Swap _ ->
-    None
+    -1
+
+let is_control q = function
+  | Cnot { control; _ } -> q = control
+  | Toffoli { c1; c2; _ } -> q = c1 || q = c2
+  | Mct { controls; _ } -> List.mem q controls
+  | X _ | Y _ | Z _ | H _ | S _ | Sdg _ | T _ | Tdg _ | Rx _ | Ry _ | Rz _
+  | Phase _ | Cz _ | Swap _ ->
+    false
+
+let rec disjoint sg sh =
+  match sg with
+  | [] -> true
+  | q :: rest -> (not (List.mem q sh)) && disjoint rest sh
 
 let commutes_with_support sg g sh h =
   (* A diagonal gate passes a NOT-family gate whose target it avoids
      (the controls only read the bits the phase depends on); a NOT-family
      gate acts on its target as X or I, so an Rx there passes it too. *)
   let passes_not g sg h =
-    match (g, not_family h) with
-    | _, None -> false
-    | Rx (_, q), Some (_, t) -> q = t
-    | _, Some (_, t) -> is_diagonal g && not (List.mem t sg)
+    let t = not_target h in
+    t >= 0
+    &&
+    match g with
+    | Rx (_, q) -> q = t
+    | _ -> is_diagonal g && not (List.mem t sg)
   in
   (* X and Rx are functions of the same Pauli (likewise Y and Ry). *)
   let axis = function X _ | Rx _ -> 1 | Y _ | Ry _ -> 2 | _ -> 0 in
-  List.for_all (fun q -> not (List.mem q sh)) sg
+  let tg = not_target g and th = not_target h in
+  disjoint sg sh
   || equal g h
   || (is_diagonal g && is_diagonal h)
   || passes_not g sg h
   || passes_not h sh g
   || (axis g > 0 && axis g = axis h)
-  ||
   (* Two NOT-family gates commute when neither target is the other's
      control. *)
-  match (not_family g, not_family h) with
-  | Some (cg, tg), Some (ch, th) -> not (List.mem tg ch || List.mem th cg)
-  | (Some _ | None), (Some _ | None) -> false
+  || (tg >= 0 && th >= 0 && not (is_control tg h || is_control th g))
 
 let commutes g h = commutes_with_support (support g) g (support h) h
 

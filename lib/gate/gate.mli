@@ -81,7 +81,9 @@ val is_self_inverse : t -> bool
 val commutes : t -> t -> bool
 
 (** [commutes_with_support sg g sh h] is [commutes g h] for callers that
-    already hold [sg = support g] and [sh = support h]. *)
+    already hold [sg = support g] and [sh = support h].  It allocates
+    nothing: the optimizer's cancellation scan calls it for every gate
+    pair it looks past. *)
 val commutes_with_support : int list -> t -> int list -> t -> bool
 
 (** [rename f g] renames every qubit through [f].

@@ -28,14 +28,12 @@ let omega k =
   | 6 -> make 0.0 (-1.0)
   | _ -> make inv_sqrt2 (-.inv_sqrt2)
 
-let default_eps = 1e-9
-
-let approx_equal ?(eps = default_eps) a b =
+let approx_equal ?(eps = Tolerance.default_eps) a b =
   abs_float (a.Complex.re -. b.Complex.re) <= eps
   && abs_float (a.Complex.im -. b.Complex.im) <= eps
 
-let is_zero ?(eps = default_eps) z = approx_equal ~eps z zero
-let is_one ?(eps = default_eps) z = approx_equal ~eps z one
+let is_zero ?(eps = Tolerance.default_eps) z = approx_equal ~eps z zero
+let is_one ?(eps = Tolerance.default_eps) z = approx_equal ~eps z one
 
 let grid = 1e10
 

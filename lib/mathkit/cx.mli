@@ -3,9 +3,9 @@
 
     All equality in this library is approximate: quantum gate matrices
     built from H and T accumulate floating-point error, so comparisons go
-    through a tolerance ([default_eps]).  The canonical rounding used by
-    the QMDD unique table also lives here so that every consumer agrees on
-    what "the same weight" means. *)
+    through a tolerance, 1e-9 unless the caller passes [eps].  The
+    canonical rounding used by the QMDD unique table also lives here so
+    that every consumer agrees on what "the same weight" means. *)
 
 type t = Complex.t
 
@@ -36,9 +36,6 @@ val inv_sqrt2 : float
 (** [omega k] is exp(i k pi / 4), the primitive eighth root of unity to
     the k-th power.  [omega 1] is the T-gate phase. *)
 val omega : int -> t
-
-(** Default comparison tolerance, 1e-9. *)
-val default_eps : float
 
 (** [approx_equal ?eps a b] holds when both parts differ by at most
     [eps]. *)

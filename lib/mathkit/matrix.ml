@@ -84,20 +84,11 @@ let dagger m =
   let t = transpose m in
   { t with data = Array.map Cx.conj t.data }
 
-let apply_vec m v =
-  if Array.length v <> m.cols then invalid_arg "Matrix.apply_vec: dimension mismatch";
-  Array.init m.rows (fun r ->
-      let acc = ref Cx.zero in
-      for c = 0 to m.cols - 1 do
-        acc := Cx.add !acc (Cx.mul (get m r c) v.(c))
-      done;
-      !acc)
-
-let approx_equal ?(eps = Cx.default_eps) a b =
+let approx_equal ?(eps = Tolerance.default_eps) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Cx.approx_equal ~eps x y) a.data b.data
 
-let equal_up_to_global_phase ?(eps = Cx.default_eps) a b =
+let equal_up_to_global_phase ?(eps = Tolerance.default_eps) a b =
   if a.rows <> b.rows || a.cols <> b.cols then false
   else
     (* Find the first entry of b with significant magnitude and derive the
@@ -118,10 +109,10 @@ let equal_up_to_global_phase ?(eps = Cx.default_eps) a b =
         if abs_float (Cx.norm phase -. 1.0) > 1e-6 then false
         else approx_equal ~eps a (scale phase b)
 
-let is_unitary ?(eps = Cx.default_eps) m =
+let is_unitary ?(eps = Tolerance.default_eps) m =
   m.rows = m.cols && approx_equal ~eps (mul m (dagger m)) (identity m.rows)
 
-let is_identity ?(eps = Cx.default_eps) m =
+let is_identity ?(eps = Tolerance.default_eps) m =
   m.rows = m.cols && approx_equal ~eps m (identity m.rows)
 
 let pp fmt m =

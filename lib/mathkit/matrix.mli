@@ -41,15 +41,8 @@ val scale : Cx.t -> t -> t
     used throughout the project. *)
 val kron : t -> t -> t
 
-(** [transpose m] is the transpose. *)
-val transpose : t -> t
-
 (** [dagger m] is the conjugate transpose. *)
 val dagger : t -> t
-
-(** [apply_vec m v] is the matrix-vector product.
-    @raise Invalid_argument on dimension mismatch. *)
-val apply_vec : t -> Cx.t array -> Cx.t array
 
 (** [approx_equal ?eps a b] compares entrywise within [eps]; [false] when
     shapes differ. *)

@@ -1,31 +1,34 @@
-let same_pair (a, b) (c, d) = (a = c && b = d) || (a = d && b = c)
+let same_pair a b c d = (a = c && b = d) || (a = d && b = c)
 
 let cancels g h =
-  match (Gate.phase_angle g, Gate.phase_angle h) with
-  | Some (a, qa), Some (b, qb) ->
-    (* Z, S, Sdg, T, Tdg and Phase all read as diag(1, e^(i theta)), so
-       any two whose angles sum to 0 mod 2 pi cancel exactly. *)
-    qa = qb && Gate.phase_gate (a +. b) qa = None
-  | (Some _ | None), (Some _ | None) -> (
-    match (g, h) with
-    | Gate.X a, Gate.X b | Gate.Y a, Gate.Y b | Gate.H a, Gate.H b -> a = b
-    (* Same-axis rotations cancel only when the angles sum to zero: two
-       that sum to 2 pi multiply to -I, and the optimizer promises
-       exactness. *)
-    | Gate.Rx (ta, a), Gate.Rx (tb, b)
-    | Gate.Ry (ta, a), Gate.Ry (tb, b)
-    | Gate.Rz (ta, a), Gate.Rz (tb, b) ->
-      a = b && abs_float (ta +. tb) < 1e-12
-    | Gate.Cnot x, Gate.Cnot y -> x.control = y.control && x.target = y.target
-    | Gate.Cz (a1, b1), Gate.Cz (a2, b2) | Gate.Swap (a1, b1), Gate.Swap (a2, b2)
-      ->
-      same_pair (a1, b1) (a2, b2)
-    | Gate.Toffoli a, Gate.Toffoli b ->
-      a.target = b.target && same_pair (a.c1, a.c2) (b.c1, b.c2)
-    | Gate.Mct a, Gate.Mct b ->
-      a.target = b.target
-      && List.sort Int.compare a.controls = List.sort Int.compare b.controls
-    | _, _ -> false)
+  match (g, h) with
+  | Gate.X a, Gate.X b | Gate.Y a, Gate.Y b | Gate.H a, Gate.H b -> a = b
+  (* Same-axis rotations cancel only when the angles sum to zero: two
+     that sum to 2 pi multiply to -I, and the optimizer promises
+     exactness. *)
+  | Gate.Rx (ta, a), Gate.Rx (tb, b)
+  | Gate.Ry (ta, a), Gate.Ry (tb, b)
+  | Gate.Rz (ta, a), Gate.Rz (tb, b) ->
+    a = b && abs_float (ta +. tb) < 1e-12
+  | Gate.Cnot x, Gate.Cnot y -> x.control = y.control && x.target = y.target
+  | Gate.Cz (a1, b1), Gate.Cz (a2, b2) | Gate.Swap (a1, b1), Gate.Swap (a2, b2)
+    ->
+    same_pair a1 b1 a2 b2
+  | Gate.Toffoli a, Gate.Toffoli b ->
+    a.target = b.target && same_pair a.c1 a.c2 b.c1 b.c2
+  | Gate.Mct a, Gate.Mct b ->
+    a.target = b.target
+    && List.sort Int.compare a.controls = List.sort Int.compare b.controls
+  (* Z, S, Sdg, T, Tdg and Phase all read as diag(1, e^(i theta)), so
+     any two whose angles sum to 0 mod 2 pi cancel exactly.  The angles
+     are read only here, where both gates are in that family. *)
+  | ( (Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Phase _),
+      (Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Phase _) )
+    -> (
+    match (Gate.phase_angle g, Gate.phase_angle h) with
+    | Some (a, qa), Some (b, qb) -> qa = qb && Gate.phase_gate (a +. b) qa = None
+    | (Some _ | None), (Some _ | None) -> false)
+  | _, _ -> false
 
 (* A gate [cancel_pass] has processed, with its support and a mask of
    it: bit [q mod 63] for each qubit [q].  Disjoint masks mean disjoint
@@ -75,22 +78,23 @@ let cancel_pass ?(lookback = 50) c =
   if not !deleted then c
   else Circuit.make ~n:(Circuit.n_qubits c) (List.rev_map (fun e -> e.gate) kept)
 
-(* Window-signature memo for the identity test.  Support-compacted
-   windows are position independent — [H 7; X 9; H 7] and [H 0; X 2;
-   H 0] compact to the same signature — so each distinct signature pays
-   for one dense [Sim.unitary] ever, across sweeps and across circuits
-   (the verdict depends only on the gate sequence).  The key is the
-   signature's byte encoding ([window_key]), so a lookup allocates one
-   short string and no gates.  The table is a pure cache: on overflow it
-   is dropped wholesale and verdicts are simply re-simulated.
+(* Identity-window memo.  A window's key names its gates with the
+   window's qubits relabelled by first touch, so [H 7; X 9; H 7] and
+   [H 0; X 2; H 0] share one key: the key is position independent, and
+   each distinct window pays for one dense [Sim.unitary] ever, across
+   sweeps and across circuits.  A key maps to the longest identity
+   window among the keyed window's prefixes (0 when there is none),
+   so a start whose answer is known costs one lookup.  The table is a
+   pure cache: on overflow it is dropped wholesale and answers are
+   simply recomputed.
 
-   Ownership: one process-wide table under [window_memo_lock], so a
-   verdict any domain or thread simulated is never simulated again.
-   The lock is held for one lookup or one insert, never across a
+   Ownership: one process-wide table under [window_memo_lock], so an
+   answer any domain or thread computed is never computed again.  The
+   lock is held for one lookup or one insert, never across a
    simulation. *)
 module Memo = Hashtbl.Make (String)
 
-let window_memo : bool Memo.t = Memo.create 4096
+let window_memo : int Memo.t = Memo.create 4096
 let window_memo_lock = Mutex.create ()
 let window_memo_limit = 65536
 
@@ -137,25 +141,40 @@ let write_operands ops pos = function
    operands of [gates.(j)] are [ops.(first.(j)) .. ops.(first.(j+1) - 1)].
    [support] holds the qubits of the window being grown, in the order
    they were first touched; the window of [w] gates spans the first
-   [width.(w)] of them. *)
+   [width.(w)] of them, and its memo key is the first [key_len.(w)]
+   bytes of [key]. *)
 type scan = {
   gates : Gate.t array;
   first : int array;
   ops : int array;
   support : int array;
   width : int array;
+  key : Bytes.t;
+  key_len : int array;
 }
 
+(* A gate writes at most a kind byte, one label per operand and 8 angle
+   bytes, so [key] holds any window of the widest gate. *)
 let scan_of gates ~max_window =
   let n = Array.length gates in
-  let first = Array.make (n + 1) 0 in
-  Array.iteri (fun j g -> first.(j + 1) <- first.(j) + operand_count g) gates;
+  let first = Array.make (n + 1) 0 and widest = ref 0 in
+  Array.iteri
+    (fun j g ->
+      let k = operand_count g in
+      first.(j + 1) <- first.(j) + k;
+      widest := max !widest k)
+    gates;
   let ops = Array.make first.(n) 0 in
   Array.iteri (fun j g -> write_operands ops first.(j) g) gates;
-  { gates; first; ops; support = Array.make 3 0;
-    width = Array.make (min max_window n + 1) 0 }
+  let m = min max_window n in
+  { gates; first; ops; support = Array.make 3 0; width = Array.make (m + 1) 0;
+    key = Bytes.create (m * (!widest + 9)); key_len = Array.make (m + 1) 0 }
 
-let rec mem_prefix a k q = k > 0 && (a.(k - 1) = q || mem_prefix a (k - 1) q)
+(* The first-touch label of [q]: its index among the first [k] support
+   qubits, or [k] when it is not among them; callers search from
+   [t = 0]. *)
+let rec label support k q t =
+  if t = k || support.(t) = q then t else label support k q (t + 1)
 
 let touches s j q =
   let k = ref s.first.(j) and stop = s.first.(j + 1) in
@@ -164,31 +183,80 @@ let touches s j q =
   done;
   !k < stop
 
+let put_byte b pos byte = Bytes.set b pos (Char.unsafe_chr byte)
+
+let kind_byte = function
+  | Gate.X _ -> 0
+  | Gate.Y _ -> 1
+  | Gate.Z _ -> 2
+  | Gate.H _ -> 3
+  | Gate.S _ -> 4
+  | Gate.Sdg _ -> 5
+  | Gate.T _ -> 6
+  | Gate.Tdg _ -> 7
+  | Gate.Rx _ -> 8
+  | Gate.Ry _ -> 9
+  | Gate.Rz _ -> 10
+  | Gate.Phase _ -> 11
+  | Gate.Cnot _ -> 12
+  | Gate.Cz _ -> 13
+  | Gate.Swap _ -> 14
+  | Gate.Toffoli _ -> 15
+  | Gate.Mct _ -> 16
+
 (* The longest window from gate [i], of at most [max_window] gates,
-   that stays within 3 qubits, recording the width of every shorter one.
-   A support only grows, so no longer window can fit.  A qubit that
-   would be the fourth ends the growth before it is stored: one gate
-   can add several new qubits (a Toffoli adds 3 to a 2-qubit prefix),
-   and none of them may overrun the buffer. *)
+   that stays within 3 qubits, recording the width and the key length
+   of every shorter one.  A support only grows, so no longer window
+   can fit.  A qubit that would be the fourth ends the growth before
+   it is stored: one gate can add several new qubits (a Toffoli adds 3
+   to a 2-qubit prefix), and none of them may overrun the buffer.
+
+   Each accepted gate appends to the key its kind byte, the labels of
+   its operands in constructor order (each below 3), and the IEEE bits
+   of its angle or, for an [Mct], the byte 255, which no label takes.
+   The kind byte fixes every gate's length except an [Mct]'s, so the
+   key decodes one way only: two windows share a key exactly when
+   they are equal up to a one-to-one relabelling of their qubits.
+   Labels are fixed at first touch, so each shorter window's key is a
+   prefix of this one's. *)
 let grow s i ~max_window =
   let n = Array.length s.gates in
-  let count = ref 0 and len = ref 0 and fits = ref true in
+  let count = ref 0 and len = ref 0 and fits = ref true and pos = ref 0 in
   while !fits && !len < max_window && i + !len < n do
     let j = i + !len in
-    let k = ref s.first.(j) in
+    let g = s.gates.(j) in
+    put_byte s.key !pos (kind_byte g);
+    let k = ref s.first.(j) and p = ref (!pos + 1) in
     while !fits && !k < s.first.(j + 1) do
-      let q = s.ops.(!k) in
-      if not (mem_prefix s.support !count q) then
-        if !count = 3 then fits := false
-        else begin
-          s.support.(!count) <- q;
+      let t = label s.support !count s.ops.(!k) 0 in
+      if t = 3 then fits := false
+      else begin
+        if t = !count then begin
+          s.support.(t) <- s.ops.(!k);
           incr count
         end;
-      incr k
+        put_byte s.key !p t;
+        incr p;
+        incr k
+      end
     done;
     if !fits then begin
+      (match g with
+      | Gate.Rx (theta, _) | Gate.Ry (theta, _) | Gate.Rz (theta, _)
+      | Gate.Phase (theta, _) ->
+        Bytes.set_int64_le s.key !p (Int64.bits_of_float theta);
+        p := !p + 8
+      | Gate.Mct _ ->
+        put_byte s.key !p 255;
+        incr p
+      | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
+      | Gate.T _ | Gate.Tdg _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
+      | Gate.Toffoli _ ->
+        ());
+      pos := !p;
       incr len;
-      s.width.(!len) <- !count
+      s.width.(!len) <- !count;
+      s.key_len.(!len) <- !pos
     end
   done;
   !len
@@ -216,125 +284,50 @@ let has_lone_touch s i w =
   done;
   !ruled_out
 
-(* The rank of [q] in the window's sorted support: the sorted-support
-   compaction, so [Cnot 5 -> 2] compacts to [Cnot 1 -> 0]. *)
-let rank s k q =
-  let r = ref 0 in
-  for t = 0 to k - 1 do
-    if s.support.(t) < q then incr r
-  done;
-  !r
-
-let put_byte b pos byte = Bytes.set b pos (Char.unsafe_chr byte)
-
-let kind_byte = function
-  | Gate.X _ -> 0
-  | Gate.Y _ -> 1
-  | Gate.Z _ -> 2
-  | Gate.H _ -> 3
-  | Gate.S _ -> 4
-  | Gate.Sdg _ -> 5
-  | Gate.T _ -> 6
-  | Gate.Tdg _ -> 7
-  | Gate.Rx _ -> 8
-  | Gate.Ry _ -> 9
-  | Gate.Rz _ -> 10
-  | Gate.Phase _ -> 11
-  | Gate.Cnot _ -> 12
-  | Gate.Cz _ -> 13
-  | Gate.Swap _ -> 14
-  | Gate.Toffoli _ -> 15
-  | Gate.Mct _ -> 16
-
-(* Bytes a gate's key takes after its kind byte and operands: the 64
-   bits of an angle, or the terminator of an [Mct]'s operand list. *)
-let key_extra = function
-  | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ -> 8
-  | Gate.Mct _ -> 1
-  | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
-  | Gate.T _ | Gate.Tdg _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
-  | Gate.Toffoli _ ->
-    0
-
-(* The memo key of the window of [w] gates from [i]: per gate, a kind
-   byte, the compacted operands in constructor order (each below 3), and
-   the IEEE bits of any angle.  The kind byte fixes every gate's length
-   except an [Mct]'s, whose operands end in the byte 255, which no
-   compacted qubit takes.  So the encoding is prefix-free, and two
-   windows share a key only when their compacted signatures are equal,
-   for every window length; the register width is the largest operand
-   plus one. *)
-let window_key s i w =
-  let k = s.width.(w) in
-  let len = ref 0 in
-  for j = i to i + w - 1 do
-    len := !len + 1 + s.first.(j + 1) - s.first.(j) + key_extra s.gates.(j)
-  done;
-  let b = Bytes.create !len in
-  let pos = ref 0 in
-  for j = i to i + w - 1 do
-    let g = s.gates.(j) in
-    put_byte b !pos (kind_byte g);
-    incr pos;
-    for o = s.first.(j) to s.first.(j + 1) - 1 do
-      put_byte b !pos (rank s k s.ops.(o));
-      incr pos
-    done;
-    match g with
-    | Gate.Rx (theta, _) | Gate.Ry (theta, _) | Gate.Rz (theta, _)
-    | Gate.Phase (theta, _) ->
-      Bytes.set_int64_le b !pos (Int64.bits_of_float theta);
-      pos := !pos + 8
-    | Gate.Mct _ ->
-      put_byte b !pos 255;
-      incr pos
-    | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
-    | Gate.T _ | Gate.Tdg _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
-    | Gate.Toffoli _ ->
-      ()
-  done;
-  Bytes.unsafe_to_string b
-
-(* The dense verdict on the compacted window, memoized (see [Memo]).
-   The lookup is inline so that a hit allocates nothing.  The serve
-   daemon's GC alarm may raise inside [find]; the lock is released on
-   that path too. *)
-let memo_verdict s i w =
-  let key = window_key s i w in
-  Mutex.lock window_memo_lock;
-  match Memo.find window_memo key with
-  | verdict ->
-    Mutex.unlock window_memo_lock;
-    verdict
-  | exception Not_found ->
-    Mutex.unlock window_memo_lock;
-    let k = s.width.(w) in
-    let signature =
-      List.init w (fun t -> Gate.rename (rank s k) s.gates.(i + t))
-    in
-    let compact = Circuit.make ~n:k signature in
-    let verdict = Mathkit.Matrix.is_identity ~eps:1e-9 (Sim.unitary compact) in
-    Mutex.protect window_memo_lock (fun () ->
-        if Memo.length window_memo >= window_memo_limit then
-          Memo.reset window_memo;
-        Memo.replace window_memo key verdict);
-    verdict
-  | exception e ->
-    Mutex.unlock window_memo_lock;
-    raise e
-
+(* Whether the window of [w] gates from [i] is the identity: an exact
+   inverse pair (g then its adjoint, no simulation needed), or a window
+   the lone-touch rule leaves to the dense check, which runs on the
+   window relabelled as its key labels it.  No test depends on which
+   qubits the window uses, only on how its gates share them, so the
+   answer is a function of the key. *)
 let is_identity s i w =
-  (* Exact-inverse pair: g then (adjoint g) multiplies to the identity
-     by construction; no simulation needed. *)
   (w = 2 && Gate.equal s.gates.(i + 1) (Gate.adjoint s.gates.(i)))
-  || ((not (has_lone_touch s i w)) && memo_verdict s i w)
+  || (not (has_lone_touch s i w))
+     &&
+     let k = s.width.(w) in
+     let relabel q = label s.support k q 0 in
+     let window = List.init w (fun t -> Gate.rename relabel s.gates.(i + t)) in
+     Mathkit.Matrix.is_identity ~eps:1e-9
+       (Sim.unitary (Circuit.make ~n:k window))
 
-(* The longest identity window from [i], trying the widest first;
-   0 when there is none. *)
-let rec identity_window s i w =
+(* The longest identity window from [i] of at most [w] gates, 0 when
+   there is none, memoized (see [Memo]).  A miss asks the window
+   itself, then its prefixes through their own keys, so a prefix some
+   other window already answered is not simulated again.  The lookup
+   is inline so that a hit allocates only its key.  The serve daemon's
+   GC alarm may raise inside [find]; the lock is released on that path
+   too. *)
+let rec longest s i w =
   if w < 2 then 0
-  else if is_identity s i w then w
-  else identity_window s i (w - 1)
+  else begin
+    let key = Bytes.sub_string s.key 0 s.key_len.(w) in
+    Mutex.lock window_memo_lock;
+    match Memo.find window_memo key with
+    | found ->
+      Mutex.unlock window_memo_lock;
+      found
+    | exception Not_found ->
+      Mutex.unlock window_memo_lock;
+      let found = if is_identity s i w then w else longest s i (w - 1) in
+      Mutex.protect window_memo_lock (fun () ->
+          if Memo.length window_memo >= window_memo_limit then
+            Memo.reset window_memo;
+          Memo.replace window_memo key found);
+      found
+    | exception e ->
+      Mutex.unlock window_memo_lock;
+      raise e
+  end
 
 let remove_identity_windows ?(max_window = 6) c =
   let gates = Array.of_list (Circuit.gates c) in
@@ -344,7 +337,7 @@ let remove_identity_windows ?(max_window = 6) c =
   let deleted = ref [] in
   let i = ref 0 in
   while !i < n do
-    match identity_window s !i (grow s !i ~max_window) with
+    match longest s !i (grow s !i ~max_window) with
     | 0 -> incr i
     | w ->
       deleted := (!i, w) :: !deleted;

@@ -41,10 +41,9 @@
     {b Ownership rule.}  The module's only mutable state is the
     identity-window memo: one process-wide table under a mutex, held
     for one lookup or one insert and never across a simulation.  So
-    every domain and thread may run optimize passes at once, a verdict
-    any of them simulated is never simulated again, and results are
-    identical (the cached verdict is a pure function of the window
-    signature). *)
+    every domain and thread may run optimize passes at once, an answer
+    any of them computed is never computed again, and results are
+    identical (the cached answer is a pure function of its key). *)
 
 (** [cancels g h] holds when the later gate [h] undoes [g] exactly:
     self-inverse pairs (operand order ignored where the gate is
@@ -72,18 +71,23 @@ val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
     One forward scan over the gates: each gate's operands are read once
     into flat arrays, and from each start the window's support grows
     gate by gate until a fourth qubit would join, which bounds every
-    candidate window.  The candidates are tried longest first; the
-    first identity is deleted and the scan resumes after it.
+    candidate window.  The longest identity among the candidates is
+    deleted and the scan resumes after it.
 
-    Sound pre-filters run first (exact inverse pairs; qubits touched by
-    a single parameter-free gate).  The remaining windows get a dense
-    {!Sim.unitary} verdict at tolerance 1e-9, memoized (see the
-    ownership rule above) on the window's support-compacted signature.
-    The memo key is a byte string: per gate a kind byte, the compacted
-    operands and the 64 bits of any angle.  It is injective for every
-    [max_window], so a memo hit builds no gate list.  The output equals
-    that of the list-based scan this replaced, and of checking every
-    window without the memo: [test_optimize.ml] keeps that scan as a
+    A candidate is the identity when it is an exact inverse pair, or
+    when no qubit is touched by a single parameter-free gate and a
+    dense {!Sim.unitary} at tolerance 1e-9 reads the identity.  Each
+    start costs one memo lookup (see the ownership rule above).  The
+    key is a byte string written while the window grows: per gate a
+    kind byte, its operands labelled by the order the window first
+    touches them, and the 64 bits of any angle.  It decodes one way
+    only, and each shorter candidate's key is a prefix of it.  The
+    memo maps a key to the longest identity among the keyed window's
+    prefixes.  A miss tests the window and then asks for its longest
+    proper prefix by that prefix's own key, so each distinct window
+    is simulated at most once in the process.  The output equals that
+    of the list-based scan this replaced, which tests every window
+    without a memo: [test_optimize.ml] keeps that scan as a
     differential reference.  When no window is deleted, the result is
     [c] itself. *)
 val remove_identity_windows : ?max_window:int -> Circuit.t -> Circuit.t

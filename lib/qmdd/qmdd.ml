@@ -646,10 +646,6 @@ let of_circuit ?node_budget m c =
 
 let equal a b = a.node == b.node && a.w.wid = b.w.wid
 
-let equal_up_to_phase a b =
-  a.node == b.node
-  && abs_float (Cx.norm a.w.value -. Cx.norm b.w.value) <= 1e-6
-
 (* [canonical] snaps each weight to a bucket representative up to
    [2 * weight_eps] away, and a product of many gates accumulates those
    snaps in the root weight — so the exact-phase identity test must

@@ -124,9 +124,6 @@ val of_circuit : ?node_budget:int -> manager -> Circuit.t -> edge
 (** Canonical equality: same node, same weight. *)
 val equal : edge -> edge -> bool
 
-(** [equal_up_to_phase a b]: same node, weights of equal magnitude. *)
-val equal_up_to_phase : edge -> edge -> bool
-
 val is_identity : manager -> edge -> bool
 val is_identity_up_to_phase : manager -> edge -> bool
 
@@ -224,10 +221,6 @@ val node_count : edge -> int
 
     Basis states are bit arrays (entry [q] = qubit [q]) rather than
     integers, so registers wider than an OCaml int work too. *)
-
-(** [basis_projector m bits] is |bits><bits|.
-    @raise Invalid_argument when the array width is not [n]. *)
-val basis_projector : manager -> bool array -> edge
 
 (** [run_basis ?node_budget ?deadline_ns m c ~from] is
     [U |from><from|]: column [from] of the circuit unitary, everything

@@ -237,10 +237,6 @@ type counters = private {
 
 val stats : t -> counters
 
-(** [shutdown_requested t] is set once a [shutdown] request has been
-    answered. *)
-val shutdown_requested : t -> bool
-
 (** {2 The protocol core}
 
     [handle_line t line] maps one request line to one response line

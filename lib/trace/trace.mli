@@ -32,9 +32,6 @@ val now_ns : unit -> int64
     [deadline]; never for [None]. *)
 val past : int64 option -> bool
 
-(** [cpu_seconds ()] is processor time, as {!Sys.time}. *)
-val cpu_seconds : unit -> float
-
 (** {2 Snapshots} *)
 
 (** Circuit metrics captured at a pass boundary. *)

@@ -137,6 +137,20 @@ let test_repro_roundtrip () =
           (Fuzz.case_to_string parsed = Fuzz.case_to_string case))
     [
       circuit_case;
+      Fuzz.Optimize_case
+        {
+          circuit = Circuit.make ~n:2 [ Gate.T 0; Gate.Cnot { control = 1; target = 0 } ];
+          device = Some Device.Ibm.ibmqx4;
+          cost = Cost.t_weighted;
+          rules = Rewrite.empty_selection;
+        };
+      Fuzz.Optimize_case
+        {
+          circuit = Circuit.make ~n:1 [ Gate.Rz (0.25, 0) ];
+          device = None;
+          cost = Cost.eqn2;
+          rules = Rewrite.default_selection;
+        };
       Fuzz.Source_case { ext = ".qasm"; text = "OPENQASM 2.0;\nqreg q[1];\n" };
     ]
 

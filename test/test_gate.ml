@@ -149,6 +149,159 @@ let test_support_matches_sorting () =
   check_bool (Printf.sprintf "validation allocates %.0f words" words) true
     (words < 64.0)
 
+(* [Gate.commutes_with_support] and [Optimize.cancels] as they were
+   before they stopped allocating, kept as the reference the current
+   definitions must agree with on every pair. *)
+module Old = struct
+  let is_diagonal = function
+    | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Rz _
+    | Gate.Phase _ | Gate.Cz _ ->
+      true
+    | Gate.X _ | Gate.Y _ | Gate.H _ | Gate.Rx _ | Gate.Ry _ | Gate.Cnot _
+    | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
+      false
+
+  let not_family = function
+    | Gate.X q -> Some ([], q)
+    | Gate.Cnot { control; target } -> Some ([ control ], target)
+    | Gate.Toffoli { c1; c2; target } -> Some ([ c1; c2 ], target)
+    | Gate.Mct { controls; target } -> Some (controls, target)
+    | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _ | Gate.T _
+    | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _
+    | Gate.Cz _ | Gate.Swap _ ->
+      None
+
+  let commutes_with_support sg g sh h =
+    let passes_not g sg h =
+      match (g, not_family h) with
+      | _, None -> false
+      | Gate.Rx (_, q), Some (_, t) -> q = t
+      | _, Some (_, t) -> is_diagonal g && not (List.mem t sg)
+    in
+    let axis = function
+      | Gate.X _ | Gate.Rx _ -> 1
+      | Gate.Y _ | Gate.Ry _ -> 2
+      | _ -> 0
+    in
+    List.for_all (fun q -> not (List.mem q sh)) sg
+    || Gate.equal g h
+    || (is_diagonal g && is_diagonal h)
+    || passes_not g sg h
+    || passes_not h sh g
+    || (axis g > 0 && axis g = axis h)
+    ||
+    match (not_family g, not_family h) with
+    | Some (cg, tg), Some (ch, th) -> not (List.mem tg ch || List.mem th cg)
+    | (Some _ | None), (Some _ | None) -> false
+
+  let same_pair (a, b) (c, d) = (a = c && b = d) || (a = d && b = c)
+
+  let cancels g h =
+    match (Gate.phase_angle g, Gate.phase_angle h) with
+    | Some (a, qa), Some (b, qb) -> qa = qb && Gate.phase_gate (a +. b) qa = None
+    | (Some _ | None), (Some _ | None) -> (
+      match (g, h) with
+      | Gate.X a, Gate.X b | Gate.Y a, Gate.Y b | Gate.H a, Gate.H b -> a = b
+      | Gate.Rx (ta, a), Gate.Rx (tb, b)
+      | Gate.Ry (ta, a), Gate.Ry (tb, b)
+      | Gate.Rz (ta, a), Gate.Rz (tb, b) ->
+        a = b && abs_float (ta +. tb) < 1e-12
+      | Gate.Cnot x, Gate.Cnot y -> x.control = y.control && x.target = y.target
+      | Gate.Cz (a1, b1), Gate.Cz (a2, b2)
+      | Gate.Swap (a1, b1), Gate.Swap (a2, b2) ->
+        same_pair (a1, b1) (a2, b2)
+      | Gate.Toffoli a, Gate.Toffoli b ->
+        a.target = b.target && same_pair (a.c1, a.c2) (b.c1, b.c2)
+      | Gate.Mct a, Gate.Mct b ->
+        a.target = b.target
+        && List.sort Int.compare a.controls = List.sort Int.compare b.controls
+      | _, _ -> false)
+end
+
+(* Every gate over at most 4 qubits: each constructor on every operand
+   tuple (both orders of symmetric pairs, every control order of an
+   [Mct]), and the rotations at angles that cancel, fold to a named
+   phase gate, vanish or do neither. *)
+let gate_pool =
+  let qs = [ 0; 1; 2; 3 ] in
+  let pi = Float.pi in
+  let angles =
+    [ 0.0; 1e-13; 0.3; -0.3; pi /. 4.0; -.pi /. 4.0; pi /. 2.0; -.pi /. 2.0;
+      pi; -.pi; 2.0 *. pi; 7.0 *. pi /. 4.0 ]
+  in
+  let singles =
+    [ (fun q -> Gate.X q); (fun q -> Gate.Y q); (fun q -> Gate.Z q);
+      (fun q -> Gate.H q); (fun q -> Gate.S q); (fun q -> Gate.Sdg q);
+      (fun q -> Gate.T q); (fun q -> Gate.Tdg q) ]
+  in
+  let rotations =
+    [ (fun t q -> Gate.Rx (t, q)); (fun t q -> Gate.Ry (t, q));
+      (fun t q -> Gate.Rz (t, q)); (fun t q -> Gate.Phase (t, q)) ]
+  in
+  let pairs =
+    List.concat_map
+      (fun a -> List.filter_map (fun b -> if a = b then None else Some (a, b)) qs)
+      qs
+  in
+  let others a b = List.filter (fun q -> q <> a && q <> b) qs in
+  List.concat
+    [
+      List.concat_map (fun f -> List.map f qs) singles;
+      List.concat_map
+        (fun f -> List.concat_map (fun t -> List.map (f t) qs) angles)
+        rotations;
+      List.concat_map
+        (fun (a, b) ->
+          [ Gate.Cnot { control = a; target = b }; Gate.Cz (a, b);
+            Gate.Swap (a, b) ])
+        pairs;
+      List.concat_map
+        (fun (a, b) ->
+          List.map
+            (fun t -> Gate.Toffoli { c1 = a; c2 = b; target = t })
+            (others a b))
+        pairs;
+      List.concat_map
+        (fun t ->
+          match List.filter (( <> ) t) qs with
+          | [ a; b; c ] ->
+            [ Gate.Mct { controls = [ a; b; c ]; target = t };
+              Gate.Mct { controls = [ c; a; b ]; target = t } ]
+          | _ -> [])
+        qs;
+    ]
+
+let test_commutes_and_cancels_match_old () =
+  let pool = List.map (fun g -> (g, Gate.support g)) gate_pool in
+  let pairs = ref 0 in
+  List.iter
+    (fun (g, sg) ->
+      List.iter
+        (fun (h, sh) ->
+          incr pairs;
+          let name = Gate.to_string g ^ " / " ^ Gate.to_string h in
+          if
+            Gate.commutes_with_support sg g sh h
+            <> Old.commutes_with_support sg g sh h
+          then Alcotest.failf "commutes_with_support differs on %s" name;
+          if Optimize.cancels g h <> Old.cancels g h then
+            Alcotest.failf "cancels differs on %s" name)
+        pool)
+    pool;
+  check_bool (Printf.sprintf "%d pairs" !pairs) true (!pairs > 40_000);
+  (* The commutation test reads constructors and lists only. *)
+  let pool = Array.of_list pool in
+  let before = Gc.minor_words () in
+  for a = 0 to Array.length pool - 1 do
+    for b = 0 to Array.length pool - 1 do
+      let g, sg = pool.(a) and h, sh = pool.(b) in
+      ignore (Sys.opaque_identity (Gate.commutes_with_support sg g sh h))
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "commutes_with_support allocated %.0f words" words)
+    true (words < 64.0)
+
 let test_rename () =
   let g = Gate.Cnot { control = 0; target = 1 } in
   check_bool "rename shifts" true
@@ -214,6 +367,8 @@ let () =
           Alcotest.test_case "support" `Quick test_support;
           Alcotest.test_case "support and max_qubit match sorting" `Quick
             test_support_matches_sorting;
+          Alcotest.test_case "commutes and cancels match the old tests" `Quick
+            test_commutes_and_cancels_match_old;
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "classification" `Quick test_classification;
           QCheck_alcotest.to_alcotest prop_adjoint_involutive;

@@ -223,6 +223,81 @@ let test_verdicts_shared_across_domains () =
     true
     (second_words *. 10.0 < first_words)
 
+(* Minor words [f] allocates on the calling domain, and its result. *)
+let words_of f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* Scan [first], then [second]: each output equals the list scan's, and
+   [second], whose windows [first] already answered, allocates far less
+   than [first], which simulated them. *)
+let check_answered_once ~name first second =
+  let scan c = words_of (fun () -> Optimize.remove_identity_windows c) in
+  let first_words, first_out = scan first in
+  let second_words, second_out = scan second in
+  check_bool (name ^ ": first output") true
+    (Circuit.equal first_out (Reference.remove_identity_windows first));
+  check_bool (name ^ ": second output") true
+    (Circuit.equal second_out (Reference.remove_identity_windows second));
+  check_bool
+    (Printf.sprintf "%s: second scan allocates far less (%.0f vs %.0f words)"
+       name second_words first_words)
+    true
+    (second_words *. 10.0 < first_words)
+
+(* Over [a; b]: CNOT b->a, Rx(t) a, CNOT b->a, Rx(u) a.  An Rx on the
+   target commutes with the CNOT, so this is Rx(t + u) on [a]: the
+   identity when u = -t.  Every qubit is touched twice, so only the
+   dense check can tell. *)
+let rx_sandwich ~t ~u a b = [ cnot b a; Gate.Rx (t, a); cnot b a; Gate.Rx (u, a) ]
+
+let test_memo_relabel () =
+  (* Identity and non-identity sandwiches whose control has the larger
+     index, each closed off by a Toffoli on the other three qubits; the
+     angles are this test's own.  The permuted copy touches its qubits
+     in yet another order, so only a key that labels qubits by first
+     touch lets it reuse the original's answers. *)
+  let circuit t0 =
+    Circuit.make ~n:5
+      (List.concat
+         (List.init 20 (fun k ->
+              let t = t0 +. (0.001 *. float_of_int k) in
+              rx_sandwich ~t ~u:(-.t) 0 2
+              @ [ Gate.Toffoli { c1 = 1; c2 = 3; target = 4 } ]
+              @ rx_sandwich ~t ~u:t 1 3
+              @ [ Gate.Toffoli { c1 = 0; c2 = 2; target = 4 } ])))
+  in
+  let permuted c =
+    let perm = [| 3; 0; 4; 1; 2 |] in
+    Circuit.make ~n:5 (List.map (Gate.rename (fun q -> perm.(q))) (Circuit.gates c))
+  in
+  let c = circuit 0.2345 in
+  check_answered_once ~name:"original first" c (permuted c);
+  let c = circuit 0.3456 in
+  check_answered_once ~name:"permuted copy first" (permuted c) c
+
+let test_memo_prefix_reuse () =
+  (* First the sandwiches alone, closed off by a Toffoli: each window's
+     answer is stored.  Then the same sandwiches followed by an H on a
+     third qubit.  Each longer window is new, and the H's lone touch
+     rules it out without a simulation; its answer must come from the
+     stored prefixes: the identity sandwich goes, the Rx(2t) one
+     stays, though the two differ only in an angle. *)
+  let circuit ~extend t0 =
+    Circuit.make ~n:4
+      (List.concat
+         (List.init 20 (fun k ->
+              let t = t0 +. (0.001 *. float_of_int k) in
+              let close =
+                if extend then [ Gate.H 2; Gate.X 3 ]
+                else [ Gate.Toffoli { c1 = 1; c2 = 2; target = 3 } ]
+              in
+              rx_sandwich ~t ~u:(-.t) 1 0 @ close @ rx_sandwich ~t ~u:t 1 0 @ close)))
+  in
+  check_answered_once ~name:"prefixes stored first" (circuit ~extend:false 0.4567)
+    (circuit ~extend:true 0.4567)
+
 let test_opt_rules_none () =
   (* With no rules a sweep is inverse-pair cancellation plus
      identity-window removal, nothing else: T; T stays two gates. *)
@@ -822,6 +897,10 @@ let () =
           Alcotest.test_case "window at the end" `Quick test_window_at_end;
           Alcotest.test_case "verdicts shared across domains" `Quick
             test_verdicts_shared_across_domains;
+          Alcotest.test_case "memo keys relabel by first touch" `Quick
+            test_memo_relabel;
+          Alcotest.test_case "memo answers from stored prefixes" `Quick
+            test_memo_prefix_reuse;
         ] );
       ( "fixed point",
         [
