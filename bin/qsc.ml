@@ -42,6 +42,16 @@ let jobs_term what =
               = sequential).  Output is byte-identical at every N."
              what))
 
+(* [map_ok f xs] is the [Ok] values of [f] over [xs], in order, or the
+   first [Error]. *)
+let map_ok f xs =
+  List.fold_right
+    (fun x acc ->
+      match (f x, acc) with
+      | (Error _ as e), _ | _, (Error _ as e) -> e
+      | Ok v, Ok vs -> Ok (v :: vs))
+    xs (Ok [])
+
 let resolve_jobs = function
   | Some n when n < 1 -> Error (`Msg "--jobs must be >= 1")
   | opt -> Ok (Parallel.resolve_jobs opt)
@@ -68,6 +78,44 @@ let serve_default_jobs () =
     | Some kb ->
       max 1 (min (Domain.recommended_domain_count ()) (kb / compile_peak_kb))
     | None -> 1
+
+(* --device, or --map with --qubits: the target of `compile` and
+   `lint`, [None] when neither is given. *)
+let device_term ~doc =
+  let device =
+    Arg.(
+      value
+      & opt (some device_conv) None
+      & info [ "d"; "device" ] ~docv:"DEVICE" ~doc)
+  in
+  let custom_map =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "map" ] ~docv:"DICT"
+          ~doc:
+            "Custom coupling map in the paper's dictionary notation, e.g. \
+             '{0:[1,2], 1:[2]}'.  Requires $(b,--qubits); exclusive with \
+             $(b,--device).")
+  in
+  let qubits =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "qubits" ] ~docv:"N" ~doc:"Register size of the custom map.")
+  in
+  let resolve device custom_map qubits =
+    match (device, custom_map, qubits) with
+    | Some d, None, _ -> Ok (Some d)
+    | None, Some map, Some n -> (
+      match Device.of_dict_string ~name:"custom" ~n_qubits:n map with
+      | d -> Ok (Some d)
+      | exception Invalid_argument msg -> Error (`Msg msg))
+    | None, Some _, None -> Error (`Msg "--map requires --qubits")
+    | None, None, _ -> Ok None
+    | Some _, Some _, _ -> Error (`Msg "--device and --map are exclusive")
+  in
+  Term.(const resolve $ device $ custom_map $ qubits)
 
 (* --- compile --- *)
 
@@ -98,28 +146,6 @@ let compile_cmd =
       & info [] ~docv:"FILE"
           ~doc:"Input files (same formats as $(b,--input)).")
   in
-  let device =
-    Arg.(
-      value
-      & opt (some device_conv) None
-      & info [ "d"; "device" ] ~docv:"DEVICE"
-          ~doc:"Target device (see $(b,qsc devices)).")
-  in
-  let custom_map =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "map" ] ~docv:"DICT"
-          ~doc:
-            "Custom coupling map in the paper's dictionary notation, e.g. \
-             '{0:[1,2], 1:[2]}'.  Requires $(b,--qubits).")
-  in
-  let qubits =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "qubits" ] ~docv:"N" ~doc:"Register size of the custom map.")
-  in
   let output =
     Arg.(
       value
@@ -140,9 +166,6 @@ let compile_cmd =
              (see $(b,qsc analyze)).  Preserves the state prepared from \
              |0...0>, not the full unitary; every rewrite is re-checked by \
              an exact zero-state oracle.")
-  in
-  let no_verify =
-    Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip QMDD formal verification.")
   in
   let strict =
     Arg.(
@@ -168,13 +191,21 @@ let compile_cmd =
   let router =
     Arg.(
       value
-      & opt (enum [ ("ctr", `Ctr); ("tracking", `Tracking); ("fidelity", `Fidelity) ])
-          `Ctr
+      & opt
+          (some
+             (enum
+                [
+                  ("ctr", `Ctr);
+                  ("tracking", `Tracking);
+                  ("fidelity", `Fidelity);
+                ]))
+          None
       & info [ "router" ] ~docv:"KIND"
           ~doc:
-            "Rerouting strategy: $(b,ctr) (the paper's swap-and-return), \
-             $(b,tracking) (accumulate SWAPs, restore once at the end), or \
-             $(b,fidelity) (CTR with synthetic-calibration-weighted paths).")
+            "Rerouting strategy: $(b,ctr) (the default: the paper's \
+             swap-and-return), $(b,tracking) (accumulate SWAPs, restore once \
+             at the end), or $(b,fidelity) (CTR with \
+             synthetic-calibration-weighted paths).")
   in
   let weights =
     Arg.(
@@ -251,24 +282,28 @@ let compile_cmd =
   in
   let max_sim_qubits =
     Arg.(
-      value & opt int 10
+      value
+      & opt (some int) None
       & info [ "max-sim-qubits" ] ~docv:"N"
           ~doc:
             "Widest register the dense-matrix fallback oracle accepts \
-             ($(b,--verify fallback) only).")
+             (default 10; $(b,--verify fallback) only).")
   in
   let verify_mode =
     Arg.(
       value
-      & opt (enum [ ("fallback", `Fallback); ("qmdd", `Qmdd); ("skip", `Skip) ])
-          `Fallback
+      & opt
+          (some
+             (enum
+                [ ("fallback", `Fallback); ("qmdd", `Qmdd); ("skip", `Skip) ]))
+          None
       & info [ "verify" ] ~docv:"MODE"
           ~doc:
-            "Verification mode: $(b,fallback) (QMDD, then the staged QMDD \
-             proof, then a dense-matrix oracle up to $(b,--max-sim-qubits) \
-             qubits, then 'unverified' with the reason — never aborts), \
-             $(b,qmdd) (QMDD only; reports budget exhaustion), or \
-             $(b,skip).")
+            "Verification mode: $(b,fallback) (the default: QMDD, then the \
+             staged QMDD proof, then a dense-matrix oracle up to \
+             $(b,--max-sim-qubits) qubits, then 'unverified' with the reason \
+             — never aborts), $(b,qmdd) (QMDD only; reports budget \
+             exhaustion), or $(b,skip).")
   in
   let inject_specs =
     Arg.(
@@ -298,21 +333,16 @@ let compile_cmd =
              the set, a name adds, $(b,-name) removes.  $(b,none) leaves \
              inverse-pair cancellation and identity-window removal only.")
   in
-  let run inputs_opt inputs_pos device custom_map qubits output no_optimize
-      fold_states no_verify strict weights place router trace_mode keep_going
-      deadline opt_iterations swap_budget node_budget max_sim_qubits
-      verify_mode inject_specs inject_seed opt_rules jobs_opt =
+  let run inputs_opt inputs_pos device output no_optimize fold_states strict
+      weights place router trace_mode keep_going deadline opt_iterations
+      swap_budget node_budget max_sim_qubits verify_mode inject_specs
+      inject_seed opt_rules jobs_opt =
     let inputs = inputs_opt @ inputs_pos in
-    let resolve_device () =
-      match (device, custom_map, qubits) with
-      | Some d, None, _ -> Ok d
-      | None, Some map, Some n -> (
-        match Device.of_dict_string ~name:"custom" ~n_qubits:n map with
-        | d -> Ok d
-        | exception Invalid_argument msg -> Error (`Msg msg))
-      | None, Some _, None -> Error (`Msg "--map requires --qubits")
-      | None, None, _ -> Error (`Msg "choose a target: --device or --map/--qubits")
-      | Some _, Some _, _ -> Error (`Msg "--device and --map are exclusive")
+    let device =
+      match device with
+      | Ok None -> Error (`Msg "choose a target: --device or --map/--qubits")
+      | Ok (Some d) -> Ok d
+      | Error _ as e -> e
     in
     let parse_inject () =
       let parse s =
@@ -331,19 +361,14 @@ let compile_cmd =
           | Some _, None ->
             Error (`Msg (Printf.sprintf "unknown stage %S in --inject" st)))
       in
-      List.fold_left
-        (fun acc s ->
-          match (acc, parse s) with
-          | (Error _ as e), _ | _, (Error _ as e) -> e
-          | Ok specs, Ok sp -> Ok (specs @ [ sp ]))
-        (Ok []) inject_specs
+      map_ok parse inject_specs
     in
     let parse_rules () =
       match Rewrite.parse_selection opt_rules with
       | Ok rules -> Ok rules
       | Error msg -> Error (`Msg (Printf.sprintf "--opt-rules: %s" msg))
     in
-    match (resolve_device (), parse_inject (), resolve_jobs jobs_opt, parse_rules ()) with
+    match (device, parse_inject (), resolve_jobs jobs_opt, parse_rules ()) with
     | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
       Error e
     | Ok dev, Ok specs, Ok jobs, Ok rewrite_rules ->
@@ -354,53 +379,40 @@ let compile_cmd =
       else if output <> None && List.length inputs > 1 then
         Error (`Msg "--output requires a single input")
       else begin
-        let cost =
-          match weights with
-          | None -> Cost.eqn2
-          | Some (t, c, g) ->
-            Cost.linear ~name:"custom" ~t_weight:t ~cnot_weight:c ~gate_weight:g
-        in
-        let router =
-          match router with
-          | `Ctr -> Compiler.Ctr
-          | `Tracking -> Compiler.Tracking
-          | `Fidelity ->
-            Compiler.Weighted_ctr (Calibration.synthetic dev)
-        in
-        let node_budget =
-          match node_budget with
-          | None -> Some 8_000_000
-          | Some 0 -> None
-          | Some n -> Some n
-        in
-        let verification =
-          if no_verify then Compiler.Skip
-          else
-            match verify_mode with
-            | `Skip -> Compiler.Skip
-            | `Qmdd -> Compiler.Qmdd_check { node_budget }
-            | `Fallback -> Compiler.Fallback { node_budget; max_sim_qubits }
-        in
-        let budgets =
+        (* The default compile, changed only where a flag says so. *)
+        let o = Compiler.default_options ~device:dev in
+        let options =
           {
-            Compiler.deadline_seconds = deadline;
-            max_optimize_iterations = opt_iterations;
-            swap_budget;
-          }
-        in
-        let options ~inject =
-          {
-            (Compiler.default_options ~device:dev) with
-            Compiler.cost;
-            Compiler.router;
-            Compiler.use_placement = place;
-            Compiler.post_optimize = not no_optimize;
-            Compiler.fold_states;
-            Compiler.check_contracts = strict;
-            Compiler.rewrite_rules;
-            Compiler.verification;
-            Compiler.budgets;
-            Compiler.inject;
+            o with
+            Compiler.cost =
+              (match weights with
+              | None -> o.Compiler.cost
+              | Some (t, c, g) ->
+                Cost.linear ~name:"custom" ~t_weight:t ~cnot_weight:c
+                  ~gate_weight:g);
+            router =
+              (match router with
+              | None -> o.Compiler.router
+              | Some `Ctr -> Compiler.Ctr
+              | Some `Tracking -> Compiler.Tracking
+              | Some `Fidelity ->
+                Compiler.Weighted_ctr (Calibration.synthetic dev));
+            use_placement = o.Compiler.use_placement || place;
+            post_optimize = o.Compiler.post_optimize && not no_optimize;
+            fold_states = o.Compiler.fold_states || fold_states;
+            check_contracts = o.Compiler.check_contracts || strict;
+            rewrite_rules;
+            verification =
+              Compiler.verification_mode ?mode:verify_mode ?node_budget
+                ?max_sim_qubits ();
+            (* The default budgets are all unlimited, as is an unset
+               budget flag. *)
+            budgets =
+              {
+                Compiler.deadline_seconds = deadline;
+                max_optimize_iterations = opt_iterations;
+                swap_budget;
+              };
           }
         in
         (* Fresh harness per input so every file sees the same faults
@@ -414,7 +426,7 @@ let compile_cmd =
           in
           match Compiler.parse_file_checked input with
           | Error d -> Error [ d ]
-          | Ok parsed -> Compiler.compile_checked ~trace (options ~inject) parsed
+          | Ok parsed -> Compiler.compile_checked ~trace ?inject options parsed
         in
         if keep_going then begin
           (* Batch mode owns stdout with one aggregated JSON document;
@@ -438,28 +450,17 @@ let compile_cmd =
             let common = [ ("input", J.String input); ("status", J.String (status res)) ] in
             match res with
             | Ok r ->
+              (* Three of the report's own fields, as the report renders
+                 them. *)
+              let fields =
+                match Compiler.report_to_json r with J.Obj f -> f | _ -> []
+              in
               J.Obj
                 (common
-                @ [
-                    ( "verification",
-                      J.String
-                        (Compiler.verification_tag r.Compiler.verification) );
-                    ( "degraded",
-                      J.List
-                        (List.map
-                           (fun (stage, reason) ->
-                             J.Obj
-                               [
-                                 ( "stage",
-                                   J.String (Diagnostic.stage_to_string stage)
-                                 );
-                                 ("reason", J.String reason);
-                               ])
-                           r.Compiler.degraded) );
-                    ( "diagnostics",
-                      J.List
-                        (List.map Diagnostic.to_json r.Compiler.diagnostics) );
-                  ])
+                @ List.filter
+                    (fun (k, _) ->
+                      List.mem k [ "verification"; "degraded"; "diagnostics" ])
+                    fields)
             | Error ds ->
               J.Obj
                 (common
@@ -540,7 +541,8 @@ let compile_cmd =
                 in
                 print_endline
                   (Trace.Json.to_string ~pretty:true
-                     (Compiler.report_to_json ~cost ~meta report))
+                     (Compiler.report_to_json ~cost:options.Compiler.cost ~meta
+                        report))
               | Some `Text | None ->
                 Format.printf "%a" Compiler.pp_report report;
                 (match trace_mode with
@@ -561,8 +563,9 @@ let compile_cmd =
   in
   let term =
     Term.(
-      const run $ inputs_opt $ inputs_pos $ device $ custom_map $ qubits
-      $ output $ no_optimize $ fold_states $ no_verify $ strict $ weights
+      const run $ inputs_opt $ inputs_pos
+      $ device_term ~doc:"Target device (see $(b,qsc devices))."
+      $ output $ no_optimize $ fold_states $ strict $ weights
       $ place $ router $ trace_mode $ keep_going $ deadline $ opt_iterations
       $ swap_budget $ node_budget $ max_sim_qubits $ verify_mode
       $ inject_specs $ inject_seed $ opt_rules
@@ -811,13 +814,14 @@ let circuit_of_file path =
     Error (`Msg "expected a circuit file, got a switching function")
   | exception Compiler.Compile_error msg -> Error (`Msg msg)
 
+(* The circuit file `qmdd`, `analyze`, `stats` and `run` take. *)
+let circuit_file =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"FILE" ~doc:"Circuit file (.qasm, .qc, .real).")
+
 let qmdd_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Circuit file (.qasm, .qc, .real).")
-  in
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz DOT.") in
   let run input dot =
     match circuit_of_file input with
@@ -834,7 +838,7 @@ let qmdd_cmd =
   in
   Cmd.v
     (Cmd.info "qmdd" ~doc:"Build and print the QMDD of a circuit (Fig. 1 style).")
-    Term.(const run $ input $ dot)
+    Term.(const run $ circuit_file $ dot)
 
 (* --- check --- *)
 
@@ -885,30 +889,6 @@ let lint_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"Circuit file (.qasm, .qc, .real).")
   in
-  let device =
-    Arg.(
-      value
-      & opt (some device_conv) None
-      & info [ "d"; "device" ] ~docv:"DEVICE"
-          ~doc:
-            "Also check device legality: native library only, every CNOT on \
-             an allowed directed coupling.")
-  in
-  let custom_map =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "map" ] ~docv:"DICT"
-          ~doc:
-            "Custom coupling map in dictionary notation (requires \
-             $(b,--qubits)); exclusive with $(b,--device).")
-  in
-  let qubits =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "qubits" ] ~docv:"N" ~doc:"Register size of the custom map.")
-  in
   let rules =
     Arg.(
       value
@@ -932,7 +912,7 @@ let lint_cmd =
              (stage/kind/severity/file/message) instead of text; the exit \
              code is unchanged.")
   in
-  let run input device custom_map qubits rules list_rules json =
+  let run input device rules list_rules json =
     if list_rules then begin
       List.iter
         (fun r ->
@@ -945,32 +925,18 @@ let lint_cmd =
         match rules with
         | None -> Ok None
         | Some spec ->
-          let codes = String.split_on_char ',' spec |> List.map String.trim in
-          let resolve acc code =
-            match (acc, Lint.Rule.of_code code) with
-            | Error _, _ -> acc
-            | Ok rs, Some r -> Ok (r :: rs)
-            | Ok _, None ->
-              Error
+          let resolve code =
+            Option.to_result (Lint.Rule.of_code code)
+              ~none:
                 (`Msg
                   (Printf.sprintf
                      "unknown lint rule %S (see `qsc lint --list-rules')" code))
           in
-          Result.map (fun rs -> Some (List.rev rs))
-            (List.fold_left resolve (Ok []) codes)
+          Result.map Option.some
+            (map_ok resolve
+               (List.map String.trim (String.split_on_char ',' spec)))
       in
-      let resolve_device () =
-        match (device, custom_map, qubits) with
-        | Some d, None, _ -> Ok (Some d)
-        | None, Some map, Some n -> (
-          match Device.of_dict_string ~name:"custom" ~n_qubits:n map with
-          | d -> Ok (Some d)
-          | exception Invalid_argument msg -> Error (`Msg msg))
-        | None, Some _, None -> Error (`Msg "--map requires --qubits")
-        | None, None, _ -> Ok None
-        | Some _, Some _, _ -> Error (`Msg "--device and --map are exclusive")
-      in
-      match (input, parse_rules (), resolve_device ()) with
+      match (input, parse_rules (), device) with
       | None, _, _ -> Error (`Msg "missing FILE argument (or use --list-rules)")
       | _, Error e, _ | _, _, Error e -> Error e
       | Some input, Ok rules, Ok device -> (
@@ -1006,18 +972,16 @@ let lint_cmd =
          "Static circuit diagnostics and device-legality findings; exits \
           nonzero when any error-severity finding fires.")
     Term.(
-      const run $ input $ device $ custom_map $ qubits $ rules $ list_rules
-      $ json)
+      const run $ input
+      $ device_term
+          ~doc:
+            "Also check device legality: native library only, every CNOT on \
+             an allowed directed coupling."
+      $ rules $ list_rules $ json)
 
 (* --- analyze --- *)
 
 let analyze_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Circuit file (.qasm, .qc, .real).")
-  in
   let json =
     Arg.(
       value & flag
@@ -1100,7 +1064,7 @@ let analyze_cmd =
           table, entanglement-partition evolution, ancilla liveness, and \
           the facts it proves (dead gates, constant controls) under the \
           all-|0> input assumption.")
-    Term.(const run $ input $ json)
+    Term.(const run $ circuit_file $ json)
 
 (* --- fuzz --- *)
 
@@ -1208,12 +1172,9 @@ let fuzz_cmd =
     else if count <= 0 then Error (`Msg "--count must be positive")
     else if max_qubits < 1 then Error (`Msg "--max-qubits must be at least 1")
     else
-      let resolve acc name =
-        match (acc, Fuzz.Property.find name) with
-        | Error _, _ -> acc
-        | Ok ps, Some p -> Ok (ps @ [ p ])
-        | Ok _, None ->
-          Error
+      let resolve name =
+        Option.to_result (Fuzz.Property.find name)
+          ~none:
             (`Msg
               (Printf.sprintf "unknown property %S (try `qsc fuzz --list')"
                  name))
@@ -1221,7 +1182,7 @@ let fuzz_cmd =
       match
         ( (match properties with
           | [] -> Ok Fuzz.Property.all
-          | names -> List.fold_left resolve (Ok []) names),
+          | names -> map_ok resolve names),
           resolve_jobs jobs_opt )
       with
       | Error e, _ | _, Error e -> Error e
@@ -1274,12 +1235,6 @@ let fuzz_cmd =
 (* --- stats --- *)
 
 let stats_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Circuit file (.qasm, .qc, .real).")
-  in
   let device =
     Arg.(
       value
@@ -1316,17 +1271,11 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Circuit metrics: counts, depth, T-depth, Eqn. 2 cost.")
-    Term.(const run $ input $ device)
+    Term.(const run $ circuit_file $ device)
 
 (* --- run --- *)
 
 let run_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Circuit file (.qasm, .qc, .real).")
-  in
   let start =
     Arg.(
       value
@@ -1407,7 +1356,7 @@ let run_cmd =
        ~doc:
          "Simulate a circuit on a basis input via QMDDs (works at any \
           register width for classical-outcome circuits).")
-    Term.(const run $ input $ start $ query)
+    Term.(const run $ circuit_file $ start $ query)
 
 (* --- serve --- *)
 
@@ -1546,39 +1495,26 @@ let serve_cmd =
       | None, None -> Error (`Msg "choose a transport: --socket or --port")
       | Some _, Some _ -> Error (`Msg "--socket and --port are exclusive")
     in
+    let jobs =
+      match jobs_opt with Some n -> n | None -> serve_default_jobs ()
+    in
+    let max_request_bytes =
+      Option.map (fun mb -> mb * 1024 * 1024) max_request_mb
+    in
+    (* [Serve.create] validates every setting; a value out of range is a
+       reported failure naming the setting. *)
     match address with
     | Error e -> Error e
-    | Ok address ->
-      if cache_size < 0 then Error (`Msg "--cache-size must be >= 0")
-      else if cache_bytes < 0 then Error (`Msg "--cache-bytes must be >= 0")
-      else if max_deadline <= 0.0 then
-        Error (`Msg "--max-deadline must be positive")
-      else if max_workers < 1 then Error (`Msg "--max-workers must be >= 1")
-      else if max_pending < 1 then Error (`Msg "--max-pending must be >= 1")
-      else if read_timeout <= 0.0 then
-        Error (`Msg "--read-timeout must be positive")
-      else if max_frame_bytes <= 0 then
-        Error (`Msg "--max-frame-bytes must be positive")
-      else if watchdog_grace < 0.0 then
-        Error (`Msg "--watchdog-grace must be >= 0")
-      else if (match max_request_mb with Some n -> n <= 0 | None -> false)
-      then Error (`Msg "--max-request-mb must be positive")
-      else if (match jobs_opt with Some n -> n < 1 | None -> false) then
-        Error (`Msg "--jobs must be >= 1")
-      else begin
-        let jobs =
-          match jobs_opt with Some n -> n | None -> serve_default_jobs ()
-        in
-        let max_request_bytes =
-          Option.map (fun mb -> mb * 1024 * 1024) max_request_mb
-        in
-        let daemon =
-          Serve.create ~cache_capacity:cache_size ~max_cache_bytes:cache_bytes
-            ?persist_dir ~max_deadline_seconds:max_deadline ~max_frame_bytes
-            ~watchdog_grace_seconds:watchdog_grace ?max_request_bytes
-            ~read_timeout_seconds:read_timeout ~max_workers ~max_pending
-            ~jobs ()
-        in
+    | Ok address -> (
+      match
+        Serve.create ~cache_capacity:cache_size ~max_cache_bytes:cache_bytes
+          ?persist_dir ~max_deadline_seconds:max_deadline ~max_frame_bytes
+          ~watchdog_grace_seconds:watchdog_grace ?max_request_bytes
+          ~read_timeout_seconds:read_timeout ~max_workers ~max_pending ~jobs
+          ()
+      with
+      | exception Invalid_argument msg -> Error (`Msg msg)
+      | daemon ->
         (* Readiness line on stdout: harnesses wait for it before
            connecting. *)
         Printf.printf "qsynth-serve/v1 listening on %s\n%!"
@@ -1595,8 +1531,7 @@ let serve_cmd =
           c.Serve.resident c.Serve.resident_bytes c.Serve.warmed c.Serve.shed
           c.Serve.drained c.Serve.watchdog_trips c.Serve.alloc_trips
           c.Serve.connections_served c.Serve.client_disconnects;
-        Ok ()
-      end
+        Ok ())
   in
   Cmd.v
     (Cmd.info "serve"

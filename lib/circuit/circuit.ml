@@ -176,8 +176,8 @@ module Builder = struct
   let to_circuit b = { n = b.b_n; gates = List.rev b.rev }
 end
 
-let pp fmt c =
-  Format.fprintf fmt "circuit on %d qubits (%d gates):@\n" c.n (gate_count c);
-  List.iter (fun g -> Format.fprintf fmt "  %a@\n" Gate.pp g) c.gates
-
-let to_string c = Format.asprintf "%a" pp c
+let to_string c =
+  let b = Buffer.create 64 in
+  Printf.bprintf b "circuit on %d qubits (%d gates):\n" c.n (gate_count c);
+  List.iter (fun g -> Printf.bprintf b "  %s\n" (Gate.to_string g)) c.gates;
+  Buffer.contents b

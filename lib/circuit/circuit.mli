@@ -116,7 +116,6 @@ val iter : (Gate.t -> unit) -> t -> unit
 val map_gates : (Gate.t -> Gate.t list) -> t -> t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** Amortized-O(1) gate accumulation.
 

@@ -30,8 +30,20 @@ type options = {
   check_contracts : bool;
   rewrite_rules : Rewrite.selection;
   budgets : budgets;
-  inject : (Diagnostic.stage -> Circuit.t -> Circuit.t) option;
 }
+
+let verification_mode ?(mode = `Fallback) ?node_budget
+    ?(max_sim_qubits = Oracle.default_budget.dense_qubits) () =
+  let node_budget =
+    match node_budget with
+    | None -> Some 8_000_000
+    | Some 0 -> None
+    | Some n -> Some n
+  in
+  match mode with
+  | `Skip -> Skip
+  | `Qmdd -> Qmdd_check { node_budget }
+  | `Fallback -> Fallback { node_budget; max_sim_qubits }
 
 let default_options ~device =
   {
@@ -42,11 +54,10 @@ let default_options ~device =
     post_optimize = true;
     fold_states = false;
     use_placement = false;
-    verification = Qmdd_check { node_budget = Some 8_000_000 };
+    verification = verification_mode ();
     check_contracts = false;
     rewrite_rules = Rewrite.default_selection;
     budgets = no_budgets;
-    inject = None;
   }
 
 type verification_result =
@@ -208,7 +219,7 @@ let verify mode options ~trace ~budget ~route ~native ~unoptimized ~optimized
     optimized;
   (outcome, elapsed)
 
-let compile_checked ?(trace = Trace.disabled) options input =
+let compile_checked ?(trace = Trace.disabled) ?inject options input =
   let device = options.device in
   let cost = options.cost in
   let warnings = ref [] in
@@ -264,7 +275,7 @@ let compile_checked ?(trace = Trace.disabled) options input =
               f.Lint.message))
   in
   let inject stage c =
-    match options.inject with
+    match inject with
     | None -> c
     | Some f -> guard stage (fun () -> validate_stream stage (f stage c))
   in
@@ -565,8 +576,8 @@ let compile_checked ?(trace = Trace.disabled) options input =
   | report -> Ok report
   | exception Abort d -> Error (List.rev (d :: !warnings))
 
-let compile ?trace options input =
-  match compile_checked ?trace options input with
+let compile ?trace ?inject options input =
+  match compile_checked ?trace ?inject options input with
   | Ok r -> r
   | Error ds -> (
     let fatal =
@@ -613,32 +624,28 @@ let parse_source_checked ~format ?path source =
          ~kind:Diagnostic.Parse
          (Printf.sprintf "%s parse error: %s" fmt_name message))
   in
-  match fmt with
-  | "pla" -> (
-    match Qformats.Pla.of_string source with
-    | pla -> Ok (Classical pla)
-    | exception Qformats.Pla.Parse_error { line; message } ->
-      parse_error "PLA" line message)
-  | "qasm" -> (
-    match Qformats.Qasm.of_string source with
-    | c -> Ok (Quantum c)
-    | exception Qformats.Qasm.Parse_error { line; message } ->
-      parse_error "QASM" line message)
-  | "qc" -> (
-    match Qformats.Qc.of_string source with
-    | qc -> Ok (Quantum qc.Qformats.Qc.circuit)
-    | exception Qformats.Qc.Parse_error { line; message } ->
-      parse_error ".qc" line message)
-  | "real" -> (
-    match Qformats.Real.of_string source with
-    | real -> Ok (Quantum real.Qformats.Real.circuit)
-    | exception Qformats.Real.Parse_error { line; message } ->
-      parse_error ".real" line message)
-  | other ->
-    Error
-      (Diagnostic.error ~file ~stage:Diagnostic.Driver
-         ~kind:Diagnostic.Unsupported
-         (Printf.sprintf "unsupported input format %S" other))
+  match
+    match fmt with
+    | "pla" -> Ok (Classical (Qformats.Pla.of_string source))
+    | "qasm" -> Ok (Quantum (Qformats.Qasm.of_string source))
+    | "qc" -> Ok (Quantum (Qformats.Qc.of_string source).Qformats.Qc.circuit)
+    | "real" ->
+      Ok (Quantum (Qformats.Real.of_string source).Qformats.Real.circuit)
+    | other ->
+      Error
+        (Diagnostic.error ~file ~stage:Diagnostic.Driver
+           ~kind:Diagnostic.Unsupported
+           (Printf.sprintf "unsupported input format %S" other))
+  with
+  | result -> result
+  | exception Qformats.Pla.Parse_error { line; message } ->
+    parse_error "PLA" line message
+  | exception Qformats.Qasm.Parse_error { line; message } ->
+    parse_error "QASM" line message
+  | exception Qformats.Qc.Parse_error { line; message } ->
+    parse_error ".qc" line message
+  | exception Qformats.Real.Parse_error { line; message } ->
+    parse_error ".real" line message
 
 let parse_file_checked path =
   match extension path with
@@ -707,7 +714,6 @@ let canonical_options options =
   field "max_optimize_iterations"
     (opt_int options.budgets.max_optimize_iterations);
   field "swap_budget" (opt_int options.budgets.swap_budget);
-  flag "inject" (options.inject <> None);
   Buffer.contents buf
 
 let options_digest options = digest_hex (canonical_options options)

@@ -101,6 +101,8 @@ type budgets = {
 (** All budgets unlimited. *)
 val no_budgets : budgets
 
+(** The settings of one compile.  No field is a function, and
+    {!canonical_options} renders each one. *)
 type options = {
   device : Device.t;
   cost : Cost.t;
@@ -148,24 +150,34 @@ type options = {
           cancellation plus identity-window removal only).
           [qsc compile --opt-rules LIST] sets it. *)
   budgets : budgets;
-  inject : (Diagnostic.stage -> Circuit.t -> Circuit.t) option;
-      (** fault-injection hook for robustness testing (see
-          {!Faultinject}): called at every stage handoff with the
-          stage's output circuit; whatever it returns (or raises) flows
-          through the pipeline's normal guards.  Called for every
-          circuit-producing stage ([Front_end] through
-          [Post_optimize]); [Driver] and [Verify] produce no circuit
-          and are never passed.  [None] (the default) costs nothing. *)
 }
 
-(** [default_options ~device] : Eqn. 2 cost, the CTR router, both
-    optimization stages on, placement off, no per-stage budgets, no
-    fault injection, and QMDD verification with an 8,000,000-node
-    budget.  The budget counts cumulative unique-table allocation — a
-    memory guard: the smaller 96-qubit Table 8 verifications allocate a
-    few million nodes while the live diagram stays in the thousands,
-    and runs that would exhaust memory report [Budget_exceeded]
-    instead. *)
+(** [verification_mode ?mode ?node_budget ?max_sim_qubits ()] is the
+    verification [mode] ([`Fallback] by default) with a QMDD node
+    budget of [node_budget] nodes (0 = unlimited) and, for
+    {!Fallback}, a dense oracle of [max_sim_qubits] qubits.  An
+    omitted number takes the default: 8,000,000 nodes, and
+    {!Oracle.default_budget}'s width (10 qubits).  [qsc compile]'s
+    [--verify], [--node-budget] and [--max-sim-qubits] and the
+    matching [qsc serve] request options go through it. *)
+val verification_mode :
+  ?mode:[ `Skip | `Qmdd | `Fallback ] ->
+  ?node_budget:int ->
+  ?max_sim_qubits:int ->
+  unit ->
+  verification_mode
+
+(** [default_options ~device] is the one default compile, which
+    [qsc compile -d D FILE] and a [qsc serve] request without options
+    both start from: Eqn. 2 cost, the CTR router, both optimization
+    stages on, placement and state folding off, no contracts, the
+    default rewrite rules, no per-stage budgets, and
+    [verification_mode ()]: {!Fallback} verification with an
+    8,000,000-node budget and a 10-qubit dense oracle.  The node budget
+    counts cumulative unique-table allocation — a memory guard: the
+    96-qubit Table 8 verifications allocate a few million nodes while
+    the live diagram stays in the thousands, and a run that would
+    exhaust memory moves down the fallback chain instead. *)
 val default_options : device:Device.t -> options
 
 type verification_result =
@@ -231,9 +243,9 @@ val degraded : report -> bool
 
 exception Compile_error of string
 
-(** [compile_checked ?trace options input] runs the full pipeline and
-    never raises: the result is either a report (possibly with
-    {!report.degraded} stages) or a non-empty diagnostic list whose
+(** [compile_checked ?trace ?inject options input] runs the full
+    pipeline and never raises: the result is either a report (possibly
+    with {!report.degraded} stages) or a non-empty diagnostic list whose
     error-severity entries say what stopped the compile and where.
     Every exception a stage is known to throw — and anything
     unexpected — is converted into a diagnostic naming the stage:
@@ -257,17 +269,34 @@ exception Compile_error of string
     QMDD unique-table and operation-cache counters plus
     [fallback_sim]) — each with before/after circuit snapshots under
     [options.cost].  A stage that degraded carries a ["degraded"]
-    counter of 1. *)
-val compile_checked :
-  ?trace:Trace.t -> options -> input -> (report, Diagnostic.t list) result
+    counter of 1.
 
-(** [compile ?trace options input] is {!compile_checked} with the
-    historical raising surface.
+    [inject] is a fault-injection hook for robustness testing (see
+    {!Faultinject}): it is called at every stage handoff with the
+    stage's output circuit, and whatever it returns (or raises) flows
+    through the pipeline's normal guards.  It is called for every
+    circuit-producing stage ([Front_end] through [Post_optimize]);
+    [Driver] and [Verify] produce no circuit and are never passed.
+    Without it (the default) the handoffs cost nothing. *)
+val compile_checked :
+  ?trace:Trace.t ->
+  ?inject:(Diagnostic.stage -> Circuit.t -> Circuit.t) ->
+  options ->
+  input ->
+  (report, Diagnostic.t list) result
+
+(** [compile ?trace ?inject options input] is {!compile_checked} with
+    the historical raising surface.
     @raise Compile_error on any failure other than a broken contract
     (message = {!Diagnostic.to_string} of the first error diagnostic).
     @raise Lint.Contract.Violated when [check_contracts] is set and a
     stage hands over a circuit breaking its contract. *)
-val compile : ?trace:Trace.t -> options -> input -> report
+val compile :
+  ?trace:Trace.t ->
+  ?inject:(Diagnostic.stage -> Circuit.t -> Circuit.t) ->
+  options ->
+  input ->
+  report
 
 (** [extension path] is the lowercased extension of [path]'s basename,
     dot included ([""] when there is none).  Dots in directory names
@@ -313,8 +342,12 @@ val source_digest : string -> string
 val device_digest : Device.t -> string
 
 (** [canonical_options o] is a stable [key=value;...] rendering of
-    every semantically relevant option field; a [Weighted_ctr] router
-    renders as its calibration's {!Calibration.digest}. *)
+    every field but [device] (which {!device_digest} covers): [cost]
+    (by its {!Cost.name}), [router] (a [Weighted_ctr] router as its
+    calibration's {!Calibration.digest}), [pre_optimize],
+    [post_optimize], [fold_states], [use_placement], [verification]
+    with its node budget and dense-oracle width, [check_contracts],
+    [rewrite_rules] and the three [budgets]. *)
 val canonical_options : options -> string
 
 (** [options_digest o] is the hex MD5 of {!canonical_options}. *)

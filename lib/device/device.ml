@@ -145,10 +145,6 @@ let to_dict_string d =
   in
   "{" ^ String.concat ", " (List.map entry controls) ^ "}"
 
-let pp fmt d =
-  Format.fprintf fmt "%s: %d qubits, %d couplings, complexity %.6f" d.name
-    d.n_qubits (List.length d.couplings) (coupling_complexity d)
-
 module Ibm = struct
   let of_pairs name n pairs = make ~name ~n_qubits:n pairs
 

@@ -61,8 +61,6 @@ val of_dict_string : name:string -> n_qubits:int -> string -> t
     notation. *)
 val to_dict_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** The IBM Q devices of Table 2 and the experimental 96-qubit machine. *)
 module Ibm : sig
   val ibmqx2 : t

@@ -101,8 +101,6 @@ let to_string d =
   Printf.sprintf "%s[%s] %s: %s" location (stage_to_string d.stage)
     (kind_to_string d.kind) d.message
 
-let pp fmt d = Format.pp_print_string fmt (to_string d)
-
 let to_json d =
   let open Trace in
   Json.Obj

@@ -54,8 +54,6 @@ type kind =
 
 type severity = Error | Warning
 
-val severity_to_string : severity -> string
-
 type t = {
   stage : stage;
   kind : kind;
@@ -77,8 +75,6 @@ val warning :
     location prefix dropped when absent — the [file:line: message] shape
     compilers conventionally print and editors parse. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
 
 (** [to_json d] is an object with ["stage"], ["kind"], ["severity"],
     ["message"] and, when present, ["file"] and ["line"] members. *)

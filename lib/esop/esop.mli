@@ -18,9 +18,6 @@ val make : n_inputs:int -> cube list -> t
 
 val cube_count : t -> int
 
-(** [eval esop assignment] is the XOR over all cubes. *)
-val eval : t -> int -> bool
-
 (** [truth_table esop] tabulates all 2^n assignments. *)
 val truth_table : t -> bool array
 
@@ -50,5 +47,4 @@ val of_truth_table : bool array -> t
     functions). *)
 val of_pla : Qformats.Pla.t -> output:int -> t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,9 +1,10 @@
 (** Seeded, deterministic fault injection for the compiler pipeline.
 
     Robustness is only testable if failures can be manufactured on
-    demand: this module builds {!Compiler.options.inject} hooks that
-    corrupt the circuit stream (or blow up outright) at chosen stage
-    handoffs, so tests can assert that every failure mode surfaces as a
+    demand: this module builds the [?inject] hooks passed to
+    {!Compiler.compile_checked}, which corrupt the circuit stream (or
+    blow up outright) at chosen stage handoffs, so tests can assert
+    that every failure mode surfaces as a
     structured {!Diagnostic.t} — never an uncaught exception — and that
     what {e should} be caught downstream (a truncated stream breaking
     verification) actually is.
@@ -61,7 +62,8 @@ type t
     every random choice. *)
 val create : ?seed:int -> spec list -> t
 
-(** [hook h] is the function to install as {!Compiler.options.inject}. *)
+(** [hook h] is the hook to pass as
+    [Compiler.compile_checked ~inject:(hook h)]. *)
 val hook : t -> Diagnostic.stage -> Circuit.t -> Circuit.t
 
 (** [fired h] lists the specs that actually fired so far, in firing
@@ -107,14 +109,11 @@ module Socket : sig
   (** A chaos plan: events executed in order against a live daemon. *)
   type plan = event list
 
-  val event_to_string : event -> string
-
   (** One event per line ([req F] / [torn@K F] / [drop F] /
       [stallw@MS F] / [stallr@MS F] / [burst@N]); frames are
       single-line JSON so the framing never collides. *)
   val plan_to_string : plan -> string
 
-  val event_of_string : string -> (event, string) result
   val plan_of_string : string -> (plan, string) result
 
   (** [random_event rng ~frame] wraps [frame] in a random transport

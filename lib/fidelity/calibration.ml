@@ -61,7 +61,6 @@ let of_values device ~single ~readout ~cnot =
     cnot;
   cal
 
-let device cal = cal.device
 let single_qubit_error cal q = cal.single.(q)
 let readout_error cal q = cal.readout.(q)
 
@@ -135,13 +134,3 @@ let digest cal =
   |> List.sort compare
   |> List.iter (fun ((c, t), e) -> Printf.bprintf b ";cx%d-%d %h" c t e);
   Digest.to_hex (Digest.string (Buffer.contents b))
-
-let pp fmt cal =
-  Format.fprintf fmt "calibration of %s:@\n" (Device.name cal.device);
-  Array.iteri
-    (fun q e ->
-      Format.fprintf fmt "  q%-3d 1q %.5f  readout %.4f@\n" q e cal.readout.(q))
-    cal.single;
-  Hashtbl.iter
-    (fun (c, t) e -> Format.fprintf fmt "  cx %d->%d  %.4f@\n" c t e)
-    cal.cnot

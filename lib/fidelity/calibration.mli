@@ -27,8 +27,6 @@ val of_values :
   cnot:((int * int) * float) list ->
   t
 
-val device : t -> Device.t
-
 (** [single_qubit_error cal q] is the depolarizing error rate of a
     one-qubit gate on qubit [q]. *)
 val single_qubit_error : t -> int -> float
@@ -70,4 +68,3 @@ val swap_hop_weight : t -> int -> int -> float
     digest, so it can key a compile cache. *)
 val digest : t -> string
 
-val pp : Format.formatter -> t -> unit

@@ -103,22 +103,6 @@ module Gen = struct
       let control, target = pair n st in
       Gate.Cnot { control; target }
 
-  let classical_gate ~n st =
-    let kinds =
-      1 + (if n >= 2 then 2 else 0) + if n >= 3 then 1 else 0
-    in
-    match Random.State.int st kinds with
-    | 0 -> Gate.X (qubit n st)
-    | 1 ->
-      let control, target = pair n st in
-      Gate.Cnot { control; target }
-    | 2 ->
-      let a, b = pair n st in
-      Gate.Swap (a, b)
-    | _ ->
-      let[@warning "-8"] [ a; b; c ] = distinct 3 n st in
-      Gate.Toffoli { c1 = a; c2 = b; target = c }
-
   let circuit ?(gate = gate) ~max_qubits ~max_gates st =
     let n = 1 + Random.State.int st max_qubits in
     let len = Random.State.int st (max_gates + 1) in
@@ -397,6 +381,41 @@ module Property = struct
         (fun c -> Optimize.remove_identity_windows c);
       ]
 
+  (* [c] widened to [d] with, at a random position, a relabelled copy
+     of a circuit whose second sweep must run past where the first left
+     off, when [d] has its couplings: both directions of some p-q and
+     s -> r besides.  On a device (so no SWAP template), the first
+     sweep's last kept pass is clifford-normalize: phase-merge makes
+     H r; S r; S r; H r into H r; Z r; H r and clifford-normalize makes
+     that X r.  In the second sweep cancellation deletes that X r with
+     the last one, through the CNOT s -> r, which joins two SWAPs of p
+     and q that only identity-window removal deletes.  A sweep that
+     ended where the first one left off would stop short of it. *)
+  let with_late_pass_case d c st =
+    let allowed control target = Device.allows_cnot d ~control ~target in
+    let fits =
+      List.concat_map
+        (fun (p, q) ->
+          List.filter_map
+            (fun (s, r) ->
+              if allowed q p && not (List.mem r [ p; q ] || List.mem s [ p; q ])
+              then Some (p, q, r, s)
+              else None)
+            (Device.couplings d))
+        (Device.couplings d)
+    in
+    if fits = [] then c
+    else
+      let p, q, r, s = Gen.choose fits st in
+      let cx control target = Gate.Cnot { control; target } in
+      let gates = Circuit.gates c in
+      let k = Random.State.int st (List.length gates + 1) in
+      Circuit.make ~n:(Device.n_qubits d)
+        (List.filteri (fun i _ -> i < k) gates
+        @ [ cx p q; cx q p; cx p q; Gate.H r; Gate.S r; Gate.S r; Gate.H r ]
+        @ [ cx q p; cx p q; cx q p; cx s r; Gate.X r ]
+        @ List.filteri (fun i _ -> i >= k) gates)
+
   (* 3. Optimization is exact (not merely up to phase), the cost
      function never goes up, and the output is a fixed point — Sec. 4,
      items 5-6.  Neither optimizing the output again nor one sweep of
@@ -405,7 +424,8 @@ module Property = struct
      draws its objective (Eqn. 2 or T-weighted) and its rules (all or
      none); half of them route a native circuit on a random device
      and optimize for it, so that the guard reverts passes and the
-     templates respect couplings. *)
+     templates respect couplings, and half of those hold a circuit
+     whose second sweep must run in full ([with_late_pass_case]). *)
   let optimize_preserves_unitary =
     {
       name = "optimize-preserves-unitary";
@@ -422,6 +442,9 @@ module Property = struct
           if Random.State.bool st then
             let d = dev_gen ~cap:6 cfg st in
             let c = circuit_on_device ~gate:Gen.native_gate cfg d st in
+            let c =
+              if Random.State.bool st then with_late_pass_case d c st else c
+            in
             Optimize_case { circuit = c; device = Some d; cost; rules }
           else
             let c =

@@ -64,14 +64,6 @@ module Gen : sig
       lowering). *)
   val gate : n:int -> Gate.t t
 
-  (** [native_gate ~n] draws from the transmon library only (one-qubit
-      gates + CNOT) — the alphabet of routing-stage inputs. *)
-  val native_gate : n:int -> Gate.t t
-
-  (** [classical_gate ~n] draws reversible classical gates only
-      (X / CNOT / SWAP / Toffoli). *)
-  val classical_gate : n:int -> Gate.t t
-
   (** [circuit ?gate ~max_qubits ~max_gates] draws a width
       [1 .. max_qubits] and a gate count [0 .. max_gates], then fills
       the register with [gate] (default {!gate}).  The empty circuit

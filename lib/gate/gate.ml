@@ -20,7 +20,6 @@ type t =
   | Mct of { controls : int list; target : int }
 
 let equal a b = a = b
-let compare = Stdlib.compare
 
 let pi = 4.0 *. atan 1.0
 
@@ -365,4 +364,3 @@ let to_string = function
     let cs = String.concat ", " (List.map (Printf.sprintf "q%d") controls) in
     Printf.sprintf "T%d %s, q%d" (List.length controls + 1) cs target
 
-let pp fmt g = Format.pp_print_string fmt (to_string g)

@@ -51,7 +51,6 @@ val phase_angle : t -> (float * int) option
 val phase_gate : float -> int -> t option
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** [mct controls target] builds the canonical gate for a NOT with the
     given controls: [X]/[Cnot]/[Toffoli] for 0/1/2 controls, [Mct] with
@@ -120,5 +119,3 @@ val embedded_matrix : n:int -> t -> Mathkit.Matrix.t
 
 (** [to_string g] renders e.g. ["H q2"] or ["CNOT q0, q1"]. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -93,8 +93,6 @@ end
 
 type severity = Error | Warning | Info
 
-val severity_to_string : severity -> string
-
 type finding = {
   severity : severity;
   gate_index : int option;

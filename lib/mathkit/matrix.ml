@@ -15,7 +15,6 @@ let rows m = m.rows
 let cols m = m.cols
 let get m r c = m.data.((r * m.cols) + c)
 let set m r c v = m.data.((r * m.cols) + c) <- v
-let copy m = { m with data = Array.copy m.data }
 
 let of_rows row_lists =
   match row_lists with
@@ -37,7 +36,6 @@ let map2 f a b =
   { a with data = Array.map2 f a.data b.data }
 
 let add a b = map2 Cx.add a b
-let sub a b = map2 Cx.sub a b
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";

@@ -23,11 +23,7 @@ val cols : t -> int
 val get : t -> int -> int -> Cx.t
 val set : t -> int -> int -> Cx.t -> unit
 
-(** [copy m] is an independent copy of [m]. *)
-val copy : t -> t
-
 val add : t -> t -> t
-val sub : t -> t -> t
 
 (** [mul a b] is the matrix product.
     @raise Invalid_argument on dimension mismatch. *)
@@ -58,5 +54,4 @@ val is_unitary : ?eps:float -> t -> bool
 (** [is_identity ?eps m] checks m = identity. *)
 val is_identity : ?eps:float -> t -> bool
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

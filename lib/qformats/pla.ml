@@ -11,16 +11,6 @@ type t = {
   cubes : cube list;
 }
 
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> w <> "")
-
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
 let of_string source =
   let lines = String.split_on_char '\n' source in
   let n_inputs = ref 0 and n_outputs = ref 0 in
@@ -43,7 +33,7 @@ let of_string source =
   List.iteri
     (fun idx raw ->
       let line_no = idx + 1 in
-      match split_words (strip_comment raw) with
+      match Words.of_line raw with
       | [] -> ()
       | [ ".i"; k ] -> (
         match int_of_string_opt k with
@@ -139,15 +129,3 @@ let truth_table pla ~output =
   Array.init (1 lsl n) (fun k ->
       let bits = Array.init n (fun i -> (k lsr (n - 1 - i)) land 1 = 1) in
       eval pla ~output bits)
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))
-
-let write_file path pla =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string pla))

@@ -44,6 +44,3 @@ val eval : t -> output:int -> bool array -> bool
     entry [k]'s assignment has the {e first} input as most significant
     bit. *)
 val truth_table : t -> output:int -> bool array
-
-val read_file : string -> t
-val write_file : string -> t -> unit

@@ -341,15 +341,3 @@ let of_string source =
   | c -> c
   | exception Invalid_argument msg ->
     raise (Parse_error { line = end_line; message = msg })
-
-let write_file ?creg path c =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?creg c))
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))

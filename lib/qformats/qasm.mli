@@ -35,8 +35,3 @@ val to_string : ?creg:bool -> Circuit.t -> string
     [qreg] size.
     @raise Parse_error on malformed input. *)
 val of_string : string -> Circuit.t
-
-(** [write_file path c] and [read_file path] are file-level wrappers. *)
-val write_file : ?creg:bool -> string -> Circuit.t -> unit
-
-val read_file : string -> Circuit.t

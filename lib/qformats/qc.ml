@@ -7,16 +7,6 @@ type t = {
   names : string array;
 }
 
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> w <> "")
-
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
 (* Build the gate for a mnemonic applied to operand qubit indices; the
    conventions of the format put the target last. *)
 let gate_of ~line_no mnemonic operands =
@@ -106,7 +96,7 @@ let of_string source =
   List.iteri
     (fun idx raw ->
       let line_no = idx + 1 in
-      match split_words (strip_comment raw) with
+      match Words.of_line raw with
       | [] -> ()
       | ".v" :: ws ->
         List.iter
@@ -186,15 +176,3 @@ let to_string c =
     c;
   Buffer.add_string buf "END\n";
   Buffer.contents buf
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))
-
-let write_file path c =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string c))

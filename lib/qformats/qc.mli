@@ -41,5 +41,3 @@ type t = {
 
 val of_string : string -> t
 val to_string : Circuit.t -> string
-val read_file : string -> t
-val write_file : string -> Circuit.t -> unit

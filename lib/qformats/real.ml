@@ -7,16 +7,6 @@ type t = {
   garbage : string option;
 }
 
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> w <> "")
-
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
 (* Controlled SWAP on (a, b) with [controls]: CNOT(b,a) then an MCT with
    a joined to the controls targeting b, then CNOT(b,a) again. *)
 let fredkin controls a b =
@@ -76,7 +66,7 @@ let of_string source =
   List.iteri
     (fun idx raw ->
       let line_no = idx + 1 in
-      match split_words (strip_comment raw) with
+      match Words.of_line raw with
       | [] -> ()
       | ".version" :: _ -> ()
       | [ ".numvars"; k ] -> (
@@ -172,15 +162,3 @@ let to_string c =
     c;
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))
-
-let write_file path c =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string c))

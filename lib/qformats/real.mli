@@ -41,6 +41,3 @@ val of_string : string -> t
     / MCT / SWAP gates only).
     @raise Invalid_argument on non-classical gates. *)
 val to_string : Circuit.t -> string
-
-val read_file : string -> t
-val write_file : string -> Circuit.t -> unit

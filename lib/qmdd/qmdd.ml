@@ -366,8 +366,6 @@ let create ~n =
     add_misses = 0;
   }
 
-let n_vars m = m.n
-let allocated_nodes m = m.next_id
 
 let stats m =
   {

@@ -44,12 +44,6 @@ type edge
     @raise Invalid_argument when [n <= 0]. *)
 val create : n:int -> manager
 
-val n_vars : manager -> int
-
-(** [allocated_nodes m] counts every node ever hash-consed by [m]; a
-    cheap proxy for memory pressure, used by node budgets. *)
-val allocated_nodes : manager -> int
-
 (** Observability counters kept by every manager.  The counters are
     plain integer bumps on paths that already pay for a hashtable
     probe, so they are always on — reading them costs one O(1) record
@@ -112,12 +106,8 @@ val multiply : manager -> edge -> edge -> edge
 (** [add m a b] is the matrix sum. *)
 val add : manager -> edge -> edge -> edge
 
-(** [apply m g e] is [gate m g * e]: the circuit extended by one more
-    gate. *)
-val apply : manager -> Gate.t -> edge -> edge
-
-(** [of_circuit ?node_budget m c] folds {!apply} over the circuit,
-    producing the diagram of its transfer matrix.
+(** [of_circuit ?node_budget m c] multiplies the circuit's gates
+    onto the identity, producing the diagram of its transfer matrix.
     @raise Node_budget_exceeded when the optional budget is exceeded. *)
 val of_circuit : ?node_budget:int -> manager -> Circuit.t -> edge
 

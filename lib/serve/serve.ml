@@ -89,12 +89,6 @@ let rec mkdir_p dir =
 let persist_file dir key =
   Filename.concat dir (Digest.to_hex (Digest.string key) ^ ".rpt")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Atomic spill: write to a dot-prefixed temp in the same directory,
    flush + fsync, then rename over the final name.  A crash mid-write
    leaves only a stale temp (swept at the next warm load), never a
@@ -225,7 +219,7 @@ let warm_from_disk t =
           t.c.persist_errors <- t.c.persist_errors + 1;
           try Sys.remove path with Sys_error _ -> ()
         in
-        match read_file path with
+        match In_channel.with_open_bin path In_channel.input_all with
         | exception Sys_error _ -> drop ()
         | text -> (
           match J.of_string (String.trim text) with
@@ -253,25 +247,21 @@ let create ?(cache_capacity = 256) ?(max_cache_bytes = 64 * 1024 * 1024)
     ?max_request_bytes ?(read_timeout_seconds = 30.0) ?(max_workers = 8)
     ?(max_pending = 32) ?(jobs = Domain.recommended_domain_count ())
     ?inject () =
-  if cache_capacity < 0 then
-    invalid_arg "Serve.create: negative cache_capacity";
-  if max_cache_bytes < 0 then
-    invalid_arg "Serve.create: negative max_cache_bytes";
-  if max_deadline_seconds <= 0.0 then
-    invalid_arg "Serve.create: max_deadline_seconds must be positive";
-  if max_frame_bytes <= 0 then
-    invalid_arg "Serve.create: max_frame_bytes must be positive";
-  if watchdog_grace_seconds < 0.0 then
-    invalid_arg "Serve.create: negative watchdog_grace_seconds";
-  (match max_request_bytes with
-  | Some n when n <= 0 ->
-    invalid_arg "Serve.create: max_request_bytes must be positive"
-  | _ -> ());
-  if read_timeout_seconds <= 0.0 then
-    invalid_arg "Serve.create: read_timeout_seconds must be positive";
-  if max_workers < 1 then invalid_arg "Serve.create: max_workers must be >= 1";
-  if max_pending < 1 then invalid_arg "Serve.create: max_pending must be >= 1";
-  if jobs < 1 then invalid_arg "Serve.create: jobs must be >= 1";
+  (* Each message names the setting in the words of its [qsc serve]
+     flag. *)
+  let require ok msg = if not ok then invalid_arg msg in
+  require (cache_capacity >= 0) "cache size must be >= 0";
+  require (max_cache_bytes >= 0) "cache bytes must be >= 0";
+  require (max_deadline_seconds > 0.0) "max deadline must be positive";
+  require (max_frame_bytes > 0) "max frame bytes must be positive";
+  require (watchdog_grace_seconds >= 0.0) "watchdog grace must be >= 0";
+  require
+    (match max_request_bytes with Some n -> n > 0 | None -> true)
+    "max request size must be positive";
+  require (read_timeout_seconds > 0.0) "read timeout must be positive";
+  require (max_workers >= 1) "max workers must be >= 1";
+  require (max_pending >= 1) "max pending must be >= 1";
+  require (jobs >= 1) "jobs must be >= 1";
   let t =
     {
       cache = Hashtbl.create (max 16 cache_capacity);
@@ -326,19 +316,15 @@ let create ?(cache_capacity = 256) ?(max_cache_bytes = 64 * 1024 * 1024)
    failure. *)
 exception Reject of int * Diagnostic.t
 
-let misuse msg =
+let reject code msg =
   raise
     (Reject
-       ( 124,
+       ( code,
          Diagnostic.error ~stage:Diagnostic.Driver ~kind:Diagnostic.Protocol
            msg ))
 
-let missing_field msg =
-  raise
-    (Reject
-       ( 123,
-         Diagnostic.error ~stage:Diagnostic.Driver ~kind:Diagnostic.Protocol
-           msg ))
+let misuse msg = reject 124 msg
+let missing_field msg = reject 123 msg
 
 (* --- request field readers ----------------------------------------- *)
 
@@ -375,16 +361,21 @@ type request = {
   options : Compiler.options;
 }
 
-(* Mirrors the CLI defaults ([qsc compile] with no flags beyond the
-   device) so a served report matches a one-shot compile byte for
-   byte. *)
-let apply_options device opts_json =
-  let node_budget = ref (Some 8_000_000) in
-  let max_sim_qubits = ref 10 in
-  let verify_tag = ref "fallback" in
-  let deadline = ref None in
+(* The default compile, changed only where the request's options say
+   so: the same start as [qsc compile], so a served report matches a
+   one-shot compile byte for byte.  A daemon never hangs forever on one
+   compile: a requested deadline is clamped to [max_deadline], and a
+   request that asks for none gets it. *)
+let apply_options ~max_deadline device opts_json =
+  let mode = ref None and node_budget = ref None in
+  let max_sim_qubits = ref None in
   let options = ref (Compiler.default_options ~device) in
   let set f = options := f !options in
+  let set_budgets f =
+    set (fun o -> { o with Compiler.budgets = f o.Compiler.budgets })
+  in
+  set_budgets (fun b ->
+      { b with Compiler.deadline_seconds = Some max_deadline });
   List.iter
     (fun (key, value) ->
       match key with
@@ -403,49 +394,38 @@ let apply_options device opts_json =
       | "check_contracts" ->
         let b = as_bool key value in
         set (fun o -> { o with Compiler.check_contracts = b })
-      | "verification" -> (
-        match value with
-        | J.String (("skip" | "qmdd" | "fallback") as s) -> verify_tag := s
-        | _ -> misuse "option \"verification\" must be skip|qmdd|fallback")
-      | "node_budget" ->
-        let n = as_int key value in
-        node_budget := (if n = 0 then None else Some n)
-      | "max_sim_qubits" -> max_sim_qubits := as_int key value
+      | "verification" ->
+        mode :=
+          Some
+            (match value with
+            | J.String "skip" -> `Skip
+            | J.String "qmdd" -> `Qmdd
+            | J.String "fallback" -> `Fallback
+            | _ -> misuse "option \"verification\" must be skip|qmdd|fallback")
+      | "node_budget" -> node_budget := Some (as_int key value)
+      | "max_sim_qubits" -> max_sim_qubits := Some (as_int key value)
       | "deadline_seconds" ->
         let d = as_number key value in
         if d <= 0.0 then misuse "option \"deadline_seconds\" must be positive";
-        deadline := Some d
+        set_budgets (fun b ->
+            {
+              b with
+              Compiler.deadline_seconds = Some (Float.min d max_deadline);
+            })
       | "max_optimize_iterations" ->
         let n = as_int key value in
-        set (fun o ->
-            {
-              o with
-              Compiler.budgets =
-                {
-                  o.Compiler.budgets with
-                  Compiler.max_optimize_iterations = Some n;
-                };
-            })
+        set_budgets (fun b ->
+            { b with Compiler.max_optimize_iterations = Some n })
       | "swap_budget" ->
         let n = as_int key value in
-        set (fun o ->
-            {
-              o with
-              Compiler.budgets =
-                { o.Compiler.budgets with Compiler.swap_budget = Some n };
-            })
+        set_budgets (fun b -> { b with Compiler.swap_budget = Some n })
       | other -> misuse (Printf.sprintf "unknown option %S" other))
     opts_json;
   let verification =
-    match !verify_tag with
-    | "skip" -> Compiler.Skip
-    | "qmdd" -> Compiler.Qmdd_check { node_budget = !node_budget }
-    | _ ->
-      Compiler.Fallback
-        { node_budget = !node_budget; max_sim_qubits = !max_sim_qubits }
+    Compiler.verification_mode ?mode:!mode ?node_budget:!node_budget
+      ?max_sim_qubits:!max_sim_qubits ()
   in
-  set (fun o -> { o with Compiler.verification });
-  (!options, !deadline)
+  { !options with Compiler.verification }
 
 let parse_compile_request t j =
   let _ = expect_obj "a compile request" j in
@@ -474,22 +454,7 @@ let parse_compile_request t j =
     | None -> []
     | Some o -> expect_obj "\"options\"" o
   in
-  let options, requested_deadline = apply_options device opts_json in
-  (* A daemon never hangs forever on one compile: requests are clamped
-     to the server-side maximum, and requests that ask for no budget
-     get the maximum. *)
-  let deadline_seconds =
-    match requested_deadline with
-    | Some d -> Some (Float.min d t.max_deadline)
-    | None -> Some t.max_deadline
-  in
-  let options =
-    {
-      options with
-      Compiler.budgets =
-        { options.Compiler.budgets with Compiler.deadline_seconds };
-    }
-  in
+  let options = apply_options ~max_deadline:t.max_deadline device opts_json in
   { source; format; device; options }
 
 (* --- report scrubbing ---------------------------------------------- *)
@@ -677,7 +642,12 @@ let await t ~limit p =
 
 (* --- compile ------------------------------------------------------- *)
 
-let diagnostics_json ds = J.List (List.map Diagnostic.to_json ds)
+(* The body of every failed response or batch entry. *)
+let error_body ds =
+  [
+    ("status", J.String "error");
+    ("diagnostics", J.List (List.map Diagnostic.to_json ds));
+  ]
 
 (* A resolved cache consultation: a hit bumps [hits] and [lookups] in
    one critical section; a miss bumps [misses] and [lookups] in one, so
@@ -703,8 +673,7 @@ let outcome_response req = function
   | Error ds ->
     (* Failures are cheap to recompute and usually get fixed and
        resubmitted; only completed reports are worth cache slots. *)
-    `Fail
-      (123, [ ("status", J.String "error"); ("diagnostics", diagnostics_json ds) ])
+    `Fail (123, error_body ds)
   | Ok report ->
     let mismatch = report.Compiler.verification = Compiler.Mismatch in
     let code = if mismatch then 123 else 0 in
@@ -838,15 +807,8 @@ let stats_body t =
   ]
 
 let internal_error_body msg =
-  [
-    ("status", J.String "error");
-    ( "diagnostics",
-      diagnostics_json
-        [
-          Diagnostic.error ~stage:Diagnostic.Driver ~kind:Diagnostic.Internal
-            msg;
-        ] );
-  ]
+  error_body
+    [ Diagnostic.error ~stage:Diagnostic.Driver ~kind:Diagnostic.Internal msg ]
 
 let alloc_trip t budget =
   with_state t (fun () -> t.c.alloc_trips <- t.c.alloc_trips + 1);
@@ -862,18 +824,7 @@ let alloc_trip t budget =
 let entry_of_response (code, body) =
   J.Obj ([ ("ok", J.Bool (code = 0)); ("code", J.Int code) ] @ body)
 
-let reject_entry code d =
-  J.Obj
-    [
-      ("ok", J.Bool false);
-      ("code", J.Int code);
-      ("status", J.String "error");
-      ("diagnostics", diagnostics_json [ d ]);
-    ]
-
-let alloc_entry t budget =
-  let code, body = alloc_trip t budget in
-  J.Obj ([ ("ok", J.Bool false); ("code", J.Int code) ] @ body)
+let alloc_entry t budget = entry_of_response (alloc_trip t budget)
 
 (* A batch.  Only the pure compiles fan out: the cache protocol is
    replayed strictly sequentially in request order (phase 3), so
@@ -926,7 +877,7 @@ let batch_results t ~limit requests =
          Hashtbl.replace precomputed key (await t ~limit p));
   List.map
     (function
-      | `Rejected (code, d) -> reject_entry code d
+      | `Rejected (code, d) -> entry_of_response (code, error_body [ d ])
       | `Parsed (req, key) -> (
         match cache_lookup t key with
         | Some response -> entry_of_response response
@@ -1010,12 +961,7 @@ let handle_line_core t ~limit line =
     | Error msg -> (
       ( None,
         try misuse (Printf.sprintf "unparseable request: %s" msg)
-        with Reject (code, d) ->
-          ( code,
-            [
-              ("status", J.String "error");
-              ("diagnostics", diagnostics_json [ d ]);
-            ] ) ))
+        with Reject (code, d) -> (code, error_body [ d ]) ))
     | Ok j -> (
       let id = match j with J.Obj _ -> J.member "id" j | _ -> None in
       ( id,
@@ -1026,12 +972,7 @@ let handle_line_core t ~limit line =
             | _ -> misuse "request must be a JSON object")
         with
         | result -> result
-        | exception Reject (code, d) ->
-          ( code,
-            [
-              ("status", J.String "error");
-              ("diagnostics", diagnostics_json [ d ]);
-            ] )
+        | exception Reject (code, d) -> (code, error_body [ d ])
         | exception Allocation_budget_exceeded budget -> alloc_trip t budget
         | exception Watchdog limit -> watchdog_trip t limit
         | exception exn ->
@@ -1044,16 +985,12 @@ let handle_line_core t ~limit line =
   envelope ?id ~code ~seconds body
 
 let frame_reject_body t =
-  [
-    ("status", J.String "error");
-    ( "diagnostics",
-      diagnostics_json
-        [
-          Diagnostic.error ~stage:Diagnostic.Driver ~kind:Diagnostic.Protocol
-            (Printf.sprintf "request line exceeds the %d-byte frame cap"
-               t.max_frame_bytes);
-        ] );
-  ]
+  error_body
+    [
+      Diagnostic.error ~stage:Diagnostic.Driver ~kind:Diagnostic.Protocol
+        (Printf.sprintf "request line exceeds the %d-byte frame cap"
+           t.max_frame_bytes);
+    ]
 
 (* The protocol core: one response line for one request line.  Each
    wait of the request is bounded by [limit] when one is given. *)

@@ -181,7 +181,13 @@ exception Allocation_budget_exceeded of int
     the chaos harness: it is called once per cache-missing compile, on
     the compile's pool domain, before the compiler runs, and whatever
     it raises (or however long it sleeps) flows through the allocation
-    budget and the watchdog like a real fault. *)
+    budget and the watchdog like a real fault.
+
+    @raise Invalid_argument when a setting is out of range: a negative
+    cache size or byte budget, a non-positive deadline ceiling, frame
+    cap, request allocation budget or read timeout, a negative
+    watchdog grace, or fewer than one worker, pending slot or job.  The
+    message names the setting. *)
 val create :
   ?cache_capacity:int ->
   ?max_cache_bytes:int ->

@@ -78,6 +78,27 @@ let test_exit_123_reported_failure () =
   (* An unknown property name likewise. *)
   check_int "fuzz unknown property" 123 (run "fuzz --property no-such-thing")
 
+let test_serve_setting_out_of_range () =
+  (* [Serve.create] is the one validator of the daemon's settings; qsc
+     reports its refusal as a failure naming the setting, before
+     anything listens.  [timeout] bounds the run should it listen. *)
+  let socket = Filename.concat (Filename.get_temp_dir_name ()) "qsc-cli.sock" in
+  let err = Filename.temp_file "qsc-cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "timeout 20 %s serve --socket %s --max-workers 0 2>%s"
+             (Filename.quote qsc) (Filename.quote socket) (Filename.quote err))
+      in
+      check_int "serve --max-workers 0" 123 code;
+      let message = In_channel.with_open_text err In_channel.input_all in
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the setting: %S" message)
+        true
+        (String.starts_with ~prefix:"qsc: max workers " message))
+
 let test_exit_124_misuse () =
   check_int "unknown option" 124 (run "compile --no-such-flag");
   check_int "unknown subcommand" 124 (run "frobnicate");
@@ -126,6 +147,8 @@ let () =
           Alcotest.test_case "0: success" `Quick test_exit_0_success;
           Alcotest.test_case "123: reported failure" `Quick
             test_exit_123_reported_failure;
+          Alcotest.test_case "123: serve setting out of range" `Quick
+            test_serve_setting_out_of_range;
           Alcotest.test_case "124: misuse" `Quick test_exit_124_misuse;
           Alcotest.test_case "125: internal error" `Quick
             test_exit_125_internal_error;

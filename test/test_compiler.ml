@@ -185,7 +185,7 @@ let test_parse_file_in_dotted_dir () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let qc_path = Filename.concat dir "a.qc" in
-  Qformats.Qc.write_file qc_path toffoli_cascade;
+  Testutil.write_file qc_path (Qformats.Qc.to_string toffoli_cascade);
   (match Compiler.parse_file qc_path with
   | Compiler.Quantum c ->
     check_bool "qc parsed from dotted dir" true (Circuit.equal c toffoli_cascade)
@@ -319,14 +319,13 @@ let test_parse_file_dispatch () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let qc_path = Filename.concat dir "a.qc" in
-  Qformats.Qc.write_file qc_path toffoli_cascade;
+  Testutil.write_file qc_path (Qformats.Qc.to_string toffoli_cascade);
   (match Compiler.parse_file qc_path with
   | Compiler.Quantum c ->
     check_bool "qc parsed" true (Circuit.equal c toffoli_cascade)
   | Compiler.Classical _ -> Alcotest.fail "expected Quantum");
   let pla_path = Filename.concat dir "f.pla" in
-  Qformats.Pla.write_file pla_path
-    (Qformats.Pla.of_string ".i 2\n.o 1\n11 1\n.e\n");
+  Testutil.write_file pla_path ".i 2\n.o 1\n11 1\n.e\n";
   (match Compiler.parse_file pla_path with
   | Compiler.Classical _ -> ()
   | Compiler.Quantum _ -> Alcotest.fail "expected Classical");
@@ -394,18 +393,70 @@ let test_content_digests () =
          });
   (* The canonical rendering is explicit about what it covers. *)
   let canon = Compiler.canonical_options options in
+  let names needle =
+    let n = String.length canon and m = String.length needle in
+    let rec scan i =
+      i + m <= n && (String.sub canon i m = needle || scan (i + 1))
+    in
+    scan 0
+  in
   List.iter
     (fun key ->
-      let needle = key ^ "=" in
-      let found =
-        let n = String.length canon and m = String.length needle in
-        let rec scan i =
-          i + m <= n && (String.sub canon i m = needle || scan (i + 1))
-        in
-        scan 0
-      in
-      check_bool (Printf.sprintf "canonical form names %s" key) true found)
-    [ "cost"; "router"; "verification"; "deadline_seconds"; "swap_budget" ]
+      check_bool
+        (Printf.sprintf "canonical form names %s" key)
+        true
+        (names (key ^ "=")))
+    [ "cost"; "router"; "verification"; "deadline_seconds"; "swap_budget" ];
+  (* Every field is data the digest covers: options that differ from
+     the default in one field alone all get distinct digests. *)
+  let budgets f = { options with Compiler.budgets = f Compiler.no_budgets } in
+  let verification v = { options with Compiler.verification = v } in
+  let variants =
+    [
+      ("default", options);
+      ("cost", { options with Compiler.cost = Cost.gate_volume });
+      ("router tracking", { options with Compiler.router = Compiler.Tracking });
+      ( "router weighted",
+        { options with
+          Compiler.router = Compiler.Weighted_ctr (Calibration.synthetic device)
+        } );
+      ("pre_optimize", { options with Compiler.pre_optimize = false });
+      ("post_optimize", { options with Compiler.post_optimize = false });
+      ("fold_states", { options with Compiler.fold_states = true });
+      ("use_placement", { options with Compiler.use_placement = true });
+      ("check_contracts", { options with Compiler.check_contracts = true });
+      ("verification skip", verification Compiler.Skip);
+      ( "verification qmdd",
+        verification (Compiler.verification_mode ~mode:`Qmdd ()) );
+      ( "node budget",
+        verification (Compiler.verification_mode ~node_budget:1 ()) );
+      ( "no node budget",
+        verification (Compiler.verification_mode ~node_budget:0 ()) );
+      ( "max_sim_qubits",
+        verification (Compiler.verification_mode ~max_sim_qubits:3 ()) );
+      ( "rewrite_rules",
+        { options with Compiler.rewrite_rules = Rewrite.empty_selection } );
+      ( "deadline_seconds",
+        budgets (fun b -> { b with Compiler.deadline_seconds = Some 1.0 }) );
+      ( "max_optimize_iterations",
+        budgets (fun b -> { b with Compiler.max_optimize_iterations = Some 1 })
+      );
+      ( "swap_budget",
+        budgets (fun b -> { b with Compiler.swap_budget = Some 1 }) );
+    ]
+  in
+  List.iter
+    (fun (name, o) ->
+      List.iter
+        (fun (other, o') ->
+          if name <> other then
+            check_bool
+              (Printf.sprintf "digests of %s and %s differ" name other)
+              true
+              (Compiler.options_digest o <> Compiler.options_digest o'))
+        variants)
+    variants;
+  check_bool "canonical form has no hook" false (names "inject")
 
 let test_weighted_router_digest () =
   (* The weighted router carries its calibration as data, so the cache
@@ -741,11 +792,12 @@ let test_deadline_enforced_inside_verification () =
   let opts =
     { base with
       Compiler.budgets =
-        { Compiler.no_budgets with Compiler.deadline_seconds = Some deadline };
-      Compiler.inject = Some inject
+        { Compiler.no_budgets with Compiler.deadline_seconds = Some deadline }
     }
   in
-  match Compiler.compile_checked opts (Compiler.Quantum verification_heavy) with
+  match
+    Compiler.compile_checked ~inject opts (Compiler.Quantum verification_heavy)
+  with
   | Ok r ->
     (match r.Compiler.verification with
     | Compiler.Unverified reason ->
@@ -830,11 +882,10 @@ let test_strict_check_keeps_deadline () =
   let opts =
     { base with
       Compiler.budgets =
-        { Compiler.no_budgets with Compiler.deadline_seconds = Some deadline };
-      Compiler.inject = Some inject
+        { Compiler.no_budgets with Compiler.deadline_seconds = Some deadline }
     }
   in
-  match Compiler.compile_checked opts (Compiler.Quantum circuit) with
+  match Compiler.compile_checked ~inject opts (Compiler.Quantum circuit) with
   | Ok r ->
     let elapsed = Int64.to_float (Int64.sub (Trace.now_ns ()) t0) /. 1e9 in
     check_bool

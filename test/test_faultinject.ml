@@ -18,17 +18,14 @@ let sample =
       Gate.T 3;
     ]
 
-let options_with harness =
-  {
-    (Compiler.default_options ~device) with
-    Compiler.inject = Some (Faultinject.hook harness);
-  }
+let compile_with ?(post_optimize = true) harness =
+  Compiler.compile_checked ~inject:(Faultinject.hook harness)
+    { (Compiler.default_options ~device) with Compiler.post_optimize }
+    (Compiler.Quantum sample)
 
-let run_spec ?(seed = 0) ?(post_optimize = true) spec =
+let run_spec ?(seed = 0) ?post_optimize spec =
   let harness = Faultinject.create ~seed [ spec ] in
-  let options = { (options_with harness) with Compiler.post_optimize } in
-  let result = Compiler.compile_checked options (Compiler.Quantum sample) in
-  (harness, result)
+  (harness, compile_with ?post_optimize harness)
 
 let diag_matches spec (d : Diagnostic.t) ~kind =
   d.Diagnostic.stage = spec.Faultinject.stage && d.Diagnostic.kind = kind
@@ -200,10 +197,7 @@ let test_unfired_specs_are_visible () =
   (* A harness with no specs never fires; one targeting a stage that
      runs fires exactly once even if compiled twice over. *)
   let harness = Faultinject.create [] in
-  (match
-     Compiler.compile_checked (options_with harness)
-       (Compiler.Quantum sample)
-   with
+  (match compile_with harness with
   | Ok _ -> ()
   | Error ds ->
     Alcotest.failf "clean compile failed: %s"

@@ -303,30 +303,39 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 let test_file_roundtrips () =
+  (* Each format survives a trip through a file: printed with
+     [to_string], written, read back whole and parsed with
+     [of_string]. *)
   with_temp_dir (fun dir ->
-      let qasm_path = Filename.concat dir "c.qasm" in
-      Qformats.Qasm.write_file qasm_path sample_circuit;
+      let through name text =
+        let path = Filename.concat dir name in
+        Testutil.write_file path text;
+        In_channel.with_open_text path In_channel.input_all
+      in
       check_bool "qasm file" true
-        (Circuit.equal sample_circuit (Qformats.Qasm.read_file qasm_path));
-      let qc_path = Filename.concat dir "c.qc" in
-      Qformats.Qc.write_file qc_path sample_circuit;
+        (Circuit.equal sample_circuit
+           (Qformats.Qasm.of_string
+              (through "c.qasm" (Qformats.Qasm.to_string sample_circuit))));
       check_bool "qc file" true
         (Circuit.equal sample_circuit
-           (Qformats.Qc.read_file qc_path).Qformats.Qc.circuit);
+           (Qformats.Qc.of_string
+              (through "c.qc" (Qformats.Qc.to_string sample_circuit)))
+             .Qformats.Qc.circuit);
       let reversible =
         Circuit.make ~n:3
           [ Gate.X 0; Gate.Toffoli { c1 = 0; c2 = 1; target = 2 } ]
       in
-      let real_path = Filename.concat dir "c.real" in
-      Qformats.Real.write_file real_path reversible;
       check_bool "real file" true
         (Circuit.equal reversible
-           (Qformats.Real.read_file real_path).Qformats.Real.circuit);
+           (Qformats.Real.of_string
+              (through "c.real" (Qformats.Real.to_string reversible)))
+             .Qformats.Real.circuit);
       let pla = Qformats.Pla.of_string ".i 2\n.o 1\n11 1\n.e\n" in
-      let pla_path = Filename.concat dir "f.pla" in
-      Qformats.Pla.write_file pla_path pla;
       check_bool "pla file" true
-        (Qformats.Pla.truth_table (Qformats.Pla.read_file pla_path) ~output:0
+        (Qformats.Pla.truth_table
+           (Qformats.Pla.of_string
+              (through "f.pla" (Qformats.Pla.to_string pla)))
+           ~output:0
         = Qformats.Pla.truth_table pla ~output:0))
 
 let test_whitespace_robustness () =

@@ -670,14 +670,13 @@ let test_t6_prefix_staged_proof () =
     {
       (Compiler.default_options ~device) with
       Compiler.verification = Compiler.Skip;
-      Compiler.inject =
-        Some
-          (fun stage c ->
-            if stage = Diagnostic.Place then native := Some c;
-            c);
     }
   in
-  let r = Compiler.compile opts input in
+  let capture stage c =
+    if stage = Diagnostic.Place then native := Some c;
+    c
+  in
+  let r = Compiler.compile ~inject:capture opts input in
   let native = Option.get !native in
   let block g =
     Route.expand_swaps device

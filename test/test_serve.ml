@@ -52,13 +52,11 @@ let compile_req ?(device = "ibmqx4") ?options source =
   @ match options with None -> [] | Some o -> [ ("options", J.Obj o) ]
 
 (* The options [Serve] applies to a bare request, rebuilt through the
-   public compiler API: CLI defaults plus the daemon's 60s deadline
-   ceiling. *)
+   public compiler API: the library's default compile plus the daemon's
+   60s deadline ceiling, and nothing else. *)
 let mirrored_options device =
   {
     (Compiler.default_options ~device) with
-    Compiler.verification =
-      Compiler.Fallback { node_budget = Some 8_000_000; max_sim_qubits = 10 };
     Compiler.budgets =
       { Compiler.no_budgets with Compiler.deadline_seconds = Some 60.0 };
   }

@@ -154,3 +154,7 @@ let equal_canonical a b =
   && List.equal Gate.equal
        (List.map canonical_gate (Circuit.gates a))
        (List.map canonical_gate (Circuit.gates b))
+
+(* Write [text] to a fresh file at [path]. *)
+let write_file path text =
+  Out_channel.with_open_text path (fun oc -> output_string oc text)
