@@ -151,16 +151,16 @@ let fig5 () =
   let path = Route.ctr_path d ~control:5 ~target:10 in
   Printf.printf "SWAP path of the control: %s  (paper: q5 -> q12 -> q11)\n"
     (String.concat " -> " (List.map (Printf.sprintf "q%d") path));
-  let gates = Route.route_cnot_swaps d ~control:5 ~target:10 in
-  List.iter (fun g -> Printf.printf "  %s\n" (Gate.to_string g)) gates;
-  let expanded = Circuit.make ~n:16 (Route.route_cnot d ~control:5 ~target:10) in
+  let cnot = Circuit.make ~n:16 [ Gate.Cnot { control = 5; target = 10 } ] in
+  Circuit.iter
+    (fun g -> Printf.printf "  %s\n" (Gate.to_string g))
+    (Route.route_circuit_swaps d cnot);
+  let expanded = Route.route_circuit d cnot in
   Printf.printf "expanded to the native library: %d gates, legal on ibmqx3: %b\n"
     (Circuit.gate_count expanded)
-    (Route.legal_on d expanded);
+    (Lint.is_device_legal d expanded);
   Printf.printf "QMDD-equivalent to the bare CNOT: %b\n"
-    (Qmdd.equivalent ~up_to_phase:false
-       (Circuit.make ~n:16 [ Gate.Cnot { control = 5; target = 10 } ])
-       expanded)
+    (Qmdd.equivalent ~up_to_phase:false cnot expanded)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 6: CNOT orientation reversal                                    *)
@@ -585,7 +585,7 @@ let ablations () =
   Printf.printf
     "\n(Fewer rerouted CNOTs translate directly into higher run-through\n\
      probability; the log-fidelity cost function is available as\n\
-     Calibration.log_fidelity_cost for optimization against a specific\n\
+     Cost.Log_fidelity for optimization against a specific\n\
      calibration.)\n"
 
 (* ------------------------------------------------------------------ *)

@@ -387,9 +387,7 @@ let compile_cmd =
             Compiler.cost =
               (match weights with
               | None -> o.Compiler.cost
-              | Some (t, c, g) ->
-                Cost.linear ~name:"custom" ~t_weight:t ~cnot_weight:c
-                  ~gate_weight:g);
+              | Some (t, cnot, gate) -> Cost.Linear { t; cnot; gate });
             router =
               (match router with
               | None -> o.Compiler.router
@@ -541,8 +539,7 @@ let compile_cmd =
                 in
                 print_endline
                   (Trace.Json.to_string ~pretty:true
-                     (Compiler.report_to_json ~cost:options.Compiler.cost ~meta
-                        report))
+                     (Compiler.report_to_json ~meta report))
               | Some `Text | None ->
                 Format.printf "%a" Compiler.pp_report report;
                 (match trace_mode with
@@ -679,7 +676,7 @@ let optimize_cmd =
           | `Volume, _ -> Ok Cost.gate_volume
           | `T_weighted, _ -> Ok Cost.t_weighted
           | `Fidelity, Some d ->
-            Ok (Calibration.log_fidelity_cost (Calibration.synthetic d))
+            Ok (Cost.Log_fidelity (Calibration.synthetic d))
           | `Fidelity, None -> Error (`Msg "--objective fidelity requires --device")
         in
         match (objective, Rewrite.parse_selection rules_str) with
@@ -713,7 +710,7 @@ let optimize_cmd =
             Format.printf "%-14s %10.2f %10.2f  (%s)@." "cost"
               (Cost.evaluate cost circuit)
               (Cost.evaluate cost optimized)
-              (Cost.name cost);
+              (Cost.to_string cost);
             if check <> None then
               Format.printf "sweeps reverted by the oracle: %s@."
                 (match outcome.Optimize.reverted with
@@ -1260,8 +1257,9 @@ let stats_cmd =
       (match device with
       | None -> ()
       | Some d ->
-        Format.printf "legal on %s: %b@." (Device.name d) (Route.legal_on d c);
-        if Route.legal_on d c then begin
+        let legal = Lint.is_device_legal d c in
+        Format.printf "legal on %s: %b@." (Device.name d) legal;
+        if legal then begin
           let cal = Calibration.synthetic d in
           Format.printf "est. success probability: %.6g@."
             (Calibration.success_probability cal c)

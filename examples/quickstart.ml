@@ -31,7 +31,7 @@ let () =
   Format.printf "%a@." Compiler.pp_report report;
 
   (* Every CNOT in the output respects the coupling map. *)
-  assert (Route.legal_on device report.Compiler.optimized);
+  assert (Lint.is_device_legal device report.Compiler.optimized);
   assert (report.Compiler.verification = Compiler.Verified);
 
   (* The final artifact is OpenQASM 2.0, ready for the device. *)

@@ -113,6 +113,9 @@ val max_gate_arity : t -> int
 val fold : ('a -> Gate.t -> 'a) -> 'a -> t -> 'a
 
 val iter : (Gate.t -> unit) -> t -> unit
+
+(** [map_gates f c] replaces each gate [g] by the gates [f g], calling
+    [f] in execution order. *)
 val map_gates : (Gate.t -> Gate.t list) -> t -> t
 
 val to_string : t -> string

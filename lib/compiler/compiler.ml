@@ -419,8 +419,8 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
       match options.router with
       | Ctr -> Route.route_circuit_swaps ?stats ?swap_budget d c
       | Weighted_ctr cal ->
-        Route.route_circuit_swaps_weighted ?stats ?swap_budget d
-          ~weight:(Calibration.swap_hop_weight cal) c
+        Route.route_circuit_swaps ?stats ?swap_budget
+          ~weight:(Calibration.swap_hop_weight cal) d c
       | Tracking -> Route.route_circuit_tracking ?stats ?swap_budget d c
     in
     (* The verifier reroutes gates blockwise for the staged proof; those
@@ -692,7 +692,7 @@ let canonical_options options =
     | None -> "none"
     | Some f -> Printf.sprintf "%.17g" f
   in
-  field "cost" (Cost.name options.cost);
+  field "cost" (Cost.to_string options.cost);
   field "router"
     (match options.router with
     | Ctr -> "ctr"
@@ -776,11 +776,11 @@ let verification_tag = function
   | Unverified _ -> "unverified"
   | Skipped -> "skipped"
 
-let report_to_json ?(cost = Cost.eqn2) ?(meta = []) r =
+let report_to_json ?(meta = []) r =
   let open Trace in
   let circuit label c c_cost =
     let snapshot_fields =
-      match Trace.snapshot_to_json (Trace.snapshot ~cost c) with
+      match Trace.snapshot_to_json (Trace.snapshot c) with
       | Json.Obj fields -> List.filter (fun (k, _) -> k <> "cost") fields
       | _ -> []
     in

@@ -110,7 +110,7 @@ type options = {
   pre_optimize : bool;
       (** optimize the technology-independent form first (always with
           the gate-count cost of Eqn. 2 — hardware-aware costs such as
-          {!Calibration.log_fidelity_cost} only apply after mapping) *)
+          [Cost.Log_fidelity] only apply after mapping) *)
   post_optimize : bool;  (** optimize the mapped circuit (the paper's
       headline optimization step) *)
   fold_states : bool;
@@ -343,8 +343,9 @@ val device_digest : Device.t -> string
 
 (** [canonical_options o] is a stable [key=value;...] rendering of
     every field but [device] (which {!device_digest} covers): [cost]
-    (by its {!Cost.name}), [router] (a [Weighted_ctr] router as its
-    calibration's {!Calibration.digest}), [pre_optimize],
+    (by its content, {!Cost.to_string}: weights or calibration digest),
+    [router] (a [Weighted_ctr] router as its calibration's
+    {!Calibration.digest}), [pre_optimize],
     [post_optimize], [fold_states], [use_placement], [verification]
     with its node budget and dense-oracle width, [check_contracts],
     [rewrite_rules] and the three [budgets]. *)
@@ -366,18 +367,16 @@ val verification_tag : verification_result -> string
 
 val pp_report : Format.formatter -> report -> unit
 
-(** [report_to_json ?cost ?meta r] renders the report as a JSON object:
+(** [report_to_json ?meta r] renders the report as a JSON object:
     [meta] fields first (e.g. benchmark name, device), then
     ["unoptimized"] / ["optimized"] snapshot objects (gate volume,
-    depth, T-count, T-depth, CNOT count, cost), ["percent_decrease"],
+    depth, T-count, T-depth, CNOT count, and the report's own cost
+    under the compile's cost function), ["percent_decrease"],
     ["placement"] (array or null), ["verification"] tag
     (["verified"], ["verified-staged"], ["verified-sim"],
     ["mismatch"], ["budget-exceeded"], ["unverified"], ["skipped"]),
     ["verification_reason"] (string for [Unverified], else null),
     ["degraded"] — a list of [{"stage", "reason"}] objects —
     ["diagnostics"], ["elapsed_seconds"], ["verification_seconds"],
-    and ["passes"] — the trace spans via {!Trace.span_to_json}.
-    Snapshots are evaluated under [cost] (default {!Cost.eqn2}); pass
-    the compile cost for consistency with the trace. *)
-val report_to_json :
-  ?cost:Cost.t -> ?meta:(string * Trace.Json.t) list -> report -> Trace.Json.t
+    and ["passes"] — the trace spans via {!Trace.span_to_json}. *)
+val report_to_json : ?meta:(string * Trace.Json.t) list -> report -> Trace.Json.t

@@ -1,31 +1,27 @@
-type t = { name : string; evaluate : Circuit.t -> float }
+type t =
+  | Linear of { t : float; cnot : float; gate : float }
+  | Log_fidelity of Calibration.t
 
-let of_stats ~name f = { name; evaluate = (fun c -> f (Circuit.stats c)) }
+let eqn2 = Linear { t = 0.5; cnot = 0.25; gate = 1.0 }
+let gate_volume = Linear { t = 0.0; cnot = 0.0; gate = 1.0 }
+let t_weighted = Linear { t = 10.0; cnot = 1.0; gate = 1.0 }
 
-let linear ~name ~t_weight ~cnot_weight ~gate_weight =
-  of_stats ~name (fun s ->
-      (t_weight *. float_of_int s.Circuit.t_count)
-      +. (cnot_weight *. float_of_int s.Circuit.cnot_count)
-      +. (gate_weight *. float_of_int s.Circuit.gate_volume))
+let evaluate cost c =
+  match cost with
+  | Linear { t; cnot; gate } ->
+    let s = Circuit.stats c in
+    (t *. float_of_int s.Circuit.t_count)
+    +. (cnot *. float_of_int s.Circuit.cnot_count)
+    +. (gate *. float_of_int s.Circuit.gate_volume)
+  | Log_fidelity cal ->
+    Circuit.fold
+      (fun acc g -> acc -. log (1.0 -. Calibration.gate_error cal g))
+      0.0 c
 
-let custom ~name evaluate = { name; evaluate }
-
-let eqn2 =
-  linear ~name:"eqn2 (0.5t + 0.25c + a)" ~t_weight:0.5 ~cnot_weight:0.25
-    ~gate_weight:1.0
-
-let gate_volume =
-  linear ~name:"gate-volume" ~t_weight:0.0 ~cnot_weight:0.0 ~gate_weight:1.0
-
-let t_weighted =
-  linear ~name:"t-weighted (10t + c + a)" ~t_weight:10.0 ~cnot_weight:1.0
-    ~gate_weight:1.0
-
-let name c = c.name
-let evaluate c circuit = c.evaluate circuit
+let to_string = function
+  | Linear { t; cnot; gate } ->
+    Printf.sprintf "linear:t=%.17g,cnot=%.17g,gate=%.17g" t cnot gate
+  | Log_fidelity cal -> "log-fidelity:" ^ Calibration.digest cal
 
 let percent_decrease ~before ~after =
   if before = 0.0 then 0.0 else 100.0 *. (before -. after) /. before
-
-let improves c ~original ~candidate =
-  evaluate c candidate < evaluate c original

@@ -114,12 +114,6 @@ let rec gate_error cal g =
 let success_probability cal c =
   Circuit.fold (fun acc g -> acc *. (1.0 -. gate_error cal g)) 1.0 c
 
-let log_fidelity_cost cal =
-  Cost.custom
-    ~name:(Printf.sprintf "log-fidelity (%s)" (Device.name cal.device))
-    (fun c ->
-      Circuit.fold (fun acc g -> acc -. log (1.0 -. gate_error cal g)) 0.0 c)
-
 let swap_hop_weight cal a b = -.log (1.0 -. gate_error cal (Gate.Swap (a, b)))
 
 (* Sorted and printed in hex, so equal calibrations render, and hash,

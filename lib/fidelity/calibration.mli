@@ -1,8 +1,10 @@
 (** Device calibration data: per-qubit and per-coupling gate error
-    rates, and the fidelity-derived cost functions the paper mentions
-    experimenting with (Section 2.2: "other metrics, such as qubit and
-    operator fidelity, rather than decoherence times within our cost
-    evaluations").
+    rates, the data behind the fidelity-derived costs the paper
+    mentions experimenting with (Section 2.2: "other metrics, such as
+    qubit and operator fidelity, rather than decoherence times within
+    our cost evaluations").  The cost itself is
+    [Cost.Log_fidelity cal]; the weighted router prices SWAPs with
+    {!swap_hop_weight}.
 
     Real IBM calibration snapshots from 2018 are no longer retrievable,
     so {!synthetic} generates deterministic plausible values in the
@@ -51,16 +53,10 @@ val gate_error : t -> Gate.t -> float
     IR). *)
 val success_probability : t -> Circuit.t -> float
 
-(** [log_fidelity_cost cal] is the cost function
-    [-sum log(1 - error(g))]: non-negative, additive per gate, and
-    minimizing it maximizes {!success_probability}.  Drop-in for the
-    optimizer and compiler. *)
-val log_fidelity_cost : t -> Cost.t
-
 (** [swap_hop_weight cal a b] prices a SWAP between the coupled qubits
-    [a] and [b] as [-log(1 - swap error)].  Plug into
-    {!Route.ctr_path_weighted} (or the compiler's weighted router) to
-    make CTR prefer reliable couplings over merely short paths. *)
+    [a] and [b] as [-log(1 - swap error)].  As the [~weight] of
+    [Route.route_circuit_swaps] (the compiler's [Weighted_ctr] router)
+    it makes CTR prefer reliable couplings over merely short paths. *)
 val swap_hop_weight : t -> int -> int -> float
 
 (** [digest cal] is a hex MD5 of a canonical, sorted rendering of the

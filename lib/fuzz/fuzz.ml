@@ -219,10 +219,10 @@ let circuit_to_string ~settings circuit device =
   Buffer.add_string b (Circuit.to_string circuit);
   Buffer.contents b
 
-(* The cost and rule selection of an [Optimize_case], by name: the
+(* The cost and rule selection of an [Optimize_case], exactly: the
    repro headers and the case printout. *)
 let optimize_settings cost rules =
-  [ ("cost", Cost.name cost); ("rules", Rewrite.selection_to_string rules) ]
+  [ ("cost", Cost.to_string cost); ("rules", Rewrite.selection_to_string rules) ]
 
 let case_to_string = function
   | Circuit_case { circuit; device; budget } ->
@@ -421,8 +421,11 @@ module Property = struct
      items 5-6.  Neither optimizing the output again nor one sweep of
      the passes may lower its cost: a sweep that ends early must not
      have stopped short of one that would still improve.  Each case
-     draws its objective (Eqn. 2 or T-weighted) and its rules (all or
-     none); half of them route a native circuit on a random device
+     draws its objective and its rules (all or none).  Half the
+     objectives are Eqn. 2 or T-weighted, half any weighting of Eqn. 2's
+     linear family, as [qsc compile --cost-weights] accepts: each
+     weight from {0, 0.25, 0.5, 1, 10}, not all zero.  Half the cases
+     route a native circuit on a random device
      and optimize for it, so that the guard reverts passes and the
      templates respect couplings, and half of those hold a circuit
      whose second sweep must run in full ([with_late_pass_case]). *)
@@ -435,7 +438,19 @@ module Property = struct
       paper = "Sec. 4 (cost-driven optimization)";
       gen =
         (fun cfg st ->
-          let cost = Gen.choose [ Cost.eqn2; Cost.t_weighted ] st in
+          let weight = Gen.choose [ 0.0; 0.25; 0.5; 1.0; 10.0 ] in
+          let rec any_linear st =
+            let t = weight st in
+            let cnot = weight st in
+            let gate = weight st in
+            if t = 0.0 && cnot = 0.0 && gate = 0.0 then any_linear st
+            else Cost.Linear { t; cnot; gate }
+          in
+          let cost =
+            if Random.State.bool st then
+              Gen.choose [ Cost.eqn2; Cost.t_weighted ] st
+            else any_linear st
+          in
           let rules =
             Gen.choose [ Rewrite.default_selection; Rewrite.empty_selection ] st
           in
@@ -543,9 +558,9 @@ module Property = struct
               ("ctr", fun stats -> Route.route_circuit_swaps ~stats ~swap_budget:b d c);
               ( "weighted",
                 fun stats ->
-                  Route.route_circuit_swaps_weighted ~stats ~swap_budget:b d
+                  Route.route_circuit_swaps ~stats ~swap_budget:b
                     ~weight:(fun _ _ -> 1.0)
-                    c );
+                    d c );
               ( "tracking",
                 fun stats ->
                   Route.route_circuit_tracking ~stats ~swap_budget:b d c );
@@ -1596,11 +1611,11 @@ module Property = struct
                   fun () ->
                     Printf.sprintf
                       "optimizer changed the unitary under %s (fired: %s)"
-                      (Cost.name cost) (String.concat ", " fired) );
+                      (Cost.to_string cost) (String.concat ", " fired) );
                 ( (fun () -> after <= before +. 1e-9),
                   fun () ->
                     Printf.sprintf "cost (%s) increased: %g -> %g"
-                      (Cost.name cost) before after );
+                      (Cost.to_string cost) before after );
                 ( (fun () ->
                     fired <> []
                     || Circuit.gates c'
@@ -2043,16 +2058,25 @@ let repro_of_string s =
           with_circuit (fun device circuit ->
               Circuit_case { circuit; device; budget })
         | "optimize" -> (
+          (* Any linear cost, as [Cost.to_string] renders it; a
+             calibration's digest cannot be read back. *)
           let cost =
-            List.find_opt
-              (fun c -> Some (Cost.name c) = get "cost")
-              [ Cost.eqn2; Cost.gate_volume; Cost.t_weighted ]
+            Option.bind (get "cost") (fun s ->
+                Scanf.sscanf_opt s "linear:t=%s@,cnot=%s@,gate=%s%!"
+                  (fun t cnot gate ->
+                    match
+                      List.map float_of_string_opt [ t; cnot; gate ]
+                    with
+                    | [ Some t; Some cnot; Some gate ] ->
+                      Some (Cost.Linear { t; cnot; gate })
+                    | _ -> None)
+                |> Option.join)
           in
           match (cost, Option.map Rewrite.parse_selection (get "rules")) with
           | Some cost, Some (Ok rules) ->
             with_circuit (fun device circuit ->
                 Optimize_case { circuit; device; cost; rules })
-          | None, _ -> Error "optimize case without a known cost header"
+          | None, _ -> Error "optimize case without a linear cost header"
           | Some _, (None | Some (Error _)) ->
             Error "optimize case without a valid rules header")
         | "function" -> (

@@ -235,7 +235,9 @@ val failed : summary list -> bool
 val repro_to_string : failure -> string
 
 (** [repro_of_string s] parses a repro file back into the property
-    name, the replay seed, and the shrunk case. *)
+    name, the replay seed, and the shrunk case.  An optimize case's
+    [cost:] header reads back when it renders a linear cost (the only
+    kind the properties draw); a calibration renders as a digest. *)
 val repro_of_string : string -> (string * int * case, string) result
 
 (** [replay ~property case] runs the named property's check on a

@@ -131,9 +131,9 @@ val semantic : ?rules:Rule.t list -> Circuit.t -> finding list
     ignored.  Default: all rules. *)
 val device_legal : ?rules:Rule.t list -> Device.t -> Circuit.t -> finding list
 
-(** [is_device_legal d c] = [device_legal d c = []].  Strictly stronger
-    than {!Route.legal_on} in reporting: same verdict, but the findings
-    say {e which} gate fails and {e why}. *)
+(** [is_device_legal d c] = [device_legal d c = []]: the contract the
+    routers guarantee, as a verdict.  {!device_legal} says {e which}
+    gate fails and {e why}. *)
 val is_device_legal : Device.t -> Circuit.t -> bool
 
 (** [lint ?rules ?device c] is {!check} plus {!semantic} plus, when

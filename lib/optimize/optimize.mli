@@ -23,8 +23,7 @@
     that sweep returned and changed it not at all (each found nothing,
     or the guard reverted it).  So while a sweep has kept nothing, it
     stops on reaching that point, not improved: the passes are
-    deterministic in the circuit, the device, the rules and the cost
-    (a {!Cost.custom} objective must be a function of the circuit).
+    deterministic in the circuit, the device, the rules and the cost.
     It bumps ["rewrite/reverted"] once for each revert it skips.  The
     first sweep and every sweep that changes the circuit run in full,
     so outputs, iteration counts, sweep spans and counter totals are

@@ -130,11 +130,9 @@ let ctr_path_weighted d ~weight ~control ~target =
     end
   end
 
-let allows d ~control ~target = Device.allows_cnot d ~control ~target
-
 let oriented_cnot ?stats d ~control ~target =
-  if allows d ~control ~target then [ Gate.Cnot { control; target } ]
-  else if allows d ~control:target ~target:control then begin
+  if Device.allows_cnot d ~control ~target then [ Gate.Cnot { control; target } ]
+  else if Device.allows_cnot d ~control:target ~target:control then begin
     note stats (fun s -> s.reversed_cnots <- s.reversed_cnots + 1);
     Decompose.cnot_reverse ~control ~target
   end
@@ -143,218 +141,122 @@ let oriented_cnot ?stats d ~control ~target =
       (Printf.sprintf "Route.oriented_cnot: q%d,q%d not coupled on %s" control
          target (Device.name d))
 
-(* [budget], when given, is the number of SWAP gates that may still be
-   emitted (a reroute of [hops] hops emits the forward chain and the
-   return chain, so it costs [2 * hops]).  A reroute whose chain does
-   not fit leaves the CNOT as written — the unitary is preserved, the gate is merely not yet
-   device-legal — and counts it in [unrouted_cnots] so the caller can
-   mark the stage degraded.  Direction reversals cost no SWAPs and are
-   always performed. *)
-let routed_cnot_gates ?path_finder ?stats ?budget d ~swap ~control ~target =
+let rec swaps = function
+  | a :: (b :: _ as rest) -> Gate.Swap (a, b) :: swaps rest
+  | [ _ ] | [] -> []
+
+(* The one per-CNOT step of both routers.  A coupled pair is only
+   oriented.  Otherwise [find] gives the path, and the reroute is
+   charged [2 * hops] SWAPs up front, under the budget rule of
+   [route_circuit_swaps]: one SWAP per hop on the way there and one on
+   the way back, whether CTR swaps straight back or the tracking router
+   restores the layout at the end.  A reroute the budget cannot pay
+   leaves the CNOT as written; one it can emits the forward chain, the
+   CNOT from the landing qubit, and [back path]. *)
+let reroute ?stats ?budget ~find ~back d ~control ~target =
   if Device.coupled d control target then oriented_cnot ?stats d ~control ~target
   else
-    let find =
-      match path_finder with
-      | Some f -> f
-      | None -> fun ~control ~target -> ctr_path d ~control ~target
-    in
     let path = find ~control ~target in
     let hops = List.length path - 1 in
-    let exhausted =
+    let fits =
       match budget with
-      | Some remaining when 2 * hops > !remaining -> true
+      | Some remaining when 2 * hops > !remaining -> false
       | Some remaining ->
         remaining := !remaining - (2 * hops);
-        false
-      | None -> false
+        true
+      | None -> true
     in
-    if exhausted then begin
+    if not fits then begin
       note stats (fun s -> s.unrouted_cnots <- s.unrouted_cnots + 1);
       [ Gate.Cnot { control; target } ]
     end
     else begin
-    note stats (fun s ->
-        s.rerouted_cnots <- s.rerouted_cnots + 1;
-        s.swap_hops <- s.swap_hops + hops;
-        if hops > s.max_path_hops then s.max_path_hops <- hops;
-        s.swaps_inserted <- s.swaps_inserted + (2 * hops));
-    let rec swaps = function
-      | a :: (b :: _ as rest) -> swap a b @ swaps rest
-      | [ _ ] | [] -> []
-    in
-    let forward = swaps path in
-    let landing =
-      match List.rev path with
-      | last :: _ -> last
-      | [] -> assert false
-    in
-    let backward = swaps (List.rev path) in
-    List.concat
-      [ forward; oriented_cnot ?stats d ~control:landing ~target; backward ]
+      note stats (fun s ->
+          s.rerouted_cnots <- s.rerouted_cnots + 1;
+          s.swap_hops <- s.swap_hops + hops;
+          if hops > s.max_path_hops then s.max_path_hops <- hops;
+          s.swaps_inserted <- s.swaps_inserted + (2 * hops));
+      let landing = List.nth path hops in
+      swaps path @ oriented_cnot ?stats d ~control:landing ~target @ back path
     end
 
-let route_cnot d ~control ~target =
-  let allows_pred ~control ~target = allows d ~control ~target in
-  let swap a b = Decompose.swap_as_cnots ~allows:allows_pred a b in
-  routed_cnot_gates d ~swap ~control ~target
-
-let route_cnot_swaps ?stats d ~control ~target =
-  routed_cnot_gates ?stats d
-    ~swap:(fun a b -> [ Gate.Swap (a, b) ])
-    ~control ~target
-
-let route_with ~route_cnot_gates d c =
-  if Circuit.n_qubits c > Device.n_qubits d then
+(* The one walk of both routers over a native circuit: it checks the
+   width, hands each CNOT to [cnot] (a simulator takes every CNOT as
+   written) and each one-qubit gate to [one], and refuses the rest.
+   [who] names the router in the errors. *)
+let route_native ~who ~one ~cnot d c =
+  let n = Device.n_qubits d in
+  if Circuit.n_qubits c > n then
     invalid_arg
-      (Printf.sprintf
-         "Route.route_circuit: circuit needs %d qubits but %s has %d"
-         (Circuit.n_qubits c) (Device.name d) (Device.n_qubits d));
-  let route_gate g =
-    match g with
-    | Gate.Cnot { control; target } ->
-      if Device.is_simulator d then [ g ]
-      else route_cnot_gates d ~control ~target
-    | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
-    | Gate.T _ | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ ->
-      [ g ]
-    | Gate.Cz _ | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
-      invalid_arg
-        (Printf.sprintf "Route.route_circuit: non-native gate %s"
-           (Gate.to_string g))
-  in
-  Circuit.map_gates route_gate (Circuit.widen c (Device.n_qubits d))
-
-let route_circuit d c = route_with ~route_cnot_gates:route_cnot d c
+      (Printf.sprintf "Route.%s: circuit needs %d qubits but %s has %d" who
+         (Circuit.n_qubits c) (Device.name d) n);
+  Circuit.map_gates
+    (fun g ->
+      match g with
+      | Gate.Cnot { control; target } when not (Device.is_simulator d) ->
+        cnot ~control ~target
+      | Gate.Cnot _ | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _
+      | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _
+      | Gate.Phase _ ->
+        one g
+      | Gate.Cz _ | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
+        invalid_arg
+          (Printf.sprintf "Route.%s: non-native gate %s" who (Gate.to_string g)))
+    (Circuit.widen c n)
 
 let budget_ref = function
   | None -> None
   | Some b -> Some (ref (max b 0))
 
-let route_circuit_swaps ?stats ?swap_budget d c =
+let route_circuit_swaps ?stats ?swap_budget ?weight d c =
   let budget = budget_ref swap_budget in
-  let route_gate d ~control ~target =
-    routed_cnot_gates ?stats ?budget d
-      ~swap:(fun a b -> [ Gate.Swap (a, b) ])
-      ~control ~target
+  let find =
+    match weight with
+    | None -> ctr_path d
+    | Some weight -> ctr_path_weighted d ~weight
   in
-  route_with ~route_cnot_gates:route_gate d c
-
-let route_circuit_swaps_weighted ?stats ?swap_budget d ~weight c =
-  let budget = budget_ref swap_budget in
-  let path_finder ~control ~target =
-    ctr_path_weighted d ~weight ~control ~target
-  in
-  let route_gate d ~control ~target =
-    routed_cnot_gates ~path_finder ?stats ?budget d
-      ~swap:(fun a b -> [ Gate.Swap (a, b) ])
-      ~control ~target
-  in
-  route_with ~route_cnot_gates:route_gate d c
+  let back path = swaps (List.rev path) in
+  route_native ~who:"route_circuit" d c
+    ~one:(fun g -> [ g ])
+    ~cnot:(reroute ?stats ?budget ~find ~back d)
 
 let expand_swaps d c =
-  let allows_pred ~control ~target = allows d ~control ~target in
+  let allows = Device.allows_cnot d in
   Circuit.map_gates
     (function
       | Gate.Swap (a, b) when not (Device.is_simulator d) ->
-        Decompose.swap_as_cnots ~allows:allows_pred a b
+        Decompose.swap_as_cnots ~allows a b
       | g -> [ g ])
     c
 
+let route_circuit d c = expand_swaps d (route_circuit_swaps d c)
+
 let route_circuit_tracking ?stats ?swap_budget d c =
-  if Circuit.n_qubits c > Device.n_qubits d then
-    invalid_arg
-      (Printf.sprintf
-         "Route.route_circuit_tracking: circuit needs %d qubits but %s has %d"
-         (Circuit.n_qubits c) (Device.name d) (Device.n_qubits d));
   let budget = budget_ref swap_budget in
   let n = Device.n_qubits d in
-  let phys_of_log = Array.init n (fun q -> q) in
-  let log_of_phys = Array.init n (fun q -> q) in
-  let out = Circuit.Builder.create ~n in
+  let phys_of_log = Array.init n Fun.id and log_of_phys = Array.init n Fun.id in
   let history = ref [] in
-  let emit g = Circuit.Builder.add out g in
-  let do_swap p1 p2 =
-    emit (Gate.Swap (p1, p2));
-    note stats (fun s -> s.swaps_inserted <- s.swaps_inserted + 1);
-    history := (p1, p2) :: !history;
-    let l1 = log_of_phys.(p1) and l2 = log_of_phys.(p2) in
-    log_of_phys.(p1) <- l2;
-    log_of_phys.(p2) <- l1;
-    phys_of_log.(l1) <- p2;
-    phys_of_log.(l2) <- p1
+  (* The tracking router's way back: each forward SWAP moves the layout
+     and is recorded, and nothing is emitted until the final restore. *)
+  let rec move = function
+    | p1 :: (p2 :: _ as rest) ->
+      history := (p1, p2) :: !history;
+      let l1 = log_of_phys.(p1) and l2 = log_of_phys.(p2) in
+      log_of_phys.(p1) <- l2;
+      log_of_phys.(p2) <- l1;
+      phys_of_log.(l1) <- p2;
+      phys_of_log.(l2) <- p1;
+      move rest
+    | [ _ ] | [] -> []
   in
-  let route_gate g =
-    match g with
-    | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
-    | Gate.T _ | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ ->
-      emit (Gate.rename (fun q -> phys_of_log.(q)) g)
-    | Gate.Cnot { control; target } ->
-      if Device.is_simulator d then emit g
-      else begin
-        let pc = phys_of_log.(control) and pt = phys_of_log.(target) in
-        (* Budget = SWAPs actually emitted, the same semantic as the
-           swap-chain routers: each forward hop accepted here is
-           replayed once by the final layout restore, so a reroute of
-           [hops] hops costs [2 * hops] emitted SWAPs and is charged as
-           such up front. *)
-        if Device.coupled d pc pt then
-          List.iter emit (oriented_cnot ?stats d ~control:pc ~target:pt)
-        else begin
-          let path = ctr_path d ~control:pc ~target:pt in
-          let hops = List.length path - 1 in
-          let exhausted =
-            match budget with
-            | Some remaining when 2 * hops > !remaining -> true
-            | Some remaining ->
-              remaining := !remaining - (2 * hops);
-              false
-            | None -> false
-          in
-          if exhausted then begin
-            note stats (fun s -> s.unrouted_cnots <- s.unrouted_cnots + 1);
-            emit (Gate.Cnot { control = pc; target = pt })
-          end
-          else begin
-            note stats (fun s ->
-                s.rerouted_cnots <- s.rerouted_cnots + 1;
-                s.swap_hops <- s.swap_hops + hops;
-                if hops > s.max_path_hops then s.max_path_hops <- hops);
-            let rec walk = function
-              | a :: (b :: _ as rest) ->
-                do_swap a b;
-                walk rest
-              | [ last ] -> last
-              | [] -> assert false
-            in
-            let landing = walk path in
-            List.iter emit (oriented_cnot ?stats d ~control:landing ~target:pt)
-          end
-        end
-      end
-    | Gate.Cz _ | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
-      invalid_arg
-        (Printf.sprintf "Route.route_circuit_tracking: non-native gate %s"
-           (Gate.to_string g))
+  let routed =
+    route_native ~who:"route_circuit_tracking" d c
+      ~one:(fun g -> [ Gate.rename (fun q -> phys_of_log.(q)) g ])
+      ~cnot:(fun ~control ~target ->
+        reroute ?stats ?budget ~find:(ctr_path d) ~back:move d
+          ~control:phys_of_log.(control) ~target:phys_of_log.(target))
   in
-  Circuit.iter route_gate (Circuit.widen c n);
   (* Restore the original layout so the circuit computes the same
      unitary as the input: undo the swap history. *)
-  note stats (fun s ->
-      s.swaps_inserted <- s.swaps_inserted + List.length !history);
-  List.iter (fun (p1, p2) -> emit (Gate.Swap (p1, p2))) !history;
-  Circuit.Builder.to_circuit out
-
-let legal_on d c =
-  Circuit.n_qubits c <= Device.n_qubits d
-  && Circuit.fold
-       (fun ok g ->
-         ok
-         &&
-         match g with
-         | Gate.Cnot { control; target } ->
-           Device.allows_cnot d ~control ~target
-         | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
-         | Gate.T _ | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ ->
-           true
-         | Gate.Cz _ | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ -> false)
-       true c
+  Circuit.concat routed
+    (Circuit.make ~n (List.map (fun (a, b) -> Gate.Swap (a, b)) !history))

@@ -25,8 +25,8 @@ type stats = {
   mutable unrouted_cnots : int;
       (** CNOTs left as written because the [swap_budget] ran out; the
           output preserves the unitary but those gates are not
-          device-legal (graceful degradation — see the budgeted
-          routers below) *)
+          device-legal (see the budget rule of
+          {!route_circuit_swaps}) *)
 }
 
 val new_stats : unit -> stats
@@ -53,75 +53,53 @@ val ctr_path_weighted :
   target:int ->
   int list
 
-(** [route_circuit_swaps_weighted d ~weight c] is
-    {!route_circuit_swaps} with weighted path selection. *)
-val route_circuit_swaps_weighted :
+(** [route_circuit_swaps ?stats ?swap_budget ?weight d c] maps a
+    technology-ready circuit (native library only) onto the device, the
+    CTR router: one-qubit gates pass through, each CNOT is oriented
+    (Fig. 6 reversal) or rerouted along {!ctr_path}, and the CTR SWAPs
+    stay whole, as {!Gate.Swap} units on coupled pairs, so the optimizer
+    can cancel a swap-back against the next swap-forward before
+    {!expand_swaps}.  With [weight], paths come from
+    {!ctr_path_weighted} instead.  The result is declared on the
+    device's full register.
+
+    {b Budget.}  [swap_budget], when given, caps the SWAP gates the
+    router {e emits}: a reroute of [h] hops is charged [2 * h] up front
+    ([h] SWAPs there and [h] back), so [stats.swaps_inserted] never
+    exceeds the budget.  A reroute the budget cannot pay leaves its
+    CNOT {e as written} — the unitary is preserved, the gate is not yet
+    legal — and counts it in [stats.unrouted_cnots] (graceful
+    degradation: the compiler marks the stage [Degraded] instead of
+    aborting).  Direction-only reversals cost no SWAPs and always
+    happen.  Without a budget every CNOT of the result is legal on
+    [d].
+    @raise Invalid_argument if [c] contains non-native gates or needs
+    more qubits than the device has.
+    @raise Unroutable as {!ctr_path}. *)
+val route_circuit_swaps :
   ?stats:stats ->
   ?swap_budget:int ->
+  ?weight:(int -> int -> float) ->
   Device.t ->
-  weight:(int -> int -> float) ->
   Circuit.t ->
   Circuit.t
 
-(** [route_cnot d ~control ~target] emits a native realization of the
-    CNOT: the gate itself when legal, a Fig. 6 reversal when only the
-    opposite direction exists, and otherwise the full CTR
-    swap-CNOT-swap-back sequence with every emitted CNOT legal on [d]. *)
-val route_cnot : Device.t -> control:int -> target:int -> Gate.t list
-
-(** [route_cnot_swaps d ~control ~target] is {!route_cnot} with the CTR
-    SWAPs kept as {!Gate.Swap} units (each between a coupled pair)
-    instead of being expanded to CNOTs.  Keeping SWAPs whole lets the
-    optimizer cancel a swap-back against the next gate's swap-forward as
-    single gates before expansion. *)
-val route_cnot_swaps :
-  ?stats:stats -> Device.t -> control:int -> target:int -> Gate.t list
-
-(** [route_circuit_swaps ?stats ?swap_budget d c] maps the circuit
-    keeping CTR SWAPs as units; every SWAP in the result joins a
-    coupled pair.  Without [swap_budget] every CNOT is legal on [d].
-    With one, at most [swap_budget] SWAP gates are {e emitted} — the
-    budget counts SWAPs that actually appear in the output, the same
-    semantic every budgeted router uses, so [stats.swaps_inserted]
-    never exceeds the budget.  Once a reroute no longer fits, its CNOT
-    is left {e as written} — the unitary is preserved, the gate is not
-    yet legal — and counted in [stats.unrouted_cnots] (graceful
-    degradation: the compiler marks the stage [Degraded] instead of
-    aborting).  Direction-only reversals cost no SWAPs and always
-    happen.  Same preconditions as {!route_circuit}. *)
-val route_circuit_swaps :
-  ?stats:stats -> ?swap_budget:int -> Device.t -> Circuit.t -> Circuit.t
-
 (** [expand_swaps d c] replaces each SWAP (which must join a coupled
-    pair) with its CNOT realization, at most 7 gates (Fig. 3 + Fig. 6).
-    [route_circuit d c] = [expand_swaps d (route_circuit_swaps d c)]. *)
+    pair) with its CNOT realization, at most 7 gates (Fig. 3 + Fig. 6). *)
 val expand_swaps : Device.t -> Circuit.t -> Circuit.t
+
+(** [route_circuit d c] = [expand_swaps d (route_circuit_swaps d c)]:
+    the CTR route with every gate native and every CNOT legal on [d].
+    Same exceptions as {!route_circuit_swaps}. *)
+val route_circuit : Device.t -> Circuit.t -> Circuit.t
 
 (** [route_circuit_tracking d c] is a baseline router for comparison
     with CTR: instead of swapping the control back after every CNOT, it
     {e tracks} the logical-to-physical layout as SWAPs accumulate and
     only restores the original layout once, at the end of the circuit
     (by replaying the swap history in reverse).  Output is swap-level,
-    like {!route_circuit_swaps}; same preconditions and guarantees
-    (legal CNOTs, SWAPs on coupled pairs, same overall unitary).
-    [swap_budget] degrades as in {!route_circuit_swaps} and uses the
-    same semantic — budget = SWAPs actually emitted: each accepted
-    forward hop is replayed once by the final layout restore, so a
-    reroute of [h] hops is charged [2 * h] up front and
-    [stats.swaps_inserted] (forward plus restore swaps) never exceeds
-    the budget. *)
+    with the preconditions, guarantees and budget rule of
+    {!route_circuit_swaps}: each forward hop is replayed once by the
+    restore, so it too emits [2 * h] SWAPs per reroute of [h] hops. *)
 val route_circuit_tracking :
   ?stats:stats -> ?swap_budget:int -> Device.t -> Circuit.t -> Circuit.t
-
-(** [route_circuit d c] maps a technology-ready circuit (native library
-    only) onto the device: one-qubit gates pass through, CNOTs are
-    routed.  The result is declared on the device's full register.
-    @raise Invalid_argument if [c] contains non-native gates or needs
-    more qubits than the device has.
-    @raise Unroutable as {!ctr_path}. *)
-val route_circuit : Device.t -> Circuit.t -> Circuit.t
-
-(** [legal_on d c] checks the contract the router guarantees: every
-    CNOT of [c] is allowed by the coupling map (and the circuit fits the
-    register).  Used by tests and by the compiler's sanity checks. *)
-val legal_on : Device.t -> Circuit.t -> bool

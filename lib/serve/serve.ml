@@ -669,7 +669,7 @@ let cache_lookup t key =
 
 let record_miss t = with_state t (fun () -> count_miss t)
 
-let outcome_response req = function
+let outcome_response = function
   | Error ds ->
     (* Failures are cheap to recompute and usually get fixed and
        resubmitted; only completed reports are worth cache slots. *)
@@ -680,9 +680,7 @@ let outcome_response req = function
     let payload =
       [
         ("status", J.String (if mismatch then "mismatch" else "ok"));
-        ( "report",
-          scrub_report
-            (Compiler.report_to_json ~cost:req.options.Compiler.cost report) );
+        ("report", scrub_report (Compiler.report_to_json report));
       ]
     in
     `Report (code, payload)
@@ -690,7 +688,7 @@ let outcome_response req = function
 (* The pure compile core and its rendering: no cache access, no locks.
    Runs on a pool domain (see [submit]). *)
 let compile_uncached t req =
-  outcome_response req
+  outcome_response
     (guarded_allocation t (fun () ->
          (match t.inject with Some f -> f () | None -> ());
          match Compiler.parse_source_checked ~format:req.format req.source with

@@ -143,7 +143,7 @@ let test_classics_compile () =
       in
       check_bool (name ^ " verified") true
         (Compiler.verified r.Compiler.verification);
-      check_bool (name ^ " legal") true (Route.legal_on device r.Compiler.optimized))
+      check_bool (name ^ " legal") true (Lint.is_device_legal device r.Compiler.optimized))
     cases
 
 let test_invalid_arguments () =

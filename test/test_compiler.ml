@@ -13,7 +13,7 @@ let compile_to device input =
 
 let assert_valid_output device (r : Compiler.report) =
   check_bool "native gates only" true (Circuit.uses_only_native r.optimized);
-  check_bool "legal on device" true (Route.legal_on device r.optimized);
+  check_bool "legal on device" true (Lint.is_device_legal device r.optimized);
   check_bool "verified" true (r.verification = Compiler.Verified);
   check_bool "optimized not worse" true
     (r.optimized_cost <= r.unoptimized_cost)
@@ -443,6 +443,22 @@ let test_content_digests () =
       );
       ( "swap_budget",
         budgets (fun b -> { b with Compiler.swap_budget = Some 1 }) );
+      (* A cost is digested by its content: weights that differ in one
+         place, and calibrations of one device. *)
+      ( "cost linear 1",
+        { options with
+          Compiler.cost = Cost.Linear { t = 1.0; cnot = 0.0; gate = 0.0 } } );
+      ( "cost linear 9",
+        { options with
+          Compiler.cost = Cost.Linear { t = 9.0; cnot = 0.0; gate = 0.0 } } );
+      ( "cost fidelity seed 1",
+        { options with
+          Compiler.cost =
+            Cost.Log_fidelity (Calibration.synthetic ~seed:1 device) } );
+      ( "cost fidelity seed 2",
+        { options with
+          Compiler.cost =
+            Cost.Log_fidelity (Calibration.synthetic ~seed:2 device) } );
     ]
   in
   List.iter
@@ -493,7 +509,7 @@ let test_option_combinations () =
         (Printf.sprintf "pre=%b post=%b place=%b verified" pre post place)
         true
         (Compiler.verified r.Compiler.verification);
-      check_bool "legal" true (Route.legal_on device r.Compiler.optimized))
+      check_bool "legal" true (Lint.is_device_legal device r.Compiler.optimized))
     [
       (false, false, false);
       (false, true, false);
@@ -522,7 +538,7 @@ let prop_compile_random_circuits =
     (fun c ->
       let r = compile_to Device.Ibm.ibmqx4 (Compiler.Quantum c) in
       r.Compiler.verification = Compiler.Verified
-      && Route.legal_on Device.Ibm.ibmqx4 r.Compiler.optimized
+      && Lint.is_device_legal Device.Ibm.ibmqx4 r.Compiler.optimized
       && Circuit.uses_only_native r.Compiler.optimized)
 
 let prop_compile_idempotent =
@@ -556,7 +572,7 @@ let prop_all_routers_verified =
           in
           let r = Compiler.compile opts (Compiler.Quantum c) in
           Compiler.verified r.Compiler.verification
-          && Route.legal_on device r.Compiler.optimized)
+          && Lint.is_device_legal device r.Compiler.optimized)
         [
           Compiler.Ctr;
           Compiler.Tracking;
@@ -693,7 +709,7 @@ let test_swap_budget_degrades () =
     check_bool "unitary preserved" true
       (Compiler.verified r.Compiler.verification);
     check_bool "not device-legal" false
-      (Route.legal_on device r.Compiler.optimized)
+      (Lint.is_device_legal device r.Compiler.optimized)
   | Error ds ->
     Alcotest.failf "swap-budgeted compile failed: %s"
       (String.concat "; " (List.map Diagnostic.to_string ds))

@@ -1,4 +1,5 @@
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 let check_float name expected actual =
   Alcotest.(check (float 1e-9)) name expected actual
@@ -20,26 +21,33 @@ let test_eqn2 () =
   check_float "empty circuit" 0.0 (Cost.evaluate Cost.eqn2 (Circuit.empty 2))
 
 let test_linear_weights () =
-  let t_only =
-    Cost.linear ~name:"t only" ~t_weight:1.0 ~cnot_weight:0.0 ~gate_weight:0.0
-  in
+  let t_only = Cost.Linear { t = 1.0; cnot = 0.0; gate = 0.0 } in
   check_float "counts T gates" 2.0 (Cost.evaluate t_only sample);
-  let volume =
-    Cost.linear ~name:"volume" ~t_weight:0.0 ~cnot_weight:0.0 ~gate_weight:1.0
-  in
-  check_float "counts volume" 6.0 (Cost.evaluate volume sample)
+  check_float "counts volume" 6.0 (Cost.evaluate Cost.gate_volume sample);
+  (* 10*2 + 2 + 6 *)
+  check_float "t-weighted" 28.0 (Cost.evaluate Cost.t_weighted sample)
 
-let test_custom_and_of_stats () =
-  let depth_cost = Cost.custom ~name:"depth" (fun c -> float_of_int (Circuit.depth c)) in
-  check_float "custom sees the circuit" (float_of_int (Circuit.depth sample))
-    (Cost.evaluate depth_cost sample);
-  let cnot_squared =
-    Cost.of_stats ~name:"c^2" (fun s ->
-        let c = float_of_int s.Circuit.cnot_count in
-        c *. c)
+let test_to_string () =
+  (* The rendering is exact: it tells apart weights one ulp apart and
+     calibrations that differ in one rate, and agrees on equal costs. *)
+  let linear t = Cost.Linear { t; cnot = 0.25; gate = 1.0 } in
+  check_string "eqn2" "linear:t=0.5,cnot=0.25,gate=1" (Cost.to_string Cost.eqn2);
+  check_bool "equal weights render alike" true
+    (Cost.to_string (linear 0.5) = Cost.to_string Cost.eqn2);
+  check_bool "one ulp apart" false
+    (Cost.to_string (linear 0.5) = Cost.to_string (linear (Float.succ 0.5)));
+  let fidelity rate =
+    Cost.Log_fidelity
+      (Calibration.of_values Device.Ibm.ibmqx4 ~single:[ (0, rate) ]
+         ~readout:[] ~cnot:[])
   in
-  check_float "nonlinear stats cost" 4.0 (Cost.evaluate cnot_squared sample);
-  check_bool "names kept" true (Cost.name depth_cost = "depth")
+  check_bool "calibration by digest" true
+    (String.starts_with ~prefix:"log-fidelity:"
+       (Cost.to_string (fidelity 0.01)));
+  check_bool "equal calibrations render alike" true
+    (Cost.to_string (fidelity 0.01) = Cost.to_string (fidelity 0.01));
+  check_bool "one rate apart" false
+    (Cost.to_string (fidelity 0.01) = Cost.to_string (fidelity 0.02))
 
 let test_percent_decrease () =
   check_float "50 percent" 50.0 (Cost.percent_decrease ~before:10.0 ~after:5.0);
@@ -47,13 +55,6 @@ let test_percent_decrease () =
   check_float "zero before guarded" 0.0 (Cost.percent_decrease ~before:0.0 ~after:3.0);
   check_float "negative when worse" (-20.0)
     (Cost.percent_decrease ~before:5.0 ~after:6.0)
-
-let test_improves () =
-  let smaller = Circuit.make ~n:3 [ Gate.H 0 ] in
-  check_bool "smaller improves" true
-    (Cost.improves Cost.eqn2 ~original:sample ~candidate:smaller);
-  check_bool "equal does not improve" false
-    (Cost.improves Cost.eqn2 ~original:sample ~candidate:sample)
 
 let prop_eqn2_additive =
   QCheck2.Test.make ~name:"eqn2 additive over concatenation" ~count:80
@@ -80,9 +81,8 @@ let () =
         [
           Alcotest.test_case "eqn2" `Quick test_eqn2;
           Alcotest.test_case "linear weights" `Quick test_linear_weights;
-          Alcotest.test_case "custom/of_stats" `Quick test_custom_and_of_stats;
+          Alcotest.test_case "to_string" `Quick test_to_string;
           Alcotest.test_case "percent decrease" `Quick test_percent_decrease;
-          Alcotest.test_case "improves" `Quick test_improves;
         ] );
       ( "properties",
         [

@@ -81,7 +81,7 @@ let test_success_probability () =
     (Calibration.success_probability cal (Circuit.empty 5) = 1.0)
 
 let test_log_fidelity_cost () =
-  let cost = Calibration.log_fidelity_cost cal in
+  let cost = Cost.Log_fidelity cal in
   let small = Circuit.make ~n:5 [ Gate.H 0 ] in
   let large =
     Circuit.make ~n:5
@@ -97,7 +97,7 @@ let test_log_fidelity_cost () =
 let test_optimizer_with_fidelity_cost () =
   (* The optimizer accepts the fidelity cost and still cleans up: fewer
      gates means strictly higher success probability. *)
-  let cost = Calibration.log_fidelity_cost cal in
+  let cost = Cost.Log_fidelity cal in
   let c =
     Circuit.make ~n:5
       [

@@ -151,6 +151,14 @@ let test_repro_roundtrip () =
           cost = Cost.eqn2;
           rules = Rewrite.default_selection;
         };
+      (* Any linear cost reads back, whatever its weights. *)
+      Fuzz.Optimize_case
+        {
+          circuit = Circuit.make ~n:1 [ Gate.T 0 ];
+          device = None;
+          cost = Cost.Linear { t = 0.1; cnot = 1e-300; gate = -10.0 };
+          rules = Rewrite.default_selection;
+        };
       Fuzz.Source_case { ext = ".qasm"; text = "OPENQASM 2.0;\nqreg q[1];\n" };
     ]
 

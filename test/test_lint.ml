@@ -138,17 +138,6 @@ let test_legality_clean_cases () =
   let c = Circuit.make ~n:5 [ Gate.Cnot { control = 0; target = 4 } ] in
   check_bool "simulator legal" true (Lint.is_device_legal sim c)
 
-let prop_agrees_with_route_legal_on =
-  (* Route.legal_on is the boolean the router already guarantees; the
-     lint verdict must coincide on every random native circuit. *)
-  QCheck2.Test.make ~name:"is_device_legal agrees with Route.legal_on"
-    ~count:200
-    (Testutil.gen_native_circuit ~max_gates:12 5)
-    (fun c ->
-      List.for_all
-        (fun d -> Lint.is_device_legal d c = Route.legal_on d c)
-        (Device.Ibm.all @ [ Device.simulator ~n_qubits:5 ]))
-
 let prop_routed_output_certified =
   (* Whatever the router emits, the static checker certifies. *)
   QCheck2.Test.make ~name:"router output is lint-clean" ~count:100
@@ -320,7 +309,6 @@ let () =
           Alcotest.test_case "non-native and width" `Quick
             test_legality_non_native_and_width;
           Alcotest.test_case "clean cases" `Quick test_legality_clean_cases;
-          QCheck_alcotest.to_alcotest prop_agrees_with_route_legal_on;
           QCheck_alcotest.to_alcotest prop_routed_output_certified;
         ] );
       ( "certification",

@@ -428,7 +428,7 @@ let prop_device_optimize_stays_legal =
     (fun c ->
       let d = Device.Ibm.ibmqx4 in
       let routed = Route.route_circuit d c in
-      Route.legal_on d (Optimize.optimize ~device:d routed))
+      Lint.is_device_legal d (Optimize.optimize ~device:d routed))
 
 let prop_commutes_sound =
   (* Whenever [commutes] says yes, the matrices really commute. *)
@@ -671,24 +671,19 @@ module Full_sweep = struct
     (outcome, !replays)
 end
 
-(* Z and S cost 10, every other gate 1: phase-merge's T; T -> S and
-   clifford-normalize's rewrites into Z or S raise it, so the cost
-   guard reverts them. *)
-let zs_heavy =
-  Cost.custom ~name:"zs-heavy" (fun c ->
-      Circuit.fold
-        (fun acc g ->
-          acc +. match g with Gate.Z _ | Gate.S _ -> 10.0 | _ -> 1.0)
-        0.0 c)
+(* T gates are free and every other gate costs 1: phase-merge's
+   T; T -> S raises the cost from 0 to 1, so the cost guard reverts
+   it. *)
+let t_free = Cost.Linear { t = -1.0; cnot = 0.0; gate = 1.0 }
 
 let test_confirming_sweep_replays_reverts () =
   (* Sweep 1 keeps only cancellation (H; H goes) and reverts
-     phase-merge's T; T -> S, which [zs_heavy] prices 2 -> 10.  Sweep 2
+     phase-merge's T; T -> S, which [t_free] prices 0 -> 1.  Sweep 2
      ends after cancellation, on the circuit sweep 1 left, and bumps the
      revert it skips, as the full sweep would have. *)
   let c = circ [ Gate.H 0; Gate.H 0; Gate.T 1; Gate.T 1 ] in
   let trace = Trace.create () in
-  let out = Optimize.optimize_budgeted ~cost:zs_heavy ~trace c in
+  let out = Optimize.optimize_budgeted ~cost:t_free ~trace c in
   check_bool "T; T stays" true (Circuit.gates out.circuit = [ Gate.T 1; Gate.T 1 ]);
   check_int "one sweep kept" 1 out.iterations;
   check_bool "both reverts counted" true
@@ -785,14 +780,14 @@ type loop_case = {
 let print_loop_case k =
   Printf.sprintf "device %s, cost %s, rules %s, check %s, max_iterations %s\n%s"
     (match k.device with None -> "none" | Some d -> Device.name d)
-    (Cost.name k.cost)
+    (Cost.to_string k.cost)
     (Rewrite.selection_to_string k.rules)
     (match k.check with None -> "none" | Some (name, _) -> name)
     (match k.max_iterations with None -> "none" | Some i -> string_of_int i)
     (Testutil.print_circuit k.circuit)
 
 (* Small circuits of library gates with planted identity windows and
-   T pairs (which phase-merge fuses to S, against [zs_heavy]), mapped
+   T pairs (which phase-merge fuses to S, against [t_free]), mapped
    circuits on ibmqx4, and wide pool circuits; under three costs, both
    rule sets, with and without the oracle and the iteration cap. *)
 let gen_loop_case =
@@ -821,7 +816,7 @@ let gen_loop_case =
       { circuit; device; cost; rules; check; max_iterations })
     (tup5
        (frequency [ (5, small); (2, mapped); (1, wide) ])
-       (oneofl [ Cost.eqn2; Cost.t_weighted; zs_heavy ])
+       (oneofl [ Cost.eqn2; Cost.t_weighted; t_free ])
        (frequency
           [ (3, return Rewrite.default_selection);
             (1, return Rewrite.empty_selection) ])

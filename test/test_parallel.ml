@@ -96,7 +96,7 @@ let scrubbed_report_json source =
       Alcotest.failf "compile failed: %s"
         (String.concat "; " (List.map Diagnostic.to_string ds))
     | Ok report -> (
-      match Compiler.report_to_json ~cost:options.Compiler.cost report with
+      match Compiler.report_to_json report with
       | J.Obj fields ->
         J.to_string
           (J.Obj

@@ -90,7 +90,7 @@ let test_compiler_with_placement () =
   in
   let r = Compiler.compile opts (Compiler.Quantum c) in
   check_bool "verified" true (r.Compiler.verification = Compiler.Verified);
-  check_bool "legal" true (Route.legal_on d r.Compiler.optimized);
+  check_bool "legal" true (Lint.is_device_legal d r.Compiler.optimized);
   match r.Compiler.placement with
   | None -> Alcotest.fail "expected a recorded placement"
   | Some a -> check_bool "recorded placement valid" true (Place.is_valid d a)

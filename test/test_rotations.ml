@@ -186,7 +186,7 @@ let test_compile_with_rotations () =
       (Compiler.Quantum c)
   in
   check_bool "verified" true (Compiler.verified r.Compiler.verification);
-  check_bool "legal" true (Route.legal_on Device.Ibm.ibmqx4 r.Compiler.optimized)
+  check_bool "legal" true (Lint.is_device_legal Device.Ibm.ibmqx4 r.Compiler.optimized)
 
 let prop_rotation_gates_unitary =
   QCheck2.Test.make ~name:"rotation matrices unitary" ~count:100

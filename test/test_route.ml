@@ -42,14 +42,17 @@ let test_path_errors () =
 
 let test_route_cnot_direct () =
   let d = Device.Ibm.ibmqx2 in
+  let route control target =
+    Circuit.gates
+      (Route.route_circuit d (Circuit.make ~n:5 [ Gate.Cnot { control; target } ]))
+  in
   check_bool "native direction kept" true
-    (Route.route_cnot d ~control:0 ~target:1
-    = [ Gate.Cnot { control = 0; target = 1 } ]);
+    (route 0 1 = [ Gate.Cnot { control = 0; target = 1 } ]);
   (* Reverse direction: Fig. 6, five gates. *)
-  let reversed = Route.route_cnot d ~control:1 ~target:0 in
+  let reversed = route 1 0 in
   check_int "reversal gate count" 5 (List.length reversed);
   check_bool "reversal legal" true
-    (Route.legal_on d (Circuit.make ~n:5 reversed))
+    (Lint.is_device_legal d (Circuit.make ~n:5 reversed))
 
 let test_route_cnot_fig5_equivalence () =
   (* The Fig. 5 example: routed circuit is equivalent to the bare CNOT
@@ -58,8 +61,8 @@ let test_route_cnot_fig5_equivalence () =
   let original =
     Circuit.make ~n:16 [ Gate.Cnot { control = 5; target = 10 } ]
   in
-  let routed = Circuit.make ~n:16 (Route.route_cnot d ~control:5 ~target:10) in
-  check_bool "legal placements" true (Route.legal_on d routed);
+  let routed = Route.route_circuit d original in
+  check_bool "legal placements" true (Lint.is_device_legal d routed);
   check_bool "QMDD equivalent" true
     (Qmdd.equivalent ~up_to_phase:false original routed)
 
@@ -68,7 +71,7 @@ let test_route_circuit_widens () =
   let c = Circuit.make ~n:2 [ Gate.H 0; Gate.Cnot { control = 0; target = 1 } ] in
   let routed = Route.route_circuit d c in
   check_int "device width" 5 (Circuit.n_qubits routed);
-  check_bool "legal" true (Route.legal_on d routed)
+  check_bool "legal" true (Lint.is_device_legal d routed)
 
 let test_route_circuit_rejects_non_native () =
   let d = Device.Ibm.ibmqx2 in
@@ -77,9 +80,25 @@ let test_route_circuit_rejects_non_native () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection of Toffoli");
   let too_big = Circuit.empty 6 in
-  match Route.route_circuit d too_big with
+  (match Route.route_circuit d too_big with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected rejection of oversized circuit"
+  | _ -> Alcotest.fail "expected rejection of oversized circuit");
+  (* The routers share one walk, and each names itself in its errors. *)
+  List.iter
+    (fun (who, route) ->
+      Alcotest.check_raises (who ^ ": non-native")
+        (Invalid_argument
+           (Printf.sprintf "Route.%s: non-native gate Toffoli q0, q1, q2" who))
+        (fun () -> ignore (route d c));
+      Alcotest.check_raises (who ^ ": too wide")
+        (Invalid_argument
+           (Printf.sprintf
+              "Route.%s: circuit needs 6 qubits but ibmqx2 has 5" who))
+        (fun () -> ignore (route d too_big)))
+    [
+      ("route_circuit", fun d c -> Route.route_circuit_swaps d c);
+      ("route_circuit_tracking", fun d c -> Route.route_circuit_tracking d c);
+    ]
 
 let test_simulator_passthrough () =
   let d = Device.simulator ~n_qubits:8 in
@@ -124,11 +143,8 @@ let test_swap_level_routing () =
       0 swap_level
   in
   check_int "4 swaps (2 out, 2 back)" 4 n_swaps;
-  (* Expansion agrees with the one-shot router. *)
   let expanded = Route.expand_swaps d swap_level in
-  check_bool "expansion = direct routing" true
-    (Circuit.equal expanded (Route.route_circuit d c));
-  check_bool "legal" true (Route.legal_on d expanded)
+  check_bool "legal" true (Lint.is_device_legal d expanded)
 
 let prop_swap_level_equivalent =
   QCheck2.Test.make ~name:"swap-level routing equivalent (simulated)" ~count:20
@@ -183,7 +199,7 @@ let prop_tracking_router_equivalent =
       let routed = Route.route_circuit_tracking d c in
       let widened = Circuit.widen c 5 in
       Sim.equivalent ~up_to_phase:false widened routed
-      && Route.legal_on d (Route.expand_swaps d routed))
+      && Lint.is_device_legal d (Route.expand_swaps d routed))
 
 let test_weighted_path_prefers_cheap () =
   (* Diamond: 0-1-4 (short, expensive) vs 0-2-3-4 (long, cheap); the
@@ -213,9 +229,9 @@ let test_weighted_routing_equivalent () =
   let d = Device.Ibm.ibmqx3 in
   let cal_weight a b = 1.0 +. (0.1 *. float_of_int ((a + b) mod 3)) in
   let c = Circuit.make ~n:16 [ Gate.Cnot { control = 5; target = 10 } ] in
-  let routed = Route.route_circuit_swaps_weighted d ~weight:cal_weight c in
+  let routed = Route.route_circuit_swaps ~weight:cal_weight d c in
   let expanded = Route.expand_swaps d routed in
-  check_bool "legal" true (Route.legal_on d expanded);
+  check_bool "legal" true (Lint.is_device_legal d expanded);
   check_bool "equivalent" true (Qmdd.equivalent ~up_to_phase:false c expanded)
 
 (* Budget semantic: budget = SWAP gates actually emitted, identical
@@ -237,9 +253,9 @@ let budgeted_routers d c =
     ("ctr", fun stats budget -> Route.route_circuit_swaps ~stats ?swap_budget:budget d c);
     ( "weighted",
       fun stats budget ->
-        Route.route_circuit_swaps_weighted ~stats ?swap_budget:budget d
+        Route.route_circuit_swaps ~stats ?swap_budget:budget
           ~weight:(fun _ _ -> 1.0)
-          c );
+          d c );
     ( "tracking",
       fun stats budget ->
         Route.route_circuit_tracking ~stats ?swap_budget:budget d c );
@@ -302,7 +318,7 @@ let prop_budgeted_routers_preserve_unitary =
              | Some b -> stats.Route.swaps_inserted <= b
              | None -> true)
           && (stats.Route.unrouted_cnots > 0
-             || Route.legal_on d (Route.expand_swaps d routed)))
+             || Lint.is_device_legal d (Route.expand_swaps d routed)))
         (budgeted_routers d c))
 
 (* Shared fuzz-backed device generator (chains, rings, stars, spanning
@@ -317,7 +333,7 @@ let prop_routing_legal_and_equivalent =
     (fun (d, c) ->
       let routed = Route.route_circuit d c in
       let widened = Circuit.widen c (Device.n_qubits d) in
-      Route.legal_on d routed
+      Lint.is_device_legal d routed
       && Qmdd.equivalent ~up_to_phase:false widened routed)
 
 let prop_ctr_path_valid =

@@ -72,7 +72,7 @@ let one_shot_report_json ?(device_name = "ibmqx4") source =
       Alcotest.failf "one-shot compile failed: %s"
         (String.concat "; " (List.map Diagnostic.to_string ds))
     | Ok report -> (
-      match Compiler.report_to_json ~cost:options.Compiler.cost report with
+      match Compiler.report_to_json report with
       | J.Obj fields ->
         J.Obj
           (List.map
