@@ -26,6 +26,18 @@ let device_conv =
   in
   Arg.conv (parse, fun fmt d -> Format.pp_print_string fmt (Device.name d))
 
+(* A NaN or infinite cost weight prices every circuit the same
+   non-number, which no optimizer sweep can lower: reject it as
+   misuse. *)
+let finite_float_conv =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when Float.is_finite f -> Ok f
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a finite number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 (* Shared --jobs flag: domain fan-out for the embarrassingly parallel
    loops (batch compiles, fuzz cases).  The unset flag falls back to
    QSC_JOBS, then to 1 — and every consumer guarantees byte-identical
@@ -210,11 +222,14 @@ let compile_cmd =
   let weights =
     Arg.(
       value
-      & opt (some (t3 float float float)) None
+      & opt
+          (some (t3 finite_float_conv finite_float_conv finite_float_conv))
+          None
       & info [ "cost-weights" ] ~docv:"T,CNOT,GATE"
           ~doc:
             "Custom linear cost-function weights (T count, CNOT count, gate \
-             volume).  Default is the paper's Eqn. 2: 0.5,0.25,1.")
+             volume), each a finite number.  Default is the paper's Eqn. 2: \
+             0.5,0.25,1.")
   in
   let trace_mode =
     Arg.(

@@ -47,6 +47,21 @@ let rename f c =
   in
   { n = max c.n needed; gates }
 
+let compact a b =
+  let index = Array.make (max a.n b.n) (-1) and k = ref 0 in
+  let number q =
+    if index.(q) < 0 then begin
+      index.(q) <- !k;
+      incr k
+    end
+  in
+  List.iter (fun g -> List.iter number (Gate.support g)) a.gates;
+  List.iter (fun g -> List.iter number (Gate.support g)) b.gates;
+  let relabel c =
+    { n = max 1 !k; gates = List.map (Gate.rename (fun q -> index.(q))) c.gates }
+  in
+  (relabel a, relabel b)
+
 let equal a b = a.n = b.n && List.equal Gate.equal a.gates b.gates
 
 type stats = { t_count : int; cnot_count : int; gate_volume : int }

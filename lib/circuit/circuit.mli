@@ -55,6 +55,16 @@ val widen : t -> int -> t
     {!Gate.rename}). *)
 val rename : (int -> int) -> t -> t
 
+(** [compact a b] relabels the pair [a], [b] jointly onto the qubits
+    they touch: each qubit gets the next free index in [0 .. k-1] at
+    its first use, reading [a] then [b], each gate by gate and each
+    gate's {!Gate.support} in order, where [k] is the number of qubits
+    either touches.  Both results are on [max 1 k] qubits.  The
+    dropped wires only ever carry the identity, so [a] and [b] are
+    equivalent, global phase included, exactly when the compacted pair
+    is.  [compact c c] is [c] alone on its support. *)
+val compact : t -> t -> t * t
+
 val equal : t -> t -> bool
 
 (** Static metrics used by the cost function of Eqn. 2. *)

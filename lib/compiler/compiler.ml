@@ -105,49 +105,118 @@ let front_end = function
   | Quantum c -> c
   | Classical pla -> Cascade.of_pla pla
 
-(* Staged proof for wide registers: (1) reference = native lowering,
-   (2) every routed CNOT block = its CNOT (and the concatenation of the
-   blocks is literally the unoptimized circuit), (3) unoptimized =
-   optimized.  The three diagrams stay small where the single-shot
-   miter explodes; chaining the equivalences gives
-   reference = optimized.  [check] is the QMDD oracle.
+(* The distinct gates of [gates], in order of first occurrence. *)
+let distinct gates =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun g ->
+      if Hashtbl.mem seen g then false
+      else begin
+        Hashtbl.add seen g ();
+        true
+      end)
+    gates
 
-   Routing a one-gate circuit is deterministic, so each distinct gate
-   is routed, and each distinct CNOT's block proved, once, in order of
-   first occurrence. *)
-let verify_staged ~check ~route device native unoptimized optimized reference =
+(* [expands expansion outer inner] holds when [inner] is the gates of
+   [outer], each replaced by [expansion g], one after another: how
+   lowering reads the reference into [native], and how blockwise
+   routing reads [native] into the unoptimized circuit.  A walk that
+   allocates nothing. *)
+let expands expansion outer inner =
+  let rec walk outer block inner =
+    match (block, inner) with
+    | b :: block, i :: inner -> Gate.equal b i && walk outer block inner
+    | _ :: _, [] -> false
+    | [], _ -> (
+      match outer with
+      | [] -> inner = []
+      | g :: outer -> walk outer (expansion g) inner)
+  in
+  walk (Circuit.gates outer) [] (Circuit.gates inner)
+
+(* Each distinct gate of [native] routed and expanded on its own.
+   Routing a one-gate circuit is deterministic, so this is the block
+   that blockwise routing of [native] puts at every occurrence. *)
+let routed_blocks ~route device native =
   let n = Device.n_qubits device in
-  let routed = Hashtbl.create 64 and cnot_blocks = ref [] in
-  let block g =
-    match Hashtbl.find_opt routed g with
-    | Some b -> b
-    | None ->
-      let b = Route.expand_swaps device (route device (Circuit.make ~n [ g ])) in
-      Hashtbl.add routed g b;
-      (match g with
-      | Gate.Cnot _ -> cnot_blocks := (Circuit.make ~n [ g ], b) :: !cnot_blocks
-      | _ -> ());
-      b
-  in
-  let reassembled =
-    Circuit.make ~n
-      (List.concat_map (fun g -> Circuit.gates (block g)) (Circuit.gates native))
-  in
-  (* Blocks that do not reassemble leave the proof with nothing to
-     chain: report it as running out of budget, so the caller moves on
-     to its next strategy. *)
-  if not (Circuit.equal reassembled unoptimized) then
-    Oracle.Gave_up Oracle.Node_budget
-  else
-    (* The first link that is not [Equal] settles the chain. *)
-    List.fold_left
-      (fun v (a, b) -> if v = Oracle.Equal then check a b else v)
-      Oracle.Equal
-      (((reference, native) :: List.rev !cnot_blocks)
-      @ [ (unoptimized, optimized) ])
+  let blocks = Hashtbl.create 64 in
+  Circuit.iter
+    (fun g ->
+      if not (Hashtbl.mem blocks g) then
+        Hashtbl.add blocks g
+          (Circuit.gates
+             (Route.expand_swaps device (route device (Circuit.make ~n [ g ])))))
+    native;
+  blocks
 
-let verify mode options ~trace ~budget ~route ~native ~unoptimized ~optimized
-    reference =
+(* The links proving reference = native, along the paper's two
+   lowering steps (Sec. 4): each distinct MCT = its Toffoli cascade
+   (Barenco et al.), then each distinct non-native gate of that
+   Toffoli level = its Clifford+T lowering.  They chain when [native]
+   is literally the reference lowered gate by gate, because
+   [Decompose.lower_gate] of an MCT lowers its cascade gate by gate.
+   Otherwise (pre-optimize changed the circuit, or placement moved the
+   borrowed qubits) the one link reference = native stands in. *)
+let lowering_links reference native =
+  let n = Circuit.n_qubits reference in
+  let lowered = Hashtbl.create 64 in
+  let lower g =
+    match Hashtbl.find_opt lowered g with
+    | Some l -> l
+    | None ->
+      let l = Decompose.lower_gate ~n g in
+      Hashtbl.add lowered g l;
+      l
+  in
+  if not (expands lower reference native) then [ (reference, native) ]
+  else
+    let gates = distinct (Circuit.gates reference) in
+    let toffolis = function
+      | Gate.Mct { controls; target } ->
+        Decompose.mct_to_toffoli ~n ~controls ~target
+      | g -> [ g ]
+    in
+    let link a b = (Circuit.make ~n a, Circuit.make ~n b) in
+    List.filter_map
+      (function Gate.Mct _ as g -> Some (link [ g ] (toffolis g)) | _ -> None)
+      gates
+    @ List.filter_map
+        (fun g ->
+          if Gate.is_transmon_native g then None else Some (link [ g ] (lower g)))
+        (distinct (List.concat_map toffolis gates))
+
+(* Staged proof: (1) reference = native, along the lowering steps,
+   (2) every distinct routed CNOT block = its CNOT, (3) unoptimized =
+   optimized.  The caller has checked that the blocks reassemble into
+   the unoptimized circuit, so chaining the equivalences gives
+   reference = optimized.  Each link is proved on the qubits it
+   touches, where its diagrams stay small even when the single-shot
+   miter on the whole register explodes.  [check] is the QMDD
+   oracle. *)
+let verify_staged ~check blocks native unoptimized optimized reference =
+  let n = Circuit.n_qubits native in
+  let cnot_links =
+    List.filter_map
+      (fun g ->
+        if Gate.is_cnot g then
+          Some (Circuit.make ~n [ g ], Circuit.make ~n (Hashtbl.find blocks g))
+        else None)
+      (distinct (Circuit.gates native))
+  in
+  (* The first link that is not [Equal] settles the chain. *)
+  List.fold_left
+    (fun v (a, b) ->
+      if v = Oracle.Equal then
+        let a, b = Circuit.compact a b in
+        check a b
+      else v)
+    Oracle.Equal
+    (lowering_links reference native
+    @ cnot_links
+    @ [ (unoptimized, optimized) ])
+
+let verify mode options ~trace ~budget ~route ~routed_all ~warn ~native
+    ~unoptimized ~optimized reference =
   let sp = Trace.start trace "verify" in
   let t0 = Trace.now_ns () in
   (* Every QMDD check the strategy runs (the staged proof runs many)
@@ -162,16 +231,37 @@ let verify mode options ~trace ~budget ~route ~native ~unoptimized ~optimized
     | Oracle.Different -> Ok Mismatch
     | Oracle.Gave_up reason -> Error reason
   in
+  (* Blockwise routing only reassembles when gates route independently
+     of each other. *)
+  let blockwise =
+    match options.router with Tracking -> false | Ctr | Weighted_ctr _ -> true
+  in
+  (* The routed blocks, when they reassemble into the unoptimized
+     circuit. *)
+  let blocks =
+    lazy
+      (if not blockwise then None
+       else
+         let blocks = routed_blocks ~route options.device native in
+         if expands (Hashtbl.find blocks) native unoptimized then Some blocks
+         else None)
+  in
+  (* A CTR route that left no CNOT unrouted is blockwise by
+     construction, so a failed reassembly means the report's
+     unoptimized circuit is not the routing of [native]: no strategy
+     may prove around it.  A budget-degraded route leaves CNOTs the
+     blocks route, so it only loses the staged proof. *)
+  let misassembled =
+    blockwise && routed_all && Option.is_none (Lazy.force blocks)
+  in
   let direct () = settle ~equal:Verified (check reference optimized) in
   let staged () =
-    (* Blockwise routing only reassembles when gates route
-       independently of each other. *)
-    match options.router with
-    | Tracking -> Error Oracle.Node_budget
-    | Ctr | Weighted_ctr _ ->
+    match Lazy.force blocks with
+    | Some blocks ->
       settle ~equal:Verified_staged
-        (verify_staged ~check ~route options.device native unoptimized
-           optimized reference)
+        (verify_staged ~check blocks native unoptimized optimized reference)
+    (* Nothing to chain: the caller moves on to its next strategy. *)
+    | None -> Error Oracle.Node_budget
   in
   (* Wide registers go straight to the staged proof; small ones to the
      cheaper single-shot check.  Either falls back on the other when
@@ -180,10 +270,19 @@ let verify mode options ~trace ~budget ~route ~native ~unoptimized ~optimized
     if Device.n_qubits options.device > 32 then (staged, direct)
     else (direct, staged)
   in
+  let proved =
+    if misassembled then begin
+      warn
+        (Diagnostic.warning ~stage:Diagnostic.Verify
+           ~kind:Diagnostic.Verification_failed
+           "the unoptimized circuit is not the blockwise routing of the \
+            native circuit");
+      Ok Mismatch
+    end
+    else match first () with Error Oracle.Node_budget -> second () | r -> r
+  in
   let outcome, sim_used =
-    match
-      (mode, match first () with Error Oracle.Node_budget -> second () | r -> r)
-    with
+    match (mode, proved) with
     | _, Ok verdict -> (verdict, false)
     | (Skip | Qmdd_check _), Error _ -> (Budget_exceeded, false)
     | Fallback _, Error Oracle.Deadline ->
@@ -548,8 +647,9 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
         else
           guard Diagnostic.Verify (fun () ->
               verify mode options ~trace ~budget:oracle_budget
-                ~route:route_for_verify ~native ~unoptimized ~optimized:prefold
-                reference)
+                ~route:route_for_verify ~routed_all:(unrouted = 0)
+                ~warn:(fun d -> warnings := d :: !warnings)
+                ~native ~unoptimized ~optimized:prefold reference)
     in
     (match verification with
     | Budget_exceeded -> degrade Diagnostic.Verify "QMDD node budget exhausted"

@@ -183,18 +183,25 @@ val default_options : device:Device.t -> options
 type verification_result =
   | Verified  (** QMDD pointers matched (single whole-circuit check) *)
   | Verified_staged
-      (** verified through the equivalence chain
-          reference = decomposed, per-gate routed blocks = their gates,
-          mapped-unoptimized = optimized.  Used on wide registers where
-          the single-shot diagram would exhaust the node budget (the
-          larger Table 8 benchmarks); exactly as formal, three smaller
-          proofs instead of one. *)
+      (** verified through the equivalence chain reference = native,
+          per-gate routed blocks = their gates, mapped-unoptimized =
+          optimized.  When [native] is the reference lowered gate by
+          gate, its link follows the two lowering steps: each distinct
+          MCT = its Toffoli cascade, each distinct Toffoli-level gate =
+          its Clifford+T lowering.  Every link is proved on the qubits
+          it touches.  Used on wide registers where the single-shot
+          diagram would exhaust the node budget (the larger Table 8
+          benchmarks); exactly as formal, many small proofs instead of
+          one. *)
   | Verified_sim
       (** verified by the dense-matrix simulator oracle ({!Fallback}
           mode only): exact unitary comparison, independent of the
           QMDD engine, limited to small registers *)
-  | Mismatch  (** the output provably differs: the compiler broke the
-                  circuit *)
+  | Mismatch
+      (** the output provably differs: the compiler broke the circuit.
+          Also the verdict, with a verify-stage warning, when a CTR
+          route left no CNOT unrouted yet the report's [unoptimized]
+          circuit is not the blockwise routing of the native circuit *)
   | Budget_exceeded  (** diagram grew past the node budget
                          ({!Qmdd_check} mode) *)
   | Unverified of string

@@ -198,6 +198,10 @@ type case =
     }
   | Function_case of { pla : Qformats.Pla.t }
   | Source_case of { ext : string; text : string }
+  | Fault_case of {
+      circuit : Circuit.t;
+      fault : (Faultinject.spec * int) option;
+    }
 
 (* A circuit case's printout: its size, its device, one line per
    setting, then the gates. *)
@@ -224,6 +228,16 @@ let circuit_to_string ~settings circuit device =
 let optimize_settings cost rules =
   [ ("cost", Cost.to_string cost); ("rules", Rewrite.selection_to_string rules) ]
 
+(* The injected fault of a [Fault_case], exactly: the repro headers
+   and the case printout. *)
+let fault_settings = function
+  | None -> [ ("fault", "none") ]
+  | Some (spec, seed) ->
+    [
+      ("fault", Faultinject.spec_to_string spec);
+      ("fault seed", string_of_int seed);
+    ]
+
 let case_to_string = function
   | Circuit_case { circuit; device; budget } ->
     let settings =
@@ -237,6 +251,8 @@ let case_to_string = function
   | Function_case { pla } -> Qformats.Pla.to_string pla
   | Source_case { ext; text } ->
     Printf.sprintf "source (%s):\n%s" ext text
+  | Fault_case { circuit; fault } ->
+    circuit_to_string ~settings:(fault_settings fault) circuit None
 
 (* --- configuration --- *)
 
@@ -1636,6 +1652,84 @@ module Property = struct
         | _ -> wrong_case "rewrite-sound");
     }
 
+  (* 15. The staged proof on big96 is sound and complete for what the
+     report shows: a compile reads verified exactly when independent
+     single-shot QMDD checks prove both reference = unoptimized and
+     reference = optimized.  Half the cases lose gates to a truncation
+     at decompose, route or expand-swaps.  Half open with a pair of
+     equal gates, which pre-optimize cancels, so the proof cannot
+     follow the lowering gate by gate and takes its one
+     reference = native link. *)
+  let staged_proof_sound =
+    let device = Device.Ibm.big96 in
+    let n = Device.n_qubits device in
+    (* Two rows of four neighbouring qubits of big96's grid: next to
+       the lowest-index qubits, which MCT lowering borrows, so the
+       routed blocks, and with them a case, stay small. *)
+    let window = [ 0; 1; 2; 3; 16; 17; 18; 19 ] in
+    {
+      name = "staged-proof-sound";
+      doc = "big96 compiles verify iff reference = unoptimized = optimized";
+      paper = "Sec. 4-5 (two-step lowering, QMDD verification)";
+      gen =
+        (fun _ st ->
+          let gate () =
+            match
+              List.map (List.nth window)
+                (Gen.distinct (2 + Gen.int 5 st) (List.length window) st)
+            with
+            | target :: controls -> Gate.mct controls target
+            | [] -> assert false
+          in
+          let gates = List.init (1 + Gen.int 3 st) (fun _ -> gate ()) in
+          let gates =
+            if Random.State.bool st then List.hd gates :: gates else gates
+          in
+          let fault =
+            if Random.State.bool st then
+              let stage =
+                Gen.choose Diagnostic.[ Decompose; Route; Expand_swaps ] st
+              in
+              Some
+                ( { Faultinject.stage; fault = Faultinject.Truncate },
+                  Gen.int 1000 st )
+            else None
+          in
+          Fault_case { circuit = Circuit.make ~n gates; fault });
+      check =
+        (function
+        | Fault_case { circuit; fault } -> (
+          let inject =
+            Option.map
+              (fun (spec, seed) ->
+                Faultinject.hook (Faultinject.create ~seed [ spec ]))
+              fault
+          in
+          match
+            Compiler.compile_checked ?inject
+              (Compiler.default_options ~device)
+              (Compiler.Quantum circuit)
+          with
+          | Error ds ->
+            failf "compile failed: %s"
+              (String.concat "; " (List.map Diagnostic.to_string ds))
+          | Ok r ->
+            let equal c =
+              Qmdd.equivalent ~up_to_phase:false r.Compiler.reference c
+            in
+            let holds =
+              equal r.Compiler.unoptimized && equal r.Compiler.optimized
+            in
+            if Compiler.verified r.Compiler.verification = holds then Pass
+            else
+              failf
+                "compile reads %s, but reference = unoptimized = optimized \
+                 is %b"
+                (Compiler.verification_to_string r.Compiler.verification)
+                holds)
+        | _ -> wrong_case "staged-proof-sound");
+    }
+
   let all =
     [
       compile_sim_equivalent;
@@ -1652,6 +1746,7 @@ module Property = struct
       serve_protocol;
       serve_chaos;
       rewrite_sound;
+      staged_proof_sound;
     ]
 
   let find name = List.find_opt (fun p -> p.name = name) all
@@ -1685,27 +1780,11 @@ let zero_angle = function
   | Gate.Phase (theta, q) when theta <> 0.0 -> Some (Gate.Phase (0.0, q))
   | _ -> None
 
-(* The support-compacted copy of a circuit: qubits renamed to
-   0..k-1 in first-use order, width shrunk to k. *)
+(* The support-compacted copy of a circuit, when that is narrower. *)
 let compact_circuit c =
-  let used = Hashtbl.create 16 in
-  let order = ref [] in
-  Circuit.iter
-    (fun g ->
-      List.iter
-        (fun q ->
-          if not (Hashtbl.mem used q) then begin
-            Hashtbl.add used q (Hashtbl.length used);
-            order := q :: !order
-          end)
-        (Gate.support g))
-    c;
-  let k = Hashtbl.length used in
-  if k = 0 || k = Circuit.n_qubits c then None
-  else
-    let rename q = Hashtbl.find used q in
-    let gates = List.map (Gate.rename rename) (Circuit.gates c) in
-    Some (Circuit.make ~n:k gates)
+  let c', _ = Circuit.compact c c in
+  if Circuit.is_empty c || Circuit.n_qubits c' = Circuit.n_qubits c then None
+  else Some c'
 
 let device_without d (a, b) =
   let couplings = List.filter (fun e -> e <> (a, b)) (Device.couplings d) in
@@ -1808,10 +1887,20 @@ let candidates = function
       (function
         | Circuit_case { circuit; device; _ } ->
           Some (Optimize_case { o with circuit; device })
-        | Optimize_case _ | Function_case _ | Source_case _ -> None)
+        | Optimize_case _ | Function_case _ | Source_case _ | Fault_case _ ->
+          None)
       (circuit_candidates ~circuit:o.circuit ~device:o.device ~budget:None)
   | Function_case { pla } -> function_candidates pla
   | Source_case { ext; text } -> source_candidates ext text
+  | Fault_case { circuit; fault } ->
+    (if Option.is_some fault then [ Fault_case { circuit; fault = None } ]
+     else [])
+    @ List.filter_map
+        (function
+          | Circuit_case { circuit; _ } -> Some (Fault_case { circuit; fault })
+          | Optimize_case _ | Function_case _ | Source_case _ | Fault_case _ ->
+            None)
+        (circuit_candidates ~circuit ~device:None ~budget:None)
 
 let shrink ?(max_checks = 4000) ~check case =
   let fuel = ref max_checks in
@@ -1989,7 +2078,11 @@ let repro_to_string (f : failure) =
     header "case" "source";
     header "ext" ext;
     Buffer.add_string b "payload:\n";
-    Buffer.add_string b text);
+    Buffer.add_string b text
+  | Fault_case { circuit; fault } ->
+    header "case" "fault";
+    List.iter (fun (k, v) -> header k v) (fault_settings fault);
+    circuit_payload circuit None);
   Buffer.contents b
 
 let repro_of_string s =
@@ -2088,6 +2181,30 @@ let repro_of_string s =
           match get "ext" with
           | Some ext -> Ok (property, seed, Source_case { ext; text = payload })
           | None -> Error "source case without an ext header")
+        | "fault" -> (
+          let spec s =
+            match String.split_on_char '@' s with
+            | [ fault; stage ] -> (
+              match
+                ( Faultinject.fault_of_string fault,
+                  Diagnostic.stage_of_string stage )
+              with
+              | Some fault, Some stage -> Some { Faultinject.stage; fault }
+              | _ -> None)
+            | _ -> None
+          in
+          let with_fault fault =
+            with_circuit (fun _ circuit -> Fault_case { circuit; fault })
+          in
+          match
+            (get "fault", Option.bind (get "fault seed") int_of_string_opt)
+          with
+          | Some "none", _ -> with_fault None
+          | Some s, Some fault_seed -> (
+            match spec s with
+            | Some spec -> with_fault (Some (spec, fault_seed))
+            | None -> Error (Printf.sprintf "bad fault %S" s))
+          | _ -> Error "fault case without fault and fault seed headers")
         | k -> Error (Printf.sprintf "unknown case kind %S" k)))
     | _ -> Error "missing property/seed/case header or payload")
   | _ -> Error "not a qsynth-fuzz-repro/v1 file"

@@ -111,6 +111,12 @@ type case =
   | Source_case of { ext : string; text : string }
       (** raw front-end input text (possibly byte-mutated) with the
           extension that selects its parser *)
+  | Fault_case of {
+      circuit : Circuit.t;
+      fault : (Faultinject.spec * int) option;
+          (** the fault injected into the compile, with its harness
+              seed *)
+    }  (** a compile to the property's device, perhaps with a fault *)
 
 val case_to_string : case -> string
 
@@ -149,7 +155,7 @@ module Property : sig
       transport faults — torn frames, disconnects, stalls, connection
       bursts — against a live loopback daemon with mid-pipeline
       injection, asserting valid envelopes and post-chaos
-      liveness). *)
+      liveness), rewrite-sound, staged-proof-sound. *)
   val all : t list
 
   (** [find name] looks a property up by {!t.name}. *)

@@ -72,6 +72,18 @@ let test_exit_123_reported_failure () =
             (run
                (Printf.sprintf "check %s %s" (Filename.quote a)
                   (Filename.quote b)))));
+  (* Gates lost at expand-swaps: the report's unoptimized circuit no
+     longer reassembles from its routed blocks, with or without
+     placement. *)
+  List.iter
+    (fun place ->
+      check_int
+        ("compile truncate@expand-swaps" ^ place)
+        123
+        (run
+           ("compile -i ../benchmarks/qc/st_0001.qc -d ibmqx5 --inject \
+             truncate@expand-swaps --inject-seed 1" ^ place)))
+    [ ""; " --place" ];
   (* A missing-inputs complaint is a reported failure (the parse layer
      accepted the command line; the subcommand rejected its meaning). *)
   check_int "compile without inputs" 123 (run "compile -d ibmqx4");
@@ -105,7 +117,15 @@ let test_exit_124_misuse () =
   with_good_qasm (fun good ->
       check_int "bad device value" 124
         (run (Printf.sprintf "compile -d no-such-device %s" (Filename.quote good))));
-  check_int "bad int value" 124 (run "fuzz --count notanint")
+  check_int "bad int value" 124 (run "fuzz --count notanint");
+  with_good_qasm (fun good ->
+      List.iter
+        (fun weights ->
+          check_int ("--cost-weights " ^ weights) 124
+            (run
+               (Printf.sprintf "compile -d ibmqx4 --cost-weights %s %s" weights
+                  (Filename.quote good))))
+        [ "nan,0,0"; "inf,0,0" ])
 
 let test_exit_125_internal_error () =
   (* The debug hook raises before dispatch, standing in for any bug

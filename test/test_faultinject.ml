@@ -97,21 +97,20 @@ let test_out_of_range_wire_caught () =
 let test_truncation_never_escapes () =
   (* Truncation is silent corruption: no structural check can see it,
      so the only demand on stages after the reference snapshot is that
-     verification answers — and never claims equivalence.  Two stages
-     are exempt: at [Front_end] the reference itself is taken after
-     injection, so the (truncated) compile legitimately verifies; and
-     with post-optimization on, the gate-level stream is re-derived
-     from the swap-level circuit, so [Expand_swaps] truncation only
-     corrupts the report's intermediate (covered below with
-     post-optimization off). *)
+     verification answers — and never claims equivalence.  [Front_end]
+     is exempt: there the reference itself is taken after injection,
+     so the (truncated) compile legitimately verifies.  [Expand_swaps]
+     is not: with post-optimization on, the gate-level stream is
+     re-derived from the swap-level circuit, but the report's
+     unoptimized circuit must still reassemble from its routed
+     blocks. *)
   List.iter
     (fun stage ->
       let spec = { Faultinject.stage; fault = Faultinject.Truncate } in
       match run_spec spec with
       | _, Error _ -> ()
       | _, Ok r ->
-        if stage <> Diagnostic.Front_end && stage <> Diagnostic.Expand_swaps
-        then
+        if stage <> Diagnostic.Front_end then
           check_bool
             (Printf.sprintf "%s: corrupt output must not verify"
                (Faultinject.spec_to_string spec))

@@ -160,6 +160,16 @@ let test_repro_roundtrip () =
           rules = Rewrite.default_selection;
         };
       Fuzz.Source_case { ext = ".qasm"; text = "OPENQASM 2.0;\nqreg q[1];\n" };
+      Fuzz.Fault_case
+        {
+          circuit = Circuit.make ~n:3 [ Gate.mct [ 0; 2 ] 1 ];
+          fault =
+            Some
+              ( { Faultinject.stage = Diagnostic.Expand_swaps;
+                  fault = Faultinject.Truncate },
+                739 );
+        };
+      Fuzz.Fault_case { circuit = Circuit.make ~n:1 [ Gate.X 0 ]; fault = None };
     ]
 
 let test_corpus_replays_clean () =

@@ -603,11 +603,11 @@ let test_gate_memo () =
     (Qmdd.equal (Qmdd.gate m (Gate.Swap (0, 3)))
        (Qmdd.multiply m (cnot 0 3) (Qmdd.multiply m (cnot 3 0) (cnot 0 3))))
 
-(* Per-check [Qmdd.stats] of the staged proof of T6_b's first gate
-   compiled to big96, as (unique, peak, allocated, multiply-cache hits,
-   misses, add-cache hits, misses): reference = native, the 72 routed
-   CNOT blocks, then unoptimized = optimized.  Entries 0-72 were
-   measured before weights had ids.  The two circuits of each of those
+(* Per-check [Qmdd.stats] of the whole-register staged proof of T6_b's
+   first gate compiled to big96, as (unique, peak, allocated,
+   multiply-cache hits, misses, add-cache hits, misses): reference =
+   native, the 72 routed CNOT blocks, then unoptimized = optimized.
+   Entries 0-72 were measured before weights had ids.  The two circuits of each of those
    checks share no gate, or are one and the same CNOT, which the
    proportional interleaving applies in the same order as a matched
    pair.  Entry 73 was measured once the miter followed the diff of its
@@ -655,16 +655,66 @@ let t6_prefix_checks =
     (188, 188, 189, 54, 93, 278, 230); (1929, 1929, 1930, 6946, 2801, 1855, 1319);
   |]
 
+(* [Qmdd.equivalent] on each pair of [checks] holds and ends with the
+   statistics pinned in [pins], in order. *)
+let check_pinned label pins checks =
+  check_int (label ^ " checks") (Array.length pins) (List.length checks);
+  List.iteri
+    (fun i (a, b) ->
+      let seen = ref None in
+      check_bool
+        (Printf.sprintf "%s %d holds" label i)
+        true
+        (Qmdd.equivalent ~up_to_phase:false ~stats:(fun s -> seen := Some s) a b);
+      let s = Option.get !seen in
+      let unique, peak, allocated, mul_hits, mul_misses, add_hits, add_misses =
+        pins.(i)
+      in
+      List.iter
+        (fun (field, expected, got) ->
+          check_int (Printf.sprintf "%s %d %s" label i field) expected got)
+        [
+          ("unique", unique, s.Qmdd.unique_nodes);
+          ("peak", peak, s.Qmdd.peak_unique_nodes);
+          ("allocated", allocated, s.Qmdd.allocated);
+          ("mul hits", mul_hits, s.Qmdd.mul_cache_hits);
+          ("mul misses", mul_misses, s.Qmdd.mul_cache_misses);
+          ("add hits", add_hits, s.Qmdd.add_cache_hits);
+          ("add misses", add_misses, s.Qmdd.add_cache_misses);
+        ])
+    checks
+
+(* The links of the compiler's staged proof of the same compile, each
+   on the qubits it touches ([Circuit.compact]), with their statistics
+   in the form of [t6_prefix_checks]: T6_b's one MCT = its Toffoli
+   cascade, the cascade's 4 distinct Toffolis = their Clifford+T
+   lowerings, the 12 distinct routed CNOT blocks = their CNOTs, then
+   unoptimized = optimized. *)
+let t6_prefix_links =
+  [|
+    (179, 179, 180, 245, 260, 10, 18); (65, 65, 66, 12, 55, 0, 0);
+    (65, 65, 66, 12, 55, 0, 0); (62, 62, 63, 18, 59, 0, 2);
+    (71, 71, 72, 19, 51, 18, 30); (258, 258, 259, 207, 315, 120, 90);
+    (734, 734, 735, 695, 907, 300, 154); (84, 84, 85, 79, 105, 34, 56);
+    (4, 4, 5, 0, 2, 0, 0); (235, 235, 236, 209, 270, 110, 66);
+    (95, 95, 96, 54, 93, 28, 44); (1047, 1047, 1048, 1030, 1277, 388, 172);
+    (258, 258, 259, 207, 315, 120, 90); (213, 213, 214, 137, 243, 86, 68);
+    (85, 85, 86, 45, 81, 4, 32); (16, 16, 17, 6, 9, 2, 6);
+    (16, 16, 17, 6, 11, 4, 4); (1844, 1844, 1845, 6946, 2801, 993, 469);
+  |]
+
 let test_t6_prefix_staged_proof () =
   (* Every check of the staged proof ends with exactly the statistics
      pinned above: a kernel speed-up must not change a diagram or a
-     cache decision, and a change to the miter's schedule shows here
-     as a change of diagram sizes, to be measured and pinned anew. *)
+     cache decision, and a change to the miter's schedule or to the
+     chain's links shows here as a change of diagram sizes, to be
+     measured and pinned anew. *)
   let device = Device.Ibm.big96 in
   let n = Device.n_qubits device in
   let b = Benchsuite.Big_cascades.find "T6_b" in
   let controls, target = List.hd b.Benchsuite.Big_cascades.gates in
-  let input = Compiler.Quantum (Circuit.make ~n [ Gate.mct controls target ]) in
+  let mct = Gate.mct controls target in
+  let input = Compiler.Quantum (Circuit.make ~n [ mct ]) in
   let native = ref None in
   let opts =
     {
@@ -682,51 +732,37 @@ let test_t6_prefix_staged_proof () =
     Route.expand_swaps device
       (Route.route_circuit_swaps device (Circuit.make ~n [ g ]))
   in
-  let checks =
-    ((r.Compiler.reference, native)
-    :: List.filter_map
-         (function
-           | Gate.Cnot _ as g -> Some (Circuit.make ~n [ g ], block g)
-           | _ -> None)
-         (Circuit.gates native))
-    @ [ (r.Compiler.unoptimized, r.Compiler.optimized) ]
+  let cnots =
+    List.filter (function Gate.Cnot _ -> true | _ -> false) (Circuit.gates native)
   in
-  check_int "checks" (Array.length t6_prefix_checks) (List.length checks);
-  List.iteri
-    (fun i (a, b) ->
-      let seen = ref None in
-      check_bool
-        (Printf.sprintf "check %d holds" i)
-        true
-        (Qmdd.equivalent ~up_to_phase:false ~stats:(fun s -> seen := Some s) a b);
-      let s = Option.get !seen in
-      let unique, peak, allocated, mul_hits, mul_misses, add_hits, add_misses =
-        t6_prefix_checks.(i)
-      in
-      List.iter
-        (fun (field, expected, got) ->
-          check_int (Printf.sprintf "check %d %s" i field) expected got)
-        [
-          ("unique", unique, s.Qmdd.unique_nodes);
-          ("peak", peak, s.Qmdd.peak_unique_nodes);
-          ("allocated", allocated, s.Qmdd.allocated);
-          ("mul hits", mul_hits, s.Qmdd.mul_cache_hits);
-          ("mul misses", mul_misses, s.Qmdd.mul_cache_misses);
-          ("add hits", add_hits, s.Qmdd.add_cache_hits);
-          ("add misses", add_misses, s.Qmdd.add_cache_misses);
-        ])
-    checks;
-  (* The compiler proves each distinct link once: its traced staged
-     proof runs the first occurrence of every check above, 14 in all,
-     and allocates their total. *)
-  let links = Array.of_list checks in
-  let same (a, b) (a', b') = Circuit.equal a a' && Circuit.equal b b' in
-  let proved =
-    List.filter
-      (fun i -> not (Array.exists (same links.(i)) (Array.sub links 0 i)))
-      (List.init (Array.length links) Fun.id)
+  (* The kernel half: the whole-register checks of the chain before it
+     followed the lowering steps. *)
+  check_pinned "check" t6_prefix_checks
+    (((r.Compiler.reference, native)
+     :: List.map (fun g -> (Circuit.make ~n [ g ], block g)) cnots)
+    @ [ (r.Compiler.unoptimized, r.Compiler.optimized) ]);
+  let first_occurrences gates =
+    List.filteri
+      (fun i g -> not (List.mem g (List.filteri (fun j _ -> j < i) gates)))
+      gates
   in
-  check_int "distinct checks" 14 (List.length proved);
+  let cascade = Decompose.mct_to_toffoli ~n ~controls ~target in
+  let one g = Circuit.make ~n [ g ] in
+  let links =
+    List.map
+      (fun (a, b) -> Circuit.compact a b)
+      (((one mct, Circuit.make ~n cascade)
+       :: List.map
+            (fun g -> (one g, Circuit.make ~n (Decompose.lower_gate ~n g)))
+            (first_occurrences
+               (List.filter (fun g -> not (Gate.is_transmon_native g)) cascade)))
+      @ List.map (fun g -> (one g, block g)) (first_occurrences cnots)
+      @ [ (r.Compiler.unoptimized, r.Compiler.optimized) ])
+  in
+  check_int "distinct checks" 18 (List.length links);
+  check_pinned "link" t6_prefix_links links;
+  (* The compiler's traced staged proof runs exactly these links and
+     allocates their total. *)
   let trace = Trace.create () in
   let verified =
     Compiler.compile ~trace (Compiler.default_options ~device) input
@@ -737,13 +773,11 @@ let test_t6_prefix_staged_proof () =
     List.find (fun sp -> sp.Trace.name = "verify") (Trace.spans trace)
   in
   let counter k = int_of_float (List.assoc k verify_span.Trace.counters) in
-  check_int "compiler checks" (List.length proved) (counter "qmdd_checks");
+  check_int "compiler checks" (List.length links) (counter "qmdd_checks");
   check_int "compiler allocated"
-    (List.fold_left
-       (fun acc i ->
-         let _, _, allocated, _, _, _, _ = t6_prefix_checks.(i) in
-         acc + allocated)
-       0 proved)
+    (Array.fold_left
+       (fun acc (_, _, allocated, _, _, _, _) -> acc + allocated)
+       0 t6_prefix_links)
     (counter "qmdd_allocated_nodes")
 
 (* The unique table compares weights on the 1e-10 grid of
