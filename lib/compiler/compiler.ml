@@ -318,9 +318,52 @@ let verify mode options ~trace ~budget ~route ~routed_all ~warn ~native
     optimized;
   (outcome, elapsed)
 
+(* Whether [cal] rates [device] as [device] executes gates: the same
+   register, simulator flag and directed coupling map. *)
+let calibrates cal device =
+  let d = Calibration.device cal in
+  Device.n_qubits d = Device.n_qubits device
+  && Device.is_simulator d = Device.is_simulator device
+  && String.equal (Device.to_dict_string d) (Device.to_dict_string device)
+
+(* What makes [options] meaningless whatever the input: a weight that is
+   not a finite number prices every circuit alike, so no sweep can
+   lower it, and a calibration of another device prices gates this
+   device does not execute. *)
+let option_problems options =
+  let device = options.device in
+  let calibration what cal =
+    if calibrates cal device then []
+    else
+      [
+        Printf.sprintf "%s: a calibration of %s, not of %s" what
+          (Device.name (Calibration.device cal))
+          (Device.name device);
+      ]
+  in
+  (match options.cost with
+  | Cost.Linear { t; cnot; gate } ->
+    if List.for_all Float.is_finite [ t; cnot; gate ] then []
+    else
+      [
+        Printf.sprintf "cost %s: every weight must be a finite number"
+          (Cost.to_string options.cost);
+      ]
+  | Cost.Log_fidelity cal -> calibration "cost" cal)
+  @
+  match options.router with
+  | Weighted_ctr cal -> calibration "router" cal
+  | Ctr | Tracking -> []
+
 let compile_checked ?(trace = Trace.disabled) ?inject options input =
   let device = options.device in
   let cost = options.cost in
+  (* The cost of the span snapshots taken before routing.  A fidelity
+     cost is defined only on circuits the device executes, so those
+     snapshots are priced by Eqn. 2, as pre-optimize's sweeps are. *)
+  let unmapped_cost =
+    match cost with Cost.Linear _ -> cost | Cost.Log_fidelity _ -> Cost.eqn2
+  in
   let warnings = ref [] in
   let degradations = ref [] in
   let degrade stage reason =
@@ -437,9 +480,17 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
     (o.circuit, reasons <> [])
   in
   let run () =
+    (match option_problems options with
+    | [] -> ()
+    | problems ->
+      raise
+        (Abort
+           (Diagnostic.error ~stage:Diagnostic.Driver
+              ~kind:Diagnostic.Unsupported
+              (String.concat "; " problems))));
     let sp = Trace.start trace "front-end" in
     let circuit = guard Diagnostic.Front_end (fun () -> front_end input) in
-    Trace.stop_with trace sp ~cost circuit;
+    Trace.stop_with trace sp ~cost:unmapped_cost circuit;
     let circuit = inject Diagnostic.Front_end circuit in
     let circuit = validate_stream Diagnostic.Front_end circuit in
     if Circuit.n_qubits circuit > Device.n_qubits device then
@@ -464,12 +515,14 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
         reference
       end
       else begin
-        let sp = Trace.start_with trace "pre-optimize" ~cost reference in
+        let sp =
+          Trace.start_with trace "pre-optimize" ~cost:unmapped_cost reference
+        in
         let staged, was_degraded =
           optimize Diagnostic.Pre_optimize ~name:"pre-optimize" ~cost:Cost.eqn2
             reference
         in
-        Trace.stop_with trace sp ~cost
+        Trace.stop_with trace sp ~cost:unmapped_cost
           ~counters:(if was_degraded then [ ("degraded", 1.0) ] else [])
           staged;
         staged
@@ -478,11 +531,11 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
     let staged = inject Diagnostic.Pre_optimize staged in
     contract Diagnostic.Pre_optimize
       (Lint.Contract.after_optimize ~before:reference ~after:staged);
-    let sp = Trace.start_with trace "decompose" ~cost staged in
+    let sp = Trace.start_with trace "decompose" ~cost:unmapped_cost staged in
     let native =
       guard Diagnostic.Decompose (fun () -> Decompose.to_native staged)
     in
-    Trace.stop_with trace sp ~cost native;
+    Trace.stop_with trace sp ~cost:unmapped_cost native;
     let native = inject Diagnostic.Decompose native in
     contract Diagnostic.Decompose (Lint.Contract.after_decompose native);
     (* Placement relabels the register; verification then compares
@@ -531,7 +584,7 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
         Some (Route.new_stats ())
       else None
     in
-    let sp = Trace.start_with trace "route" ~cost native in
+    let sp = Trace.start_with trace "route" ~cost:unmapped_cost native in
     let routed_swaps =
       guard Diagnostic.Route (fun () ->
           route ?stats:route_stats ?swap_budget device native)
@@ -544,6 +597,16 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
         (Printf.sprintf "%d CNOT%s left as written: SWAP budget exhausted"
            unrouted
            (if unrouted = 1 then "" else "s"));
+    (* A fidelity cost is undefined on a CNOT the device cannot execute,
+       so no later stage, and no span, could price the routed circuit. *)
+    (match cost with
+    | Cost.Log_fidelity _ when unrouted > 0 ->
+      raise
+        (Abort
+           (Diagnostic.error ~stage:Diagnostic.Route
+              ~kind:Diagnostic.Budget_exhausted
+              "the fidelity cost is undefined on unrouted CNOTs"))
+    | Cost.Log_fidelity _ | Cost.Linear _ -> ());
     let route_counters =
       (match route_stats with
       | None -> []
@@ -632,8 +695,10 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
       end
     in
     let elapsed_seconds = wall_seconds_since t0 in
-    let unoptimized_cost = Cost.evaluate cost unoptimized in
-    let optimized_cost = Cost.evaluate cost optimized in
+    let unoptimized_cost, optimized_cost =
+      guard Diagnostic.Post_optimize (fun () ->
+          (Cost.evaluate cost unoptimized, Cost.evaluate cost optimized))
+    in
     let verification, verification_seconds =
       match options.verification with
       | Skip -> (Skipped, 0.0)

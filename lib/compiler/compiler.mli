@@ -266,6 +266,16 @@ exception Compile_error of string
     {!Lint.Rule.Non_finite_angle} scan before it can poison the QMDD
     value table.
 
+    Options that mean nothing whatever the input are refused before the
+    front-end runs, as one [Driver]-stage [Unsupported] diagnostic
+    naming each fault: a [Cost.Linear] weight that is not a finite
+    number (it prices every circuit alike, so no sweep could lower it),
+    and a calibration, of the cost or of a [Weighted_ctr] router, made
+    for a device with another register or coupling map.  Under a
+    [Cost.Log_fidelity] cost, a route that the SWAP budget left with
+    unrouted CNOTs is a [Route]-stage [Budget_exhausted] error: the cost
+    is undefined on gates the device cannot execute.
+
     When [trace] is a recording sink (default {!Trace.disabled}), every
     stage records a span — ["front-end"], ["pre-optimize"] (plus one
     ["pre-optimize/iteration-<i>"] per fixpoint sweep), ["decompose"],
@@ -277,6 +287,16 @@ exception Compile_error of string
     [fallback_sim]) — each with before/after circuit snapshots under
     [options.cost].  A stage that degraded carries a ["degraded"]
     counter of 1.
+
+    A snapshot of a circuit that is not yet mapped (front-end,
+    pre-optimize and decompose, and route's before-snapshot) is priced
+    by [options.cost] when that is a [Cost.Linear] cost, and by
+    {!Cost.eqn2} under [Cost.Log_fidelity], which is defined only on
+    circuits the device executes; pre-optimize's own sweeps use Eqn. 2
+    too.  From route's after-snapshot on, every snapshot is priced by
+    [options.cost].  Tracing only observes: with or without a
+    recording sink, the result is the same, but for the spans and the
+    timings.
 
     [inject] is a fault-injection hook for robustness testing (see
     {!Faultinject}): it is called at every stage handoff with the

@@ -37,7 +37,9 @@ val stage_of_string : string -> stage option
 type kind =
   | Parse  (** malformed input text; location points at the offence *)
   | Io  (** the input file could not be read *)
-  | Unsupported  (** unknown extension, gate, or construct *)
+  | Unsupported
+      (** unknown extension, gate, or construct; or compile options
+          that mean nothing, such as a non-finite cost weight *)
   | Capacity  (** the circuit does not fit the target register *)
   | Unroutable  (** no SWAP path exists (disconnected coupling map) *)
   | Budget_exhausted  (** a per-stage resource budget ran out *)

@@ -61,6 +61,7 @@ let of_values device ~single ~readout ~cnot =
     cnot;
   cal
 
+let device cal = cal.device
 let single_qubit_error cal q = cal.single.(q)
 let readout_error cal q = cal.readout.(q)
 

@@ -29,6 +29,9 @@ val of_values :
   cnot:((int * int) * float) list ->
   t
 
+(** [device cal] is the device [cal] rates: the one it was made for. *)
+val device : t -> Device.t
+
 (** [single_qubit_error cal q] is the depolarizing error rate of a
     one-qubit gate on qubit [q]. *)
 val single_qubit_error : t -> int -> float

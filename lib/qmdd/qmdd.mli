@@ -142,9 +142,23 @@ val common_subsequence : Gate.t array -> Gate.t array -> (int * int) list
     unmatched gates of both sides are interleaved in proportion to
     their counts in that segment.  With no pair, which includes an
     aligner past its work bound, that is the proportional interleaving
-    of the whole circuits.  Every gate is applied exactly once, in
-    order, on its own side, so the verdict does not depend on the
-    alignment; only the diagram sizes do.
+    of the whole circuits.
+
+    Each side's unmatched gates are fused into blocks.  Consecutive
+    gates of one side share a block while their combined support stays
+    within two qubits; a Toffoli or MCT is a block of its own.  A block
+    is built from the gate diagrams (left [L := g * L], right
+    [R := R * g-dagger]) and multiplied into the product once: when
+    the side's next gate would take it past two qubits, and at the end
+    of the segment.  The two sides' factors commute, so a block waits
+    while the other side's gates go in.  It cuts the peak node count
+    of each full Table 8 proof by more than half.  Matched pairs are
+    never fused.
+
+    Every gate is applied exactly once, in order, on its own side, so
+    the verdict does not depend on the alignment or the blocks; only
+    the diagram sizes do.  Block diagrams live in the same manager, so
+    they count toward the node budget.
 
     [reorder] (default [true]) relabels {e both} circuits by first-use
     order before building diagrams, so qubits that interact sit next to

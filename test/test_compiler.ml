@@ -661,6 +661,133 @@ let test_compile_checked_nan_input () =
            && d.Diagnostic.stage = Diagnostic.Front_end)
          ds)
 
+(* The report's JSON with timing scrubbed and without the spans, the one
+   part a trace adds. *)
+let report_bytes r =
+  Trace.Json.to_string
+    (Compiler.report_to_json
+       {
+         r with
+         Compiler.trace = [];
+         elapsed_seconds = 0.0;
+         verification_seconds = 0.0;
+       })
+
+let diagnostics_text ds = String.concat "\n" (List.map Diagnostic.to_string ds)
+
+let test_tracing_never_decides () =
+  (* Under a fidelity cost the spans once priced the unmapped circuits by
+     it, and the traced compile raised "CNOT (1,3) not executable". *)
+  let device = Device.Ibm.ibmqx4 in
+  let input = Compiler.parse_file "../benchmarks/qc/st_07.qc" in
+  let fidelity =
+    {
+      (Compiler.default_options ~device) with
+      Compiler.cost = Cost.Log_fidelity (Calibration.synthetic device);
+    }
+  in
+  let both opts =
+    ( Compiler.compile_checked opts input,
+      Compiler.compile_checked ~trace:(Trace.create ()) opts input )
+  in
+  (match both fidelity with
+  | Ok plain, Ok traced ->
+    check_bool "verified" true (Compiler.verified plain.Compiler.verification);
+    check_bool "spans recorded" true (traced.Compiler.trace <> []);
+    Alcotest.(check string)
+      "same report bytes" (report_bytes plain) (report_bytes traced)
+  | _ -> Alcotest.fail "the fidelity compile failed");
+  (* A route the SWAP budget cut short leaves CNOTs the fidelity cost
+     cannot price: one diagnostic at the route, traced or not. *)
+  let cut =
+    {
+      fidelity with
+      Compiler.post_optimize = false;
+      budgets = { Compiler.no_budgets with swap_budget = Some 0 };
+    }
+  in
+  match both cut with
+  | Error plain, Error traced ->
+    check_bool "fails at the route" true
+      (List.exists
+         (fun d ->
+           d.Diagnostic.severity = Diagnostic.Error
+           && d.Diagnostic.stage = Diagnostic.Route)
+         plain);
+    Alcotest.(check string)
+      "same diagnostics" (diagnostics_text plain) (diagnostics_text traced)
+  | _ -> Alcotest.fail "an unpriceable route compiled"
+
+let test_fidelity_of_injected_gate () =
+  (* A gate the device cannot execute, handed over after post-optimize:
+     the report's fidelity costs are undefined, and say so as a
+     diagnostic instead of raising out of [compile_checked]. *)
+  let device = Device.Ibm.ibmqx4 in
+  let options =
+    {
+      (Compiler.default_options ~device) with
+      Compiler.cost = Cost.Log_fidelity (Calibration.synthetic device);
+    }
+  in
+  let inject stage c =
+    if stage = Diagnostic.Post_optimize then
+      Circuit.append c (Gate.Cnot { control = 0; target = 3 })
+    else c
+  in
+  match Compiler.compile_checked ~inject options (Compiler.Quantum toffoli_cascade) with
+  | Ok _ -> Alcotest.fail "an unpriceable circuit compiled"
+  | Error ds ->
+    check_bool "invalid-gate at post-optimize" true
+      (List.exists
+         (fun d ->
+           d.Diagnostic.kind = Diagnostic.Invalid_gate
+           && d.Diagnostic.stage = Diagnostic.Post_optimize)
+         ds)
+
+(* [options] are refused before the front-end runs, with one diagnostic
+   naming [what]. *)
+let check_refused what options =
+  match
+    Compiler.compile_checked options (Compiler.Quantum toffoli_cascade)
+  with
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error [ d ] ->
+    check_bool (what ^ ": before the front-end") true
+      (d.Diagnostic.stage = Diagnostic.Driver);
+    check_bool (what ^ ": unsupported") true
+      (d.Diagnostic.kind = Diagnostic.Unsupported)
+  | Error ds -> Alcotest.failf "%s: %s" what (diagnostics_text ds)
+
+let test_non_finite_weights_refused () =
+  let o = Compiler.default_options ~device:Device.Ibm.ibmqx4 in
+  List.iter
+    (fun (what, cost) -> check_refused what { o with Compiler.cost })
+    [
+      ("nan T weight", Cost.Linear { t = Float.nan; cnot = 0.25; gate = 1.0 });
+      ("infinite CNOT weight", Cost.Linear { t = 0.5; cnot = Float.infinity; gate = 1.0 });
+      ("-infinite gate weight", Cost.Linear { t = 0.5; cnot = 0.25; gate = Float.neg_infinity });
+    ]
+
+let test_foreign_calibration_refused () =
+  let o = Compiler.default_options ~device:Device.Ibm.ibmqx4 in
+  let ibmqx5 = Calibration.synthetic Device.Ibm.ibmqx5 in
+  check_refused "ibmqx5 fidelity cost"
+    { o with Compiler.cost = Cost.Log_fidelity ibmqx5 };
+  check_refused "ibmqx5 router"
+    { o with Compiler.router = Compiler.Weighted_ctr ibmqx5 };
+  (* Same register and couplings, another name: it rates this device. *)
+  let twin =
+    Device.of_dict_string ~name:"twin" ~n_qubits:5
+      (Device.to_dict_string Device.Ibm.ibmqx4)
+  in
+  match
+    Compiler.compile_checked
+      { o with Compiler.cost = Cost.Log_fidelity (Calibration.synthetic twin) }
+      (Compiler.Quantum toffoli_cascade)
+  with
+  | Ok r -> check_bool "twin verified" true (Compiler.verified r.Compiler.verification)
+  | Error ds -> Alcotest.failf "twin calibration: %s" (diagnostics_text ds)
+
 let test_iteration_budget_degrades () =
   let device = Device.Ibm.ibmqx4 in
   let opts =
@@ -1097,6 +1224,8 @@ let () =
           Alcotest.test_case "spans cover the pipeline" `Quick
             test_trace_spans_cover_pipeline;
           Alcotest.test_case "report to json" `Quick test_report_to_json;
+          Alcotest.test_case "tracing never decides" `Quick
+            test_tracing_never_decides;
         ] );
       ( "robustness",
         [
@@ -1106,6 +1235,12 @@ let () =
             test_compile_checked_capacity_error;
           Alcotest.test_case "nan input rejected" `Quick
             test_compile_checked_nan_input;
+          Alcotest.test_case "non-finite weights refused" `Quick
+            test_non_finite_weights_refused;
+          Alcotest.test_case "foreign calibration refused" `Quick
+            test_foreign_calibration_refused;
+          Alcotest.test_case "fidelity of an injected gate" `Quick
+            test_fidelity_of_injected_gate;
           Alcotest.test_case "iteration budget degrades" `Quick
             test_iteration_budget_degrades;
           Alcotest.test_case "swap budget degrades" `Quick

@@ -497,14 +497,43 @@ let gen_edit c =
   in
   map (Circuit.make ~n) edited
 
+(* An MCT of at least 3 controls on [n] qubits that leaves a qubit free
+   for its lowering to borrow. *)
+let gen_mct n =
+  QCheck2.Gen.(
+    int_range 3 (n - 2) >>= fun k ->
+    map
+      (function
+        | target :: rest -> Gate.mct (List.filteri (fun i _ -> i < k) rest) target
+        | [] -> assert false)
+      (shuffle_l (List.init n Fun.id)))
+
+(* A circuit on 5 or 6 qubits with Toffoli and MCT gates among the
+   others, and its gate-by-gate lowering: each wide gate of the one
+   faces a run of one- and two-qubit gates of the other, whose blocks
+   flush as the run reaches a third qubit. *)
+let gen_lowered_pair =
+  QCheck2.Gen.(
+    int_range 5 6 >>= fun n ->
+    int_range 1 5 >>= fun len ->
+    list_repeat len (frequency [ (3, Testutil.gen_gate n); (1, gen_mct n) ])
+    |> map (fun gates ->
+           ( Circuit.make ~n gates,
+             Circuit.make ~n (List.concat_map (Decompose.lower_gate ~n) gates) )))
+
 let prop_schedule_matches_dense =
   QCheck2.Test.make
-    ~name:"diff-paced miter = dense oracle on optimized and edited circuits"
+    ~name:
+      "diff-paced miter = dense oracle on optimized, lowered and edited \
+       circuits"
     ~count:150
     QCheck2.Gen.(
-      gen_small_circuit >>= fun c ->
-      let o = Optimize.optimize c in
-      map (fun e -> (c, o, e)) (gen_edit o))
+      oneof
+        [
+          map (fun c -> (c, Optimize.optimize c)) gen_small_circuit;
+          gen_lowered_pair;
+        ]
+      >>= fun (c, o) -> map (fun e -> (c, o, e)) (gen_edit o))
     (fun (c, o, e) ->
       List.for_all
         (fun (a, b) ->
@@ -513,7 +542,39 @@ let prop_schedule_matches_dense =
               Qmdd.equivalent ~up_to_phase a b
               = Sim.equivalent ~up_to_phase a b)
             [ true; false ])
-        [ (c, o); (c, e) ])
+        [ (c, o); (c, e); (o, c); (e, c) ])
+
+let test_fused_block_flush () =
+  (* The Clifford+T Toffoli (Nielsen & Chuang, Fig. 4.9) on controls 0
+     and 1 and target 2.  Its first run, H 2; CNOT 1->2; [first], stays
+     on qubits 1 and 2, and its block flushes when CNOT 0->2 brings in
+     qubit 0. *)
+  let cx c t = Gate.Cnot { control = c; target = t } in
+  let lowering first =
+    Circuit.make ~n:3
+      [
+        Gate.H 2; cx 1 2; first; cx 0 2; Gate.T 2; cx 1 2; Gate.Tdg 2; cx 0 2;
+        Gate.T 1; Gate.T 2; Gate.H 2; cx 0 1; Gate.T 0; Gate.Tdg 1; cx 0 1;
+      ]
+  in
+  let toffoli = Circuit.make ~n:3 [ Gate.Toffoli { c1 = 0; c2 = 1; target = 2 } ] in
+  let right = lowering (Gate.Tdg 2) and wrong = lowering (Gate.T 2) in
+  check_bool "dense: T in place of Tdg breaks it" false
+    (Sim.equivalent toffoli wrong);
+  (* Each pair on either side of the miter. *)
+  let check name expected ~up_to_phase a b =
+    check_bool name expected (Qmdd.equivalent ~up_to_phase a b);
+    check_bool (name ^ ", sides swapped") expected
+      (Qmdd.equivalent ~up_to_phase b a)
+  in
+  check "the lowering holds" true ~up_to_phase:false toffoli right;
+  List.iter
+    (fun up_to_phase ->
+      check "T in place of Tdg, against the Toffoli" false ~up_to_phase
+        toffoli wrong;
+      check "T in place of Tdg, against the right lowering" false
+        ~up_to_phase right wrong)
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* The multiply kernel: identity operands and the gate memo             *)
@@ -607,52 +668,52 @@ let test_gate_memo () =
    first gate compiled to big96, as (unique, peak, allocated,
    multiply-cache hits, misses, add-cache hits, misses): reference =
    native, the 72 routed CNOT blocks, then unoptimized = optimized.
-   Entries 0-72 were measured before weights had ids.  The two circuits of each of those
-   checks share no gate, or are one and the same CNOT, which the
-   proportional interleaving applies in the same order as a matched
-   pair.  Entry 73 was measured once the miter followed the diff of its
-   two gate lists: 2,174 of the 2,176 optimized gates are matched in
-   order, and the peak was 30,865 nodes under proportional
-   interleaving. *)
+   Measured once the miter fused each side's unmatched runs into blocks
+   of at most two qubits.  The two circuits of each of the checks 0-72
+   share no gate, or are one and the same CNOT, a matched pair.  In
+   check 73, 2,174 of the 2,176 optimized gates are matched in order.
+   Unfused, check 0 peaked at 3,590 nodes and check 73 at 1,929; under
+   proportional interleaving, before the miter followed the diff,
+   check 73 peaked at 30,865. *)
 let t6_prefix_checks =
   [|
-    (3590, 3590, 3591, 3959, 4046, 626, 280); (350, 350, 351, 207, 315, 368, 274);
-    (824, 824, 825, 695, 907, 544, 334); (350, 350, 351, 207, 315, 368, 274);
-    (824, 824, 825, 695, 907, 544, 334); (177, 177, 178, 79, 105, 272, 242);
-    (177, 177, 178, 79, 105, 272, 242); (98, 98, 99, 0, 2, 0, 0);
-    (327, 327, 328, 209, 270, 350, 250); (98, 98, 99, 0, 2, 0, 0);
-    (327, 327, 328, 209, 270, 350, 250); (188, 188, 189, 54, 93, 278, 230);
-    (188, 188, 189, 54, 93, 278, 230); (1136, 1136, 1137, 1030, 1277, 630, 350);
-    (350, 350, 351, 207, 315, 368, 274); (1136, 1136, 1137, 1030, 1277, 630, 350);
-    (350, 350, 351, 207, 315, 368, 274); (305, 305, 306, 137, 243, 334, 252);
-    (305, 305, 306, 137, 243, 334, 252); (178, 178, 179, 45, 81, 254, 218);
-    (110, 110, 111, 6, 9, 194, 194); (178, 178, 179, 45, 81, 254, 218);
-    (110, 110, 111, 6, 9, 194, 194); (110, 110, 111, 6, 11, 200, 192);
-    (110, 110, 111, 6, 11, 200, 192); (1136, 1136, 1137, 1030, 1277, 630, 350);
-    (350, 350, 351, 207, 315, 368, 274); (1136, 1136, 1137, 1030, 1277, 630, 350);
-    (350, 350, 351, 207, 315, 368, 274); (305, 305, 306, 137, 243, 334, 252);
-    (305, 305, 306, 137, 243, 334, 252); (98, 98, 99, 0, 2, 0, 0);
-    (327, 327, 328, 209, 270, 350, 250); (98, 98, 99, 0, 2, 0, 0);
-    (327, 327, 328, 209, 270, 350, 250); (188, 188, 189, 54, 93, 278, 230);
-    (188, 188, 189, 54, 93, 278, 230); (350, 350, 351, 207, 315, 368, 274);
-    (824, 824, 825, 695, 907, 544, 334); (350, 350, 351, 207, 315, 368, 274);
-    (824, 824, 825, 695, 907, 544, 334); (177, 177, 178, 79, 105, 272, 242);
-    (177, 177, 178, 79, 105, 272, 242); (98, 98, 99, 0, 2, 0, 0);
-    (327, 327, 328, 209, 270, 350, 250); (98, 98, 99, 0, 2, 0, 0);
-    (327, 327, 328, 209, 270, 350, 250); (188, 188, 189, 54, 93, 278, 230);
-    (188, 188, 189, 54, 93, 278, 230); (1136, 1136, 1137, 1030, 1277, 630, 350);
-    (350, 350, 351, 207, 315, 368, 274); (1136, 1136, 1137, 1030, 1277, 630, 350);
-    (350, 350, 351, 207, 315, 368, 274); (305, 305, 306, 137, 243, 334, 252);
-    (305, 305, 306, 137, 243, 334, 252); (178, 178, 179, 45, 81, 254, 218);
-    (110, 110, 111, 6, 9, 194, 194); (178, 178, 179, 45, 81, 254, 218);
-    (110, 110, 111, 6, 9, 194, 194); (110, 110, 111, 6, 11, 200, 192);
-    (110, 110, 111, 6, 11, 200, 192); (1136, 1136, 1137, 1030, 1277, 630, 350);
-    (350, 350, 351, 207, 315, 368, 274); (1136, 1136, 1137, 1030, 1277, 630, 350);
-    (350, 350, 351, 207, 315, 368, 274); (305, 305, 306, 137, 243, 334, 252);
-    (305, 305, 306, 137, 243, 334, 252); (98, 98, 99, 0, 2, 0, 0);
-    (327, 327, 328, 209, 270, 350, 250); (98, 98, 99, 0, 2, 0, 0);
-    (327, 327, 328, 209, 270, 350, 250); (188, 188, 189, 54, 93, 278, 230);
-    (188, 188, 189, 54, 93, 278, 230); (1929, 1929, 1930, 6946, 2801, 1855, 1319);
+    (2572, 2572, 2573, 2807, 2753, 554, 280); (266, 266, 267, 136, 213, 355, 247);
+    (502, 502, 503, 341, 517, 504, 302); (266, 266, 267, 136, 213, 355, 247);
+    (502, 502, 503, 341, 517, 504, 302); (167, 167, 168, 73, 87, 264, 230);
+    (167, 167, 168, 73, 87, 264, 230); (98, 98, 99, 0, 2, 0, 0);
+    (249, 249, 250, 120, 210, 340, 252); (98, 98, 99, 0, 2, 0, 0);
+    (249, 249, 250, 120, 210, 340, 252); (176, 176, 177, 53, 107, 284, 216);
+    (176, 176, 177, 53, 107, 284, 216); (648, 648, 649, 463, 715, 582, 326);
+    (266, 266, 267, 136, 213, 355, 247); (648, 648, 649, 463, 715, 582, 326);
+    (266, 266, 267, 136, 213, 355, 247); (259, 259, 260, 114, 193, 335, 229);
+    (259, 259, 260, 114, 193, 335, 229); (171, 171, 172, 34, 90, 271, 205);
+    (109, 109, 110, 7, 12, 198, 192); (171, 171, 172, 34, 90, 271, 205);
+    (109, 109, 110, 7, 12, 198, 192); (110, 110, 111, 6, 10, 208, 196);
+    (110, 110, 111, 6, 10, 208, 196); (648, 648, 649, 463, 715, 582, 326);
+    (266, 266, 267, 136, 213, 355, 247); (648, 648, 649, 463, 715, 582, 326);
+    (266, 266, 267, 136, 213, 355, 247); (259, 259, 260, 114, 193, 335, 229);
+    (259, 259, 260, 114, 193, 335, 229); (98, 98, 99, 0, 2, 0, 0);
+    (249, 249, 250, 120, 210, 340, 252); (98, 98, 99, 0, 2, 0, 0);
+    (249, 249, 250, 120, 210, 340, 252); (176, 176, 177, 53, 107, 284, 216);
+    (176, 176, 177, 53, 107, 284, 216); (266, 266, 267, 136, 213, 355, 247);
+    (502, 502, 503, 341, 517, 504, 302); (266, 266, 267, 136, 213, 355, 247);
+    (502, 502, 503, 341, 517, 504, 302); (167, 167, 168, 73, 87, 264, 230);
+    (167, 167, 168, 73, 87, 264, 230); (98, 98, 99, 0, 2, 0, 0);
+    (249, 249, 250, 120, 210, 340, 252); (98, 98, 99, 0, 2, 0, 0);
+    (249, 249, 250, 120, 210, 340, 252); (176, 176, 177, 53, 107, 284, 216);
+    (176, 176, 177, 53, 107, 284, 216); (648, 648, 649, 463, 715, 582, 326);
+    (266, 266, 267, 136, 213, 355, 247); (648, 648, 649, 463, 715, 582, 326);
+    (266, 266, 267, 136, 213, 355, 247); (259, 259, 260, 114, 193, 335, 229);
+    (259, 259, 260, 114, 193, 335, 229); (171, 171, 172, 34, 90, 271, 205);
+    (109, 109, 110, 7, 12, 198, 192); (171, 171, 172, 34, 90, 271, 205);
+    (109, 109, 110, 7, 12, 198, 192); (110, 110, 111, 6, 10, 208, 196);
+    (110, 110, 111, 6, 10, 208, 196); (648, 648, 649, 463, 715, 582, 326);
+    (266, 266, 267, 136, 213, 355, 247); (648, 648, 649, 463, 715, 582, 326);
+    (266, 266, 267, 136, 213, 355, 247); (259, 259, 260, 114, 193, 335, 229);
+    (259, 259, 260, 114, 193, 335, 229); (98, 98, 99, 0, 2, 0, 0);
+    (249, 249, 250, 120, 210, 340, 252); (98, 98, 99, 0, 2, 0, 0);
+    (249, 249, 250, 120, 210, 340, 252); (176, 176, 177, 53, 107, 284, 216);
+    (176, 176, 177, 53, 107, 284, 216); (1715, 1715, 1716, 6666, 2606, 1745, 1255);
   |]
 
 (* [Qmdd.equivalent] on each pair of [checks] holds and ends with the
@@ -689,18 +750,19 @@ let check_pinned label pins checks =
    in the form of [t6_prefix_checks]: T6_b's one MCT = its Toffoli
    cascade, the cascade's 4 distinct Toffolis = their Clifford+T
    lowerings, the 12 distinct routed CNOT blocks = their CNOTs, then
-   unoptimized = optimized. *)
+   unoptimized = optimized.  Unfused, they allocated 5,349 nodes in
+   all; fused, 4,013. *)
 let t6_prefix_links =
   [|
-    (179, 179, 180, 245, 260, 10, 18); (65, 65, 66, 12, 55, 0, 0);
-    (65, 65, 66, 12, 55, 0, 0); (62, 62, 63, 18, 59, 0, 2);
-    (71, 71, 72, 19, 51, 18, 30); (258, 258, 259, 207, 315, 120, 90);
-    (734, 734, 735, 695, 907, 300, 154); (84, 84, 85, 79, 105, 34, 56);
-    (4, 4, 5, 0, 2, 0, 0); (235, 235, 236, 209, 270, 110, 66);
-    (95, 95, 96, 54, 93, 28, 44); (1047, 1047, 1048, 1030, 1277, 388, 172);
-    (258, 258, 259, 207, 315, 120, 90); (213, 213, 214, 137, 243, 86, 68);
-    (85, 85, 86, 45, 81, 4, 32); (16, 16, 17, 6, 9, 2, 6);
-    (16, 16, 17, 6, 11, 4, 4); (1844, 1844, 1845, 6946, 2801, 993, 469);
+    (177, 177, 178, 241, 258, 10, 18); (64, 64, 65, 11, 52, 0, 0);
+    (64, 64, 65, 11, 52, 0, 0); (66, 66, 67, 16, 60, 0, 2);
+    (81, 81, 82, 25, 57, 14, 30); (174, 174, 175, 136, 213, 91, 63);
+    (412, 412, 413, 341, 517, 244, 122); (74, 74, 75, 73, 87, 34, 44);
+    (4, 4, 5, 0, 2, 0, 0); (157, 157, 158, 120, 210, 92, 68);
+    (83, 83, 84, 53, 107, 22, 30); (559, 559, 560, 463, 715, 324, 148);
+    (174, 174, 175, 136, 213, 91, 63); (167, 167, 168, 114, 193, 71, 45);
+    (78, 78, 79, 34, 90, 9, 19); (15, 15, 16, 7, 12, 2, 4);
+    (16, 16, 17, 6, 10, 0, 8); (1630, 1630, 1631, 6666, 2606, 883, 405);
   |]
 
 let test_t6_prefix_staged_proof () =
@@ -904,6 +966,7 @@ let () =
           Alcotest.test_case "common subsequence edges" `Quick
             test_common_subsequence_edges;
           QCheck_alcotest.to_alcotest prop_schedule_matches_dense;
+          Alcotest.test_case "fused block flush" `Quick test_fused_block_flush;
         ] );
       ( "diagnostics",
         [
