@@ -42,7 +42,7 @@ let finite_float_conv =
    loops (batch compiles, fuzz cases).  The unset flag falls back to
    QSC_JOBS, then to 1 — and every consumer guarantees byte-identical
    output at any value, so parallelism is purely a throughput knob.
-   `qsc serve` has its own --jobs (see [serve_default_jobs]). *)
+   `qsc serve` has its own --jobs (see [Serve.Default.jobs]). *)
 let jobs_term what =
   Arg.(
     value
@@ -67,29 +67,6 @@ let map_ok f xs =
 let resolve_jobs = function
   | Some n when n < 1 -> Error (`Msg "--jobs must be >= 1")
   | opt -> Ok (Parallel.resolve_jobs opt)
-
-(* The heap one compile may reach before the default 8M-node
-   verification budget stops it: T10_b compiled to big96 had 2.9 GB
-   when the budget stopped its proof. *)
-let compile_peak_kb = 3 * 1024 * 1024
-
-let physical_memory_kb () =
-  try
-    In_channel.with_open_text "/proc/meminfo" (fun ic ->
-        Option.bind (In_channel.input_line ic) (fun line ->
-            Scanf.sscanf_opt line "MemTotal: %d kB" Fun.id))
-  with Sys_error _ -> None
-
-(* `qsc serve`'s unset --jobs: QSC_JOBS when set.  Else one compile per
-   core, but no more than physical memory holds at [compile_peak_kb]
-   each, and one where the memory size is unknown. *)
-let serve_default_jobs () =
-  if Option.is_some (Sys.getenv_opt "QSC_JOBS") then Parallel.default_jobs ()
-  else
-    match physical_memory_kb () with
-    | Some kb ->
-      max 1 (min (Domain.recommended_domain_count ()) (kb / compile_peak_kb))
-    | None -> 1
 
 (* --device, or --map with --qubits: the target of `compile` and
    `lint`, [None] when neither is given. *)
@@ -334,7 +311,8 @@ let compile_cmd =
   in
   let inject_seed =
     Arg.(
-      value & opt int 0
+      value
+      & opt int Faultinject.default_seed
       & info [ "inject-seed" ] ~docv:"N"
           ~doc:"Seed for $(b,--inject) randomness.")
   in
@@ -361,20 +339,14 @@ let compile_cmd =
     in
     let parse_inject () =
       let parse s =
-        match String.index_opt s '@' with
-        | None ->
+        match Faultinject.spec_of_string s with
+        | Ok spec -> Ok spec
+        | Error `No_at ->
           Error (`Msg (Printf.sprintf "bad --inject %S (want FAULT@STAGE)" s))
-        | Some i -> (
-          let f = String.sub s 0 i
-          and st = String.sub s (i + 1) (String.length s - i - 1) in
-          match
-            (Faultinject.fault_of_string f, Diagnostic.stage_of_string st)
-          with
-          | Some fault, Some stage -> Ok { Faultinject.stage; fault }
-          | None, _ ->
-            Error (`Msg (Printf.sprintf "unknown fault %S in --inject" f))
-          | Some _, None ->
-            Error (`Msg (Printf.sprintf "unknown stage %S in --inject" st)))
+        | Error (`Unknown_fault f) ->
+          Error (`Msg (Printf.sprintf "unknown fault %S in --inject" f))
+        | Error (`Unknown_stage st) ->
+          Error (`Msg (Printf.sprintf "unknown stage %S in --inject" st))
       in
       map_ok parse inject_specs
     in
@@ -1088,7 +1060,8 @@ let analyze_cmd =
 let fuzz_cmd =
   let seed =
     Arg.(
-      value & opt int 0
+      value
+      & opt int Fuzz.default_seed
       & info [ "seed" ] ~docv:"N"
           ~doc:
             "Base seed.  Case $(i,i) of every property draws from a state \
@@ -1097,21 +1070,33 @@ let fuzz_cmd =
   in
   let count =
     Arg.(
-      value & opt int 100
-      & info [ "count" ] ~docv:"N" ~doc:"Cases per property (default 100).")
+      value
+      & opt int Fuzz.default_count
+      & info [ "count" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf "Cases per property (default %d)."
+               Fuzz.default_count))
   in
+  let sizes = Fuzz.default_config in
   let max_qubits =
     Arg.(
-      value & opt int 8
+      value
+      & opt int sizes.Fuzz.max_qubits
       & info [ "max-qubits" ] ~docv:"N"
-          ~doc:"Widest generated register (default 8; the dense oracle caps \
-                some properties lower).")
+          ~doc:
+            (Printf.sprintf
+               "Widest generated register (default %d; the dense oracle caps \
+                some properties lower)."
+               sizes.Fuzz.max_qubits))
   in
   let max_gates =
     Arg.(
-      value & opt int 16
+      value
+      & opt int sizes.Fuzz.max_gates
       & info [ "max-gates" ] ~docv:"N"
-          ~doc:"Longest generated gate list (default 16).")
+          ~doc:
+            (Printf.sprintf "Longest generated gate list (default %d)."
+               sizes.Fuzz.max_gates))
   in
   let properties =
     Arg.(
@@ -1260,13 +1245,13 @@ let stats_cmd =
     match circuit_of_file input with
     | Error e -> Error e
     | Ok c ->
-      let s = Circuit.stats c in
+      let s = Circuit.full_stats c in
       Format.printf "qubits:       %d@." (Circuit.n_qubits c);
-      Format.printf "gates:        %d@." s.Circuit.gate_volume;
-      Format.printf "T count:      %d@." s.Circuit.t_count;
-      Format.printf "CNOT count:   %d@." s.Circuit.cnot_count;
-      Format.printf "depth:        %d@." (Circuit.depth c);
-      Format.printf "T depth:      %d@." (Circuit.t_depth c);
+      Format.printf "gates:        %d@." s.Circuit.fs_gate_volume;
+      Format.printf "T count:      %d@." s.Circuit.fs_t_count;
+      Format.printf "CNOT count:   %d@." s.Circuit.fs_cnot_count;
+      Format.printf "depth:        %d@." s.Circuit.fs_depth;
+      Format.printf "T depth:      %d@." s.Circuit.fs_t_depth;
       Format.printf "eqn2 cost:    %g@." (Cost.evaluate Cost.eqn2 c);
       Format.printf "native-only:  %b@." (Circuit.uses_only_native c);
       (match device with
@@ -1390,7 +1375,8 @@ let serve_cmd =
   in
   let cache_size =
     Arg.(
-      value & opt int 256
+      value
+      & opt int Serve.Default.cache_capacity
       & info [ "cache-size" ] ~docv:"N"
           ~doc:
             "Report-cache capacity in entries (LRU eviction past it; 0 \
@@ -1398,7 +1384,8 @@ let serve_cmd =
   in
   let max_deadline =
     Arg.(
-      value & opt float 60.0
+      value
+      & opt float Serve.Default.max_deadline_seconds
       & info [ "max-deadline" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock budget ceiling per request; requests asking for \
@@ -1416,7 +1403,7 @@ let serve_cmd =
   let cache_bytes =
     Arg.(
       value
-      & opt int (64 * 1024 * 1024)
+      & opt int Serve.Default.max_cache_bytes
       & info [ "cache-bytes" ] ~docv:"BYTES"
           ~doc:
             "Report-cache byte budget (sum of serialized payloads; LRU \
@@ -1434,13 +1421,15 @@ let serve_cmd =
   in
   let max_workers =
     Arg.(
-      value & opt int 8
+      value
+      & opt int Serve.Default.max_workers
       & info [ "max-workers" ] ~docv:"N"
           ~doc:"Connection worker pool size (fixed; the pool never grows).")
   in
   let max_pending =
     Arg.(
-      value & opt int 32
+      value
+      & opt int Serve.Default.max_pending
       & info [ "max-pending" ] ~docv:"N"
           ~doc:
             "Admission-queue bound; connections beyond it are shed with an \
@@ -1448,7 +1437,8 @@ let serve_cmd =
   in
   let read_timeout =
     Arg.(
-      value & opt float 30.0
+      value
+      & opt float Serve.Default.read_timeout_seconds
       & info [ "read-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Per-connection deadline for reading one request frame (and for \
@@ -1457,7 +1447,7 @@ let serve_cmd =
   let max_frame_bytes =
     Arg.(
       value
-      & opt int (4 * 1024 * 1024)
+      & opt int Serve.Default.max_frame_bytes
       & info [ "max-frame-bytes" ] ~docv:"BYTES"
           ~doc:
             "Request-line cap; longer frames are answered with a 124 \
@@ -1465,7 +1455,8 @@ let serve_cmd =
   in
   let watchdog_grace =
     Arg.(
-      value & opt float 5.0
+      value
+      & opt float Serve.Default.watchdog_grace_seconds
       & info [ "watchdog-grace" ] ~docv:"SECONDS"
           ~doc:
             "How long past the --max-deadline ceiling a request may wait \
@@ -1508,9 +1499,6 @@ let serve_cmd =
       | None, None -> Error (`Msg "choose a transport: --socket or --port")
       | Some _, Some _ -> Error (`Msg "--socket and --port are exclusive")
     in
-    let jobs =
-      match jobs_opt with Some n -> n | None -> serve_default_jobs ()
-    in
     let max_request_bytes =
       Option.map (fun mb -> mb * 1024 * 1024) max_request_mb
     in
@@ -1523,8 +1511,8 @@ let serve_cmd =
         Serve.create ~cache_capacity:cache_size ~max_cache_bytes:cache_bytes
           ?persist_dir ~max_deadline_seconds:max_deadline ~max_frame_bytes
           ~watchdog_grace_seconds:watchdog_grace ?max_request_bytes
-          ~read_timeout_seconds:read_timeout ~max_workers ~max_pending ~jobs
-          ()
+          ~read_timeout_seconds:read_timeout ~max_workers ~max_pending
+          ?jobs:jobs_opt ()
       with
       | exception Invalid_argument msg -> Error (`Msg msg)
       | daemon ->

@@ -465,7 +465,10 @@ let states_on after qs =
   String.concat " "
     (List.map (fun q -> Printf.sprintf "q%d=%s" q (Basis.to_string after.(q))) qs)
 
-let state_table ?(max_columns = 12) r =
+(* The widest register whose rows list every wire. *)
+let max_columns = 12
+
+let state_table r =
   let buf = Buffer.create 256 in
   let all_wires = List.init r.n Fun.id in
   List.iter

@@ -119,11 +119,11 @@ val fact_to_string : fact -> string
 (** [class_to_string [0;2]] is ["{q0,q2}"]. *)
 val class_to_string : int list -> string
 
-(** [state_table ?max_columns r] renders the per-gate table: one line
-    per gate with the abstract state after it (all wires when
-    [n <= max_columns], default 12; only the gate's support wires
-    otherwise), the partition class count, and any fact. *)
-val state_table : ?max_columns:int -> result -> string
+(** [state_table r] renders the per-gate table: one line per gate with
+    the abstract state after it (all wires on registers of at most 12
+    qubits, only the gate's support wires otherwise), the partition
+    class count, and any fact. *)
+val state_table : result -> string
 
 (** [summary r] renders the end-of-circuit facts: final state,
     partition, ancilla liveness, and fact counters. *)

@@ -66,16 +66,18 @@ let equal a b = a.n = b.n && List.equal Gate.equal a.gates b.gates
 
 type stats = { t_count : int; cnot_count : int; gate_volume : int }
 
+(* Integer accumulators and one record at the end: every Eqn. 2
+   evaluation walks a circuit here, so nothing is allocated per gate. *)
 let stats c =
-  List.fold_left
-    (fun acc g ->
-      {
-        t_count = (acc.t_count + if Gate.is_t_like g then 1 else 0);
-        cnot_count = (acc.cnot_count + if Gate.is_cnot g then 1 else 0);
-        gate_volume = acc.gate_volume + 1;
-      })
-    { t_count = 0; cnot_count = 0; gate_volume = 0 }
-    c.gates
+  let rec count t cnot volume = function
+    | [] -> { t_count = t; cnot_count = cnot; gate_volume = volume }
+    | g :: rest ->
+      count
+        (if Gate.is_t_like g then t + 1 else t)
+        (if Gate.is_cnot g then cnot + 1 else cnot)
+        (volume + 1) rest
+  in
+  count 0 0 0 c.gates
 
 let t_count c = (stats c).t_count
 let cnot_count c = (stats c).cnot_count
@@ -88,9 +90,10 @@ type full_stats = {
   fs_t_depth : int;
 }
 
-(* One walk computes what [stats] + [depth] + [t_depth] would take
-   three: the counting fold fused with the per-qubit frontier levels of
-   [weighted_depth] (unit weight and T-weight tracked side by side). *)
+(* The one walk that computes depth: per-qubit frontier levels, each
+   gate landing one step past the latest of its qubits (one T step past
+   for a T-like gate, none for the others), with the counts of [stats]
+   taken on the way. *)
 let full_stats c =
   let level = Array.make c.n 0 in
   let t_level = Array.make c.n 0 in
@@ -126,41 +129,9 @@ let full_stats c =
     fs_t_depth = !t_depth;
   }
 
-(* Longest weighted chain through shared qubits: per-qubit frontier
-   levels, each gate lands at 1 + max over its support (or +weight). *)
-let weighted_depth weight c =
-  let level = Array.make c.n 0 in
-  let finish = ref 0 in
-  List.iter
-    (fun g ->
-      let support = Gate.support g in
-      let at = List.fold_left (fun acc q -> max acc level.(q)) 0 support in
-      let after = at + weight g in
-      List.iter (fun q -> level.(q) <- after) support;
-      finish := max !finish after)
-    c.gates;
-  !finish
-
-let depth c = weighted_depth (fun _ -> 1) c
-let t_depth c = weighted_depth (fun g -> if Gate.is_t_like g then 1 else 0) c
-
-let layers c =
-  let level = Array.make c.n 0 in
-  let buckets = Hashtbl.create 16 in
-  let max_layer = ref 0 in
-  List.iter
-    (fun g ->
-      let support = Gate.support g in
-      let at = List.fold_left (fun acc q -> max acc level.(q)) 0 support in
-      List.iter (fun q -> level.(q) <- at + 1) support;
-      max_layer := max !max_layer (at + 1);
-      Hashtbl.replace buckets at
-        (g :: Option.value ~default:[] (Hashtbl.find_opt buckets at)))
-    c.gates;
-  List.init !max_layer (fun k ->
-      List.rev (Option.value ~default:[] (Hashtbl.find_opt buckets k)))
+let depth c = (full_stats c).fs_depth
+let t_depth c = (full_stats c).fs_t_depth
 let uses_only_native c = List.for_all Gate.is_transmon_native c.gates
-let max_gate_arity c = List.fold_left (fun acc g -> max acc (Gate.arity g)) 0 c.gates
 let fold f init c = List.fold_left f init c.gates
 let iter f c = List.iter f c.gates
 let map_gates f c = { c with gates = List.concat_map f c.gates }

@@ -105,19 +105,9 @@ val depth : t -> int
     ref. [10]). *)
 val t_depth : t -> int
 
-(** [layers c] is the ASAP schedule: gates partitioned into time steps,
-    each gate placed in the earliest step after every earlier gate
-    sharing one of its qubits.  [List.length (layers c) = depth c], and
-    concatenating the layers in order is a valid reordering of [c]
-    (only commuting-by-disjointness moves). *)
-val layers : t -> Gate.t list list
-
 (** [uses_only_native c] holds when every gate is in the transmon
     library (see {!Gate.is_transmon_native}). *)
 val uses_only_native : t -> bool
-
-(** [max_gate_arity c] is the arity of the widest gate (0 if empty). *)
-val max_gate_arity : t -> int
 
 (** [fold f init c] folds over gates in execution order. *)
 val fold : ('a -> Gate.t -> 'a) -> 'a -> t -> 'a

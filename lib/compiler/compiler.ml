@@ -406,15 +406,24 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
   in
   (* A corrupted gate stream (NaN/infinite rotation angle) has no
      defined unitary; catch it at the stage handoff where it appeared,
-     before it can poison the QMDD value table downstream. *)
+     before it can poison the QMDD value table downstream.  A walk that
+     allocates nothing clears the usual stream; [Lint] words the
+     finding of a corrupted one. *)
+  let finite_angle = function
+    | Gate.Rx (a, _) | Gate.Ry (a, _) | Gate.Rz (a, _) | Gate.Phase (a, _) ->
+      Float.is_finite a
+    | _ -> true
+  in
   let validate_stream stage c =
-    match Lint.check ~rules:[ Lint.Rule.Non_finite_angle ] c with
-    | [] -> c
-    | f :: _ ->
-      raise
-        (Abort
-           (Diagnostic.error ~stage ~kind:Diagnostic.Invalid_gate
-              f.Lint.message))
+    if Circuit.fold (fun ok g -> ok && finite_angle g) true c then c
+    else
+      match Lint.check ~rules:[ Lint.Rule.Non_finite_angle ] c with
+      | [] -> c
+      | f :: _ ->
+        raise
+          (Abort
+             (Diagnostic.error ~stage ~kind:Diagnostic.Invalid_gate
+                f.Lint.message))
   in
   let inject stage c =
     match inject with

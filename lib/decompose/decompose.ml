@@ -144,10 +144,6 @@ let controlled_ry ~theta ~control ~target =
 let mcz ~n ~controls ~target =
   (Gate.H target :: mct_to_toffoli ~n ~controls ~target) @ [ Gate.H target ]
 
-let fredkin ~controls a b =
-  let cnot = Gate.Cnot { control = b; target = a } in
-  [ cnot; Gate.mct (a :: controls) b; cnot ]
-
 let rec lower_gate ~n g =
   if Gate.is_transmon_native g then [ g ]
   else

@@ -76,11 +76,6 @@ val controlled_ry : theta:float -> control:int -> target:int -> Gate.t list
     @raise Not_enough_qubits as {!mct_to_toffoli}. *)
 val mcz : n:int -> controls:int list -> target:int -> Gate.t list
 
-(** [fredkin ~controls a b] is a (multi-)controlled SWAP: a CNOT
-    sandwich around a generalized Toffoli, still at the Toffoli level
-    (compose with {!lower_gate} to reach the native library). *)
-val fredkin : controls:int list -> int -> int -> Gate.t list
-
 (** [lower_gate ~n g] lowers one gate to the transmon-native library,
     composing the decompositions above.  Native gates pass through. *)
 val lower_gate : n:int -> Gate.t -> Gate.t list

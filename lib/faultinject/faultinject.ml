@@ -19,6 +19,17 @@ let spec_to_string { stage; fault } =
   Printf.sprintf "%s@%s" (fault_to_string fault)
     (Diagnostic.stage_to_string stage)
 
+let spec_of_string s =
+  match String.index_opt s '@' with
+  | None -> Error `No_at
+  | Some i -> (
+    let f = String.sub s 0 i
+    and st = String.sub s (i + 1) (String.length s - i - 1) in
+    match (fault_of_string f, Diagnostic.stage_of_string st) with
+    | Some fault, Some stage -> Ok { stage; fault }
+    | None, _ -> Error (`Unknown_fault f)
+    | Some _, None -> Error (`Unknown_stage st))
+
 let stages =
   [
     Diagnostic.Front_end;
@@ -41,7 +52,9 @@ type t = {
   mutable fired : spec list;  (* reverse firing order *)
 }
 
-let create ?(seed = 0) specs =
+let default_seed = 0
+
+let create ?(seed = default_seed) specs =
   { rng = Random.State.make [| seed |]; pending = specs; fired = [] }
 
 let take n gates =

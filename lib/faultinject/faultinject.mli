@@ -46,6 +46,15 @@ type spec = { stage : Diagnostic.stage; fault : fault }
 
 val spec_to_string : spec -> string
 
+(** [spec_of_string s] reads the [FAULT@STAGE] form {!spec_to_string}
+    writes, splitting at the first [@].  The error says what was wrong:
+    no [@], or the fault or stage name it could not read. *)
+val spec_of_string :
+  string ->
+  ( spec,
+    [ `No_at | `Unknown_fault of string | `Unknown_stage of string ] )
+  result
+
 (** The stages the compiler passes to inject hooks — every
     circuit-producing stage, pipeline order.  [Driver] and [Verify]
     produce no circuit and are excluded. *)
@@ -57,9 +66,12 @@ val matrix : spec list
 
 type t
 
+(** The seed {!create} uses when given none: 0. *)
+val default_seed : int
+
 (** [create ?seed specs] is a harness that fires each spec the first
-    time its stage hands off a circuit.  [seed] (default 0) drives
-    every random choice. *)
+    time its stage hands off a circuit.  [seed] (default
+    {!default_seed}) drives every random choice. *)
 val create : ?seed:int -> spec list -> t
 
 (** [hook h] is the hook to pass as

@@ -202,6 +202,76 @@ type case =
       circuit : Circuit.t;
       fault : (Faultinject.spec * int) option;
     }
+  | Options_case of { circuit : Circuit.t; device : Device.t; draw : int array }
+
+(* --- drawn compile options --- *)
+
+(* An [Options_case] names its options by one choice index per field,
+   each below its count here: the cost (Eqn. 2, [Log_fidelity],
+   [Linear]), the [Linear] weights of T, CNOT and gate, the router
+   (CTR, weighted CTR, tracking), pre-optimize, post-optimize,
+   fold-states, placement, contracts, the rules (all, none), the
+   verification mode (skip, QMDD, fallback), its node budget (none, 1,
+   1000), the fallback's dense cap (0, 10), the deadline (none, 0 s),
+   the iteration cap and the SWAP budget (none, 0, 1).  A positive
+   deadline is left out: what it stops would depend on timing. *)
+let draw_choices = [| 3; 5; 5; 5; 3; 2; 2; 2; 2; 2; 2; 3; 3; 2; 2; 3; 3 |]
+
+(* The options a draw names on [device], whose synthetic calibration
+   the fidelity cost and the weighted router use, so a case that
+   shrinking narrows stays consistent. *)
+let options_of_draw device d =
+  let cal = Calibration.synthetic device in
+  let pick i xs = List.nth xs d.(i) and flag i = d.(i) = 1 in
+  let weight i = List.nth [ 0.0; 0.25; 0.5; 1.0; 10.0 ] d.(i) in
+  let limit i = pick i [ None; Some 0; Some 1 ] in
+  let node_budget = pick 12 [ None; Some 1; Some 1000 ] in
+  let max_sim_qubits = pick 13 [ 0; 10 ] in
+  {
+    Compiler.device;
+    cost =
+      pick 0
+        [
+          Cost.eqn2;
+          Cost.Log_fidelity cal;
+          Cost.Linear { t = weight 1; cnot = weight 2; gate = weight 3 };
+        ];
+    router = pick 4 Compiler.[ Ctr; Weighted_ctr cal; Tracking ];
+    pre_optimize = flag 5;
+    post_optimize = flag 6;
+    fold_states = flag 7;
+    use_placement = flag 8;
+    check_contracts = flag 9;
+    rewrite_rules = pick 10 Rewrite.[ default_selection; empty_selection ];
+    verification =
+      pick 11
+        Compiler.
+          [
+            Skip;
+            Qmdd_check { node_budget };
+            Fallback { node_budget; max_sim_qubits };
+          ];
+    budgets =
+      {
+        deadline_seconds = pick 14 [ None; Some 0.0 ];
+        max_optimize_iterations = limit 15;
+        swap_budget = limit 16;
+      };
+  }
+
+let draw_to_string d =
+  String.concat " " (List.map string_of_int (Array.to_list d))
+
+let draw_of_string s =
+  let d =
+    Array.of_list
+      (List.filter_map int_of_string_opt (String.split_on_char ' ' s))
+  in
+  if
+    Array.length d = Array.length draw_choices
+    && Array.for_all2 (fun k n -> 0 <= k && k < n) d draw_choices
+  then Some d
+  else None
 
 (* A circuit case's printout: its size, its device, one line per
    setting, then the gates. *)
@@ -253,6 +323,14 @@ let case_to_string = function
     Printf.sprintf "source (%s):\n%s" ext text
   | Fault_case { circuit; fault } ->
     circuit_to_string ~settings:(fault_settings fault) circuit None
+  | Options_case { circuit; device; draw } ->
+    circuit_to_string
+      ~settings:
+        [
+          ("options", draw_to_string draw);
+          ("as", Compiler.canonical_options (options_of_draw device draw));
+        ]
+      circuit (Some device)
 
 (* --- configuration --- *)
 
@@ -1730,6 +1808,69 @@ module Property = struct
         | _ -> wrong_case "staged-proof-sound");
     }
 
+  (* 16. Total over every option, not only every source: under
+     options drawn across every field, [compile_checked] returns, and
+     tracing only observes.  The same compile with a recording trace
+     gives the same diagnostics, or the same report and output circuit
+     once the timings and the spans are left out. *)
+  let compile_options_total =
+    let untimed r =
+      match Compiler.report_to_json r with
+      | Trace.Json.Obj fields ->
+        Trace.Json.Obj
+          (List.filter
+             (fun (k, _) ->
+               not
+                 (List.mem k
+                    [ "elapsed_seconds"; "verification_seconds"; "passes" ]))
+             fields)
+      | j -> j
+    in
+    let outcome = function
+      | Ok r ->
+        Trace.Json.to_string (untimed r) ^ "\n" ^ Compiler.emit_qasm r
+      | Error ds ->
+        String.concat "\n"
+          (List.map (fun d -> Trace.Json.to_string (Diagnostic.to_json d)) ds)
+    in
+    {
+      name = "compile-options-total";
+      doc =
+        "compile_checked is total over drawn options; tracing never decides";
+      paper = "Sec. 4-5 (every compile option)";
+      gen =
+        (fun cfg st ->
+          let device = dev_gen ~cap:6 cfg st in
+          let circuit = circuit_on_device cfg device st in
+          let draw = Array.map (fun n -> Gen.int n st) draw_choices in
+          while draw.(1) + draw.(2) + draw.(3) = 0 do
+            for i = 1 to 3 do
+              draw.(i) <- Gen.int draw_choices.(i) st
+            done
+          done;
+          Options_case { circuit; device; draw });
+      check =
+        (function
+        | Options_case { circuit; device; draw } -> (
+          let options = options_of_draw device draw in
+          let compile trace =
+            match
+              Compiler.compile_checked ~trace options (Compiler.Quantum circuit)
+            with
+            | result -> Ok (outcome result)
+            | exception e -> Error (Printexc.to_string e)
+          in
+          match (compile Trace.disabled, compile (Trace.create ())) with
+          | Error e, _ -> failf "compile_checked raised %s" e
+          | _, Error e -> failf "compile_checked raised %s when traced" e
+          | Ok plain, Ok traced ->
+            if plain = traced then Pass
+            else
+              failf "tracing changed the result:\nuntraced: %s\ntraced: %s"
+                plain traced)
+        | _ -> wrong_case "compile-options-total");
+    }
+
   let all =
     [
       compile_sim_equivalent;
@@ -1747,6 +1888,7 @@ module Property = struct
       serve_chaos;
       rewrite_sound;
       staged_proof_sound;
+      compile_options_total;
     ]
 
   let find name = List.find_opt (fun p -> p.name = name) all
@@ -1887,7 +2029,8 @@ let candidates = function
       (function
         | Circuit_case { circuit; device; _ } ->
           Some (Optimize_case { o with circuit; device })
-        | Optimize_case _ | Function_case _ | Source_case _ | Fault_case _ ->
+        | Optimize_case _ | Function_case _ | Source_case _ | Fault_case _
+        | Options_case _ ->
           None)
       (circuit_candidates ~circuit:o.circuit ~device:o.device ~budget:None)
   | Function_case { pla } -> function_candidates pla
@@ -1898,12 +2041,34 @@ let candidates = function
     @ List.filter_map
         (function
           | Circuit_case { circuit; _ } -> Some (Fault_case { circuit; fault })
-          | Optimize_case _ | Function_case _ | Source_case _ | Fault_case _ ->
+          | Optimize_case _ | Function_case _ | Source_case _ | Fault_case _
+          | Options_case _ ->
             None)
         (circuit_candidates ~circuit ~device:None ~budget:None)
+  | Options_case { circuit; device; draw } ->
+    (* Each choice back to its first, then the circuit's reductions. *)
+    List.filter_map
+      (fun i ->
+        if draw.(i) = 0 then None
+        else
+          let fewer = Array.copy draw in
+          fewer.(i) <- 0;
+          Some (Options_case { circuit; device; draw = fewer }))
+      (List.init (Array.length draw) Fun.id)
+    @ List.filter_map
+        (function
+          | Circuit_case { circuit; device = Some device; _ } ->
+            Some (Options_case { circuit; device; draw })
+          | Circuit_case _ | Optimize_case _ | Function_case _ | Source_case _
+          | Fault_case _ | Options_case _ ->
+            None)
+        (circuit_candidates ~circuit ~device:(Some device) ~budget:None)
 
-let shrink ?(max_checks = 4000) ~check case =
-  let fuel = ref max_checks in
+(* The most check evaluations one shrink may spend. *)
+let max_shrink_checks = 4000
+
+let shrink ~check case =
+  let fuel = ref max_shrink_checks in
   let still_fails c =
     if !fuel <= 0 then false
     else begin
@@ -1955,7 +2120,11 @@ let safe_check (p : Property.t) case =
       (Printf.sprintf "check raised %s — properties must be total"
          (Printexc.to_string e))
 
-let run ?(config = default_config) ?(seed = 0) ?(count = 100) ?time_budget
+let default_seed = 0
+let default_count = 100
+
+let run ?(config = default_config) ?(seed = default_seed)
+    ?(count = default_count) ?time_budget
     ?(jobs = 1) ?(log = ignore) props =
   let start = Trace.now_ns () in
   let out_of_time () =
@@ -2082,7 +2251,11 @@ let repro_to_string (f : failure) =
   | Fault_case { circuit; fault } ->
     header "case" "fault";
     List.iter (fun (k, v) -> header k v) (fault_settings fault);
-    circuit_payload circuit None);
+    circuit_payload circuit None
+  | Options_case { circuit; device; draw } ->
+    header "case" "options";
+    header "options" (draw_to_string draw);
+    circuit_payload circuit (Some device));
   Buffer.contents b
 
 let repro_of_string s =
@@ -2182,17 +2355,6 @@ let repro_of_string s =
           | Some ext -> Ok (property, seed, Source_case { ext; text = payload })
           | None -> Error "source case without an ext header")
         | "fault" -> (
-          let spec s =
-            match String.split_on_char '@' s with
-            | [ fault; stage ] -> (
-              match
-                ( Faultinject.fault_of_string fault,
-                  Diagnostic.stage_of_string stage )
-              with
-              | Some fault, Some stage -> Some { Faultinject.stage; fault }
-              | _ -> None)
-            | _ -> None
-          in
           let with_fault fault =
             with_circuit (fun _ circuit -> Fault_case { circuit; fault })
           in
@@ -2201,10 +2363,23 @@ let repro_of_string s =
           with
           | Some "none", _ -> with_fault None
           | Some s, Some fault_seed -> (
-            match spec s with
-            | Some spec -> with_fault (Some (spec, fault_seed))
-            | None -> Error (Printf.sprintf "bad fault %S" s))
+            match Faultinject.spec_of_string s with
+            | Ok spec -> with_fault (Some (spec, fault_seed))
+            | Error _ -> Error (Printf.sprintf "bad fault %S" s))
           | _ -> Error "fault case without fault and fault seed headers")
+        | "options" -> (
+          match Option.bind (get "options") draw_of_string with
+          | None -> Error "options case without a valid options header"
+          | Some draw -> (
+            match
+              with_circuit (fun device circuit ->
+                  Option.map
+                    (fun device -> Options_case { circuit; device; draw })
+                    device)
+            with
+            | Ok (property, seed, Some case) -> Ok (property, seed, case)
+            | Ok (_, _, None) -> Error "options case without a device"
+            | Error _ as e -> e))
         | k -> Error (Printf.sprintf "unknown case kind %S" k)))
     | _ -> Error "missing property/seed/case header or payload")
   | _ -> Error "not a qsynth-fuzz-repro/v1 file"

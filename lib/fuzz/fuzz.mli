@@ -117,6 +117,15 @@ type case =
           (** the fault injected into the compile, with its harness
               seed *)
     }  (** a compile to the property's device, perhaps with a fault *)
+  | Options_case of {
+      circuit : Circuit.t;
+      device : Device.t;
+      draw : int array;
+          (** one choice index per options field (see
+              compile-options-total); the options are rebuilt from it
+              on [device], whose synthetic calibration any fidelity
+              cost or weighted router uses *)
+    }  (** a compile of [circuit] under drawn options *)
 
 val case_to_string : case -> string
 
@@ -155,7 +164,8 @@ module Property : sig
       transport faults — torn frames, disconnects, stalls, connection
       bursts — against a live loopback daemon with mid-pipeline
       injection, asserting valid envelopes and post-chaos
-      liveness), rewrite-sound, staged-proof-sound. *)
+      liveness), rewrite-sound, staged-proof-sound,
+      compile-options-total. *)
   val all : t list
 
   (** [find name] looks a property up by {!t.name}. *)
@@ -171,12 +181,8 @@ end
     circuit's width, drop PLA cubes, drop source lines.  Every kept
     reduction still [Fail]s under [check]; the result is the smallest
     case reached plus the number of reductions applied.  Bounded by
-    [max_checks] (default 4000) check evaluations. *)
-val shrink :
-  ?max_checks:int ->
-  check:(case -> Property.outcome) ->
-  case ->
-  case * int
+    4000 check evaluations. *)
+val shrink : check:(case -> Property.outcome) -> case -> case * int
 
 (** {2 Running} *)
 
@@ -198,11 +204,18 @@ type summary = {
   elapsed : float;  (** wall-clock seconds *)
 }
 
+(** The base seed and the cases per property of a {!run} given
+    neither: 0 and 100. *)
+val default_seed : int
+
+val default_count : int
+
 (** [run ?config ?seed ?count ?time_budget ?jobs ?log props] fuzzes
-    each property with [count] cases (default 100).  Case [i] of a
-    property draws from a state seeded with [seed + i * golden] (so the
-    reported per-case seed replays with [--count 1]); [seed] defaults
-    to 0.  [time_budget], when given, is a wall-clock cap in seconds
+    each property with [count] cases.  Case [i] of a property draws
+    from a state seeded with [seed + i * golden] (so the reported
+    per-case seed replays with [--count 1]).  [config], [seed] and
+    [count] default to {!default_config}, {!default_seed} and
+    {!default_count}.  [time_budget], when given, is a wall-clock cap in seconds
     over the whole run: checked between cases, a run out of time
     reports the cases finished so far.  [log] receives one progress
     line per property.

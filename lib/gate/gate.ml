@@ -214,6 +214,14 @@ let is_cnot = function
 
 let arity g = List.length (support g)
 
+let operand_count = function
+  | X _ | Y _ | Z _ | H _ | S _ | Sdg _ | T _ | Tdg _
+  | Rx _ | Ry _ | Rz _ | Phase _ ->
+    1
+  | Cnot _ | Cz _ | Swap _ -> 2
+  | Toffoli _ -> 3
+  | Mct { controls; _ } -> List.length controls + 1
+
 let one_qubit_matrix g =
   let s = Cx.inv_sqrt2 in
   let rows =

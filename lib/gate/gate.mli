@@ -102,6 +102,11 @@ val is_cnot : t -> bool
 (** [arity g] is the number of qubits the gate touches. *)
 val arity : t -> int
 
+(** [operand_count g] is the number of operand slots the constructor
+    declares, controls included; [arity g] below it means two slots
+    name the same wire. *)
+val operand_count : t -> int
+
 (** [base_matrix g] is the gate's transfer matrix over only its own
     qubits, ordered as listed in the constructor (controls first), i.e.
     Table 1 of the paper.  Exponential in the number of controls:

@@ -97,16 +97,6 @@ let has_errors = List.exists (fun f -> f.severity = Error)
 let enabled rules r =
   match rules with None -> true | Some rs -> List.mem r rs
 
-(* Number of operand slots the constructor declares; an arity below it
-   means two slots name the same wire. *)
-let declared_operands = function
-  | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
-  | Gate.T _ | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ ->
-    1
-  | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _ -> 2
-  | Gate.Toffoli _ -> 3
-  | Gate.Mct { controls; _ } -> List.length controls + 1
-
 let rotation_angle = function
   | Gate.Rx (theta, q) | Gate.Ry (theta, q) | Gate.Rz (theta, q)
   | Gate.Phase (theta, q) ->
@@ -128,7 +118,7 @@ let check ?rules c =
         (Gate.support g);
       if
         on Rule.Overlapping_qubits
-        && List.length (Gate.support g) < declared_operands g
+        && Gate.arity g < Gate.operand_count g
       then
         add Error (Some i) Rule.Overlapping_qubits
           (Printf.sprintf "%s lists the same wire more than once"

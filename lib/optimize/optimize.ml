@@ -112,14 +112,6 @@ let near_identity_possible = function
 (* The operands of a gate in constructor order, controls first: the
    order [Gate.rename] keeps, so a window's key and its simulated
    signature list the same qubits. *)
-let operand_count = function
-  | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
-  | Gate.T _ | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _ ->
-    1
-  | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _ -> 2
-  | Gate.Toffoli _ -> 3
-  | Gate.Mct { controls; _ } -> List.length controls + 1
-
 let write_operands ops pos = function
   | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q
   | Gate.T q | Gate.Tdg q
@@ -160,7 +152,7 @@ let scan_of gates ~max_window =
   let first = Array.make (n + 1) 0 and widest = ref 0 in
   Array.iteri
     (fun j g ->
-      let k = operand_count g in
+      let k = Gate.operand_count g in
       first.(j + 1) <- first.(j) + k;
       widest := max !widest k)
     gates;

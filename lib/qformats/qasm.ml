@@ -25,21 +25,15 @@ let gate_to_qasm g =
     invalid_arg
       "Qasm.to_string: OpenQASM 2.0 has no generalized Toffoli; lower it first"
 
-let to_string ?(creg = false) c =
-  let n = Circuit.n_qubits c in
+let to_string c =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
-  Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" n);
-  if creg then Buffer.add_string buf (Printf.sprintf "creg c[%d];\n" n);
+  Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" (Circuit.n_qubits c));
   Circuit.iter
     (fun g ->
       Buffer.add_string buf (gate_to_qasm g);
       Buffer.add_char buf '\n')
     c;
-  if creg then
-    for i = 0 to n - 1 do
-      Buffer.add_string buf (Printf.sprintf "measure q[%d] -> c[%d];\n" i i)
-    done;
   Buffer.contents buf
 
 let strip_comment line =

@@ -24,11 +24,10 @@
     last line of the input, never "line 0". *)
 exception Parse_error of { line : int; message : string }
 
-(** [to_string ?creg c] renders the circuit as an OpenQASM 2.0 program
-    with one quantum register [q].  [creg] adds a classical register
-    and final measurements of every qubit (default false).
+(** [to_string c] renders the circuit as an OpenQASM 2.0 program with
+    one quantum register [q].
     @raise Invalid_argument on generalized Toffoli gates. *)
-val to_string : ?creg:bool -> Circuit.t -> string
+val to_string : Circuit.t -> string
 
 (** [of_string s] parses a program produced by {!to_string} (or written
     by hand in the same subset).  The circuit width is the declared

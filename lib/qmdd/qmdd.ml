@@ -758,16 +758,12 @@ let common_subsequence g1 g2 =
     (fun (i, j, len) -> List.init len (fun t -> (i + t, j + t)))
     (gate_snakes ~probe:ignore g1 g2)
 
-let equivalent ?(up_to_phase = true) ?node_budget ?deadline_ns
-    ?(reorder = true) ?stats c1 c2 =
+let equivalent ?(up_to_phase = true) ?node_budget ?deadline_ns ?stats c1 c2 =
   if Circuit.n_qubits c1 <> Circuit.n_qubits c2 then
     invalid_arg "Qmdd.equivalent: width mismatch";
   let c1, c2 =
-    if reorder then begin
-      let relabel = first_use_relabeling c1 c2 in
-      (Circuit.rename relabel c1, Circuit.rename relabel c2)
-    end
-    else (c1, c2)
+    let relabel = first_use_relabeling c1 c2 in
+    (Circuit.rename relabel c1, Circuit.rename relabel c2)
   in
   let m = create ~n:(Circuit.n_qubits c1) in
   (* The observer fires even when the budget blows up mid-check, so a

@@ -127,7 +127,7 @@ val is_identity_up_to_phase : manager -> edge -> bool
     aligner gives up and the result is [[]]. *)
 val common_subsequence : Gate.t array -> Gate.t array -> (int * int) list
 
-(** [equivalent ?up_to_phase ?node_budget ?reorder c1 c2] formally
+(** [equivalent ?up_to_phase ?node_budget c1 c2] formally
     verifies two circuits of equal width by building [U1 * U2-dagger]
     with the alternating scheme (gates of [c1] left-multiplied, adjoint
     gates of [c2] right-multiplied, so the intermediate diagram stays
@@ -160,12 +160,11 @@ val common_subsequence : Gate.t array -> Gate.t array -> (int * int) list
     the diagram sizes do.  Block diagrams live in the same manager, so
     they count toward the node budget.
 
-    [reorder] (default [true]) relabels {e both} circuits by first-use
-    order before building diagrams, so qubits that interact sit next to
-    each other in the variable order; equivalence is invariant under a
-    common relabeling, and clustered orders keep intermediate diagrams
-    exponentially smaller on wide, locally-acting circuits (the
-    96-qubit benchmarks).
+    Both circuits are first relabeled by first-use order, so qubits
+    that interact sit next to each other in the variable order;
+    equivalence is invariant under a common relabeling, and clustered
+    orders keep intermediate diagrams exponentially smaller on wide,
+    locally-acting circuits (the 96-qubit benchmarks).
 
     [deadline_ns], when given, is a monotonic-clock instant (the scale
     of [Trace.now_ns]): once past, the check aborts with
@@ -188,7 +187,6 @@ val equivalent :
   ?up_to_phase:bool ->
   ?node_budget:int ->
   ?deadline_ns:int64 ->
-  ?reorder:bool ->
   ?stats:(stats -> unit) ->
   Circuit.t ->
   Circuit.t ->

@@ -241,12 +241,45 @@ let warm_from_disk t =
             | _ -> drop ())))
       reports
 
-let create ?(cache_capacity = 256) ?(max_cache_bytes = 64 * 1024 * 1024)
-    ?persist_dir ?(max_deadline_seconds = 60.0)
-    ?(max_frame_bytes = 4 * 1024 * 1024) ?(watchdog_grace_seconds = 5.0)
-    ?max_request_bytes ?(read_timeout_seconds = 30.0) ?(max_workers = 8)
-    ?(max_pending = 32) ?(jobs = Domain.recommended_domain_count ())
-    ?inject () =
+module Default = struct
+  let cache_capacity = 256
+  let max_cache_bytes = 64 * 1024 * 1024
+  let max_deadline_seconds = 60.0
+  let max_frame_bytes = 4 * 1024 * 1024
+  let watchdog_grace_seconds = 5.0
+  let read_timeout_seconds = 30.0
+  let max_workers = 8
+  let max_pending = 32
+
+  (* The heap one compile may reach before the default 8M-node
+     verification budget stops it: T10_b compiled to big96 had 2.9 GB
+     when the budget stopped its proof. *)
+  let compile_peak_kb = 3 * 1024 * 1024
+
+  let physical_memory_kb () =
+    try
+      In_channel.with_open_text "/proc/meminfo" (fun ic ->
+          Option.bind (In_channel.input_line ic) (fun line ->
+              Scanf.sscanf_opt line "MemTotal: %d kB" Fun.id))
+    with Sys_error _ -> None
+
+  let jobs () =
+    if Option.is_some (Sys.getenv_opt "QSC_JOBS") then Parallel.default_jobs ()
+    else
+      match physical_memory_kb () with
+      | Some kb ->
+        max 1 (min (Domain.recommended_domain_count ()) (kb / compile_peak_kb))
+      | None -> 1
+end
+
+let create ?(cache_capacity = Default.cache_capacity)
+    ?(max_cache_bytes = Default.max_cache_bytes) ?persist_dir
+    ?(max_deadline_seconds = Default.max_deadline_seconds)
+    ?(max_frame_bytes = Default.max_frame_bytes)
+    ?(watchdog_grace_seconds = Default.watchdog_grace_seconds)
+    ?max_request_bytes ?(read_timeout_seconds = Default.read_timeout_seconds)
+    ?(max_workers = Default.max_workers) ?(max_pending = Default.max_pending)
+    ?(jobs = Default.jobs ()) ?inject () =
   (* Each message names the setting in the words of its [qsc serve]
      flag. *)
   let require ok msg = if not ok then invalid_arg msg in
@@ -573,6 +606,11 @@ end
 
 (* --- waits --------------------------------------------------------- *)
 
+(* The instant [seconds] from now on the monotonic clock, so that no
+   step of the wall clock moves a wait's end. *)
+let deadline_in seconds =
+  Int64.add (Trace.now_ns ()) (Int64.of_float (seconds *. 1e9))
+
 (* Raised by a wait that outlasted its watchdog limit (in seconds). *)
 exception Watchdog of float
 
@@ -583,10 +621,10 @@ exception Watchdog of float
    every tick, and a wait on a wedged compile still wakes to see its
    deadline. *)
 let wait_until t ~limit ready =
-  let began = Unix.gettimeofday () in
+  let deadline = Option.map deadline_in limit in
   while not (ready ()) do
     (match limit with
-    | Some s when Unix.gettimeofday () -. began >= s -> raise (Watchdog s)
+    | Some s when Trace.past deadline -> raise (Watchdog s)
     | _ -> ());
     Condition.wait t.changed t.state_lock
   done
@@ -1151,7 +1189,7 @@ let serve ?max_requests t address =
            connection cannot be resynced, so it is answered and
            closed), EOF, or drain. *)
         let next_frame () =
-          let deadline_at = Unix.gettimeofday () +. t.read_timeout in
+          let deadline_at = deadline_in t.read_timeout in
           let rec go () =
             match newline_from !scanned with
             | Some i ->
@@ -1169,10 +1207,13 @@ let serve ?max_requests t address =
               if !scanned > t.max_frame_bytes then `Too_long
               else if finished () then `Draining
               else begin
-                let now = Unix.gettimeofday () in
-                if now >= deadline_at then `Timeout
+                let left =
+                  Int64.to_float (Int64.sub deadline_at (Trace.now_ns ()))
+                  /. 1e9
+                in
+                if left <= 0.0 then `Timeout
                 else begin
-                  let tick = Float.min 0.2 (deadline_at -. now) in
+                  let tick = Float.min 0.2 left in
                   match Unix.select [ conn ] [] [] tick with
                   | [], _, _ -> go ()
                   | _ :: _, _, _ -> (

@@ -121,20 +121,42 @@ type t
     client as a code-125 diagnostic. *)
 exception Allocation_budget_exceeded of int
 
-(** [create ()] is a fresh daemon state (cache plus counters).
+(** The settings {!create} takes when given none, and so the defaults
+    of [qsc serve]'s flags: 256 cache entries, 64 MiB of cached
+    reports, a 60 s deadline ceiling, 4 MiB frames, a 5 s watchdog
+    grace, a 30 s read timeout, 8 workers and 32 pending connections. *)
+module Default : sig
+  val cache_capacity : int
+  val max_cache_bytes : int
+  val max_deadline_seconds : float
+  val max_frame_bytes : int
+  val watchdog_grace_seconds : float
+  val read_timeout_seconds : float
+  val max_workers : int
+  val max_pending : int
 
-    Cache: [cache_capacity] bounds the report cache in entries (default
-    256; 0 disables caching entirely, including the persistent store)
-    and [max_cache_bytes] in summed payload bytes (default 64 MiB; 0
-    means no byte bound); least-recently-used entries are evicted past
-    either bound.  [persist_dir] names a directory (created if missing)
-    to spill the cache to and warm it from — see the cache section
-    above.
+  (** [jobs ()] is [QSC_JOBS] when that is set (read as
+      {!Parallel.default_jobs} reads it).  Else it is one per core, but
+      no more than physical memory holds at 3 GB a compile (one
+      compile's bound under the default node budget), and 1 where the
+      memory size is unknown. *)
+  val jobs : unit -> int
+end
 
-    Budgets: [max_deadline_seconds] (default 60) bounds every request's
-    wall-clock compile budget: a request asking for more is clamped,
-    one asking for nothing gets the maximum.  [watchdog_grace_seconds]
-    (default 5; 0 disables the watchdog): a request served by {!serve}
+(** [create ()] is a fresh daemon state (cache plus counters).  Each
+    setting left out takes its {!Default}.
+
+    Cache: [cache_capacity] bounds the report cache in entries (0
+    disables caching entirely, including the persistent store) and
+    [max_cache_bytes] in summed payload bytes (0 means no byte bound);
+    least-recently-used entries are evicted past either bound.
+    [persist_dir] names a directory (created if missing) to spill the
+    cache to and warm it from — see the cache section above.
+
+    Budgets: [max_deadline_seconds] bounds every request's wall-clock
+    compile budget: a request asking for more is clamped, one asking
+    for nothing gets the maximum.  [watchdog_grace_seconds] (0
+    disables the watchdog): a request served by {!serve}
     waits at most [max_deadline_seconds + watchdog_grace_seconds] for
     any one thing — its turn to compile (a slot, or another request's
     compile of the same key), or its compile — and is answered 125
@@ -146,15 +168,13 @@ exception Allocation_budget_exceeded of int
     parse-and-compile window and checked again when it ends; a request
     past it is aborted with a code-125 diagnostic.
 
-    Sockets (used by {!serve}): [max_frame_bytes] (default 4 MiB) caps
-    a request line; [read_timeout_seconds] (default 30) is the
-    per-frame read deadline and the response write timeout;
-    [max_workers] (default 8) fixes the connection worker pool;
-    [max_pending] (default 32) bounds the admission queue, beyond which
+    Sockets (used by {!serve}): [max_frame_bytes] caps a request line;
+    [read_timeout_seconds] is the per-frame read deadline and the
+    response write timeout; [max_workers] fixes the connection worker
+    pool; [max_pending] bounds the admission queue, beyond which
     connections are shed.
 
-    Parallelism: [jobs] (default [Domain.recommended_domain_count ()],
-    one per core) is the most compiles this daemon runs at once,
+    Parallelism: [jobs] is the most compiles this daemon runs at once,
     one-shot misses and [batch] lanes alike; [jobs = 1] compiles one
     request at a time.  Every
     compile runs on a domain of one process-wide compile pool, which
@@ -174,8 +194,8 @@ exception Allocation_budget_exceeded of int
     (about 3 GB at the default 8M nodes; a request's [node_budget] 0
     lifts that bound) and by [max_request_bytes] when it is set.  The
     daemon runs up to [jobs] compiles at once, so its heap may reach
-    [jobs] times one compile's bound.  [qsc serve] keeps its default
-    [jobs] within physical memory at 3 GB per compile.
+    [jobs] times one compile's bound; {!Default.jobs} keeps that within
+    physical memory.
 
     [inject] (default none) is a fault hook for robustness tests and
     the chaos harness: it is called once per cache-missing compile, on

@@ -35,11 +35,10 @@ type span = {
   counters : (string * float) list;
 }
 
-(* A recording sink may be shared by several threads or domains (the
-   serve worker pool bumps cache counters on one sink from every
-   worker), so every mutable field is guarded by [lock].  The Disabled
-   constructor never allocates a recorder, keeping the disabled path
-   lock-free and allocation-free. *)
+(* A recording sink may be shared by several threads or domains, so
+   every mutable field is guarded by [lock].  The Disabled constructor
+   never allocates a recorder, keeping the disabled path lock-free and
+   allocation-free. *)
 type recorder = {
   lock : Mutex.t;
   mutable rev_spans : span list;

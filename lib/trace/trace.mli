@@ -17,9 +17,10 @@
     {!spans} and {!counter_totals} synchronize on a per-sink mutex, so
     concurrent increments are never lost and reads always see a
     consistent snapshot.  Span {e tokens} remain single-use and must
-    not be shared — open and close a given span from one thread.  The
-    serve daemon relies on this: every worker bumps cache counters on
-    the one process-wide sink while [stats] reads totals. *)
+    not be shared — open and close a given span from one thread.
+    Nothing in the tree shares a recording sink between threads today
+    (each traced compile gets its own, and the serve daemon traces
+    nothing); the lock keeps a caller that does share one correct. *)
 
 (** {2 Clocks} *)
 
@@ -106,10 +107,10 @@ val total_wall_seconds : t -> float
 
 (** {2 Named counters}
 
-    Long-running processes (the [qsc serve] daemon) accumulate
-    monotonic counters — cache hits, misses, evictions, request totals —
-    on the sink itself, independent of spans: a daemon must not keep a
-    span per request alive forever, but its counters are bounded. *)
+    Monotonic counters kept on the sink itself, independent of spans:
+    the optimizer's [rewrite/*] counts (rule fires, reverts, oracle
+    rejections) accumulate here across every sweep of a compile.  The
+    serve daemon keeps its own counters, under its own lock. *)
 
 (** [bump t name delta] adds [delta] to the named counter (created at 0
     on first use).  Free on a disabled sink.  Atomic: concurrent bumps

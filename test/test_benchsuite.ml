@@ -90,7 +90,7 @@ let test_revlib_inventory () =
 let test_revlib_largest_gates () =
   let largest name =
     let c = Benchsuite.Revlib_cascades.circuit (Benchsuite.Revlib_cascades.find name) in
-    Circuit.max_gate_arity c
+    Circuit.fold (fun widest g -> max widest (Gate.arity g)) 0 c
   in
   check_int "3_17_14 largest toffoli" 3 (largest "3_17_14");
   check_int "fred6 largest toffoli" 3 (largest "fred6");

@@ -73,8 +73,7 @@ let test_widen_rename () =
 let test_native_check () =
   check_bool "sample has a Toffoli" false (Circuit.uses_only_native sample);
   let native = Circuit.make ~n:2 [ Gate.H 0; Gate.Cnot { control = 0; target = 1 } ] in
-  check_bool "native circuit" true (Circuit.uses_only_native native);
-  check_int "max arity" 3 (Circuit.max_gate_arity sample)
+  check_bool "native circuit" true (Circuit.uses_only_native native)
 
 let test_map_gates () =
   (* Replace every H with X-Z-X-Z (not equivalent; just exercising the
@@ -116,46 +115,6 @@ let test_t_depth () =
   check_bool "toffoli t-depth below t-count" true
     (Circuit.t_depth toffoli < Circuit.t_count toffoli
     && Circuit.t_depth toffoli > 0)
-
-let test_layers () =
-  let c =
-    Circuit.make ~n:3
-      [ Gate.H 0; Gate.H 1; Gate.Cnot { control = 0; target = 1 }; Gate.T 2 ]
-  in
-  let layers = Circuit.layers c in
-  check_int "layer count = depth" (Circuit.depth c) (List.length layers);
-  check_bool "first layer parallel" true
-    (List.hd layers = [ Gate.H 0; Gate.H 1; Gate.T 2 ]);
-  check_bool "second layer" true
-    (List.nth layers 1 = [ Gate.Cnot { control = 0; target = 1 } ]);
-  check_bool "empty circuit" true (Circuit.layers (Circuit.empty 2) = [])
-
-let prop_layers_valid_schedule =
-  QCheck2.Test.make ~name:"layers form a valid parallel schedule" ~count:60
-    (Testutil.gen_circuit 4)
-    (fun c ->
-      let layers = Circuit.layers c in
-      List.length layers = Circuit.depth c
-      && List.for_all
-           (fun layer ->
-             (* Gates within a layer are pairwise disjoint. *)
-             let rec disjoint_all = function
-               | [] -> true
-               | g :: rest ->
-                 List.for_all
-                   (fun h ->
-                     List.for_all
-                       (fun q -> not (List.mem q (Gate.support h)))
-                       (Gate.support g))
-                   rest
-                 && disjoint_all rest
-             in
-             disjoint_all layer)
-           layers
-      && List.length (List.concat layers) = Circuit.gate_count c
-      (* Flattening the schedule is equivalent to the circuit. *)
-      && Sim.equivalent ~up_to_phase:false c
-           (Circuit.make ~n:(Circuit.n_qubits c) (List.concat layers)))
 
 let prop_depth_bounds =
   QCheck2.Test.make ~name:"depth between volume/n and volume" ~count:100
@@ -281,7 +240,6 @@ let () =
           Alcotest.test_case "map_gates" `Quick test_map_gates;
           Alcotest.test_case "depth" `Quick test_depth;
           Alcotest.test_case "t-depth" `Quick test_t_depth;
-          Alcotest.test_case "layers" `Quick test_layers;
         ] );
       ( "builder",
         [
@@ -297,7 +255,6 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_depth_bounds;
-          QCheck_alcotest.to_alcotest prop_layers_valid_schedule;
           QCheck_alcotest.to_alcotest prop_inverse_involutive;
           QCheck_alcotest.to_alcotest prop_inverse_cancels;
           QCheck_alcotest.to_alcotest prop_stats_additive;

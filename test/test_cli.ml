@@ -111,6 +111,57 @@ let test_serve_setting_out_of_range () =
         true
         (String.starts_with ~prefix:"qsc: max workers " message))
 
+let test_serve_jobs_default () =
+  (* [Serve.create] owns the default number of compile domains, and
+     [qsc serve] without --jobs takes it: QSC_JOBS when set. *)
+  let socket = Filename.temp_file "qsc-cli-jobs" ".sock" in
+  Sys.remove socket;
+  let env =
+    Array.append [| "QSC_JOBS=3" |]
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"QSC_JOBS=" kv))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process_env qsc
+      [| qsc; "serve"; "--socket"; socket; "--max-requests"; "1" |]
+      env Unix.stdin null null
+  in
+  Unix.close null;
+  let rec connect retries =
+    match Serve.Client.connect (Serve.Unix_socket socket) with
+    | conn -> conn
+    | exception _ when retries > 0 ->
+      Unix.sleepf 0.02;
+      connect (retries - 1)
+  in
+  let response =
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid))
+      (fun () ->
+        let conn = connect 500 in
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close conn)
+          (fun () -> Serve.Client.request conn {|{"op":"stats"}|}))
+  in
+  let jobs =
+    let open Trace.Json in
+    match of_string response with
+    | Ok j -> (
+      match Option.bind (member "stats" j) (member "overload") with
+      | Some o -> member "jobs" o
+      | None -> None)
+    | Error _ -> None
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "QSC_JOBS=3 gives 3 jobs: %s" response)
+    true
+    (jobs = Some (Trace.Json.Int 3))
+
 let test_exit_124_misuse () =
   check_int "unknown option" 124 (run "compile --no-such-flag");
   check_int "unknown subcommand" 124 (run "frobnicate");
@@ -174,5 +225,10 @@ let () =
             test_exit_125_internal_error;
           Alcotest.test_case "fuzz repro corpus replays clean" `Quick
             test_fuzz_repro_corpus_replays;
+        ] );
+      ( "serve",
+        [
+          Alcotest.test_case "jobs default from QSC_JOBS" `Quick
+            test_serve_jobs_default;
         ] );
     ]

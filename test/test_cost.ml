@@ -74,6 +74,26 @@ let prop_eqn2_gate_bounds =
       let cost = Cost.evaluate Cost.eqn2 c in
       cost >= v && cost <= 1.5 *. v)
 
+let test_eqn2_allocates_nothing_per_gate () =
+  (* Every optimizer sweep prices its circuit here, so the count must
+     allocate nothing per gate. *)
+  let c =
+    Circuit.make ~n:3
+      (List.init 10_000 (fun i ->
+           match i mod 4 with
+           | 0 -> Gate.T 0
+           | 1 -> Gate.Cnot { control = 0; target = 1 }
+           | 2 -> Gate.H 2
+           | _ -> Gate.Tdg 1))
+  in
+  let before = Gc.minor_words () in
+  let cost = Cost.evaluate Cost.eqn2 c in
+  let words = Gc.minor_words () -. before in
+  check_float "cost" 13_125.0 cost;
+  check_bool
+    (Printf.sprintf "%.0f minor words, fewer than 100" words)
+    true (words < 100.0)
+
 let () =
   Alcotest.run "cost"
     [
@@ -83,6 +103,8 @@ let () =
           Alcotest.test_case "linear weights" `Quick test_linear_weights;
           Alcotest.test_case "to_string" `Quick test_to_string;
           Alcotest.test_case "percent decrease" `Quick test_percent_decrease;
+          Alcotest.test_case "eqn2 allocates nothing per gate" `Quick
+            test_eqn2_allocates_nothing_per_gate;
         ] );
       ( "properties",
         [

@@ -183,26 +183,6 @@ let test_mcz () =
       check_bool "diagonal sign pattern" true !ok)
     [ ([ 0; 1 ], 2); ([ 1; 3 ], 0) ]
 
-let test_fredkin_helper () =
-  let gates = Decompose.fredkin ~controls:[ 0 ] 1 2 in
-  let c = Circuit.make ~n:3 gates in
-  let ok = ref true in
-  for k = 0 to 7 do
-    let bits = Array.init 3 (fun q -> (k lsr (2 - q)) land 1 = 1) in
-    match Sim.classical_run c (Array.copy bits) with
-    | None -> ok := false
-    | Some out ->
-      let expected =
-        if bits.(0) then [| bits.(0); bits.(2); bits.(1) |] else bits
-      in
-      if out <> expected then ok := false
-  done;
-  check_bool "controlled swap semantics" true !ok;
-  (* No controls: a plain SWAP. *)
-  let plain = Circuit.make ~n:2 (Decompose.fredkin ~controls:[] 0 1) in
-  check_bool "uncontrolled = swap" true
-    (exact_equiv (Circuit.make ~n:2 [ Gate.Swap (0, 1) ]) plain)
-
 let test_to_native () =
   let c =
     Circuit.make ~n:5
@@ -264,7 +244,6 @@ let () =
       ( "controlled gates",
         [
           Alcotest.test_case "mcz" `Quick test_mcz;
-          Alcotest.test_case "fredkin" `Quick test_fredkin_helper;
         ] );
       ( "circuit lowering",
         [

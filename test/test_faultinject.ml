@@ -217,6 +217,21 @@ let test_matrix_covers_all_stages_and_faults () =
   check_bool "unknown fault name" true
     (Faultinject.fault_of_string "gamma-ray" = None)
 
+let test_spec_round_trip () =
+  List.iter
+    (fun spec ->
+      let text = Faultinject.spec_to_string spec in
+      check_bool (text ^ " round-trips") true
+        (Faultinject.spec_of_string text = Ok spec))
+    Faultinject.matrix;
+  check_bool "no @" true (Faultinject.spec_of_string "raise" = Error `No_at);
+  check_bool "unknown fault" true
+    (Faultinject.spec_of_string "gamma-ray@route"
+    = Error (`Unknown_fault "gamma-ray"));
+  check_bool "unknown stage, split at the first @" true
+    (Faultinject.spec_of_string "raise@route@place"
+    = Error (`Unknown_stage "route@place"))
+
 let () =
   Alcotest.run "faultinject"
     [
@@ -242,5 +257,7 @@ let () =
             test_unfired_specs_are_visible;
           Alcotest.test_case "matrix covers stages and faults" `Quick
             test_matrix_covers_all_stages_and_faults;
+          Alcotest.test_case "spec_of_string round-trips the matrix" `Quick
+            test_spec_round_trip;
         ] );
     ]

@@ -170,6 +170,13 @@ let test_repro_roundtrip () =
                 739 );
         };
       Fuzz.Fault_case { circuit = Circuit.make ~n:1 [ Gate.X 0 ]; fault = None };
+      Fuzz.Options_case
+        {
+          circuit =
+            Circuit.make ~n:2 [ Gate.T 1; Gate.Cnot { control = 0; target = 1 } ];
+          device = Device.Ibm.ibmqx4;
+          draw = [| 1; 0; 4; 2; 1; 1; 0; 1; 1; 0; 1; 2; 2; 1; 1; 2; 1 |];
+        };
     ]
 
 let test_corpus_replays_clean () =

@@ -25,17 +25,6 @@ let test_qasm_roundtrip () =
   let parsed = Qformats.Qasm.of_string printed in
   check_bool "round trip" true (Circuit.equal sample_circuit parsed)
 
-let contains_sub s sub =
-  let n = String.length s and k = String.length sub in
-  let rec scan i = i + k <= n && (String.sub s i k = sub || scan (i + 1)) in
-  scan 0
-
-let test_qasm_header_and_measure () =
-  let printed = Qformats.Qasm.to_string ~creg:true (Circuit.empty 2) in
-  check_bool "has creg" true (contains_sub printed "creg c[2];");
-  check_bool "has measure" true (contains_sub printed "measure q[1] -> c[1];");
-  check_bool "has header" true (contains_sub printed "OPENQASM 2.0;")
-
 let test_qasm_parse_handwritten () =
   let src =
     "OPENQASM 2.0;\n\
@@ -524,7 +513,6 @@ let () =
       ( "qasm",
         [
           Alcotest.test_case "round trip" `Quick test_qasm_roundtrip;
-          Alcotest.test_case "header/measure" `Quick test_qasm_header_and_measure;
           Alcotest.test_case "handwritten" `Quick test_qasm_parse_handwritten;
           Alcotest.test_case "angle expressions" `Quick
             test_qasm_angle_expressions;

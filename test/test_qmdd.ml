@@ -297,30 +297,6 @@ let prop_basis_run_matches_dense =
             dense.(k))
         (List.init 8 (fun i -> i)))
 
-let test_reorder_flag () =
-  (* Equivalence answers agree with and without first-use relabeling. *)
-  let a =
-    Circuit.make ~n:6
-      [
-        Gate.Cnot { control = 5; target = 0 };
-        Gate.H 5;
-        Gate.Toffoli { c1 = 5; c2 = 0; target = 3 };
-      ]
-  in
-  let b = Circuit.concat a (Circuit.empty 6) in
-  check_bool "reordered" true (Qmdd.equivalent ~reorder:true a b);
-  check_bool "plain" true (Qmdd.equivalent ~reorder:false a b);
-  let different = Circuit.append a (Gate.T 2) in
-  check_bool "reordered inequivalence" false (Qmdd.equivalent ~reorder:true a different);
-  check_bool "plain inequivalence" false (Qmdd.equivalent ~reorder:false a different)
-
-let prop_reorder_agrees =
-  QCheck2.Test.make ~name:"reorder does not change the verdict" ~count:30
-    QCheck2.Gen.(
-      pair (Testutil.gen_circuit ~max_gates:10 4) (Testutil.gen_circuit ~max_gates:10 4))
-    (fun (a, b) ->
-      Qmdd.equivalent ~reorder:true a b = Qmdd.equivalent ~reorder:false a b)
-
 let prop_qmdd_matches_dense =
   QCheck2.Test.make ~name:"random circuit: QMDD = dense unitary" ~count:40
     (Testutil.gen_circuit ~max_gates:15 3)
@@ -957,8 +933,6 @@ let () =
           Alcotest.test_case "node budget" `Quick test_node_budget;
           Alcotest.test_case "deadline" `Quick test_deadline;
           Alcotest.test_case "fig3 swap identity" `Quick test_swap_chain_identity;
-          Alcotest.test_case "reorder flag" `Quick test_reorder_flag;
-          QCheck_alcotest.to_alcotest prop_reorder_agrees;
         ] );
       ( "alignment",
         [

@@ -996,16 +996,16 @@ let is_watchdog r =
   String.length m >= 8 && String.sub m 0 8 = "watchdog"
 
 (* One request line on a fresh connection: the response and the
-   seconds it took. *)
+   seconds it took, on the monotonic clock the watchdog keeps. *)
 let timed_request address fields =
   let conn = connect_retry address 100 in
   Fun.protect
     ~finally:(fun () -> Serve.Client.close conn)
     (fun () ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Trace.now_ns () in
       let line = J.to_string (J.Obj fields) in
       let r = parse_response (Serve.Client.request conn line) in
-      (r, Unix.gettimeofday () -. t0))
+      (r, Int64.to_float (Int64.sub (Trace.now_ns ()) t0) /. 1e9))
 
 (* Wait, at most [seconds], until a wedged compile has landed its late
    report in the cache, so that it frees its pool domain before the
