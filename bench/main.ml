@@ -5,7 +5,7 @@
    Usage:  main.exe [section ...]
    Sections: table1 table2 table3 table4 table5 table6 table7 table8
              table8-prefixes fig1 fig2 fig3 fig5 fig6 fig7 verify
-             ablations workloads foldstates optimize timing
+             ablations workloads foldstates optimize passes timing
    With no argument every section runs in paper order. *)
 
 let section title =
@@ -460,6 +460,118 @@ let table8_prefixes () =
       (List.length Benchsuite.Big_cascades.all);
     exit 1
   end
+
+(* ------------------------------------------------------------------ *)
+(* Per-pass profile of the post-optimize sweep on Table 8               *)
+
+(* Each sweep pass alone, as the post-optimize loop runs it on a big96
+   circuit. *)
+let sweep_passes device =
+  [
+    ("cancellation", fun c -> ignore (Optimize.cancel_pass c));
+    ("templates", fun c -> ignore (Rewrite.apply_templates ~device c));
+    ("rotation-merge", fun c -> ignore (Rewrite.merge_rotations c));
+    ("phase-merge", fun c -> ignore (Rewrite.merge_phase_polynomial c));
+    ("clifford-normalize", fun c -> ignore (Rewrite.normalize_cliffords c));
+    ("identity windows", fun c -> ignore (Optimize.remove_identity_windows c));
+  ]
+
+let pass_runs = 15
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* The five cascades compiled to big96 with verification skipped (the
+   table8-synth workload), then each pass over two sets of their
+   circuits: the fixed point (the optimized outputs, which every final
+   sweep re-scans) and the unoptimized (the routed circuits, which the
+   first sweep scans).  A row gives, per set, the median seconds of
+   [pass_runs] runs of the pass over the set's five circuits, the runs
+   of all passes interleaved, and the words one warm run allocated on
+   the minor heap and straight on the major heap (arrays past 256
+   words). *)
+let passes () =
+  section "Per-pass profile: the post-optimize sweep passes on Table 8";
+  let device = Device.Ibm.big96 in
+  let options =
+    { (Compiler.default_options ~device) with Compiler.verification = Compiler.Skip }
+  in
+  let reports =
+    List.map
+      (fun b ->
+        Compiler.compile options (Compiler.Quantum (Benchsuite.Big_cascades.circuit b)))
+      Benchsuite.Big_cascades.all
+  in
+  let sets =
+    [
+      ("fixed point", List.map (fun r -> r.Compiler.optimized) reports);
+      ("unoptimized", List.map (fun r -> r.Compiler.unoptimized) reports);
+    ]
+  in
+  List.iter
+    (fun (name, cs) ->
+      Printf.printf "  %s: %d gates in 5 circuits\n" name
+        (List.fold_left (fun acc c -> acc + Circuit.gate_count c) 0 cs))
+    sets;
+  (* One run of each pass over each set: a row of cells per pass. *)
+  let rows =
+    List.map
+      (fun (name, pass) -> (name, List.map (fun (_, cs) () -> List.iter pass cs) sets))
+      (sweep_passes device)
+  in
+  (* A warm run of each cell, whose allocation is the cell's.  The
+     major heap's count is the words it took in less those promoted
+     into it, read after a minor collection on both sides; it can be
+     off by a few thousand words. *)
+  let allocation run =
+    Gc.minor ();
+    let minor = Gc.minor_words () and s = Gc.quick_stat () in
+    run ();
+    Gc.minor ();
+    let minor' = Gc.minor_words () and s' = Gc.quick_stat () in
+    ( minor' -. minor,
+      s'.Gc.major_words -. s.Gc.major_words
+      -. (s'.Gc.promoted_words -. s.Gc.promoted_words) )
+  in
+  let words = List.map (fun (_, cells) -> List.map allocation cells) rows in
+  let times = List.map (fun (_, cells) -> List.map (fun _ -> ref []) cells) rows in
+  for _ = 1 to pass_runs do
+    List.iter2
+      (fun (_, cells) samples ->
+        List.iter2
+          (fun run samples ->
+            let t0 = Trace.now_ns () in
+            run ();
+            samples :=
+              (Int64.to_float (Int64.sub (Trace.now_ns ()) t0) /. 1e9) :: !samples)
+          cells samples)
+      rows times
+  done;
+  (* Millions of words to two places; the major count's error can be
+     just below zero. *)
+  let mwords w = Printf.sprintf "%.2f" (Float.max 0.0 (Float.round (w /. 1e4)) /. 100.0) in
+  let table =
+    List.map2
+      (fun ((name, _), words) times ->
+        name
+        :: List.concat
+             (List.map2
+                (fun (minor, major) t ->
+                  [ Printf.sprintf "%.4f" (median !t); mwords minor; mwords major ])
+                words times))
+      (List.combine rows words) times
+  in
+  print_string
+    (Benchsuite.Tabulate.render ~title:""
+       ~header:
+         (("Pass (median of " ^ string_of_int pass_runs ^ ")")
+         :: List.concat_map
+              (fun (name, _) ->
+                [ name ^ " s"; name ^ " minor Mw"; name ^ " major Mw" ])
+              sets)
+       table)
 
 (* ------------------------------------------------------------------ *)
 (* Verification section: the paper's claim that every output is
@@ -1084,5 +1196,6 @@ let () =
   if want "workloads" then workloads ();
   if want "foldstates" then foldstates ();
   if want "optimize" then optimize_section ~jobs:!jobs ();
+  if want "passes" then passes ();
   if want "timing" then timing ~jobs:!jobs ?history:!history ();
   Printf.printf "\nDone.\n"

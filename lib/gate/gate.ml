@@ -21,6 +21,27 @@ type t =
 
 let equal a b = a = b
 
+let kind = function
+  | X _ -> 0
+  | Y _ -> 1
+  | Z _ -> 2
+  | H _ -> 3
+  | S _ -> 4
+  | Sdg _ -> 5
+  | T _ -> 6
+  | Tdg _ -> 7
+  | Rx _ -> 8
+  | Ry _ -> 9
+  | Rz _ -> 10
+  | Phase _ -> 11
+  | Cnot _ -> 12
+  | Cz _ -> 13
+  | Swap _ -> 14
+  | Toffoli _ -> 15
+  | Mct _ -> 16
+
+let kind_count = 17
+
 let pi = 4.0 *. atan 1.0
 
 let canonical_angle theta =
@@ -125,45 +146,65 @@ let not_target = function
   | Phase _ | Cz _ | Swap _ ->
     -1
 
+let rec mem_int q = function [] -> false | p :: rest -> p = q || mem_int q rest
+
 let is_control q = function
   | Cnot { control; _ } -> q = control
   | Toffoli { c1; c2; _ } -> q = c1 || q = c2
-  | Mct { controls; _ } -> List.mem q controls
+  | Mct { controls; _ } -> mem_int q controls
   | X _ | Y _ | Z _ | H _ | S _ | Sdg _ | T _ | Tdg _ | Rx _ | Ry _ | Rz _
   | Phase _ | Cz _ | Swap _ ->
     false
 
-let rec disjoint sg sh =
-  match sg with
-  | [] -> true
-  | q :: rest -> (not (List.mem q sh)) && disjoint rest sh
+(* Whether [q] is an operand of [g], and whether [g] and [h] share a
+   qubit: both read the constructors, so the commutation test below
+   allocates nothing. *)
+let touches q = function
+  | X p | Y p | Z p | H p | S p | Sdg p | T p | Tdg p
+  | Rx (_, p) | Ry (_, p) | Rz (_, p) | Phase (_, p) ->
+    p = q
+  | Cnot { control = a; target = b } | Cz (a, b) | Swap (a, b) -> a = q || b = q
+  | Toffoli { c1; c2; target } -> c1 = q || c2 = q || target = q
+  | Mct { controls; target } -> target = q || mem_int q controls
 
-let commutes_with_support sg g sh h =
-  (* A diagonal gate passes a NOT-family gate whose target it avoids
-     (the controls only read the bits the phase depends on); a NOT-family
-     gate acts on its target as X or I, so an Rx there passes it too. *)
-  let passes_not g sg h =
-    let t = not_target h in
-    t >= 0
-    &&
-    match g with
-    | Rx (_, q) -> q = t
-    | _ -> is_diagonal g && not (List.mem t sg)
-  in
-  (* X and Rx are functions of the same Pauli (likewise Y and Ry). *)
-  let axis = function X _ | Rx _ -> 1 | Y _ | Ry _ -> 2 | _ -> 0 in
+let rec any_touches qs h =
+  match qs with [] -> false | q :: rest -> touches q h || any_touches rest h
+
+let shares g h =
+  match g with
+  | X q | Y q | Z q | H q | S q | Sdg q | T q | Tdg q
+  | Rx (_, q) | Ry (_, q) | Rz (_, q) | Phase (_, q) ->
+    touches q h
+  | Cnot { control = a; target = b } | Cz (a, b) | Swap (a, b) ->
+    touches a h || touches b h
+  | Toffoli { c1; c2; target } -> touches c1 h || touches c2 h || touches target h
+  | Mct { controls; target } -> touches target h || any_touches controls h
+
+(* A diagonal gate passes a NOT-family gate whose target it avoids (the
+   controls only read the bits the phase depends on); a NOT-family gate
+   acts on its target as X or I, so an Rx there passes it too. *)
+let passes_not g h =
+  let t = not_target h in
+  t >= 0
+  &&
+  match g with
+  | Rx (_, q) -> q = t
+  | _ -> is_diagonal g && not (touches t g)
+
+(* X and Rx are functions of the same Pauli (likewise Y and Ry). *)
+let axis = function X _ | Rx _ -> 1 | Y _ | Ry _ -> 2 | _ -> 0
+
+let commutes g h =
   let tg = not_target g and th = not_target h in
-  disjoint sg sh
+  (not (shares g h))
   || equal g h
   || (is_diagonal g && is_diagonal h)
-  || passes_not g sg h
-  || passes_not h sh g
+  || passes_not g h
+  || passes_not h g
   || (axis g > 0 && axis g = axis h)
   (* Two NOT-family gates commute when neither target is the other's
      control. *)
   || (tg >= 0 && th >= 0 && not (is_control tg h || is_control th g))
-
-let commutes g h = commutes_with_support (support g) g (support h) h
 
 let rename f g =
   let renamed =

@@ -52,6 +52,17 @@ val phase_gate : float -> int -> t option
 
 val equal : t -> t -> bool
 
+(** [kind g] is the index of [g]'s constructor in the declaration order
+    of {!t}: 0 for [X] through 16 for [Mct].  The one numbering of gate
+    kinds: the rewrite templates state the kind their pattern starts
+    with, and the identity-window keys write it as each gate's first
+    byte. *)
+val kind : t -> int
+
+(** [kind_count] is the number of constructors, one more than the
+    largest {!kind}. *)
+val kind_count : int
+
 (** [mct controls target] builds the canonical gate for a NOT with the
     given controls: [X]/[Cnot]/[Toffoli] for 0/1/2 controls, [Mct] with
     sorted controls otherwise.
@@ -76,14 +87,11 @@ val is_self_inverse : t -> bool
 (** [commutes g h] is a sound (not complete) commutation test: [true]
     means the gates provably commute.  Covers disjoint supports, equal
     gates, diagonal pairs, diagonal or Rx gates against NOT-family
-    gates, NOT-family pairs, and same-wire X/Rx and Y/Ry pairs. *)
+    gates, NOT-family pairs, and same-wire X/Rx and Y/Ry pairs.  It
+    reads the operands off both constructors and allocates nothing:
+    the optimizer's cancellation scan calls it for every gate pair it
+    looks past. *)
 val commutes : t -> t -> bool
-
-(** [commutes_with_support sg g sh h] is [commutes g h] for callers that
-    already hold [sg = support g] and [sh = support h].  It allocates
-    nothing: the optimizer's cancellation scan calls it for every gate
-    pair it looks past. *)
-val commutes_with_support : int list -> t -> int list -> t -> bool
 
 (** [rename f g] renames every qubit through [f].
     @raise Invalid_argument if renaming merges two qubits of the gate. *)

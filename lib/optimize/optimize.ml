@@ -20,8 +20,19 @@ let cancels g h =
     a.target = b.target
     && List.sort Int.compare a.controls = List.sort Int.compare b.controls
   (* Z, S, Sdg, T, Tdg and Phase all read as diag(1, e^(i theta)), so
-     any two whose angles sum to 0 mod 2 pi cancel exactly.  The angles
-     are read only here, where both gates are in that family. *)
+     any two whose angles sum to 0 mod 2 pi cancel exactly.  Of the named
+     gates only adjoint pairs do, so their angles are never read; they
+     are read only for a pair with a [Phase], where both gates are in
+     the family. *)
+  | Gate.Z a, Gate.Z b
+  | Gate.S a, Gate.Sdg b
+  | Gate.Sdg a, Gate.S b
+  | Gate.T a, Gate.Tdg b
+  | Gate.Tdg a, Gate.T b ->
+    a = b
+  | ( (Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _),
+      (Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _) ) ->
+    false
   | ( (Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Phase _),
       (Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Phase _) )
     -> (
@@ -30,53 +41,64 @@ let cancels g h =
     | (Some _ | None), (Some _ | None) -> false)
   | _, _ -> false
 
-(* A gate [cancel_pass] has processed, with its support and a mask of
-   it: bit [q mod 63] for each qubit [q].  Disjoint masks mean disjoint
-   supports.  Past 63 qubits two qubits can share a bit; that only sends
-   a pair to the full test. *)
-type entry = { gate : Gate.t; support : int list; mask : int }
+(* A mask of a gate's qubits: bit [q mod 63] for each qubit [q].
+   Disjoint masks mean disjoint supports.  Past 63 qubits two qubits
+   can share a bit; that only sends a pair to the full test.  Read off
+   the constructor, so it allocates nothing. *)
+let bit q = 1 lsl (q mod 63)
 
-let entry g =
-  let support = Gate.support g in
-  { gate = g; support;
-    mask = List.fold_left (fun m q -> m lor (1 lsl (q mod 63))) 0 support }
+let rec list_mask m = function [] -> m | q :: rest -> list_mask (m lor bit q) rest
+
+let qubit_mask = function
+  | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q
+  | Gate.T q | Gate.Tdg q
+  | Gate.Rx (_, q) | Gate.Ry (_, q) | Gate.Rz (_, q) | Gate.Phase (_, q) ->
+    bit q
+  | Gate.Cnot { control = a; target = b } | Gate.Cz (a, b) | Gate.Swap (a, b) ->
+    bit a lor bit b
+  | Gate.Toffoli { c1; c2; target } -> bit c1 lor bit c2 lor bit target
+  | Gate.Mct { controls; target } -> list_mask (bit target) controls
 
 let cancel_pass ?(lookback = 50) c =
-  (* [acc] holds processed gates in reverse order (head = most recent).
-     The incoming gate deletes the first earlier gate it cancels with,
-     provided it commutes with everything in between.  An entry whose
-     mask misses the incoming gate's shares no qubit with it, so it can
-     neither cancel nor block: the scan steps over it, and it still
-     counts toward [lookback].  [find] returns the depth of the entry to
-     delete, or -1. *)
-  let rec find acc e depth =
-    match acc with
-    | [] -> -1
-    | h :: earlier ->
-      if depth = lookback then -1
-      else if h.mask land e.mask = 0 then find earlier e (depth + 1)
-      else if cancels h.gate e.gate then depth
-      else if Gate.commutes_with_support e.support e.gate h.support h.gate then
-        find earlier e (depth + 1)
-      else -1
-  in
-  let rec remove acc depth =
-    match acc with
-    | h :: earlier -> if depth = 0 then earlier else h :: remove earlier (depth - 1)
-    | [] -> assert false (* [find] found the entry *)
+  (* The processed gates stay where they are in [gates]; [older] links
+     the kept ones, latest first: [older.(n)] is the latest, [older.(j)]
+     the kept gate before [j], and -1 ends the chain.  The incoming gate
+     deletes the first earlier gate it cancels with, provided it
+     commutes with everything in between, and a deletion unlinks one
+     index.  A kept gate whose mask misses the incoming gate's shares no
+     qubit with it, so it can neither cancel nor block: the scan steps
+     over it, and it still counts toward [lookback]. *)
+  let gates = Array.of_list (Circuit.gates c) in
+  let n = Array.length gates in
+  let mask = Array.make n 0 and older = Array.make (n + 1) (-1) in
+  (* Walk the chain from [j], whose newer neighbour is [newer]; true
+     when [g] deleted a gate. *)
+  let rec delete g m j newer depth =
+    if j < 0 || depth = lookback then false
+    else if mask.(j) land m = 0 then delete g m older.(j) j (depth + 1)
+    else if cancels gates.(j) g then begin
+      older.(newer) <- older.(j);
+      true
+    end
+    else if Gate.commutes g gates.(j) then delete g m older.(j) j (depth + 1)
+    else false
   in
   let deleted = ref false in
-  let step acc g =
-    let e = entry g in
-    match find acc e 0 with
-    | -1 -> e :: acc
-    | depth ->
-      deleted := true;
-      remove acc depth
-  in
-  let kept = Circuit.fold step [] c in
+  for i = 0 to n - 1 do
+    let g = gates.(i) in
+    let m = qubit_mask g in
+    if delete g m older.(n) n 0 then deleted := true
+    else begin
+      mask.(i) <- m;
+      older.(i) <- older.(n);
+      older.(n) <- i
+    end
+  done;
   if not !deleted then c
-  else Circuit.make ~n:(Circuit.n_qubits c) (List.rev_map (fun e -> e.gate) kept)
+  else begin
+    let rec kept j acc = if j < 0 then acc else kept older.(j) (gates.(j) :: acc) in
+    Circuit.make ~n:(Circuit.n_qubits c) (kept older.(n) [])
+  end
 
 (* Identity-window memo.  A window's key names its gates with the
    window's qubits relabelled by first touch, so [H 7; X 9; H 7] and
@@ -130,15 +152,17 @@ let write_operands ops pos = function
     ops.(pos + List.length controls) <- target
 
 (* One flat scan's view of the circuit, built once per call.  The
-   operands of [gates.(j)] are [ops.(first.(j)) .. ops.(first.(j+1) - 1)].
-   [support] holds the qubits of the window being grown, in the order
-   they were first touched; the window of [w] gates spans the first
-   [width.(w)] of them, and its memo key is the first [key_len.(w)]
-   bytes of [key]. *)
+   operands of [gates.(j)] are [ops.(first.(j)) .. ops.(first.(j+1) - 1)],
+   and [next.(k)] is the first gate after [j] that touches qubit
+   [ops.(k)], or [n] when none does.  [support] holds the qubits of the
+   window being grown, in the order they were first touched; the window
+   of [w] gates spans the first [width.(w)] of them, and its memo key is
+   the first [key_len.(w)] bytes of [key]. *)
 type scan = {
   gates : Gate.t array;
   first : int array;
   ops : int array;
+  next : int array;
   support : int array;
   width : int array;
   key : Bytes.t;
@@ -147,7 +171,7 @@ type scan = {
 
 (* A gate writes at most a kind byte, one label per operand and 8 angle
    bytes, so [key] holds any window of the widest gate. *)
-let scan_of gates ~max_window =
+let scan_of gates ~n_qubits ~max_window =
   let n = Array.length gates in
   let first = Array.make (n + 1) 0 and widest = ref 0 in
   Array.iteri
@@ -158,8 +182,18 @@ let scan_of gates ~max_window =
     gates;
   let ops = Array.make first.(n) 0 in
   Array.iteri (fun j g -> write_operands ops first.(j) g) gates;
+  (* Back to front: [seen.(q)] is the first gate after [j] on [q]. *)
+  let next = Array.make first.(n) n and seen = Array.make n_qubits n in
+  for j = n - 1 downto 0 do
+    for k = first.(j) to first.(j + 1) - 1 do
+      next.(k) <- seen.(ops.(k))
+    done;
+    for k = first.(j) to first.(j + 1) - 1 do
+      seen.(ops.(k)) <- j
+    done
+  done;
   let m = min max_window n in
-  { gates; first; ops; support = Array.make 3 0; width = Array.make (m + 1) 0;
+  { gates; first; ops; next; support = Array.make 3 0; width = Array.make (m + 1) 0;
     key = Bytes.create (m * (!widest + 9)); key_len = Array.make (m + 1) 0 }
 
 (* The first-touch label of [q]: its index among the first [k] support
@@ -177,25 +211,6 @@ let touches s j q =
 
 let put_byte b pos byte = Bytes.set b pos (Char.unsafe_chr byte)
 
-let kind_byte = function
-  | Gate.X _ -> 0
-  | Gate.Y _ -> 1
-  | Gate.Z _ -> 2
-  | Gate.H _ -> 3
-  | Gate.S _ -> 4
-  | Gate.Sdg _ -> 5
-  | Gate.T _ -> 6
-  | Gate.Tdg _ -> 7
-  | Gate.Rx _ -> 8
-  | Gate.Ry _ -> 9
-  | Gate.Rz _ -> 10
-  | Gate.Phase _ -> 11
-  | Gate.Cnot _ -> 12
-  | Gate.Cz _ -> 13
-  | Gate.Swap _ -> 14
-  | Gate.Toffoli _ -> 15
-  | Gate.Mct _ -> 16
-
 (* The longest window from gate [i], of at most [max_window] gates,
    that stays within 3 qubits, recording the width and the key length
    of every shorter one.  A support only grows, so no longer window
@@ -203,31 +218,39 @@ let kind_byte = function
    it is stored: one gate can add several new qubits (a Toffoli adds 3
    to a 2-qubit prefix), and none of them may overrun the buffer.
 
-   Each accepted gate appends to the key its kind byte, the labels of
-   its operands in constructor order (each below 3), and the IEEE bits
-   of its angle or, for an [Mct], the byte 255, which no label takes.
-   The kind byte fixes every gate's length except an [Mct]'s, so the
-   key decodes one way only: two windows share a key exactly when
-   they are equal up to a one-to-one relabelling of their qubits.
-   Labels are fixed at first touch, so each shorter window's key is a
-   prefix of this one's. *)
+   Each accepted gate appends to the key its {!Gate.kind}, the labels
+   of its operands in constructor order (each below 3), and the IEEE
+   bits of its angle or, for an [Mct], the byte 255, which no label
+   takes.  The kind fixes every gate's length except an [Mct]'s, so the
+   key decodes one way only: two windows share a key exactly when they
+   are equal up to a one-to-one relabelling of their qubits.  Labels
+   are fixed at first touch, so each shorter window's key is a prefix
+   of this one's. *)
 let grow s i ~max_window =
-  let n = Array.length s.gates in
+  let n = Array.length s.gates and support = s.support and key = s.key in
   let count = ref 0 and len = ref 0 and fits = ref true and pos = ref 0 in
   while !fits && !len < max_window && i + !len < n do
     let j = i + !len in
     let g = s.gates.(j) in
-    put_byte s.key !pos (kind_byte g);
-    let k = ref s.first.(j) and p = ref (!pos + 1) in
-    while !fits && !k < s.first.(j + 1) do
-      let t = label s.support !count s.ops.(!k) 0 in
+    put_byte key !pos (Gate.kind g);
+    let k = ref s.first.(j) and stop = s.first.(j + 1) and p = ref (!pos + 1) in
+    while !fits && !k < stop do
+      let q = s.ops.(!k) in
+      (* [label support !count q 0], unrolled over the three slots. *)
+      let c = !count in
+      let t =
+        if c > 0 && support.(0) = q then 0
+        else if c > 1 && support.(1) = q then 1
+        else if c > 2 && support.(2) = q then 2
+        else c
+      in
       if t = 3 then fits := false
       else begin
-        if t = !count then begin
-          s.support.(t) <- s.ops.(!k);
-          incr count
+        if t = c then begin
+          support.(t) <- q;
+          count := c + 1
         end;
-        put_byte s.key !p t;
+        put_byte key !p t;
         incr p;
         incr k
       end
@@ -236,10 +259,10 @@ let grow s i ~max_window =
       (match g with
       | Gate.Rx (theta, _) | Gate.Ry (theta, _) | Gate.Rz (theta, _)
       | Gate.Phase (theta, _) ->
-        Bytes.set_int64_le s.key !p (Int64.bits_of_float theta);
+        Bytes.set_int64_le key !p (Int64.bits_of_float theta);
         p := !p + 8
       | Gate.Mct _ ->
-        put_byte s.key !p 255;
+        put_byte key !p 255;
         incr p
       | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _
       | Gate.T _ | Gate.Tdg _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
@@ -252,6 +275,22 @@ let grow s i ~max_window =
     end
   done;
   !len
+
+(* Whether one of the operands [k .. stop - 1] is touched by no gate
+   before [limit]. *)
+let rec untouched_until s k stop limit =
+  k < stop && (s.next.(k) >= limit || untouched_until s (k + 1) stop limit)
+
+(* Whether every window from [i] is ruled out by the lone-touch rule
+   below without growing it: gate [i] cannot be near the identity, and
+   one of its qubits is touched by none of the other gates a window
+   from [i] can hold (at most [max_window - 1] of them), so in every
+   such window gate [i] alone touches that qubit.  (The exact inverse
+   pair needs the next gate on all of [i]'s qubits.) *)
+let lone_from_start s i ~max_window =
+  (not (near_identity_possible s.gates.(i)))
+  && untouched_until s s.first.(i) s.first.(i + 1)
+       (i + min max_window (Array.length s.gates - i))
 
 (* Cheap sound rejection: a qubit touched by exactly one window gate
    forces that gate to act as the identity on it.  Factoring the window
@@ -324,12 +363,18 @@ let rec longest s i w =
 let remove_identity_windows ?(max_window = 6) c =
   let gates = Array.of_list (Circuit.gates c) in
   let n = Array.length gates in
-  let s = scan_of gates ~max_window:(max max_window 0) in
+  let s =
+    scan_of gates ~n_qubits:(Circuit.n_qubits c) ~max_window:(max max_window 0)
+  in
   (* Deleted windows as (start, length), latest first. *)
   let deleted = ref [] in
   let i = ref 0 in
   while !i < n do
-    match longest s !i (grow s !i ~max_window) with
+    let w =
+      if lone_from_start s !i ~max_window then 0
+      else longest s !i (grow s !i ~max_window)
+    in
+    match w with
     | 0 -> incr i
     | w ->
       deleted := (!i, w) :: !deleted;

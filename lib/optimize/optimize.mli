@@ -55,12 +55,19 @@ val cancels : Gate.t -> Gate.t -> bool
     with it ({!Gate.commutes}).  [lookback] bounds the scan depth
     (default 50).
 
-    Each scanned gate carries a mask of its qubits, bit [q mod 63] for
-    qubit [q].  A gate whose mask misses the incoming gate's shares no
-    qubit with it, so it neither cancels nor blocks: the scan steps
-    over it without testing it, and it still counts toward [lookback].
-    Past 63 qubits masks can alias, which only sends a pair to the full
-    test.  When nothing cancels, the result is [c] itself. *)
+    The processed gates stay in the input's gate array; each kept gate
+    has a mask of its qubits, bit [q mod 63] for qubit [q], and the
+    index of the next older kept gate, so a deletion unlinks one index.
+    A kept gate whose mask misses the incoming gate's shares no qubit
+    with it, so it neither cancels nor blocks: the scan steps over it
+    without testing it, and it still counts toward [lookback], as does
+    every gate the incoming one commutes past.  Past 63 qubits masks
+    can alias, which only sends a pair to the full test.  The tests
+    read the constructors, so a gate the pass keeps allocates nothing
+    (only [cancels] on a pair with a [Phase], or on two [Mct]s,
+    allocates), and the three per-gate arrays are all the pass
+    allocates.  When nothing cancels, the result is [c] itself, and the
+    output list is built only when something was deleted. *)
 val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
 
 (** [remove_identity_windows ?max_window c] deletes contiguous gate
@@ -75,8 +82,13 @@ val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
 
     A candidate is the identity when it is an exact inverse pair, or
     when no qubit is touched by a single parameter-free gate and a
-    dense {!Sim.unitary} at tolerance 1e-9 reads the identity.  Each
-    start costs one memo lookup (see the ownership rule above).  The
+    dense {!Sim.unitary} at tolerance 1e-9 reads the identity.  The
+    scan records, for each operand, the next gate that touches its
+    qubit, so a start whose gate is parameter-free and has a qubit
+    none of the next [max_window - 1] gates touches answers 0 at once:
+    that qubit is touched by a single parameter-free gate in every
+    candidate.  Every other start costs one memo lookup (see the
+    ownership rule above).  The
     key is a byte string written while the window grows: per gate a
     kind byte, its operands labelled by the order the window first
     touches them, and the 64 bits of any angle.  It decodes one way

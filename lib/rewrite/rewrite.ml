@@ -6,6 +6,7 @@ type rule = {
   pattern_doc : string;
   guard_doc : string;
   replacement_doc : string;
+  head : int;
   rewrite : device:Device.t option -> Gate.t list -> Gate.t list option;
 }
 
@@ -32,6 +33,7 @@ let rules =
       pattern_doc = "H a; H b; CNOT c->t; H a'; H b'";
       guard_doc = "{a,b} = {a',b'} = {c,t}; CNOT t->c legal on device";
       replacement_doc = "CNOT t->c";
+      head = Gate.kind (Gate.H 0);
       rewrite =
         (fun ~device -> function
           | Gate.H a :: Gate.H b :: Gate.Cnot { control = c; target = t }
@@ -47,6 +49,7 @@ let rules =
       pattern_doc = "H a; X a; H a";
       guard_doc = "-";
       replacement_doc = "Z a";
+      head = Gate.kind (Gate.H 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.H a :: Gate.X b :: Gate.H c :: rest when a = b && b = c ->
@@ -59,6 +62,7 @@ let rules =
       pattern_doc = "H a; Z a; H a";
       guard_doc = "-";
       replacement_doc = "X a";
+      head = Gate.kind (Gate.H 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.H a :: Gate.Z b :: Gate.H c :: rest when a = b && b = c ->
@@ -73,6 +77,7 @@ let rules =
       pattern_doc = "H t; CZ c, t; H t";
       guard_doc = "CNOT c->t legal on device";
       replacement_doc = "CNOT c->t";
+      head = Gate.kind (Gate.H 0);
       (* CZ is symmetric, so [t] may be either operand; the stored order
          CZ(c, t) is tried first. *)
       rewrite =
@@ -91,6 +96,7 @@ let rules =
       pattern_doc = "X a; Rz(t) a; X a";
       guard_doc = "-";
       replacement_doc = "Rz(-t) a";
+      head = Gate.kind (Gate.X 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.X a :: Gate.Rz (t, b) :: Gate.X c :: rest
@@ -104,6 +110,7 @@ let rules =
       pattern_doc = "X a; Ry(t) a; X a";
       guard_doc = "-";
       replacement_doc = "Ry(-t) a";
+      head = Gate.kind (Gate.X 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.X a :: Gate.Ry (t, b) :: Gate.X c :: rest
@@ -117,6 +124,7 @@ let rules =
       pattern_doc = "Z a; Rx(t) a; Z a";
       guard_doc = "-";
       replacement_doc = "Rx(-t) a";
+      head = Gate.kind (Gate.Z 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.Z a :: Gate.Rx (t, b) :: Gate.Z c :: rest
@@ -130,6 +138,7 @@ let rules =
       pattern_doc = "Z a; Ry(t) a; Z a";
       guard_doc = "-";
       replacement_doc = "Ry(-t) a";
+      head = Gate.kind (Gate.Z 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.Z a :: Gate.Ry (t, b) :: Gate.Z c :: rest
@@ -143,6 +152,7 @@ let rules =
       pattern_doc = "H a; Rx(t) a; H a";
       guard_doc = "-";
       replacement_doc = "Rz(t) a";
+      head = Gate.kind (Gate.H 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.H a :: Gate.Rx (t, b) :: Gate.H c :: rest
@@ -156,6 +166,7 @@ let rules =
       pattern_doc = "H a; Rz(t) a; H a";
       guard_doc = "-";
       replacement_doc = "Rx(t) a";
+      head = Gate.kind (Gate.H 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.H a :: Gate.Rz (t, b) :: Gate.H c :: rest
@@ -169,6 +180,7 @@ let rules =
       pattern_doc = "Sdg a; X a; S a";
       guard_doc = "-";
       replacement_doc = "Y a";
+      head = Gate.kind (Gate.Sdg 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.Sdg a :: Gate.X b :: Gate.S c :: rest when a = b && b = c ->
@@ -181,6 +193,7 @@ let rules =
       pattern_doc = "S a; Y a; Sdg a";
       guard_doc = "-";
       replacement_doc = "X a";
+      head = Gate.kind (Gate.S 0);
       rewrite =
         (fun ~device:_ -> function
           | Gate.S a :: Gate.Y b :: Gate.Sdg c :: rest when a = b && b = c ->
@@ -193,6 +206,7 @@ let rules =
       pattern_doc = "CNOT a->b; CNOT b->a; CNOT a->b";
       guard_doc = "unmapped circuits only (SWAP is not transmon-native)";
       replacement_doc = "SWAP a, b";
+      head = Gate.kind (Gate.Cnot { control = 0; target = 1 });
       rewrite =
         (fun ~device -> function
           | Gate.Cnot { control = a; target = b }
@@ -262,6 +276,13 @@ let apply_templates ?device ?(selection = default_selection) c =
   let enabled_rules = List.filter (fun r -> enabled selection r.name) rules in
   if enabled_rules = [] then (c, [])
   else begin
+    (* The enabled rules by their head, in registry order: a position
+       tries only the rules its gate can start, so the first to fire is
+       the registry's first. *)
+    let by_head = Array.make Gate.kind_count [] in
+    List.iter
+      (fun r -> by_head.(r.head) <- r :: by_head.(r.head))
+      (List.rev enabled_rules);
     let counts = Hashtbl.create 8 in
     let bump name =
       Hashtbl.replace counts name
@@ -283,7 +304,7 @@ let apply_templates ?device ?(selection = default_selection) c =
       match todo with
       | [] -> List.rev acc
       | g :: rest -> (
-        match first todo enabled_rules with
+        match first todo by_head.(Gate.kind g) with
         | Some todo' -> go acc todo'
         | None -> go (g :: acc) rest)
     in
@@ -298,8 +319,8 @@ let apply_templates ?device ?(selection = default_selection) c =
     let rec scan kept todo =
       match todo with
       | [] -> None
-      | _ :: rest -> (
-        match first todo enabled_rules with
+      | g :: rest -> (
+        match first todo by_head.(Gate.kind g) with
         | Some todo' -> Some (go (rev_prefix kept [] (Circuit.gates c)) todo')
         | None -> scan (kept + 1) rest)
     in
@@ -532,106 +553,180 @@ let merge_phase_polynomial c =
 
 (* ---- Clifford normalization ------------------------------------------ *)
 
-let clifford_1q = function
-  | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q ->
-    Some q
-  | Gate.T _ | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _
-  | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
-    None
+(* The alphabet of the normal forms, in the order the search below
+   tries it. *)
+let clifford_alphabet = [| Gate.H 0; Gate.S 0; Gate.Sdg 0; Gate.X 0; Gate.Y 0; Gate.Z 0 |]
 
-let clifford_alphabet = [ Gate.H 0; Gate.S 0; Gate.Sdg 0; Gate.X 0; Gate.Y 0; Gate.Z 0 ]
+let letters = Array.length clifford_alphabet
 
-(* Exact matrices only: entries of the one-qubit Clifford group (with
-   its phases) are separated by ~0.29, so rounding to 6 decimals after
-   flushing signed zeros gives collision-free keys while absorbing
-   float-product noise (~1e-15). *)
-let matrix_key m =
-  let b = Buffer.create 64 in
-  let flush v = if abs_float v < 1e-9 then 0.0 else v in
-  for r = 0 to 1 do
-    for col = 0 to 1 do
-      let re, im = Mathkit.Cx.round_key (Mathkit.Matrix.get m r col) in
-      Buffer.add_string b (Printf.sprintf "%.6f,%.6f;" (flush re) (flush im))
-    done
-  done;
-  Buffer.contents b
+(* The one-qubit Clifford group with its global phases, in exact
+   integers.  Every entry of such a matrix is 0 or w^k times one
+   magnitude, w = e^(i pi/4): the magnitude is 1 when the matrix has a
+   zero entry and 1/sqrt 2 when it has none.  An entry's code is 0 for
+   0 and 1 + k otherwise, and a matrix's key is its four codes in base
+   9, row by row.  [times code k] multiplies an entry by w^k. *)
+let times code k = if code = 0 then 0 else 1 + ((code - 1 + k) land 7)
 
-(* Shortest word (in circuit order) for every exact matrix reachable
-   from the alphabet within 6 gates: a breadth-first enumeration of the
-   one-qubit Clifford group including global phases, ~192 matrices.
-   Built eagerly at module init — it is microseconds of work, and a
+let key_of e00 e01 e10 e11 = e00 + (9 * e01) + (81 * e10) + (729 * e11)
+
+(* The key of [letter * m] for the matrix [m] with key [key]. *)
+let left_multiply letter key =
+  let e00 = key mod 9 and e01 = key / 9 mod 9 and e10 = key / 81 mod 9 in
+  let e11 = key / 729 in
+  match letter with
+  | 0 ->
+    (* H: row 0 becomes (r0 + r1)/sqrt 2 and row 1 (r0 - r1)/sqrt 2.  In
+       a matrix with a zero each column holds one entry of magnitude 1,
+       and comes out as two of magnitude 1/sqrt 2.  In one without, the
+       two entries of a column (magnitude 1/sqrt 2) differ in phase by
+       w^d for an even d: equal (d = 0) or opposite (d = 4), they come
+       out as one entry of magnitude 1 and a zero; a quarter turn apart
+       (d = 2 or 6), as two of magnitude 1/sqrt 2, an eighth of a turn
+       either side of the first. *)
+    let with_zero = e00 = 0 || e01 = 0 || e10 = 0 || e11 = 0 in
+    let top a b =
+      if with_zero then if a <> 0 then a else b
+      else
+        match (b - a) land 7 with 0 -> a | 4 -> 0 | 2 -> times a 1 | _ -> times a 7
+    in
+    let bottom a b =
+      if with_zero then if a <> 0 then a else times b 4
+      else
+        match (b - a) land 7 with 0 -> 0 | 4 -> a | 2 -> times a 7 | _ -> times a 1
+    in
+    key_of (top e00 e10) (top e01 e11) (bottom e00 e10) (bottom e01 e11)
+  | 1 -> key_of e00 e01 (times e10 2) (times e11 2) (* S *)
+  | 2 -> key_of e00 e01 (times e10 6) (times e11 6) (* Sdg *)
+  | 3 -> key_of e10 e11 e00 e01 (* X *)
+  | 4 -> key_of (times e10 6) (times e11 6) (times e00 2) (times e01 2) (* Y *)
+  | _ -> key_of e00 e01 (times e10 4) (times e11 4) (* Z *)
+
+(* The group's elements, numbered in the order a breadth-first search
+   from the identity (element 0) over the alphabet meets them.
+   [step.(e * letters + l)] is the element [letter l * e], so a run's
+   product costs one lookup per gate.  [words.(e)] is the word the
+   search first reached [e] by, in circuit order, when it has at most 6
+   letters, and [word_len.(e)] its length; -1 marks the elements that
+   need 7.  Built eagerly at module init, in tens of microseconds: a
    [lazy] here would race when bench/fuzz fan optimization across
    domains (concurrent forcing raises [CamlinternalLazy.Undefined]). *)
-let clifford_table =
-  (let tbl = Hashtbl.create 512 in
-     let id = Mathkit.Matrix.identity 2 in
-     Hashtbl.replace tbl (matrix_key id) [];
-     let queue = Queue.create () in
-     Queue.add (id, []) queue;
-     while not (Queue.is_empty queue) do
-       let m, word = Queue.pop queue in
-       if List.length word < 6 then
-         List.iter
-           (fun g ->
-             let m' = Mathkit.Matrix.mul (Gate.base_matrix g) m in
-             let k = matrix_key m' in
-             if not (Hashtbl.mem tbl k) then begin
-               let word' = word @ [ g ] in
-               Hashtbl.replace tbl k word';
-               Queue.add (m', word') queue
-             end)
-           clifford_alphabet
-     done;
-     tbl)
+let clifford_elements, step, words, word_len =
+  let order = 192 in
+  let keys = Array.make order 0 and index = Hashtbl.create 256 in
+  let step = Array.make (order * letters) 0 in
+  let words = Array.make order [] and word_len = Array.make order (-1) in
+  let identity = key_of 1 0 0 1 in
+  Hashtbl.replace index identity 0;
+  keys.(0) <- identity;
+  word_len.(0) <- 0;
+  let found = ref 1 and e = ref 0 in
+  while !e < !found do
+    for l = 0 to letters - 1 do
+      let key = left_multiply l keys.(!e) in
+      let e' =
+        match Hashtbl.find_opt index key with
+        | Some e' -> e'
+        | None ->
+          let e' = !found in
+          incr found;
+          keys.(e') <- key;
+          Hashtbl.replace index key e';
+          if word_len.(!e) >= 0 && word_len.(!e) < 6 then begin
+            words.(e') <- words.(!e) @ [ clifford_alphabet.(l) ];
+            word_len.(e') <- word_len.(!e) + 1
+          end;
+          e'
+      in
+      step.((!e * letters) + l) <- e'
+    done;
+    incr e
+  done;
+  (!found, step, words, word_len)
+
+let clifford_word e = if word_len.(e) < 0 then None else Some words.(e)
 
 let normalize_cliffords c =
-  let n = Circuit.n_qubits c in
-  let gates = Array.of_list (Circuit.gates c) in
-  if n = 0 || Array.length gates = 0 then (c, 0)
-  else begin
-    let table = clifford_table in
-    let decisions = Array.make (Array.length gates) `Keep in
-    let pending : (int * Gate.t) list array = Array.make n [] in
-    let eliminated = ref 0 in
-    let finalize q =
-      let run = List.rev pending.(q) in
-      pending.(q) <- [];
-      match run with
-      | [] | [ _ ] -> ()
-      | (first_idx, _) :: rest ->
-        let len = List.length run in
-        let product =
-          List.fold_left
-            (fun acc (_, g) -> Mathkit.Matrix.mul (Gate.base_matrix g) acc)
-            (Mathkit.Matrix.identity 2) run
-        in
-        (match Hashtbl.find_opt table (matrix_key product) with
-        | Some word when List.length word < len ->
-          decisions.(first_idx)
-          <- `Emit (List.map (Gate.rename (fun _ -> q)) word);
-          List.iter (fun (i, _) -> decisions.(i) <- `Drop) rest;
-          eliminated := !eliminated + (len - List.length word)
-        | Some _ | None -> ())
-    in
-    Array.iteri
-      (fun i g ->
-        match clifford_1q g with
-        | Some q -> pending.(q) <- (i, g) :: pending.(q)
-        | None -> List.iter finalize (Gate.support g))
-      gates;
-    for q = 0 to n - 1 do
-      finalize q
-    done;
-    if !eliminated = 0 then (c, 0)
-    else begin
-      let out = Circuit.Builder.create ~n in
-      Array.iteri
-        (fun i g ->
-          match decisions.(i) with
-          | `Keep -> Circuit.Builder.add out g
-          | `Drop -> ()
-          | `Emit gs -> Circuit.Builder.add_list out gs)
-        gates;
-      (Circuit.Builder.to_circuit out, !eliminated)
+  let n = Circuit.n_qubits c and gates = Circuit.gates c in
+  let count = List.length gates in
+  (* Each wire's open run: its first and last gate, its length and its
+     product.  [link.(i)] is the run's gate after [i]. *)
+  let first = Array.make n 0 and last = Array.make n 0 in
+  let len = Array.make n 0 and product = Array.make n 0 in
+  let link = Array.make count 0 in
+  (* What the output does with each gate, made at the first
+     replacement: [keep], [drop], or the element whose word it emits. *)
+  let keep = -1 and drop = -2 in
+  let fate = ref [||] in
+  let eliminated = ref 0 in
+  let finalize q =
+    let e = product.(q) in
+    if len.(q) >= 2 && word_len.(e) >= 0 && word_len.(e) < len.(q) then begin
+      if Array.length !fate = 0 then fate := Array.make count keep;
+      let fate = !fate in
+      fate.(first.(q)) <- e;
+      let j = ref first.(q) in
+      for _ = 2 to len.(q) do
+        j := link.(!j);
+        fate.(!j) <- drop
+      done;
+      eliminated := !eliminated + len.(q) - word_len.(e)
+    end;
+    len.(q) <- 0
+  in
+  let extend i q l =
+    if len.(q) = 0 then begin
+      first.(q) <- i;
+      product.(q) <- step.(l)
     end
+    else begin
+      link.(last.(q)) <- i;
+      product.(q) <- step.((product.(q) * letters) + l)
+    end;
+    last.(q) <- i;
+    len.(q) <- len.(q) + 1
+  in
+  let rec walk i = function
+    | [] -> ()
+    | g :: rest ->
+      (* A letter extends its wire's run by its index in
+         [clifford_alphabet]; any other gate ends the runs of its
+         wires. *)
+      (match g with
+      | Gate.H q -> extend i q 0
+      | Gate.S q -> extend i q 1
+      | Gate.Sdg q -> extend i q 2
+      | Gate.X q -> extend i q 3
+      | Gate.Y q -> extend i q 4
+      | Gate.Z q -> extend i q 5
+      | Gate.T q | Gate.Tdg q
+      | Gate.Rx (_, q) | Gate.Ry (_, q) | Gate.Rz (_, q) | Gate.Phase (_, q) ->
+        finalize q
+      | Gate.Cnot { control = a; target = b } | Gate.Cz (a, b) | Gate.Swap (a, b) ->
+        finalize a;
+        finalize b
+      | Gate.Toffoli { c1; c2; target } ->
+        finalize c1;
+        finalize c2;
+        finalize target
+      | Gate.Mct { controls; target } ->
+        List.iter finalize controls;
+        finalize target);
+      walk (i + 1) rest
+  in
+  walk 0 gates;
+  for q = 0 to n - 1 do
+    finalize q
+  done;
+  if !eliminated = 0 then (c, 0)
+  else begin
+    let fate = !fate and out = Circuit.Builder.create ~n in
+    List.iteri
+      (fun i g ->
+        let f = fate.(i) in
+        if f = keep then Circuit.Builder.add out g
+        else if f <> drop then
+          let q = Gate.max_qubit g in
+          Circuit.Builder.add_list out (List.map (Gate.rename (fun _ -> q)) words.(f)))
+      gates;
+    (Circuit.Builder.to_circuit out, !eliminated)
   end

@@ -26,6 +26,11 @@ type rule = {
           [CZ] matches its operands in either order *)
   guard_doc : string;  (** ["-"] when unconditional *)
   replacement_doc : string;
+  head : int;
+      (** the {!Gate.kind} of the gate the pattern starts with:
+          [rewrite] is [None] on every list whose first gate is of
+          another kind, so {!apply_templates} tries at each position
+          only the rules whose head is that gate's kind *)
   rewrite : device:Device.t option -> Gate.t list -> Gate.t list option;
       (** [rewrite ~device gates] is [Some (replacement @ rest)] when a
           prefix of [gates] matches the pattern and satisfies the side
@@ -108,8 +113,32 @@ val merge_phase_polynomial : Circuit.t -> Circuit.t * int
     wire, other wires' gates interleaving freely) by the shortest word
     with the {e exact} same 2x2 matrix — global phase included — from a
     table of the Clifford group enumerated over that alphabet.  Runs
-    are only replaced when the normal form is strictly shorter. *)
+    are only replaced when the normal form is strictly shorter.
+
+    The table numbers the group's {!clifford_elements} elements and
+    holds, for each element and letter, the element the letter takes it
+    to, so a run's product costs one lookup per gate; each wire keeps
+    its open run's first and last gate, length and product, and the
+    run's gates are linked by index.  A circuit with no run to replace
+    comes back as [(c, 0)] with no gate list built. *)
 val normalize_cliffords : Circuit.t -> Circuit.t * int
+
+(** The order of the one-qubit Clifford group with its global phases
+    (powers of e^(i pi/4)): 192.  The table behind
+    {!normalize_cliffords} is built at module init by a breadth-first
+    search from the identity over the letters H, S, Sdg, X, Y, Z in
+    that order, with matrices keyed by exact integer codes of their
+    entries (0, or a power of e^(i pi/4) times the matrix's one
+    magnitude), so no float is rounded. *)
+val clifford_elements : int
+
+(** [clifford_word e] is the word (gates on qubit 0, in circuit order)
+    by which that search first reached element [e], numbered in the
+    order it met them (the identity is 0, with the empty word); [None]
+    for the 6 elements whose shortest word has 7 letters, which the
+    pass never emits.  The other 186 have a word of at most 6.
+    @raise Invalid_argument unless [0 <= e < clifford_elements]. *)
+val clifford_word : int -> Gate.t list option
 
 (** [apply_templates ?device ?selection c] makes one left-to-right
     sweep of the enabled templates and counts applications per rule

@@ -172,6 +172,40 @@ let test_big_gates_share_qubits () =
       pairs b.Benchsuite.Big_cascades.gates)
     Benchsuite.Big_cascades.all
 
+(* Each cascade compiled to big96 with verification skipped, as the
+   Table 8 synthesis workload compiles it: the optimized circuit's gate
+   count and the MD5 of its gate list, one gate per line.  Any change
+   to the pipeline's output on the paper's headline table shows here. *)
+let table8_outputs =
+  [
+    ("T6_b", 18_976, "c941b7f12e2e0bb77de4349039b72439");
+    ("T7_b", 22_883, "9a45b0cae49969135b1bc61c900d73ec");
+    ("T8_b", 27_941, "c1f295c712cea72af93d15fa9ce6b0f0");
+    ("T9_b", 31_588, "2db4b1957c6238ef6882355335e5c78c");
+    ("T10_b", 37_089, "ce3d7e0ca0933dc273bcfeaecd20e7d3");
+  ]
+
+let test_big_table8_outputs () =
+  let device = Device.Ibm.big96 in
+  let options =
+    { (Compiler.default_options ~device) with Compiler.verification = Compiler.Skip }
+  in
+  List.iter
+    (fun (name, gates, digest) ->
+      let b = Benchsuite.Big_cascades.find name in
+      let r =
+        Compiler.compile options (Compiler.Quantum (Benchsuite.Big_cascades.circuit b))
+      in
+      let out = r.Compiler.optimized in
+      let listing =
+        String.concat "\n" (List.map Gate.to_string (Circuit.gates out))
+      in
+      check_int (name ^ " optimized gates") gates (Circuit.gate_count out);
+      Alcotest.(check string)
+        (name ^ " gate list digest") digest
+        (Digest.to_hex (Digest.string listing)))
+    table8_outputs
+
 (* --- tabulate --- *)
 
 let test_tabulate () =
@@ -208,6 +242,7 @@ let () =
           Alcotest.test_case "inventory" `Quick test_big_inventory;
           Alcotest.test_case "table7 spec" `Quick test_big_table7_spec;
           Alcotest.test_case "shared qubits" `Quick test_big_gates_share_qubits;
+          Alcotest.test_case "table8 outputs" `Quick test_big_table8_outputs;
         ] );
       ("tabulate", [ Alcotest.test_case "render" `Quick test_tabulate ]);
     ]

@@ -210,6 +210,35 @@ let test_fuzz_repro_corpus_replays () =
                    "fuzz --property %s --seed %d --count 1 --corpus-dir ''"
                    (Filename.quote property) seed)))
 
+(* Start-up cost: every qsc process, [--version] included, runs every
+   linked module's initialisers, the Clifford group table of the
+   rewrite tier among them.  The runtime's exit report (OCAMLRUNPARAM
+   v=0x400) gives the words the whole process allocated. *)
+let test_startup_allocation () =
+  let err = Filename.temp_file "qsc-cli" ".gc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      check_int "--version" 0
+        (Sys.command
+           (Printf.sprintf "OCAMLRUNPARAM=v=0x400 %s --version >/dev/null 2>%s"
+              (Filename.quote qsc) (Filename.quote err)));
+      let report = In_channel.with_open_text err In_channel.input_all in
+      let words =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ':' line with
+            | [ "allocated_words"; n ] -> int_of_string_opt (String.trim n)
+            | _ -> None)
+          (String.split_on_char '\n' report)
+      in
+      match words with
+      | None -> Alcotest.failf "no allocated_words in the exit report:\n%s" report
+      | Some n ->
+        Alcotest.(check bool)
+          (Printf.sprintf "qsc --version allocated %d words" n)
+          true (n < 300_000))
+
 let () =
   Alcotest.run "cli"
     [
@@ -230,5 +259,10 @@ let () =
         [
           Alcotest.test_case "jobs default from QSC_JOBS" `Quick
             test_serve_jobs_default;
+        ] );
+      ( "start-up",
+        [
+          Alcotest.test_case "qsc --version allocates under 300,000 words"
+            `Quick test_startup_allocation;
         ] );
     ]

@@ -149,9 +149,9 @@ let test_support_matches_sorting () =
   check_bool (Printf.sprintf "validation allocates %.0f words" words) true
     (words < 64.0)
 
-(* [Gate.commutes_with_support] and [Optimize.cancels] as they were
-   before they stopped allocating, kept as the reference the current
-   definitions must agree with on every pair. *)
+(* The commutation test over support lists and [Optimize.cancels] as
+   they were before they stopped allocating, kept as the reference the
+   current definitions must agree with on every pair. *)
 module Old = struct
   let is_diagonal = function
     | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Rz _
@@ -280,27 +280,63 @@ let test_commutes_and_cancels_match_old () =
         (fun (h, sh) ->
           incr pairs;
           let name = Gate.to_string g ^ " / " ^ Gate.to_string h in
-          if
-            Gate.commutes_with_support sg g sh h
-            <> Old.commutes_with_support sg g sh h
-          then Alcotest.failf "commutes_with_support differs on %s" name;
+          if Gate.commutes g h <> Old.commutes_with_support sg g sh h then
+            Alcotest.failf "commutes differs on %s" name;
           if Optimize.cancels g h <> Old.cancels g h then
             Alcotest.failf "cancels differs on %s" name)
         pool)
     pool;
-  check_bool (Printf.sprintf "%d pairs" !pairs) true (!pairs > 40_000);
-  (* The commutation test reads constructors and lists only. *)
-  let pool = Array.of_list pool in
+  Alcotest.(check int) "every pair of the pool" 85_264 !pairs;
+  (* The commutation test reads the constructors only: over all the
+     pairs it allocates nothing (the loop itself is allowed a few
+     words).  Over support lists it built two per call. *)
+  let pool = Array.of_list gate_pool in
   let before = Gc.minor_words () in
   for a = 0 to Array.length pool - 1 do
     for b = 0 to Array.length pool - 1 do
-      let g, sg = pool.(a) and h, sh = pool.(b) in
-      ignore (Sys.opaque_identity (Gate.commutes_with_support sg g sh h))
+      ignore (Sys.opaque_identity (Gate.commutes pool.(a) pool.(b)))
     done
   done;
   let words = Gc.minor_words () -. before in
-  check_bool (Printf.sprintf "commutes_with_support allocated %.0f words" words)
-    true (words < 64.0)
+  check_bool (Printf.sprintf "commutes allocated %.0f words" words) true
+    (words < 64.0);
+  (* So do the cancellation test's named phase pairs, the pairs the
+     cancellation scan meets on Clifford+T circuits. *)
+  let named =
+    Array.of_list
+      (List.filter
+         (function
+           | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ -> true
+           | _ -> false)
+         gate_pool)
+  in
+  let before = Gc.minor_words () in
+  for a = 0 to Array.length named - 1 do
+    for b = 0 to Array.length named - 1 do
+      ignore (Sys.opaque_identity (Optimize.cancels named.(a) named.(b)))
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "cancels allocated %.0f words" words) true
+    (words < 64.0)
+
+(* [Gate.kind] numbers the constructors in declaration order, which
+   the identity-window keys have always written as each gate's first
+   byte. *)
+let test_kind () =
+  let one_of_each =
+    [ Gate.X 0; Gate.Y 0; Gate.Z 0; Gate.H 0; Gate.S 0; Gate.Sdg 0; Gate.T 0;
+      Gate.Tdg 0; Gate.Rx (0.1, 0); Gate.Ry (0.1, 0); Gate.Rz (0.1, 0);
+      Gate.Phase (0.1, 0); Gate.Cnot { control = 0; target = 1 }; Gate.Cz (0, 1);
+      Gate.Swap (0, 1); Gate.Toffoli { c1 = 0; c2 = 1; target = 2 };
+      Gate.Mct { controls = [ 0; 1; 2 ]; target = 3 } ]
+  in
+  check_bool "declaration order" true
+    (List.map Gate.kind one_of_each = List.init Gate.kind_count Fun.id);
+  check_bool "operands do not matter" true
+    (List.for_all
+       (fun g -> Gate.kind g = Gate.kind (Gate.rename (fun q -> q + 5) g))
+       gate_pool)
 
 let test_rename () =
   let g = Gate.Cnot { control = 0; target = 1 } in
@@ -369,6 +405,7 @@ let () =
             test_support_matches_sorting;
           Alcotest.test_case "commutes and cancels match the old tests" `Quick
             test_commutes_and_cancels_match_old;
+          Alcotest.test_case "kind" `Quick test_kind;
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "classification" `Quick test_classification;
           QCheck_alcotest.to_alcotest prop_adjoint_involutive;

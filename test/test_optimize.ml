@@ -405,6 +405,42 @@ let test_phase_chain_collapses () =
   let c8 = circ (List.init 8 (fun _ -> Gate.T 0)) in
   check_int "T^8 = I" 0 (Circuit.gate_count (Optimize.optimize c8))
 
+(* Words allocated by [f ()], minor plus those taken straight on the
+   major heap (arrays past 256 words), read after a minor collection
+   on both sides. *)
+let words_allocated f =
+  Gc.minor ();
+  let minor = Gc.minor_words () and s = Gc.quick_stat () in
+  let r = f () in
+  Gc.minor ();
+  let minor' = Gc.minor_words () and s' = Gc.quick_stat () in
+  ignore (Sys.opaque_identity r);
+  minor' -. minor
+  +. (s'.Gc.major_words -. s.Gc.major_words)
+  -. (s'.Gc.promoted_words -. s.Gc.promoted_words)
+
+(* A gate the pass keeps costs no allocation: on a circuit where
+   nothing cancels, only the pass's three per-gate arrays remain.  The
+   scan looks past T, S, H and CNOTs on ten wires, so it runs through
+   the masks, [cancels] and [Gate.commutes]. *)
+let test_cancel_pass_keeps_without_allocating () =
+  let n = 10_000 in
+  let gate i =
+    let q k = ((i / 4) + k) mod 10 in
+    match i mod 4 with
+    | 0 -> Gate.T (q 0)
+    | 1 -> Gate.Cnot { control = q 0; target = q 1 }
+    | 2 -> Gate.H (q 2)
+    | _ -> Gate.S (q 3)
+  in
+  let c = Circuit.make ~n:10 (List.init n gate) in
+  check_bool "nothing cancels" true (Optimize.cancel_pass c == c);
+  let words = words_allocated (fun () -> Optimize.cancel_pass c) in
+  check_bool
+    (Printf.sprintf "%.1f words per gate" (words /. float_of_int n))
+    true
+    (words < 4.0 *. float_of_int n)
+
 let test_lookback_bound () =
   (* Two H gates on q0 separated by more commuting gates than the
      lookback window: the bounded pass must not cancel them, the default
@@ -544,8 +580,50 @@ let prop_identity_windows_match_reference =
 
 (* [cancel_pass] as it was before its entries carried qubit masks: every
    entry in the lookback gets the full [cancels] and commutation test,
-   and the output is always rebuilt. *)
+   and the output is always rebuilt.  The commutation test is the one
+   over support lists that [Gate.commutes] replaced. *)
 module Unmasked = struct
+  let is_diagonal = function
+    | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Rz _
+    | Gate.Phase _ | Gate.Cz _ ->
+      true
+    | Gate.X _ | Gate.Y _ | Gate.H _ | Gate.Rx _ | Gate.Ry _ | Gate.Cnot _
+    | Gate.Swap _ | Gate.Toffoli _ | Gate.Mct _ ->
+      false
+
+  let not_family = function
+    | Gate.X q -> Some ([], q)
+    | Gate.Cnot { control; target } -> Some ([ control ], target)
+    | Gate.Toffoli { c1; c2; target } -> Some ([ c1; c2 ], target)
+    | Gate.Mct { controls; target } -> Some (controls, target)
+    | Gate.Y _ | Gate.Z _ | Gate.H _ | Gate.S _ | Gate.Sdg _ | Gate.T _
+    | Gate.Tdg _ | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Phase _
+    | Gate.Cz _ | Gate.Swap _ ->
+      None
+
+  let commutes_with_support sg g sh h =
+    let passes_not g sg h =
+      match (g, not_family h) with
+      | _, None -> false
+      | Gate.Rx (_, q), Some (_, t) -> q = t
+      | _, Some (_, t) -> is_diagonal g && not (List.mem t sg)
+    in
+    let axis = function
+      | Gate.X _ | Gate.Rx _ -> 1
+      | Gate.Y _ | Gate.Ry _ -> 2
+      | _ -> 0
+    in
+    List.for_all (fun q -> not (List.mem q sh)) sg
+    || Gate.equal g h
+    || (is_diagonal g && is_diagonal h)
+    || passes_not g sg h
+    || passes_not h sh g
+    || (axis g > 0 && axis g = axis h)
+    ||
+    match (not_family g, not_family h) with
+    | Some (cg, tg), Some (ch, th) -> not (List.mem tg ch || List.mem th cg)
+    | (Some _ | None), (Some _ | None) -> false
+
   let cancel_pass ?(lookback = 50) c =
     let rec try_cancel acc (g, sg) depth =
       match acc with
@@ -553,7 +631,7 @@ module Unmasked = struct
       | ((h, sh) as entry) :: earlier ->
         if depth <= 0 then None
         else if Optimize.cancels h g then Some earlier
-        else if Gate.commutes_with_support sg g sh h then
+        else if commutes_with_support sg g sh h then
           Option.map
             (fun earlier' -> entry :: earlier')
             (try_cancel earlier (g, sg) (depth - 1))
@@ -882,6 +960,8 @@ let () =
             test_no_unsound_cancellation;
           Alcotest.test_case "fusion rules" `Quick test_fusion_rules;
           Alcotest.test_case "toffoli pair" `Quick test_toffoli_cancellation;
+          Alcotest.test_case "kept gates allocate nothing" `Quick
+            test_cancel_pass_keeps_without_allocating;
         ] );
       ( "rewrites",
         [

@@ -191,6 +191,68 @@ let test_templates_near_miss () =
         (Circuit.gates out = input))
     [ [ Gate.S 0; Gate.X 0; Gate.Sdg 0 ]; [ Gate.Sdg 0; Gate.Y 0; Gate.S 0 ] ]
 
+(* Gates of every kind on qubits 0 to 2, operands in both orders. *)
+let head_pool =
+  List.concat_map
+    (fun q ->
+      [ Gate.X q; Gate.Y q; Gate.Z q; Gate.H q; Gate.S q; Gate.Sdg q; Gate.T q;
+        Gate.Tdg q; Gate.Rx (0.7, q); Gate.Ry (0.7, q); Gate.Rz (0.7, q);
+        Gate.Phase (0.7, q) ])
+    [ 0; 1; 2 ]
+  @ List.concat_map
+      (fun (a, b) ->
+        [ Gate.Cnot { control = a; target = b }; Gate.Cz (a, b); Gate.Swap (a, b) ])
+      [ (0, 1); (1, 0); (1, 2); (2, 1) ]
+  @ [ Gate.Toffoli { c1 = 0; c2 = 1; target = 2 };
+      Gate.Mct { controls = [ 0; 1; 2 ]; target = 3 } ]
+
+(* A rule's stated head is the only kind its pattern can start with:
+   each fire case starts with it, and on every list of the pool whose
+   first gate is of another kind [rewrite] is [None], with or without a
+   device.  The pool puts each pool gate before the rest of every fire
+   and near-miss case, and before every pool gate and pair of gates
+   that starts a fire case. *)
+let test_rule_heads () =
+  List.iter
+    (fun (name, input, _) ->
+      match Rewrite.find_rule name with
+      | None -> Alcotest.failf "%s: not a rule" name
+      | Some r ->
+        check_bool (name ^ " fire case starts with its head") true
+          (Gate.kind (List.hd input) = r.Rewrite.head))
+    fire_cases;
+  let tails =
+    List.map (fun (_, input, _) -> List.tl input) fire_cases
+    @ List.map (fun (_, input) -> List.tl input) near_miss_cases
+    @ List.map (fun g -> [ g ]) head_pool
+    @ List.concat_map
+        (fun (_, input, _) ->
+          match input with _ :: a :: b :: _ -> [ [ a; b ]; [ a ] ] | _ -> [])
+        fire_cases
+  in
+  let both_ways = Device.make ~name:"both" ~n_qubits:4
+      [ (0, 1); (1, 0); (1, 2); (2, 1); (2, 3); (3, 2) ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun g ->
+          if Gate.kind g <> r.Rewrite.head then
+            List.iter
+              (fun tail ->
+                List.iter
+                  (fun device ->
+                    incr checked;
+                    if r.Rewrite.rewrite ~device (g :: tail) <> None then
+                      Alcotest.failf "%s fired on a list starting %s" r.Rewrite.name
+                        (Gate.to_string g))
+                  [ None; Some both_ways ])
+              tails)
+        head_pool)
+    Rewrite.rules;
+  check_bool (Printf.sprintf "%d lists checked" !checked) true (!checked > 50_000)
+
 let test_device_guards () =
   let one_way = Device.make ~name:"one-way" ~n_qubits:2 [ (0, 1) ] in
   let both = Device.make ~name:"both" ~n_qubits:2 [ (0, 1); (1, 0) ] in
@@ -330,6 +392,169 @@ let test_clifford_normalize () =
   check_int "HH eliminated" 2 n;
   let c, _ = run [ Gate.S 0; Gate.S 0; Gate.S 0; Gate.S 0 ] in
   check_int "SSSS vanishes" 0 (Circuit.gate_count c)
+
+(* [normalize_cliffords] as it was before the group table: each run's
+   product is a float matrix product, looked up by a key printed from
+   its rounded entries in a table built by the same breadth-first
+   search over matrices. *)
+module Matrix_keyed = struct
+  let matrix_key m =
+    let b = Buffer.create 64 in
+    let flush v = if abs_float v < 1e-9 then 0.0 else v in
+    for r = 0 to 1 do
+      for col = 0 to 1 do
+        let re, im = Mathkit.Cx.round_key (Mathkit.Matrix.get m r col) in
+        Buffer.add_string b (Printf.sprintf "%.6f,%.6f;" (flush re) (flush im))
+      done
+    done;
+    Buffer.contents b
+
+  let table =
+    lazy
+      (let tbl = Hashtbl.create 512 in
+       let id = Mathkit.Matrix.identity 2 in
+       Hashtbl.replace tbl (matrix_key id) [];
+       let queue = Queue.create () in
+       Queue.add (id, []) queue;
+       while not (Queue.is_empty queue) do
+         let m, word = Queue.pop queue in
+         if List.length word < 6 then
+           List.iter
+             (fun g ->
+               let m' = Mathkit.Matrix.mul (Gate.base_matrix g) m in
+               let k = matrix_key m' in
+               if not (Hashtbl.mem tbl k) then begin
+                 let word' = word @ [ g ] in
+                 Hashtbl.replace tbl k word';
+                 Queue.add (m', word') queue
+               end)
+             [ Gate.H 0; Gate.S 0; Gate.Sdg 0; Gate.X 0; Gate.Y 0; Gate.Z 0 ]
+       done;
+       tbl)
+
+  let clifford_1q = function
+    | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q -> Some q
+    | _ -> None
+
+  let normalize_cliffords c =
+    let n = Circuit.n_qubits c in
+    let gates = Array.of_list (Circuit.gates c) in
+    if n = 0 || Array.length gates = 0 then (c, 0)
+    else begin
+      let table = Lazy.force table in
+      let decisions = Array.make (Array.length gates) `Keep in
+      let pending : (int * Gate.t) list array = Array.make n [] in
+      let eliminated = ref 0 in
+      let finalize q =
+        let run = List.rev pending.(q) in
+        pending.(q) <- [];
+        match run with
+        | [] | [ _ ] -> ()
+        | (first_idx, _) :: rest ->
+          let len = List.length run in
+          let product =
+            List.fold_left
+              (fun acc (_, g) -> Mathkit.Matrix.mul (Gate.base_matrix g) acc)
+              (Mathkit.Matrix.identity 2) run
+          in
+          (match Hashtbl.find_opt table (matrix_key product) with
+          | Some word when List.length word < len ->
+            decisions.(first_idx)
+            <- `Emit (List.map (Gate.rename (fun _ -> q)) word);
+            List.iter (fun (i, _) -> decisions.(i) <- `Drop) rest;
+            eliminated := !eliminated + (len - List.length word)
+          | Some _ | None -> ())
+      in
+      Array.iteri
+        (fun i g ->
+          match clifford_1q g with
+          | Some q -> pending.(q) <- (i, g) :: pending.(q)
+          | None -> List.iter finalize (Gate.support g))
+        gates;
+      for q = 0 to n - 1 do
+        finalize q
+      done;
+      if !eliminated = 0 then (c, 0)
+      else begin
+        let out = Circuit.Builder.create ~n in
+        Array.iteri
+          (fun i g ->
+            match decisions.(i) with
+            | `Keep -> Circuit.Builder.add out g
+            | `Drop -> ()
+            | `Emit gs -> Circuit.Builder.add_list out gs)
+          gates;
+        (Circuit.Builder.to_circuit out, !eliminated)
+      end
+    end
+end
+
+let cliffords = [| Gate.H 0; Gate.S 0; Gate.Sdg 0; Gate.X 0; Gate.Y 0; Gate.Z 0 |]
+
+(* The group table: 192 elements, the identity first with the empty
+   word, and a word of at most 6 letters for all but the 6 that need
+   7; each word is its element's shortest, so no word of 7 letters
+   normalizes to a shorter one than the search found. *)
+let test_clifford_table () =
+  check_int "group order" 192 Rewrite.clifford_elements;
+  let words = List.init Rewrite.clifford_elements Rewrite.clifford_word in
+  check_int "elements with a word" 186
+    (List.length (List.filter Option.is_some words));
+  check_bool "the identity first" true (List.hd words = Some []);
+  check_bool "words of at most 6 letters" true
+    (List.for_all
+       (function Some w -> List.length w <= 6 | None -> true)
+       words);
+  check_bool "words on qubit 0" true
+    (List.for_all
+       (function
+         | Some w -> List.for_all (fun g -> Gate.support g = [ 0 ]) w
+         | None -> true)
+       words);
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Rewrite.clifford_word Rewrite.clifford_elements))
+
+(* The table-driven pass against the matrix-keyed one: every one-qubit
+   run of up to 6 letters, seeded random runs of up to 14, and seeded
+   3-qubit circuits interleaving the letters with T, Tdg and CNOT. *)
+let test_clifford_normalize_matches_matrix_keyed () =
+  let cases = ref 0 and changed = ref 0 in
+  let agree c =
+    incr cases;
+    let out, k = Rewrite.normalize_cliffords c in
+    let out', k' = Matrix_keyed.normalize_cliffords c in
+    if k > 0 then incr changed;
+    if not (Circuit.equal out out' && k = k' && (k = 0) = (out == c)) then
+      Alcotest.failf "normalize_cliffords differs on\n%s" (Circuit.to_string c)
+  in
+  let rec words len prefix =
+    if len = 0 then agree (Circuit.make ~n:1 (List.rev prefix))
+    else Array.iter (fun g -> words (len - 1) (g :: prefix)) cliffords
+  in
+  for len = 1 to 6 do
+    words len []
+  done;
+  check_int "every run of up to 6" 55_986 !cases;
+  let st = Random.State.make [| 30 |] in
+  let letter q = Gate.rename (fun _ -> q) cliffords.(Random.State.int st 6) in
+  for _ = 1 to 20_000 do
+    agree
+      (Circuit.make ~n:1 (List.init (1 + Random.State.int st 14) (fun _ -> letter 0)))
+  done;
+  for _ = 1 to 20_000 do
+    let gate _ =
+      let q = Random.State.int st 3 in
+      match Random.State.int st 10 with
+      | 0 -> Gate.T q
+      | 1 -> Gate.Tdg q
+      | 2 -> Gate.Cnot { control = q; target = (q + 1 + Random.State.int st 2) mod 3 }
+      | _ -> letter q
+    in
+    agree (Circuit.make ~n:3 (List.init (Random.State.int st 24) gate))
+  done;
+  check_bool (Printf.sprintf "%d of %d cases normalize" !changed !cases) true
+    (!changed > 10_000)
 
 (* --- metamorphic: rotation folding over every edge-angle pair --- *)
 
@@ -843,6 +1068,7 @@ let () =
           Alcotest.test_case "fire" `Quick test_templates_fire;
           Alcotest.test_case "near miss" `Quick test_templates_near_miss;
           Alcotest.test_case "device guards" `Quick test_device_guards;
+          Alcotest.test_case "rule heads" `Quick test_rule_heads;
           Alcotest.test_case "differential vs interpreter" `Quick
             test_differential;
         ] );
@@ -851,6 +1077,9 @@ let () =
           Alcotest.test_case "rotation merge" `Quick test_rotation_merge;
           Alcotest.test_case "phase merge" `Quick test_phase_merge;
           Alcotest.test_case "clifford normalize" `Quick test_clifford_normalize;
+          Alcotest.test_case "clifford group table" `Quick test_clifford_table;
+          Alcotest.test_case "clifford normalize matches the matrix-keyed pass"
+            `Quick test_clifford_normalize_matches_matrix_keyed;
           Alcotest.test_case "metamorphic fold" `Quick test_metamorphic_fold;
         ] );
       ( "tier",
