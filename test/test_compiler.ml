@@ -1180,6 +1180,246 @@ let test_report_json_carries_robustness_fields () =
       | _ -> Alcotest.fail "no diagnostics list in report json")
     | _ -> Alcotest.fail "report json is not an object")
 
+(* --- pinned stage spans ---
+
+   Every span a compile records (name, index, both snapshots, counters),
+   the sink's named counters, the verdict, the degraded stages, the
+   diagnostics and digests of the circuits, over compiles that reach the
+   pipeline's skipped, degraded and failing paths as well as its clean
+   ones.  One MD5 per compile; a mismatch prints the whole rendering. *)
+
+let render_snapshot = function
+  | None -> "-"
+  | Some s ->
+    Printf.sprintf "%d/%d/%d/%d/%d/%.17g" s.Trace.gate_volume s.Trace.depth
+      s.Trace.t_count s.Trace.t_depth s.Trace.cnot_count s.Trace.cost
+
+let render_compile trace result =
+  let b = Buffer.create 1024 in
+  let line fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string b s;
+        Buffer.add_char b '\n')
+      fmt
+  in
+  let digest c = Digest.to_hex (Digest.string (Circuit.to_string c)) in
+  List.iter
+    (fun sp ->
+      line "span %d %s before=%s after=%s%s" sp.Trace.index sp.Trace.name
+        (render_snapshot sp.Trace.before)
+        (render_snapshot sp.Trace.after)
+        (String.concat ""
+           (List.map
+              (fun (k, v) -> Printf.sprintf " %s=%.17g" k v)
+              sp.Trace.counters)))
+    (Trace.spans trace);
+  List.iter (fun (k, v) -> line "counter %s=%.17g" k v) (Trace.counter_totals trace);
+  (match result with
+  | Ok r ->
+    line "verification %s" (Compiler.verification_to_string r.Compiler.verification);
+    line "placement %s"
+      (match r.Compiler.placement with
+      | None -> "none"
+      | Some a ->
+        String.concat "," (Array.to_list (Array.map string_of_int a)));
+    List.iter
+      (fun (stage, reason) ->
+        line "degraded [%s] %s" (Diagnostic.stage_to_string stage) reason)
+      r.Compiler.degraded;
+    List.iter
+      (fun d -> line "diagnostic %s" (Diagnostic.to_string d))
+      r.Compiler.diagnostics;
+    line "costs %.17g %.17g" r.Compiler.unoptimized_cost r.Compiler.optimized_cost;
+    line "reference %s" (digest r.Compiler.reference);
+    line "unoptimized %s" (digest r.Compiler.unoptimized);
+    line "optimized %s" (digest r.Compiler.optimized)
+  | Error ds ->
+    List.iter
+      (fun d ->
+        line "%s %s"
+          (match d.Diagnostic.severity with
+          | Diagnostic.Error -> "error"
+          | Diagnostic.Warning -> "warning")
+          (Diagnostic.to_string d))
+      ds);
+  Buffer.contents b
+
+(* [(name, MD5 of the rendering)] for each pinned compile. *)
+let pinned_spans =
+  [
+    ("default", "2b8bc28d741a689ffa4e5a63f66da341");
+    ("pre-optimize off", "71a6c07174ad6b114a393be4cb0ac60d");
+    ("post-optimize off", "b38a520331878590b3655c7c19a99766");
+    ("placement off", "6cc3b4f7cf5fd1899e560b343af42d46");
+    ("placement", "9053dfbfb40cfd6cadfe425b6f07d8ed");
+    ("placement on the simulator", "c157a0125f556e4225e066242f02100f");
+    ("optional stages past the deadline", "7f415c1a1b5b2587491590122072bc83");
+    ("deadline under qmdd", "082cafedd4679ff56228f22c09ef9788");
+    ("iteration cap 0", "c7b31361e30196cdb03db4d3d5f3574e");
+    ("swap budget 0", "b3ab5709cd9455dade4905b9d5043698");
+    ("strict", "2b8bc28d741a689ffa4e5a63f66da341");
+    ("strict sweep revert", "269c29e3dc124062b208af79d9bb9ae8");
+    ("fold-states", "8aceffacb10a4637efb2ed8b544dc381");
+    ("fold-states revert", "0f3574b030c8713937300452411181b5");
+    ("verify give-up", "5faa7b530b0d2dd565e1b60b3ce149d0");
+    ("sim oracle", "cf3f0e0d90f45db25158c1a835c752a5");
+    ("tracking router", "992bdc3a92ae7a75fbcc58590ba0e766");
+    ("weighted router", "0fc53153eb31bf1bab40ac3a1d288bb3");
+    ("fidelity cost", "5c732ad0fb9f9fe2104aa16ffae5cac4");
+    ("fidelity cost, placement", "1e4cada674317e1b3a105eb8b4071aea");
+    ("fidelity cost, unrouted", "77f1dae2d041545538f57b584341e7b2");
+    ("classical", "57854e60de9bdeff69817cc0d1d018b7");
+    ("nan-angle@pre-optimize, stage off", "e1216260c15e8df986a735da2ecac334");
+    ("nan-angle@place, stage off", "8c07adf447a0cb18d7704cee3d38c3c0");
+    ("raise@front-end", "eae029c89e29774cdb16b8dce25fd8a4");
+    ("nan-angle@front-end", "f160ca1de1587d55a63a3a93a2b93df0");
+    ("out-of-range-wire@front-end", "4919cf3eb4ecc66de729ca166d231ed8");
+    ("truncate@front-end", "da4a9e1331f24903f4489496eef91c4c");
+    ("raise@pre-optimize", "9b369c4483397ef472a5e3d855c150ac");
+    ("nan-angle@pre-optimize", "ebfa3a10a6d9c88a8bb62a8ddee2207c");
+    ("out-of-range-wire@pre-optimize", "4b6e42d73fd8ef681ae38ca4e206a55a");
+    ("truncate@pre-optimize", "4880e4f8f002b8b4ab2e974189b9c7c4");
+    ("raise@decompose", "97fb8a0d14d0268247462c9821a6d1ff");
+    ("nan-angle@decompose", "1b1f51f26cd03aa50642297d847cd8e0");
+    ("out-of-range-wire@decompose", "b0e75878afa63f9b4d528a5210ac6476");
+    ("truncate@decompose", "e193273a62c4072d7b2c35e31273a85f");
+    ("raise@place", "12548fe9526239200a41d2ca8afb1a7a");
+    ("nan-angle@place", "0ddbe1a7e952a46a71990dc57cf6856c");
+    ("out-of-range-wire@place", "35e5071b4e1db943d724fa63bfe33a65");
+    ("truncate@place", "0219c3995852e7dd474f16701bdde4ed");
+    ("raise@route", "310e16e401b65b368e707266c8994c76");
+    ("nan-angle@route", "b2182e26638ab40625518d77d03e2994");
+    ("out-of-range-wire@route", "1254ed6a61d374fced9ebe4f3b46379d");
+    ("truncate@route", "fcab654290d9ce64c71de927f80c2882");
+    ("raise@expand-swaps", "94470d3545bee456265da09910639e57");
+    ("nan-angle@expand-swaps", "df1fb5684fd1d9965aee98be116197c6");
+    ("out-of-range-wire@expand-swaps", "2bd4424f106f28a533df2bbb3087b55f");
+    ("truncate@expand-swaps", "e56010d69af60389db871be62253deff");
+    ("raise@post-optimize", "633566a1f1ff4b7440cd0276982e4d8e");
+    ("nan-angle@post-optimize", "579782d86d6597379722147a20604867");
+    ("out-of-range-wire@post-optimize", "ad195441a9c500c68b3957a1106262b0");
+    ("truncate@post-optimize", "f515523be803065ddfb5e5d9ea1f8f30");
+  ]
+
+let pinned_compiles () =
+  let st_07 = Compiler.parse_file "../benchmarks/qc/st_07.qc" in
+  let st_0001 = Compiler.parse_file "../benchmarks/qc/st_0001.qc" in
+  let ibmqx4 = Device.Ibm.ibmqx4 and ibmqx5 = Device.Ibm.ibmqx5 in
+  let o4 = Compiler.default_options ~device:ibmqx4 in
+  let o5 = Compiler.default_options ~device:ibmqx5 in
+  let placed = { o5 with Compiler.use_placement = true } in
+  let budgets b = { o4 with Compiler.budgets = b } in
+  let past_deadline o =
+    {
+      o with
+      Compiler.budgets =
+        { Compiler.no_budgets with Compiler.deadline_seconds = Some 0.0 };
+    }
+  in
+  let fidelity device = Cost.Log_fidelity (Calibration.synthetic device) in
+  (* 16 qubits, past the dense oracle: a one-node budget settles no
+     check on it. *)
+  let wide =
+    Compiler.Quantum
+      (Circuit.make ~n:16
+         [ Gate.T 0; Gate.T 0; Gate.Cnot { control = 0; target = 9 } ])
+  in
+  let one_node = Compiler.Qmdd_check { node_budget = Some 1 } in
+  let pla = Qformats.Pla.of_string ".i 3\n.o 2\n11- 10\n-11 01\n1-1 11\n.e\n" in
+  let plain = None in
+  let fault stage fault = Some { Faultinject.stage; fault } in
+  [
+    ("default", o4, st_07, plain);
+    ("pre-optimize off", { o4 with Compiler.pre_optimize = false }, st_07, plain);
+    ("post-optimize off", { o4 with Compiler.post_optimize = false }, st_07, plain);
+    ("placement off", o5, st_0001, plain);
+    ("placement", placed, st_0001, plain);
+    ("placement on the simulator",
+      { (Compiler.default_options ~device:(Device.simulator ~n_qubits:6)) with
+        Compiler.use_placement = true },
+      st_0001, plain);
+    ("optional stages past the deadline", past_deadline placed, st_0001, plain);
+    ("deadline under qmdd", past_deadline { o4 with Compiler.verification = one_node },
+      st_07, plain);
+    ("iteration cap 0",
+      budgets { Compiler.no_budgets with Compiler.max_optimize_iterations = Some 0 },
+      st_07, plain);
+    ("swap budget 0",
+      budgets { Compiler.no_budgets with Compiler.swap_budget = Some 0 },
+      Compiler.Quantum swap_heavy, plain);
+    ("strict", { o4 with Compiler.check_contracts = true }, st_07, plain);
+    ("strict sweep revert",
+      { o5 with Compiler.verification = one_node; check_contracts = true },
+      wide, plain);
+    ("fold-states", { o4 with Compiler.fold_states = true }, st_07, plain);
+    ("fold-states revert",
+      { o5 with Compiler.verification = one_node; fold_states = true },
+      wide, plain);
+    ("verify give-up",
+      { o4 with
+        Compiler.verification =
+          Compiler.Fallback { node_budget = Some 1; max_sim_qubits = 2 } },
+      Compiler.Quantum swap_heavy, plain);
+    ("sim oracle",
+      { o4 with
+        Compiler.verification =
+          Compiler.Fallback { node_budget = Some 1; max_sim_qubits = 10 } },
+      Compiler.Quantum swap_heavy, plain);
+    ("tracking router", { o4 with Compiler.router = Compiler.Tracking }, st_07, plain);
+    ("weighted router",
+      { o5 with Compiler.router = Compiler.Weighted_ctr (Calibration.synthetic ibmqx5) },
+      st_0001, plain);
+    ("fidelity cost", { o4 with Compiler.cost = fidelity ibmqx4 }, st_07, plain);
+    ("fidelity cost, placement",
+      { placed with Compiler.cost = fidelity ibmqx5 }, st_0001, plain);
+    ("fidelity cost, unrouted",
+      { o4 with
+        Compiler.cost = fidelity ibmqx4;
+        post_optimize = false;
+        budgets = { Compiler.no_budgets with Compiler.swap_budget = Some 0 } },
+      Compiler.Quantum swap_heavy, plain);
+    ("classical", o4, Compiler.Classical pla, plain);
+    ("nan-angle@pre-optimize, stage off",
+      { o5 with Compiler.pre_optimize = false }, st_0001,
+      fault Diagnostic.Pre_optimize Faultinject.Nan_angle);
+    ("nan-angle@place, stage off", o5, st_0001,
+      fault Diagnostic.Place Faultinject.Nan_angle);
+  ]
+  (* The fault-injection matrix as CI runs it: st_0001 to ibmqx5 with
+     placement, seed 1. *)
+  @ List.map
+      (fun spec ->
+        (Faultinject.spec_to_string spec, placed, st_0001, Some spec))
+      Faultinject.matrix
+
+let test_pinned_stage_spans () =
+  let failures =
+    List.filter_map
+      (fun (name, options, input, spec) ->
+        let trace = Trace.create () in
+        let inject =
+          Option.map
+            (fun spec -> Faultinject.hook (Faultinject.create ~seed:1 [ spec ]))
+            spec
+        in
+        let rendering =
+          render_compile trace (Compiler.compile_checked ~trace ?inject options input)
+        in
+        let got = Digest.to_hex (Digest.string rendering) in
+        match List.assoc_opt name pinned_spans with
+        | Some want when want = got -> None
+        | want ->
+          Some
+            (Printf.sprintf "%S: pinned %s, got %s\n%s" name
+               (Option.value ~default:"nothing" want)
+               got rendering))
+      (pinned_compiles ())
+  in
+  if failures <> [] then
+    Alcotest.failf "%d of the pinned compiles moved:\n%s"
+      (List.length failures) (String.concat "\n" failures)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -1226,6 +1466,8 @@ let () =
           Alcotest.test_case "report to json" `Quick test_report_to_json;
           Alcotest.test_case "tracing never decides" `Quick
             test_tracing_never_decides;
+          Alcotest.test_case "pinned stage spans" `Quick
+            test_pinned_stage_spans;
         ] );
       ( "robustness",
         [
