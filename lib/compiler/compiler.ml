@@ -134,10 +134,22 @@ let expands expansion outer inner =
   in
   walk (Circuit.gates outer) [] (Circuit.gates inner)
 
+(* [c] routed on [d] by the compile's router. *)
+let route options ?stats ?swap_budget d c =
+  match options.router with
+  | Ctr -> Route.route_circuit_swaps ?stats ?swap_budget d c
+  | Weighted_ctr cal ->
+    Route.route_circuit_swaps ?stats ?swap_budget
+      ~weight:(Calibration.swap_hop_weight cal) d c
+  | Tracking -> Route.route_circuit_tracking ?stats ?swap_budget d c
+
 (* Each distinct gate of [native] routed and expanded on its own.
    Routing a one-gate circuit is deterministic, so this is the block
-   that blockwise routing of [native] puts at every occurrence. *)
-let routed_blocks ~route device native =
+   that blockwise routing of [native] puts at every occurrence.  The
+   blocks are routed without the SWAP budget, which would leave them
+   illegal, and without stats, which count the compile's own route. *)
+let routed_blocks options native =
+  let device = options.device in
   let n = Device.n_qubits device in
   let blocks = Hashtbl.create 64 in
   Circuit.iter
@@ -145,7 +157,8 @@ let routed_blocks ~route device native =
       if not (Hashtbl.mem blocks g) then
         Hashtbl.add blocks g
           (Circuit.gates
-             (Route.expand_swaps device (route device (Circuit.make ~n [ g ])))))
+             (Route.expand_swaps device
+                (route options device (Circuit.make ~n [ g ])))))
     native;
   blocks
 
@@ -215,9 +228,9 @@ let verify_staged ~check blocks native unoptimized optimized reference =
     @ cnot_links
     @ [ (unoptimized, optimized) ])
 
-let verify mode options ~trace ~budget ~route ~routed_all ~warn ~native
+let verify options ~trace ~budget ~routed_all ~warn ~native
     ~unoptimized ~optimized reference =
-  let sp = Trace.start trace "verify" in
+  let sp = Trace.start trace (Diagnostic.stage_to_string Diagnostic.Verify) in
   let t0 = Trace.now_ns () in
   (* Every QMDD check the strategy runs (the staged proof runs many)
      reports its manager's counters here. *)
@@ -242,7 +255,7 @@ let verify mode options ~trace ~budget ~route ~routed_all ~warn ~native
     lazy
       (if not blockwise then None
        else
-         let blocks = routed_blocks ~route options.device native in
+         let blocks = routed_blocks options native in
          if expands (Hashtbl.find blocks) native unoptimized then Some blocks
          else None)
   in
@@ -282,7 +295,7 @@ let verify mode options ~trace ~budget ~route ~routed_all ~warn ~native
     else match first () with Error Oracle.Node_budget -> second () | r -> r
   in
   let outcome, sim_used =
-    match (mode, proved) with
+    match (options.verification, proved) with
     | _, Ok verdict -> (verdict, false)
     | (Skip | Qmdd_check _), Error _ -> (Budget_exceeded, false)
     | Fallback _, Error Oracle.Deadline ->
@@ -358,11 +371,20 @@ let option_problems options =
 let compile_checked ?(trace = Trace.disabled) ?inject options input =
   let device = options.device in
   let cost = options.cost in
-  (* The cost of the span snapshots taken before routing.  A fidelity
-     cost is defined only on circuits the device executes, so those
-     snapshots are priced by Eqn. 2, as pre-optimize's sweeps are. *)
+  (* The costs a stage's span snapshots are priced by, before and after.
+     A fidelity cost is defined only on circuits the device executes, so
+     every snapshot taken before routing's output is priced by Eqn. 2,
+     as pre-optimize's sweeps are. *)
   let unmapped_cost =
     match cost with Cost.Linear _ -> cost | Cost.Log_fidelity _ -> Cost.eqn2
+  in
+  let snapshot_costs = function
+    | Diagnostic.Route -> (unmapped_cost, cost)
+    | Diagnostic.Expand_swaps | Diagnostic.Post_optimize | Diagnostic.Verify ->
+      (cost, cost)
+    | Diagnostic.Driver | Diagnostic.Front_end | Diagnostic.Pre_optimize
+    | Diagnostic.Decompose | Diagnostic.Place ->
+      (unmapped_cost, unmapped_cost)
   in
   let warnings = ref [] in
   let degradations = ref [] in
@@ -425,15 +447,55 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
              (Diagnostic.error ~stage ~kind:Diagnostic.Invalid_gate
                 f.Lint.message))
   in
-  let inject stage c =
-    match inject with
-    | None -> c
-    | Some f -> guard stage (fun () -> validate_stream stage (f stage c))
+  (* Every stage's output reaches the next stage through here: the fault
+     hook, then the stream check. *)
+  let handoff stage c =
+    guard stage (fun () ->
+        validate_stream stage
+          (match inject with None -> c | Some f -> f stage c))
   in
   let deadline_ns =
     Option.map
       (fun s -> Int64.add (Trace.now_ns ()) (Int64.of_float (s *. 1e9)))
       options.budgets.deadline_seconds
+  in
+  (* Whether an optional stage that [enabled] turns on runs: past the
+     deadline it is skipped and marked degraded. *)
+  let runs stage enabled =
+    if not enabled then false
+    else if Trace.past deadline_ns then begin
+      degrade stage "skipped: wall-clock deadline exceeded";
+      false
+    end
+    else true
+  in
+  (* One pipeline stage: the span named after [st], with a
+     before-snapshot of [before] when given, then [run] under the guard.
+     The span closes with an after-snapshot of the output, the stage's
+     [counters] and, when the stage marked itself degraded, a
+     ["degraded"] counter of 1.  The output is handed on. *)
+  let stage st ?before ?(counters = fun () -> []) run =
+    let before_cost, after_cost = snapshot_costs st in
+    let name = Diagnostic.stage_to_string st in
+    let sp =
+      match before with
+      | None -> Trace.start trace name
+      | Some c -> Trace.start_with trace name ~cost:before_cost c
+    in
+    (* [degrade] conses: the list is another exactly when it grew. *)
+    let marked = !degradations in
+    let out = guard st run in
+    Trace.stop_with trace sp ~cost:after_cost
+      ~counters:
+        (counters ()
+        @ if !degradations != marked then [ ("degraded", 1.0) ] else [])
+      out;
+    handoff st out
+  in
+  (* An optional stage, its before-snapshot of [input] unless given:
+     when it does not run, it hands [input] on unchanged. *)
+  let optional st enabled input ?(before = input) run =
+    if runs st enabled then stage st ~before run else handoff st input
   in
   (* One budget for every equivalence check the compile runs: the
      strict-mode sweep checks, the fold-states check and verification. *)
@@ -463,30 +525,28 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
         List.iter (fun f -> warnings := conv f :: !warnings) rest;
         raise (Abort (conv first))
   in
-  (* One optimizer run under the compile's rules, budgets and oracle.
-     A run that stopped early marks [stage] degraded, once per reason. *)
-  let optimize stage ~name ?device ~cost c =
+  (* One optimizer run under the compile's rules, budgets and oracle,
+     its sweep spans named after [st] and [level].  A run that stopped
+     early marks [st] degraded, once per reason. *)
+  let optimize st ?level ?device ~cost c =
+    let name = Diagnostic.stage_to_string st in
     let (o : Optimize.outcome) =
-      guard stage (fun () ->
-          Optimize.optimize_budgeted ?device ~cost ~trace ~stage:name
-            ~rules:options.rewrite_rules ?check
-            ?max_iterations:options.budgets.max_optimize_iterations
-            ?deadline_ns c)
+      Optimize.optimize_budgeted ?device ~cost ~trace
+        ~stage:(match level with None -> name | Some l -> name ^ "/" ^ l)
+        ~rules:options.rewrite_rules ?check
+        ?max_iterations:options.budgets.max_optimize_iterations ?deadline_ns c
     in
-    let stopped hit why =
-      if not hit then []
-      else [ Printf.sprintf "stopped after %d sweeps: %s" o.iterations why ]
+    let stopped why =
+      degrade st (Printf.sprintf "stopped after %d sweeps: %s" o.iterations why)
     in
-    let reasons =
-      stopped o.hit_iteration_cap "iteration cap reached"
-      @ stopped o.hit_deadline "wall-clock deadline exceeded"
-      @ Option.to_list
-          (Option.map
-             (Printf.sprintf "sweep %d reverted: %s" (o.iterations + 1))
-             o.reverted)
-    in
-    List.iter (degrade stage) reasons;
-    (o.circuit, reasons <> [])
+    if o.hit_iteration_cap then stopped "iteration cap reached";
+    if o.hit_deadline then stopped "wall-clock deadline exceeded";
+    Option.iter
+      (fun why ->
+        degrade st
+          (Printf.sprintf "sweep %d reverted: %s" (o.iterations + 1) why))
+      o.reverted;
+    o.circuit
   in
   let run () =
     (match option_problems options with
@@ -497,11 +557,7 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
            (Diagnostic.error ~stage:Diagnostic.Driver
               ~kind:Diagnostic.Unsupported
               (String.concat "; " problems))));
-    let sp = Trace.start trace "front-end" in
-    let circuit = guard Diagnostic.Front_end (fun () -> front_end input) in
-    Trace.stop_with trace sp ~cost:unmapped_cost circuit;
-    let circuit = inject Diagnostic.Front_end circuit in
-    let circuit = validate_stream Diagnostic.Front_end circuit in
+    let circuit = stage Diagnostic.Front_end (fun () -> front_end input) in
     if Circuit.n_qubits circuit > Device.n_qubits device then
       raise
         (Abort
@@ -514,57 +570,38 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
     (* Widening to the device register first gives generalized-Toffoli
        decomposition its borrowable qubits. *)
     let reference = Circuit.widen circuit (Device.n_qubits device) in
+    (* The technology-independent stage always optimizes by gate counts
+       (Eqn. 2): hardware-aware costs like per-coupling fidelity are only
+       meaningful once gates sit on physical qubits. *)
     let staged =
-      (* The technology-independent stage always optimizes by gate counts
-         (Eqn. 2): hardware-aware costs like per-coupling fidelity are
-         only meaningful once gates sit on physical qubits. *)
-      if not options.pre_optimize then reference
-      else if Trace.past deadline_ns then begin
-        degrade Diagnostic.Pre_optimize "skipped: wall-clock deadline exceeded";
-        reference
-      end
-      else begin
-        let sp =
-          Trace.start_with trace "pre-optimize" ~cost:unmapped_cost reference
-        in
-        let staged, was_degraded =
-          optimize Diagnostic.Pre_optimize ~name:"pre-optimize" ~cost:Cost.eqn2
-            reference
-        in
-        Trace.stop_with trace sp ~cost:unmapped_cost
-          ~counters:(if was_degraded then [ ("degraded", 1.0) ] else [])
-          staged;
-        staged
-      end
+      optional Diagnostic.Pre_optimize options.pre_optimize reference
+        (fun () -> optimize Diagnostic.Pre_optimize ~cost:Cost.eqn2 reference)
     in
-    let staged = inject Diagnostic.Pre_optimize staged in
     contract Diagnostic.Pre_optimize
       (Lint.Contract.after_optimize ~before:reference ~after:staged);
-    let sp = Trace.start_with trace "decompose" ~cost:unmapped_cost staged in
     let native =
-      guard Diagnostic.Decompose (fun () -> Decompose.to_native staged)
+      stage Diagnostic.Decompose ~before:staged (fun () ->
+          Decompose.to_native staged)
     in
-    Trace.stop_with trace sp ~cost:unmapped_cost native;
-    let native = inject Diagnostic.Decompose native in
     contract Diagnostic.Decompose (Lint.Contract.after_decompose native);
     (* Placement relabels the register; verification then compares
        against the identically-relabelled reference. *)
     let placement =
-      if options.use_placement && not (Device.is_simulator device) then
-        if Trace.past deadline_ns then begin
-          degrade Diagnostic.Place "skipped: wall-clock deadline exceeded";
-          None
-        end
-        else begin
-          let sp = Trace.start trace "place" in
-          let a = guard Diagnostic.Place (fun () -> Place.choose device native) in
-          let moved = ref 0 in
-          Array.iteri (fun l p -> if l <> p then incr moved) a;
-          Trace.stop trace sp
-            ~counters:[ ("moved_qubits", float_of_int !moved) ]
-            ();
-          Some a
-        end
+      if
+        runs Diagnostic.Place
+          (options.use_placement && not (Device.is_simulator device))
+      then begin
+        let sp =
+          Trace.start trace (Diagnostic.stage_to_string Diagnostic.Place)
+        in
+        let a = guard Diagnostic.Place (fun () -> Place.choose device native) in
+        let moved = ref 0 in
+        Array.iteri (fun l p -> if l <> p then incr moved) a;
+        Trace.stop trace sp
+          ~counters:[ ("moved_qubits", float_of_int !moved) ]
+          ();
+        Some a
+      end
       else None
     in
     let native, reference =
@@ -574,113 +611,79 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
             (Place.apply a native, Place.apply a reference))
       | None -> (native, reference)
     in
-    let native = inject Diagnostic.Place native in
+    let native = handoff Diagnostic.Place native in
     let swap_budget = options.budgets.swap_budget in
-    let route ?stats ?swap_budget d c =
-      match options.router with
-      | Ctr -> Route.route_circuit_swaps ?stats ?swap_budget d c
-      | Weighted_ctr cal ->
-        Route.route_circuit_swaps ?stats ?swap_budget
-          ~weight:(Calibration.swap_hop_weight cal) d c
-      | Tracking -> Route.route_circuit_tracking ?stats ?swap_budget d c
-    in
-    (* The verifier reroutes gates blockwise for the staged proof; those
-       repeats must not inflate the route pass's counters, and they must
-       not be budget-capped (the proof needs fully-legal blocks). *)
-    let route_for_verify d c = route d c in
     let route_stats =
       if Trace.enabled trace || swap_budget <> None then
         Some (Route.new_stats ())
       else None
     in
-    let sp = Trace.start_with trace "route" ~cost:unmapped_cost native in
-    let routed_swaps =
-      guard Diagnostic.Route (fun () ->
-          route ?stats:route_stats ?swap_budget device native)
-    in
-    let unrouted =
+    let unrouted_cnots () =
       match route_stats with None -> 0 | Some s -> s.Route.unrouted_cnots
     in
-    if unrouted > 0 then
-      degrade Diagnostic.Route
-        (Printf.sprintf "%d CNOT%s left as written: SWAP budget exhausted"
-           unrouted
-           (if unrouted = 1 then "" else "s"));
-    (* A fidelity cost is undefined on a CNOT the device cannot execute,
-       so no later stage, and no span, could price the routed circuit. *)
-    (match cost with
-    | Cost.Log_fidelity _ when unrouted > 0 ->
-      raise
-        (Abort
-           (Diagnostic.error ~stage:Diagnostic.Route
-              ~kind:Diagnostic.Budget_exhausted
-              "the fidelity cost is undefined on unrouted CNOTs"))
-    | Cost.Log_fidelity _ | Cost.Linear _ -> ());
-    let route_counters =
-      (match route_stats with
-      | None -> []
-      | Some s ->
-        [
-          ("rerouted_cnots", float_of_int s.Route.rerouted_cnots);
-          ("reversed_cnots", float_of_int s.Route.reversed_cnots);
-          ("swaps_inserted", float_of_int s.Route.swaps_inserted);
-          ("swap_hops", float_of_int s.Route.swap_hops);
-          ("max_path_hops", float_of_int s.Route.max_path_hops);
-          ("unrouted_cnots", float_of_int s.Route.unrouted_cnots);
-        ])
-      @ if unrouted > 0 then [ ("degraded", 1.0) ] else []
+    let routed_swaps =
+      stage Diagnostic.Route ~before:native
+        ~counters:(fun () ->
+          match route_stats with
+          | None -> []
+          | Some s ->
+            [
+              ("rerouted_cnots", float_of_int s.Route.rerouted_cnots);
+              ("reversed_cnots", float_of_int s.Route.reversed_cnots);
+              ("swaps_inserted", float_of_int s.Route.swaps_inserted);
+              ("swap_hops", float_of_int s.Route.swap_hops);
+              ("max_path_hops", float_of_int s.Route.max_path_hops);
+              ("unrouted_cnots", float_of_int s.Route.unrouted_cnots);
+            ])
+        (fun () ->
+          let routed =
+            route options ?stats:route_stats ?swap_budget device native
+          in
+          let unrouted = unrouted_cnots () in
+          if unrouted > 0 then begin
+            degrade Diagnostic.Route
+              (Printf.sprintf "%d CNOT%s left as written: SWAP budget exhausted"
+                 unrouted
+                 (if unrouted = 1 then "" else "s"));
+            (* A fidelity cost is undefined on a CNOT the device cannot
+               execute, so no later stage, and no span, could price the
+               routed circuit. *)
+            match cost with
+            | Cost.Log_fidelity _ ->
+              raise
+                (Abort
+                   (Diagnostic.error ~stage:Diagnostic.Route
+                      ~kind:Diagnostic.Budget_exhausted
+                      "the fidelity cost is undefined on unrouted CNOTs"))
+            | Cost.Linear _ -> ()
+          end;
+          routed)
     in
-    Trace.stop_with trace sp ~cost ~counters:route_counters routed_swaps;
-    let routed_swaps = inject Diagnostic.Route routed_swaps in
-    let sp = Trace.start_with trace "expand-swaps" ~cost routed_swaps in
+    let routed_all = unrouted_cnots () = 0 in
     let unoptimized =
-      guard Diagnostic.Expand_swaps (fun () ->
+      stage Diagnostic.Expand_swaps ~before:routed_swaps (fun () ->
           Route.expand_swaps device routed_swaps)
     in
-    Trace.stop_with trace sp ~cost unoptimized;
-    let unoptimized = inject Diagnostic.Expand_swaps unoptimized in
     (* A budget-degraded route intentionally hands over unrouted CNOTs;
        auditing it against full device legality would report the
        degradation as a broken pass. *)
-    if unrouted = 0 then
+    if routed_all then
       contract Diagnostic.Route (Lint.Contract.after_route device unoptimized);
+    (* Two-level optimization: first cancel whole CTR SWAPs (a swap-back
+       annihilates the next gate's swap-forward), then expand the
+       survivors to CNOTs and optimize at gate level. *)
     let optimized =
-      if not options.post_optimize then unoptimized
-      else if Trace.past deadline_ns then begin
-        degrade Diagnostic.Post_optimize
-          "skipped: wall-clock deadline exceeded";
-        unoptimized
-      end
-      else begin
-        (* Two-level optimization: first cancel whole CTR SWAPs (a
-           swap-back annihilates the next gate's swap-forward), then
-           expand the survivors to CNOTs and optimize at gate level. *)
-        let sp = Trace.start_with trace "post-optimize" ~cost routed_swaps in
-        let level name c =
-          optimize Diagnostic.Post_optimize ~name ~device ~cost c
-        in
-        let swap_level, swap_degraded =
-          level "post-optimize/swap-level" routed_swaps
-        in
-        let expanded =
-          guard Diagnostic.Post_optimize (fun () ->
-              Route.expand_swaps device swap_level)
-        in
-        let gate_level, gate_degraded =
-          level "post-optimize/gate-level" expanded
-        in
-        Trace.stop_with trace sp ~cost
-          ~counters:
-            (if swap_degraded || gate_degraded then [ ("degraded", 1.0) ]
-             else [])
-          gate_level;
-        gate_level
-      end
+      optional Diagnostic.Post_optimize options.post_optimize unoptimized
+        ~before:routed_swaps (fun () ->
+          let level name c =
+            optimize Diagnostic.Post_optimize ~level:name ~device ~cost c
+          in
+          let swap_level = level "swap-level" routed_swaps in
+          level "gate-level" (Route.expand_swaps device swap_level))
     in
-    let optimized = inject Diagnostic.Post_optimize optimized in
     contract Diagnostic.Post_optimize
       (Lint.Contract.after_optimize ~before:unoptimized ~after:optimized);
-    if unrouted = 0 then
+    if routed_all then
       contract Diagnostic.Post_optimize
         (Lint.Contract.after_route device optimized);
     (* State folding preserves the state prepared from |0...0>, not the
@@ -711,19 +714,14 @@ let compile_checked ?(trace = Trace.disabled) ?inject options input =
     let verification, verification_seconds =
       match options.verification with
       | Skip -> (Skipped, 0.0)
-      | (Qmdd_check _ | Fallback _) as mode ->
-        if Trace.past deadline_ns then
-          ( (match mode with
-            | Fallback _ ->
-              Unverified "wall-clock deadline exceeded before verification"
-            | Qmdd_check _ | Skip -> Budget_exceeded),
-            0.0 )
-        else
-          guard Diagnostic.Verify (fun () ->
-              verify mode options ~trace ~budget:oracle_budget
-                ~route:route_for_verify ~routed_all:(unrouted = 0)
-                ~warn:(fun d -> warnings := d :: !warnings)
-                ~native ~unoptimized ~optimized:prefold reference)
+      | Qmdd_check _ when Trace.past deadline_ns -> (Budget_exceeded, 0.0)
+      | Fallback _ when Trace.past deadline_ns ->
+        (Unverified "wall-clock deadline exceeded before verification", 0.0)
+      | Qmdd_check _ | Fallback _ ->
+        guard Diagnostic.Verify (fun () ->
+            verify options ~trace ~budget:oracle_budget ~routed_all
+              ~warn:(fun d -> warnings := d :: !warnings)
+              ~native ~unoptimized ~optimized:prefold reference)
     in
     (match verification with
     | Budget_exceeded -> degrade Diagnostic.Verify "QMDD node budget exhausted"

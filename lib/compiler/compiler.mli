@@ -231,8 +231,9 @@ type report = {
       (** stages that ran out of budget and stopped early, with the
           reason, in pipeline order; [[]] for a clean compile.  Each
           entry also appears as a [Budget_exhausted] warning in
-          [diagnostics], as a ["degraded"] counter on the stage's trace
-          span, and in {!report_to_json}. *)
+          [diagnostics] and in {!report_to_json}; one made while the
+          stage's span was open also as a ["degraded"] counter on that
+          span (see {!compile_checked}). *)
   diagnostics : Diagnostic.t list;
       (** non-fatal (warning-severity) diagnostics accumulated during
           the compile *)
@@ -261,10 +262,11 @@ exception Compile_error of string
     {!Route.Unroutable} becomes [Unroutable], [Invalid_argument]
     (corrupt gate streams: out-of-range wires, non-finite angles)
     becomes [Invalid_gate], and anything else becomes [Internal].
-    A NaN or infinite rotation angle in the input (or injected
-    mid-pipeline) is caught at the stage handoff by a
-    {!Lint.Rule.Non_finite_angle} scan before it can poison the QMDD
-    value table.
+    Every circuit a stage hands to the next is scanned by
+    {!Lint.Rule.Non_finite_angle}, so a NaN or infinite rotation angle,
+    whether in the input, written by a stage or injected, is an
+    [Invalid_gate] error naming the stage that produced it, before it
+    can poison the QMDD value table.
 
     Options that mean nothing whatever the input are refused before the
     front-end runs, as one [Driver]-stage [Unsupported] diagnostic
@@ -277,16 +279,25 @@ exception Compile_error of string
     is undefined on gates the device cannot execute.
 
     When [trace] is a recording sink (default {!Trace.disabled}), every
-    stage records a span — ["front-end"], ["pre-optimize"] (plus one
-    ["pre-optimize/iteration-<i>"] per fixpoint sweep), ["decompose"],
-    ["place"], ["route"] (with CTR counters: rerouted/reversed CNOTs,
-    SWAPs inserted, path hops, unrouted CNOTs), ["expand-swaps"],
+    stage that runs records a span named {!Diagnostic.stage_to_string}
+    of its stage; an optional stage that is off or skipped past the
+    deadline records none.  ["front-end"] has an after-snapshot only.
+    ["pre-optimize"] (plus one ["pre-optimize/iteration-<i>"] per
+    fixpoint sweep), ["decompose"], ["route"] (with CTR counters:
+    rerouted/reversed CNOTs, SWAPs inserted, path hops, unrouted CNOTs)
+    and ["expand-swaps"] have before- and after-snapshots.
     ["post-optimize"] (with ["post-optimize/swap-level/..."] and
-    ["post-optimize/gate-level/..."] iterations), and ["verify"] (with
-    QMDD unique-table and operation-cache counters plus
-    [fallback_sim]) — each with before/after circuit snapshots under
-    [options.cost].  A stage that degraded carries a ["degraded"]
-    counter of 1.
+    ["post-optimize/gate-level/..."] iterations) snapshots route's
+    output, SWAPs unexpanded, before, and its result after.  ["place"]
+    has no snapshot, only a [moved_qubits] counter.  With
+    [fold_states], a ["fold-states"] span follows post-optimize, with
+    its counters and no snapshot.  ["verify"] has an after-snapshot of
+    the pre-fold output only, with QMDD unique-table and
+    operation-cache counters plus [fallback_sim].  A pre-optimize,
+    route or post-optimize span carries a ["degraded"] counter of 1
+    when the stage marked itself degraded while it ran.  A skipped
+    stage, a fold-states revert and a verification that gave up are
+    marked in {!report.degraded} with no such counter.
 
     A snapshot of a circuit that is not yet mapped (front-end,
     pre-optimize and decompose, and route's before-snapshot) is priced
@@ -301,10 +312,11 @@ exception Compile_error of string
     [inject] is a fault-injection hook for robustness testing (see
     {!Faultinject}): it is called at every stage handoff with the
     stage's output circuit, and whatever it returns (or raises) flows
-    through the pipeline's normal guards.  It is called for every
-    circuit-producing stage ([Front_end] through [Post_optimize]);
-    [Driver] and [Verify] produce no circuit and are never passed.
-    Without it (the default) the handoffs cost nothing. *)
+    through the pipeline's normal guards and the non-finite-angle scan.
+    It is called for every circuit-producing stage ([Front_end] through
+    [Post_optimize]), an optional stage that does not run included,
+    with the circuit that stage hands on; [Driver] and [Verify] produce
+    no circuit and are never passed. *)
 val compile_checked :
   ?trace:Trace.t ->
   ?inject:(Diagnostic.stage -> Circuit.t -> Circuit.t) ->

@@ -3,7 +3,7 @@ type t = {
   n_qubits : int;
   couplings : (int * int) list;  (* sorted, directed (control, target) *)
   adjacency : int list array;  (* undirected neighbor lists *)
-  directed : (int * int, unit) Hashtbl.t;
+  directed : (int, unit) Hashtbl.t;  (* control * n_qubits + target *)
   simulator : bool;
 }
 
@@ -16,10 +16,10 @@ let build ~name ~n_qubits ~simulator couplings =
         invalid_arg
           (Printf.sprintf "Device.make: coupling (%d,%d) outside register" c tgt);
       if c = tgt then invalid_arg "Device.make: self-coupling";
-      if Hashtbl.mem directed (c, tgt) then
+      if Hashtbl.mem directed ((c * n_qubits) + tgt) then
         invalid_arg
           (Printf.sprintf "Device.make: duplicate coupling (%d,%d)" c tgt);
-      Hashtbl.add directed (c, tgt) ())
+      Hashtbl.add directed ((c * n_qubits) + tgt) ())
     couplings;
   let adjacency = Array.make n_qubits [] in
   List.iter
@@ -43,11 +43,15 @@ let name d = d.name
 let n_qubits d = d.n_qubits
 let couplings d = d.couplings
 
-let allows_cnot d ~control ~target =
-  d.simulator || Hashtbl.mem d.directed (control, target)
+(* An integer key, so a lookup allocates nothing.  Out-of-range qubits
+   are never coupled: the range check keeps their keys from landing on
+   an in-range pair's. *)
+let directed d control target =
+  control >= 0 && control < d.n_qubits && target >= 0 && target < d.n_qubits
+  && Hashtbl.mem d.directed ((control * d.n_qubits) + target)
 
-let coupled d a b =
-  d.simulator || Hashtbl.mem d.directed (a, b) || Hashtbl.mem d.directed (b, a)
+let allows_cnot d ~control ~target = d.simulator || directed d control target
+let coupled d a b = d.simulator || directed d a b || directed d b a
 
 let neighbors d q =
   if d.simulator then

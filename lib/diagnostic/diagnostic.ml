@@ -9,8 +9,9 @@ type stage =
   | Post_optimize
   | Verify
 
-(* The names double as trace-span names: keep them in sync with the
-   spans Compiler.compile records. *)
+(* The names double as trace-span names: Compiler.compile_checked names
+   each stage's span with this function and spells no stage name of its
+   own. *)
 let stage_to_string = function
   | Driver -> "driver"
   | Front_end -> "front-end"

@@ -79,8 +79,10 @@ val create : ?seed:int -> spec list -> t
 val hook : t -> Diagnostic.stage -> Circuit.t -> Circuit.t
 
 (** [fired h] lists the specs that actually fired so far, in firing
-    order — a spec whose stage never ran (e.g. [Place] without
-    placement enabled) never fires, and tests can tell. *)
+    order — a spec whose stage never handed a circuit on (e.g. a later
+    stage of a compile that failed earlier) never fires, and tests can
+    tell.  An optional stage that is off still hands its input on, so
+    [Place] fires without placement. *)
 val fired : t -> spec list
 
 (** The socket-layer fault plane: deterministic chaos plans for the

@@ -387,7 +387,8 @@ let merge_rotations c =
         match axis_rotation g with
         | Some (ax, theta, q) -> (
           match pending.(q) with
-          | Some (ax', acc) when ax' = ax ->
+          (* A sum that overflows is no angle: both rotations stay. *)
+          | Some (ax', acc) when ax' = ax && Float.is_finite (acc +. theta) ->
             pending.(q) <- Some (ax, acc +. theta);
             incr eliminated
           | Some _ ->
@@ -468,6 +469,8 @@ let merge_phase_polynomial c =
       let slots : (bool * int list * bool, slot) Hashtbl.t = Hashtbl.create 64 in
       let hit key contribution ~wire ~const ~gate ~rz =
         match Hashtbl.find_opt slots key with
+        (* A sum that overflows is no angle: the gate stays as written. *)
+        | Some s when not (Float.is_finite (s.sum +. contribution)) -> Keep
         | Some s ->
           s.sum <- s.sum +. contribution;
           s.hits <- s.hits + 1;

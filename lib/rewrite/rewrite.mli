@@ -92,8 +92,9 @@ val selection_to_string : selection -> string
     with them (an Rz past diagonal gates and CNOT controls, an Rx past X
     and CNOT targets, an Ry past Y).  The folded rotation is deleted
     only when its angle is a multiple of 4 pi (within 1e-12): Rz(2 pi) =
-    -I, and the optimizer promises exactness.  A circuit with no Rx, Ry
-    or Rz (every Clifford+T circuit) returns at once. *)
+    -I, and the optimizer promises exactness.  Two rotations whose
+    angles sum past the largest float both stay.  A circuit with no
+    Rx, Ry or Rz (every Clifford+T circuit) returns at once. *)
 val merge_rotations : Circuit.t -> Circuit.t * int
 
 (** Phase-polynomial merging in the spirit of staq: tracks each wire's
@@ -105,8 +106,10 @@ val merge_rotations : Circuit.t -> Circuit.t * int
     (Z/S/Sdg/T/Tdg/Phase) with each other via {!Gate.phase_gate}, which
     re-expresses the folded angle as the cheapest Clifford+T gate.
     This is the pass that reduces T-count across CNOT ladders.  A
-    first walk stops at the first rotation that folds into an earlier
-    one; when none does, [(c, 0)] comes back with no list built. *)
+    rotation whose angle would take the sum past the largest float
+    stays as written.  A first walk stops at the first rotation that
+    folds into an earlier one; when none does, [(c, 0)] comes back with
+    no list built. *)
 val merge_phase_polynomial : Circuit.t -> Circuit.t * int
 
 (** Replaces runs of one-qubit Clifford gates (X/Y/Z/H/S/Sdg on one

@@ -210,6 +210,57 @@ let test_fuzz_repro_corpus_replays () =
                    "fuzz --property %s --seed %d --count 1 --corpus-dir ''"
                    (Filename.quote property) seed)))
 
+(* Two rotations whose angles sum past the largest float.  Merged, they
+   became an [rx(inf)] that the compile read as a false MISMATCH, and an
+   [rz(inf)] that [qsc optimize] printed with exit 0.  Both files
+   compile and verify, and optimize under the oracle, with no infinite
+   angle in any output. *)
+let test_overflowing_merges () =
+  let contains s sub =
+    let n = String.length s and k = String.length sub in
+    let rec scan i = i + k <= n && (String.sub s i k = sub || scan (i + 1)) in
+    scan 0
+  in
+  List.iter
+    (fun body ->
+      let path = Filename.temp_file "qsc-cli" ".qasm" in
+      let out = Filename.temp_file "qsc-cli" ".out" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove path;
+          Sys.remove out)
+        (fun () ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc
+                ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n" ^ body));
+          let qsc_output args =
+            let code =
+              Sys.command
+                (Printf.sprintf "%s %s %s >%s 2>&1" (Filename.quote qsc) args
+                   (Filename.quote path) (Filename.quote out))
+            in
+            (code, In_channel.with_open_text out In_channel.input_all)
+          in
+          List.iter
+            (fun (args, expect) ->
+              let code, output = qsc_output args in
+              let what = Printf.sprintf "%s on %S" args body in
+              check_int what 0 code;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s, no infinite angle:\n%s" what expect
+                   output)
+                true
+                (contains output expect
+                && not (contains output "inf)" || contains output "nan)")))
+            [
+              ("compile -d ibmqx4", "verification verified");
+              ("optimize --check", "sweeps reverted by the oracle: 0");
+            ]))
+    [
+      "rx(1e308) q[0];\nrx(1e308) q[0];\ncx q[0],q[1];\n";
+      "rz(1e308) q[0];\ncx q[0],q[1];\nrz(1e308) q[0];\n";
+    ]
+
 (* Start-up cost: every qsc process, [--version] included, runs every
    linked module's initialisers, the Clifford group table of the
    rewrite tier among them.  The runtime's exit report (OCAMLRUNPARAM
@@ -254,6 +305,8 @@ let () =
             test_exit_125_internal_error;
           Alcotest.test_case "fuzz repro corpus replays clean" `Quick
             test_fuzz_repro_corpus_replays;
+          Alcotest.test_case "0: overflowing rotation merges" `Quick
+            test_overflowing_merges;
         ] );
       ( "serve",
         [

@@ -32,6 +32,31 @@ let test_directed_coupling () =
   check_bool "0,3 not coupled" false (Device.coupled d 0 3);
   check_bool "neighbors of 2" true (Device.neighbors d 2 = [ 0; 1; 3; 4 ])
 
+let test_coupling_lookups_allocate_nothing () =
+  (* The optimizer's templates ask [allows_cnot] for every CNOT they
+     read.  Out-of-range qubits answer false, without aliasing an
+     in-range pair: (0, 5) would be key 5 = (1, 0) on ibmqx4. *)
+  let d = Device.Ibm.ibmqx4 in
+  check_bool "0 -> 5 outside the register" false
+    (Device.allows_cnot d ~control:0 ~target:5);
+  check_bool "-1 -> 1 outside the register" false
+    (Device.allows_cnot d ~control:(-1) ~target:1);
+  check_bool "0,5 outside the register" false (Device.coupled d 0 5);
+  let calls = 10_000 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    let control = i mod 5 and target = i * 7 mod 5 in
+    if Device.allows_cnot d ~control ~target then incr hits;
+    if Device.coupled d control target then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool "some pairs coupled" true (!hits > 0);
+  check_bool
+    (Printf.sprintf "%.0f minor words over %d calls of each" words calls)
+    true
+    (words < 100.0)
+
 let test_fig5_adjacency () =
   (* In Fig. 5 the CTR route q5 -> q12 -> q11 -> (CNOT q11, q10) exists on
      ibmqx3: check the underlying undirected edges. *)
@@ -185,6 +210,8 @@ let () =
       ( "maps",
         [
           Alcotest.test_case "directed coupling" `Quick test_directed_coupling;
+          Alcotest.test_case "coupling lookups allocate nothing" `Quick
+            test_coupling_lookups_allocate_nothing;
           Alcotest.test_case "fig5 adjacency" `Quick test_fig5_adjacency;
           Alcotest.test_case "connectivity" `Quick test_connectivity;
           Alcotest.test_case "simulator" `Quick test_simulator;
